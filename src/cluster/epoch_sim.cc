@@ -1,6 +1,6 @@
 /**
  * @file
- * Epoch simulator implementation.
+ * Epoch simulator implementation: the core step over the run state.
  */
 
 #include "cluster/epoch_sim.hh"
@@ -9,12 +9,10 @@
 #include <cassert>
 #include <cmath>
 #include <optional>
-#include <string>
 
-#include "check/auditor.hh"
+#include "cluster/epoch_observers.hh"
 #include "fault/injector.hh"
 #include "obs/span.hh"
-#include "obs/timeseries.hh"
 #include "perf/queueing.hh"
 #include "stats/rng.hh"
 
@@ -27,12 +25,330 @@ using machine::ResourceKind;
 namespace
 {
 
-/**
- * Load cap for fault-injected spikes: a spike may push an LC app to
- * the brink of saturation but not beyond it (load generators are
- * closed-loop), and never below its unspiked load when increasing.
- */
+/** Load cap for fault-injected spikes (see the spike below). */
 constexpr double kSpikeLoadCap = 0.95;
+
+/**
+ * One run and its core step (decide → contention model → queues →
+ * entropy → steady-state sums) over buffers sized once per run, so
+ * with no observers an epoch allocates nothing.
+ */
+class Run : public detail::EpochState
+{
+  public:
+    Run(const Node &node, const SimulationConfig &cfg,
+        sched::Scheduler *const *arms, const PolicySchedule *schedule,
+        SimulationResult &res)
+        : node_(node), cfg_(cfg), arms_(arms), schedule_(schedule),
+          res_(res), rng_(cfg.seed),
+          model_(node.config(), cfg.contention),
+          sampling_(cfg.obs.tracing() && cfg.traceSampleRate < 1.0),
+          mutedScope_(cfg.obs.withSink(nullptr)),
+          staticObs_(node.staticObservations())
+    {
+        arm = schedule != nullptr ? schedule->armAt(0) : 0;
+        cur_ = arms[static_cast<std::size_t>(arm)];
+        cur_->reset();
+        // Always (re)attach the run's scope: a reused scheduler must
+        // not keep reporting into the previous run's sinks.
+        cur_->setObsScope(cfg.obs);
+        const auto n = staticObs_.size();
+        obsBuf[0] = obsBuf[1] = staticObs_;
+        backlog.assign(n, 0.0);
+        ways.assign(n, -1);
+        cores.assign(n, -1);
+        for (auto *v :
+             {&res.meanP95Ms, &res.meanIpc, &res.steadyMeanLoad})
+            v->assign(n, 0.0);
+    }
+
+    const sched::Scheduler &scheduler() const { return *cur_; }
+
+    /** Build the initial layout and attach the observers. */
+    void begin(detail::ObserverList observers)
+    {
+        observers_ = std::move(observers);
+        layout = cur_->initialLayout(node_.config(), staticObs_);
+        assert(layout.valid());
+        for (auto &o : observers_)
+            o->start(*this);
+        // Fault draws use their own stream split off the run seed, so
+        // they never perturb the measurement noise.
+        if (cfg_.faults != nullptr && cfg_.faults->active())
+            injector_.emplace(*cfg_.faults, cfg_.seed, cfg_.obs);
+    }
+
+    void step(int e)
+    {
+        epoch = e;
+        time = e * cfg_.epochSeconds;
+        steady = e >= res_.warmupEpochs;
+        obs::Span epoch_span(cfg_.obs, "epoch");
+        const bool tracing = cfg_.obs.tracing();
+        traced = tracing &&
+            (!sampling_ ||
+             epochTraceSampled(cfg_.seed, e, cfg_.traceSampleRate));
+        const bool swapped = schedule_ != nullptr && swapArm();
+        // Re-point the scheduler/injector sinks only when the epoch
+        // is kept or just stopped being kept (or a swap brought a
+        // fresh arm), so rejected→rejected epochs copy no scopes.
+        if (tracing && (traced || prevTraced_ || swapped)) {
+            cur_->setObsScope(traced ? cfg_.obs.atEpoch(e) : mutedScope_);
+            if (injector_)
+                injector_->setEventsEnabled(traced);
+        }
+        prevTraced_ = traced;
+        if (injector_)
+            injector_->beginEpoch(e, time);
+        // A swap epoch skips adjust(): the incoming scheduler just
+        // built its initial layout and has observed nothing yet (the
+        // same contract as epoch 0 of a plain run).
+        if (e > 0 && !swapped)
+            decide();
+        measure();
+        for (auto &o : observers_)
+            o->observe(*this);
+        cfg_.obs.count("sim.epochs");
+        if (!steady)
+            return;
+        // Steady-state sums in epoch order (see keepEpochs).
+        res_.meanELc += entropy.eLc;
+        res_.meanEBe += entropy.eBe;
+        res_.meanES += entropy.eS;
+        for (std::size_t i = 0; i < obs().size(); ++i) {
+            const auto &o = obs()[i];
+            if (o.latencyCritical) {
+                res_.meanP95Ms[i] += o.p95Ms;
+                res_.steadyMeanLoad[i] += o.loadFraction;
+                res_.violations +=
+                    core::violatesQos(o.p95Ms, o.thresholdMs);
+            } else {
+                res_.meanIpc[i] += o.ipc;
+            }
+        }
+        ++steady_;
+    }
+
+    /** Steady-state means and yield, then the observers' totals. */
+    void finish()
+    {
+        if (steady_ > 0) {
+            res_.meanELc /= steady_;
+            res_.meanEBe /= steady_;
+            res_.meanES /= steady_;
+            for (auto *v :
+                 {&res_.meanP95Ms, &res_.meanIpc, &res_.steadyMeanLoad})
+                for (auto &x : *v)
+                    x /= steady_;
+        }
+        lcObs_.clear();
+        for (const AppId i : node_.lcApps())
+            lcObs_.push_back({0.0, res_.meanP95Ms[std::size_t(i)],
+                              node_.profile(i).tailThresholdMs});
+        res_.yieldValue = core::yield(lcObs_);
+        for (auto &o : observers_)
+            o->finish();
+    }
+
+  private:
+    /** The policy-swap seam (see EpochSimulator::runSwitched). */
+    bool swapArm()
+    {
+        const int a = schedule_->armAt(epoch);
+        if (a == arm)
+            return false;
+        arm = a;
+        cur_ = arms_[static_cast<std::size_t>(a)];
+        cur_->reset();
+        cur_->setObsScope(cfg_.obs.tracing() && !traced
+                              ? mutedScope_
+                              : cfg_.obs.atEpoch(epoch));
+        layout = cur_->initialLayout(node_.config(), staticObs_);
+        assert(layout.valid());
+        cfg_.obs.count("sim.policy_swaps");
+        for (auto &o : observers_)
+            o->swapped(*this, *cur_);
+        return true;
+    }
+
+    void decide()
+    {
+        if (injector_ && lastAllDropped_) {
+            // Nothing to act on but staleness: skip uniformly (graceful
+            // degradation for strategies without fault handling).
+            cfg_.obs.count("fault.decision_skipped");
+            return;
+        }
+        // Under faults the knob writes may apply the decided intent
+        // only in part; otherwise the scheduler edits the layout.
+        machine::RegionLayout &intent = injector_ ? intent_ : layout;
+        if (injector_)
+            intent_ = layout;
+        {
+            obs::Span span(cfg_.obs, "decide");
+            cur_->adjust(intent, obsBuf[(epoch + 1) & 1], time);
+        }
+        for (auto &o : observers_)
+            o->decided(*this, *cur_, intent, lastDegraded_);
+        if (injector_) {
+            fault::FaultInjector::Actuation act;
+            {
+                obs::Span span(cfg_.obs, "actuate");
+                act = injector_->actuate(layout, intent_, epoch, time);
+                cur_->onActuation(act.ok);
+            }
+            for (auto &o : observers_)
+                o->actuated(*this, intent_, act.applied, act.ok);
+            layout = std::move(act.applied);
+        }
+        assert(layout.valid());
+    }
+
+    /** Contention model, then per app queues and measurements. */
+    void measure()
+    {
+        obs::Span measure_span(cfg_.obs, "measure");
+        const int e = epoch;
+        const double t = time;
+        node_.demandsAt(t, demands);
+        policy = cur_->corePolicy();
+        {
+            obs::Span span(cfg_.obs, "model");
+            model_.evaluateInto(layout, demands, policy, outcomes);
+        }
+        lcObs_.clear();
+        beObs_.clear();
+        dropped = 0;
+        for (AppId i = 0; i < node_.numApps(); ++i) {
+            const auto ui = static_cast<std::size_t>(i);
+            const auto &out = outcomes[ui];
+            const auto &app = node_.apps()[ui];
+            const auto &prof = app.profile;
+
+            const int ways_now = layout.reachable(i, ResourceKind::LlcWays);
+            const int cores_now = layout.reachable(i, ResourceKind::Cores);
+            double overhead = 1.0;
+            if (cfg_.overheadEnabled && ways[ui] >= 0)
+                overhead = std::min(2.0, 1.0 +
+                    cfg_.overheadWaysFactor * std::abs(ways_now - ways[ui]) +
+                    cfg_.overheadCoresFactor *
+                        std::abs(cores_now - cores[ui]));
+            ways[ui] = ways_now;
+            cores[ui] = cores_now;
+
+            // A freshly migrated app re-warms its caches with service
+            // slowed by a linearly decaying factor (coldEpochs).
+            double cold = 1.0;
+            if (e < app.coldEpochs && app.coldPenalty > 0.0) {
+                cold = 1.0 + app.coldPenalty *
+                    static_cast<double>(app.coldEpochs - e) /
+                    static_cast<double>(app.coldEpochs);
+            }
+
+            double load = 0.0, lambda = 0.0, value;
+            if (prof.latencyCritical) {
+                load = node_.loadAt(i, t);
+                const double f =
+                    injector_ ? injector_->loadFactor(i, t) : 1.0;
+                if (f != 1.0) {
+                    // Closed-loop generators bound concurrency: a
+                    // spike saturates at the brink, not beyond, and
+                    // never drops below the unspiked load.
+                    const double spiked = load * f;
+                    load = spiked > load
+                        ? std::min(spiked, std::max(load, kSpikeLoadCap))
+                        : std::max(spiked, 0.0);
+                }
+                lambda = prof.arrivalRate(load);
+                const double cap = out.serviceRate / cold;
+                const double per_server = out.perServerRate / cold;
+
+                // Explicit backlog dynamics with a generator-side cap
+                // on outstanding work.
+                const double b_new = std::clamp(
+                    backlog[ui] + (lambda - cap) * cfg_.epochSeconds,
+                    0.0, lambda * cfg_.queueCapSeconds + 32.0);
+                const double b_mid = 0.5 * (backlog[ui] + b_new);
+                backlog[ui] = b_new;
+
+                // Steady queueing at a stabilised arrival rate plus
+                // the carried backlog's drain time; timeslice
+                // stretching (FairShare) inflates the service tail.
+                const double svc_tail =
+                    prof.svcMultAt(cfg_.tailPercentile) *
+                    out.serviceStretch;
+                double t95 = perf::sojournPercentileApprox(
+                    out.coreEquivalents, std::min(lambda, 0.98 * cap),
+                    per_server, svc_tail, cfg_.tailPercentile);
+                if (!std::isfinite(t95))
+                    t95 = svc_tail / per_server;
+                t95 += b_mid / std::max(cap, 1e-9);
+                value = (prof.baseLatencyMs + 1000.0 * t95) * overhead;
+            } else {
+                // Repartitioning costs BE throughput too (cold ways
+                // and thread migrations), at half the latency rate.
+                value = out.ipc / (1.0 + 0.5 * (overhead - 1.0)) / cold;
+            }
+            value *= rng_.lognormalNoise(cfg_.noiseSigma);
+
+            // A dropped sample re-delivers the previous observation,
+            // flagged stale (never NaN — schedulers sort on these
+            // fields); epoch 0 has none, so the monitoring agent's
+            // cold default (solo expectations) stands in.
+            auto &o = obsBuf[e & 1][ui];
+            double extra = 1.0;
+            const bool valid = !injector_ ||
+                injector_->sampleMeasurement(i, e, t, &extra);
+            if (!valid && e > 0) {
+                o = obsBuf[(e + 1) & 1][ui];
+            } else if (prof.latencyCritical) {
+                o.loadFraction = load;
+                o.arrivalRate = lambda;
+                o.idealP95Ms =
+                    prof.soloTailPercentileMs(load, cfg_.tailPercentile);
+                o.p95Ms = valid ? value * extra : o.idealP95Ms;
+            } else {
+                o.ipc = valid ? value * extra : o.ipcSolo;
+            }
+            o.sampleValid = valid;
+            dropped += !valid;
+            if (prof.latencyCritical)
+                lcObs_.push_back({o.idealP95Ms, o.p95Ms, o.thresholdMs});
+            else
+                beObs_.push_back({o.ipcSolo, o.ipc});
+        }
+        lastDegraded_ = dropped > 0;
+        lastAllDropped_ = dropped > 0 && dropped == node_.numApps();
+        core::computeEntropyInto(lcObs_, beObs_, cfg_.ri, entropy);
+    }
+
+    const Node &node_;
+    const SimulationConfig &cfg_;
+    sched::Scheduler *const *arms_;
+    const PolicySchedule *schedule_;
+    SimulationResult &res_;
+    stats::Rng rng_;
+    perf::ContentionModel model_;
+    detail::ObserverList observers_;
+    std::optional<fault::FaultInjector> injector_;
+    sched::Scheduler *cur_;
+    machine::RegionLayout intent_{machine::ResourceVector{}};
+
+    // Head-based trace sampling; the muted scope is built once.
+    const bool sampling_;
+    const obs::Scope mutedScope_;
+    bool prevTraced_ = true;
+
+    // Degradation carried into the next decision: whether any
+    // (resp. every) app's sample was dropped last epoch.
+    bool lastDegraded_ = false;
+    bool lastAllDropped_ = false;
+
+    const std::vector<sched::AppObservation> staticObs_;
+    std::vector<core::LcObservation> lcObs_;
+    std::vector<core::BeObservation> beObs_;
+    int steady_ = 0;
+};
 
 } // namespace
 
@@ -45,11 +361,10 @@ epochTraceSampled(std::uint64_t seed, int epoch, double rate)
         return false;
     // +1 keeps epoch 0 off the parent's 0 stream (split(0) would
     // alias the convention other subsystems use for "first child").
-    stats::Rng r =
-        stats::Rng(seed)
-            .split(kTraceSampleStream)
-            .split(static_cast<std::uint64_t>(epoch) + 1);
-    return r.uniform() < rate;
+    return stats::Rng(seed)
+               .split(kTraceSampleStream)
+               .split(static_cast<std::uint64_t>(epoch) + 1)
+               .uniform() < rate;
 }
 
 EpochSimulator::EpochSimulator(Node node, SimulationConfig config)
@@ -64,7 +379,7 @@ SimulationResult
 EpochSimulator::run(sched::Scheduler &scheduler) const
 {
     sched::Scheduler *arm = &scheduler;
-    return runImpl(&arm, 1, nullptr);
+    return runImpl(&arm, nullptr);
 }
 
 SimulationResult
@@ -72,747 +387,49 @@ EpochSimulator::runSwitched(
     const std::vector<sched::Scheduler *> &arms,
     const PolicySchedule &schedule) const
 {
-    assert(!arms.empty());
-#ifndef NDEBUG
-    for (const auto *a : arms)
-        assert(a != nullptr);
-    for (const int a : schedule.blockArm)
-        assert(a >= 0 &&
-               static_cast<std::size_t>(a) < arms.size());
-#endif
-    return runImpl(arms.data(), arms.size(), &schedule);
+    assert(!arms.empty() &&
+           std::find(arms.begin(), arms.end(), nullptr) == arms.end());
+    assert(std::all_of(schedule.blockArm.begin(),
+                       schedule.blockArm.end(), [&](int a) {
+                           return a >= 0 && std::size_t(a) < arms.size();
+                       }));
+    return runImpl(arms.data(), &schedule);
 }
 
 SimulationResult
 EpochSimulator::runImpl(sched::Scheduler *const *arms,
-                        std::size_t num_arms,
                         const PolicySchedule *schedule) const
 {
-    (void)num_arms;
-    const int n = node_.numApps();
     const int epochs = static_cast<int>(
         std::round(cfg.durationSeconds / cfg.epochSeconds));
-    const double dt = cfg.epochSeconds;
-
-    // Profiling root for the whole run; every phase span below
-    // nests under it. One branch when no profiler is attached.
+    // Profiling root for the whole run; every phase span nests under
+    // it. One branch when no profiler is attached.
     obs::Span run_span(cfg.obs, "run");
-
-    stats::Rng rng(cfg.seed);
-    perf::ContentionModel contention(node_.config(), cfg.contention);
-
-    // The arm in force; a null schedule pins arm 0 for the whole
-    // run (the classic single-scheduler path).
-    int cur_arm = schedule != nullptr ? schedule->armAt(0) : 0;
-    sched::Scheduler *cur = arms[static_cast<std::size_t>(cur_arm)];
-    cur->reset();
-    // Always (re)attach the run's scope: a scheduler reused across
-    // runs must not keep reporting into the previous run's sinks.
-    cur->setObsScope(cfg.obs);
-    const bool tracing = cfg.obs.tracing();
-    const double sample_rate = cfg.traceSampleRate;
-    // Head-based sampling: the keep/drop decision is made once at
-    // each epoch's head and gates every trace event of that epoch
-    // (scheduler decisions, injector faults, the epoch record).
-    // run_start/run_end and auditor violations always emit, and
-    // metrics / time-series recording is never sampled — series are
-    // the bounded-memory signal sampling exists to protect.
-    const bool sampling = tracing && sample_rate < 1.0;
-    if (tracing) {
-        obs::Event ev("run_start");
-        ev.str("scheduler", cur->name())
-            .str("node", node_.describe())
-            .integer("epochs", epochs)
-            .num("epoch_seconds", dt)
-            .integer("seed", static_cast<long long>(cfg.seed))
-            .integer("warmup", std::min(cfg.warmupEpochs, epochs));
-        if (sampling)
-            ev.num("trace_sample", sample_rate);
-        cfg.obs.emit(ev);
-    }
-    // Scope handed to the scheduler/injector on sampled-out epochs:
-    // sink muted, metrics and profiler untouched. Built once — the
-    // rejected→rejected steady state performs no scope copies at
-    // all, which is what keeps it allocation-free.
-    obs::Scope muted_scope = cfg.obs;
-    muted_scope.sink = nullptr;
-    bool prev_traced = true;
-    // Per-run half of the epochTraceSampled() split chain, hoisted
-    // out of the loop; the per-epoch decision below must stay
-    // identical to the pure function (the tests assert it is).
-    const stats::Rng sample_base =
-        stats::Rng(cfg.seed).split(kTraceSampleStream);
-
-    auto static_obs = node_.staticObservations();
-    machine::RegionLayout layout =
-        cur->initialLayout(node_.config(), static_obs);
-    assert(layout.valid());
-
-    // Opt-in invariant auditing (AHQ_CHECK / cfg.checkMode). The
-    // auditor is per-run local state, so concurrent ScenarioRunner
-    // workers never share one. When off, the per-epoch cost is a
-    // single branch — no layout copies are taken.
-    check::InvariantAuditor auditor(cfg.checkMode, cfg.obs);
-    const bool auditing = auditor.enabled();
-    if (auditing)
-        auditor.beginRun(layout, 0.0);
-
-    // Opt-in fault injection (cfg.faults). Like the auditor, the
-    // injector is per-run local state; its RNG stream is split off
-    // the run seed so fault draws never perturb the measurement
-    // noise stream above. Faults off ⇒ the exact unfaulted path.
-    std::optional<fault::FaultInjector> injector;
-    if (cfg.faults != nullptr && cfg.faults->active())
-        injector.emplace(*cfg.faults, cfg.seed, cfg.obs);
-    const bool faulting = injector.has_value();
-
-    // Opt-in counterfactual interference attribution
-    // (cfg.attribute). The attributor owns its own contention
-    // model — the simulator's instance keeps mutable scratch, so
-    // sharing it would be unsafe — and is per-run local state like
-    // the auditor and the injector. Off ⇒ one branch per epoch.
-    std::optional<obs::InterferenceAttributor> attributor;
-    if (cfg.attribute)
-        attributor.emplace(node_.config(), cfg.contention);
-    const bool attributing = attributor.has_value();
-    std::vector<obs::AttributionShare> attr_shares;
-    // Victim AppId → index into entropy.lcDetail (LC push order).
-    std::vector<int> lc_index;
-    if (attributing) {
-        lc_index.assign(static_cast<std::size_t>(n), -1);
-        for (std::size_t v = 0; v < node_.lcApps().size(); ++v)
-            lc_index[static_cast<std::size_t>(
-                node_.lcApps()[v])] = static_cast<int>(v);
-    }
-
-    // Opt-in online SLO burn-rate monitoring (cfg.slo). Pure
-    // function of the violation bit stream, so alert events stay
-    // inside the byte-identity contract. Off ⇒ one branch.
-    std::optional<obs::SloMonitor> slo_monitor;
-    if (cfg.slo)
-        slo_monitor.emplace(n, cfg.sloTraits);
-    const bool slo_on = slo_monitor.has_value();
-
-    // Degradation carried into the next epoch's decision: whether
-    // any (resp. every) app's sample was dropped last epoch.
-    bool last_degraded = false;
-    bool last_all_dropped = false;
-
-    // Per-run state kept struct-of-arrays so the measure phase
-    // iterates contiguous memory; the buffers below are reused
-    // across all epochs of the run.
-    std::vector<double> backlog(static_cast<std::size_t>(n), 0.0);
-    std::vector<int> prev_ways(static_cast<std::size_t>(n), -1);
-    std::vector<int> prev_cores(static_cast<std::size_t>(n), -1);
-
-    // Post-migration cold-start windows (ColocatedApp::coldEpochs):
-    // a freshly migrated app re-warms its caches over the first
-    // cold_epochs[i] epochs, with service times stretched by a
-    // linearly decaying factor. All-warm runs (the common case)
-    // reduce to one `any_cold` branch per app per epoch.
-    std::vector<int> cold_epochs(static_cast<std::size_t>(n), 0);
-    std::vector<double> cold_penalty(static_cast<std::size_t>(n),
-                                     0.0);
-    bool any_cold = false;
-    for (AppId i = 0; i < n; ++i) {
-        const auto ui = static_cast<std::size_t>(i);
-        const auto &app = node_.apps()[ui];
-        if (app.coldEpochs > 0 && app.coldPenalty > 0.0) {
-            cold_epochs[ui] = app.coldEpochs;
-            cold_penalty[ui] = app.coldPenalty;
-            any_cold = true;
-        }
-    }
-    std::vector<sched::AppObservation> last_obs;
-    std::vector<perf::AppDemand> demands;
-    std::vector<core::LcObservation> lc_obs;
-    std::vector<core::BeObservation> be_obs;
-
-    // Time-series instrumentation (cfg.obs.series): resolve every
-    // handle once up front — std::map references are stable, so the
-    // per-epoch recording below is lock-free and allocation-free.
-    obs::TimeSeriesRegistry *const tsr = cfg.obs.series;
-    struct SeriesHandles
-    {
-        obs::TimeSeries *eS = nullptr;
-        obs::TimeSeries *eLc = nullptr;
-        obs::TimeSeries *eBe = nullptr;
-        obs::TimeSeries *violations = nullptr;
-        obs::TimeSeries *faults = nullptr;
-        std::vector<obs::TimeSeries *> p95, ret, queue, ipc, cores,
-            ways;
-    } series;
-    if (tsr != nullptr) {
-        const std::string &tag = cfg.obs.scenario;
-        auto h = [&](const std::string &name) {
-            return &tsr->handle(tag, name);
-        };
-        series.eS = h("e_s");
-        series.eLc = h("e_lc");
-        series.eBe = h("e_be");
-        series.violations = h("violations");
-        series.faults = h("faults");
-        const auto un = static_cast<std::size_t>(n);
-        series.p95.assign(un, nullptr);
-        series.ret.assign(un, nullptr);
-        series.queue.assign(un, nullptr);
-        series.ipc.assign(un, nullptr);
-        series.cores.assign(un, nullptr);
-        series.ways.assign(un, nullptr);
-        for (AppId i = 0; i < n; ++i) {
-            const auto ui = static_cast<std::size_t>(i);
-            const auto &prof = node_.profile(i);
-            const std::string suffix =
-                "." + std::to_string(i) + "." + prof.name;
-            series.cores[ui] = h("cores" + suffix);
-            series.ways[ui] = h("ways" + suffix);
-            if (prof.latencyCritical) {
-                series.p95[ui] = h("p95" + suffix);
-                series.ret[ui] = h("ret" + suffix);
-                series.queue[ui] = h("queue" + suffix);
-            } else {
-                series.ipc[ui] = h("ipc" + suffix);
-            }
-        }
-    }
 
     SimulationResult result;
     result.warmupEpochs = std::min(cfg.warmupEpochs, epochs);
-    if (cfg.keepEpochs)
-        result.epochs.reserve(static_cast<std::size_t>(epochs));
-    result.meanP95Ms.assign(static_cast<std::size_t>(n), 0.0);
-    result.meanIpc.assign(static_cast<std::size_t>(n), 0.0);
-    result.steadyMeanLoad.assign(static_cast<std::size_t>(n), 0.0);
-    int steady = 0;
-
-    for (int e = 0; e < epochs; ++e) {
-        const double t = e * dt;
-        obs::Span epoch_span(cfg.obs, "epoch");
-
-        // 1) Scheduler reacts to last epoch's measurements.
-        const bool epoch_traced = tracing &&
-            (!sampling ||
-             sample_base.split(static_cast<std::uint64_t>(e) + 1)
-                     .uniform() < sample_rate);
-
-        // Policy-swap seam: at a block boundary where the arm
-        // changes, the incoming scheduler takes over the *system*
-        // state (queue backlog carries; its predecessor's internal
-        // state does not) and re-initialises the layout — the
-        // repartition is charged through the overhead model below.
-        bool swapped = false;
-        if (schedule != nullptr) {
-            const int a = schedule->armAt(e);
-            if (a != cur_arm) {
-                cur_arm = a;
-                cur = arms[static_cast<std::size_t>(a)];
-                cur->reset();
-                cur->setObsScope(tracing && !epoch_traced
-                                     ? muted_scope
-                                     : cfg.obs.atEpoch(e));
-                layout =
-                    cur->initialLayout(node_.config(), static_obs);
-                assert(layout.valid());
-                swapped = true;
-                cfg.obs.count("sim.policy_swaps");
-                if (epoch_traced) {
-                    obs::Event ev("policy_swap");
-                    ev.str("scheduler", cur->name())
-                        .integer("arm", cur_arm);
-                    cfg.obs.atEpoch(e).emit(ev);
-                }
-            }
-        }
-
-        if (tracing) {
-            if (epoch_traced) {
-                cur->setObsScope(cfg.obs.atEpoch(e));
-                if (faulting)
-                    injector->setEventsEnabled(true);
-            } else if (prev_traced || swapped) {
-                // First rejected epoch after a kept one (or a swap,
-                // whose fresh arm must not inherit a stale sink):
-                // mute the scheduler/injector sinks once. Later
-                // rejected epochs skip even the scope copy, keeping
-                // the rejected steady state allocation-free.
-                cur->setObsScope(muted_scope);
-                if (faulting)
-                    injector->setEventsEnabled(false);
-            }
-            prev_traced = epoch_traced;
-        }
-        if (faulting)
-            injector->beginEpoch(e, t);
-        // A swap epoch skips adjust(): the incoming scheduler just
-        // built its initial layout and has observed nothing yet
-        // (the same contract as epoch 0 of a plain run).
-        if (e > 0 && !swapped) {
-            if (faulting && last_all_dropped) {
-                // Every input sample was dropped: no scheduler can
-                // act on pure staleness, so the interval is skipped
-                // uniformly (graceful degradation for strategies
-                // with no fault handling of their own).
-                cfg.obs.count("fault.decision_skipped");
-            } else if (faulting) {
-                machine::RegionLayout intent = layout;
-                {
-                    obs::Span span(cfg.obs, "decide");
-                    cur->adjust(intent, last_obs, t);
-                }
-                if (auditing) {
-                    obs::Span span(cfg.obs, "audit");
-                    auditor.afterDecision(*cur, layout, intent,
-                                          e, t, last_degraded);
-                }
-                fault::FaultInjector::Actuation act;
-                {
-                    obs::Span span(cfg.obs, "actuate");
-                    act = injector->actuate(layout, intent, e, t);
-                    cur->onActuation(act.ok);
-                }
-                if (auditing) {
-                    obs::Span span(cfg.obs, "audit");
-                    auditor.afterActuation(intent, act.applied,
-                                           act.ok, e, t);
-                }
-                layout = std::move(act.applied);
-            } else if (auditing) {
-                const machine::RegionLayout before = layout;
-                {
-                    obs::Span span(cfg.obs, "decide");
-                    cur->adjust(layout, last_obs, t);
-                }
-                obs::Span span(cfg.obs, "audit");
-                auditor.afterDecision(*cur, before, layout,
-                                      e, t);
-            } else {
-                obs::Span span(cfg.obs, "decide");
-                cur->adjust(layout, last_obs, t);
-            }
-            assert(layout.valid());
-        }
-
-        EpochRecord rec;
-        rec.time = t;
-        rec.obs = static_obs;
-
-        lc_obs.clear();
-        be_obs.clear();
-        int dropped = 0;
-
-        // 2) Contention model under the current layout and loads,
-        //    then 3+4) advance queues and produce measurements —
-        //    together the epoch's "measure" phase.
-        {
-        obs::Span measure_span(cfg.obs, "measure");
-        node_.demandsAt(t, demands);
-        {
-            obs::Span span(cfg.obs, "model");
-            contention.evaluateInto(layout, demands,
-                                    cur->corePolicy(),
-                                    rec.outcomes);
-        }
-        const auto &outcomes = rec.outcomes;
-
-        for (AppId i = 0; i < n; ++i) {
-            const auto ui = static_cast<std::size_t>(i);
-            auto &o = rec.obs[ui];
-            const auto &out = outcomes[ui];
-            const auto &prof = node_.profile(i);
-
-            const int ways_now = layout.reachable(
-                i, ResourceKind::LlcWays);
-            const int cores_now = layout.reachable(
-                i, ResourceKind::Cores);
-            double overhead = 1.0;
-            if (cfg.overheadEnabled && prev_ways[ui] >= 0) {
-                const int d_ways =
-                    std::abs(ways_now - prev_ways[ui]);
-                const int d_cores =
-                    std::abs(cores_now - prev_cores[ui]);
-                overhead = std::min(
-                    2.0, 1.0 + cfg.overheadWaysFactor * d_ways +
-                        cfg.overheadCoresFactor * d_cores);
-            }
-            prev_ways[ui] = ways_now;
-            prev_cores[ui] = cores_now;
-
-            if (prof.latencyCritical) {
-                double load = node_.loadAt(i, t);
-                if (faulting) {
-                    // Injected load spikes scale the offered load,
-                    // saturating at the brink rather than diverging
-                    // (closed-loop generators bound concurrency).
-                    const double f = injector->loadFactor(i, t);
-                    if (f != 1.0) {
-                        const double spiked = load * f;
-                        load = spiked > load
-                            ? std::min(spiked, std::max(
-                                  load, kSpikeLoadCap))
-                            : std::max(spiked, 0.0);
-                    }
-                }
-                const double lambda = prof.arrivalRate(load);
-                // Cold-start stretch: a recently migrated app's
-                // effective service rates shrink while its caches
-                // re-warm (linear decay over the cold window).
-                double cold = 1.0;
-                if (any_cold && e < cold_epochs[ui]) {
-                    cold = 1.0 + cold_penalty[ui] *
-                        static_cast<double>(cold_epochs[ui] - e) /
-                        static_cast<double>(cold_epochs[ui]);
-                }
-                const double cap = out.serviceRate / cold;
-                const double per_server =
-                    out.perServerRate / cold;
-
-                // Explicit backlog dynamics with a generator-side
-                // cap on outstanding work.
-                const double queue_cap =
-                    lambda * cfg.queueCapSeconds + 32.0;
-                double b_new = backlog[ui] + (lambda - cap) * dt;
-                b_new = std::clamp(b_new, 0.0, queue_cap);
-                const double b_mid = 0.5 * (backlog[ui] + b_new);
-                backlog[ui] = b_new;
-
-                // Steady queueing term at a stabilised arrival rate
-                // plus the drain time of the carried backlog.
-                const double lam_eff =
-                    std::min(lambda, 0.98 * cap);
-                // Timeslice stretching (FairShare oversubscription)
-                // inflates the whole service tail.
-                const double svc_tail =
-                    prof.svcMultAt(cfg.tailPercentile) *
-                    out.serviceStretch;
-                double t95 = perf::sojournPercentileApprox(
-                    out.coreEquivalents, lam_eff, per_server,
-                    svc_tail, cfg.tailPercentile);
-                if (!std::isfinite(t95)) {
-                    t95 = svc_tail / per_server;
-                }
-                t95 += b_mid / std::max(cap, 1e-9);
-
-                double p95 = prof.baseLatencyMs + 1000.0 * t95;
-                p95 *= overhead;
-                p95 *= rng.lognormalNoise(cfg.noiseSigma);
-
-                double extra = 1.0;
-                const bool valid = !faulting ||
-                    injector->sampleMeasurement(i, e, t, &extra);
-                if (valid) {
-                    o.loadFraction = load;
-                    o.arrivalRate = lambda;
-                    o.p95Ms = p95 * extra;
-                    o.idealP95Ms = prof.soloTailPercentileMs(
-                        load, cfg.tailPercentile);
-                } else if (e > 0) {
-                    // Dropped sample: deliver the previous epoch's
-                    // delivered observation, flagged stale. Never
-                    // NaN — schedulers sort on these fields.
-                    o = last_obs[ui];
-                    o.sampleValid = false;
-                    ++dropped;
-                } else {
-                    // Dropped on the very first interval: no prior
-                    // delivery exists, so hand out the monitoring
-                    // agent's cold default (solo expectations).
-                    o.loadFraction = load;
-                    o.arrivalRate = lambda;
-                    o.idealP95Ms = prof.soloTailPercentileMs(
-                        load, cfg.tailPercentile);
-                    o.p95Ms = o.idealP95Ms;
-                    o.sampleValid = false;
-                    ++dropped;
-                }
-                lc_obs.push_back(
-                    {o.idealP95Ms, o.p95Ms, o.thresholdMs});
-            } else {
-                double ipc = out.ipc;
-                // Repartitioning costs BE throughput too (cold ways
-                // and thread migrations), at half the latency rate.
-                ipc /= 1.0 + 0.5 * (overhead - 1.0);
-                // Post-migration cold window slows BE apps the
-                // same way it stretches LC service times.
-                if (any_cold && e < cold_epochs[ui]) {
-                    ipc /= 1.0 + cold_penalty[ui] *
-                        static_cast<double>(cold_epochs[ui] - e) /
-                        static_cast<double>(cold_epochs[ui]);
-                }
-                ipc *= rng.lognormalNoise(cfg.noiseSigma);
-
-                double extra = 1.0;
-                const bool valid = !faulting ||
-                    injector->sampleMeasurement(i, e, t, &extra);
-                if (valid) {
-                    o.ipc = ipc * extra;
-                } else {
-                    if (e > 0)
-                        o = last_obs[ui];
-                    else
-                        o.ipc = o.ipcSolo;
-                    o.sampleValid = false;
-                    ++dropped;
-                }
-                be_obs.push_back({o.ipcSolo, o.ipc});
-            }
-        }
-        if (faulting) {
-            last_degraded = dropped > 0;
-            last_all_dropped = n > 0 && dropped == n;
-        }
-
-        rec.entropy = core::computeEntropy(lc_obs, be_obs, cfg.ri);
-        } // measure phase
-
-        // Counterfactual attribution of this epoch's measured
-        // interference. Post-warmup epochs only, matching the
-        // violation counter and the steady-state means the ledger
-        // is read next to; `demands` still holds exactly what the
-        // model evaluated above.
-        if (attributing && e >= result.warmupEpochs) {
-            obs::Span span(cfg.obs, "attribute");
-            attributor->attribute(layout, demands,
-                                  cur->corePolicy(), rec.outcomes,
-                                  node_.lcApps(),
-                                  rec.entropy.lcDetail,
-                                  attr_shares);
-            std::size_t s = 0;
-            while (s < attr_shares.size()) {
-                const machine::AppId victim = attr_shares[s].victim;
-                std::size_t end = s;
-                while (end < attr_shares.size() &&
-                       attr_shares[end].victim == victim)
-                    ++end;
-                const std::string &vname =
-                    node_.profile(victim).name;
-                for (std::size_t k = s; k < end; ++k) {
-                    const obs::AttributionShare &sh =
-                        attr_shares[k];
-                    result.attribution.add(
-                        vname,
-                        sh.culprit == obs::kNoiseCulprit
-                            ? obs::kNoiseCulpritName
-                            : node_.profile(sh.culprit).name,
-                        obs::interferenceResourceName(sh.resource),
-                        sh.share);
-                }
-                if (epoch_traced) {
-                    std::vector<std::string> culprits, resources;
-                    std::vector<double> shares;
-                    culprits.reserve(end - s);
-                    resources.reserve(end - s);
-                    shares.reserve(end - s);
-                    for (std::size_t k = s; k < end; ++k) {
-                        const obs::AttributionShare &sh =
-                            attr_shares[k];
-                        culprits.push_back(
-                            sh.culprit == obs::kNoiseCulprit
-                                ? obs::kNoiseCulpritName
-                                : node_.profile(sh.culprit).name);
-                        resources.push_back(
-                            obs::interferenceResourceName(
-                                sh.resource));
-                        shares.push_back(sh.share);
-                    }
-                    obs::Event ev("attribution");
-                    ev.str("app", vname)
-                        .num("r_i",
-                             rec.entropy
-                                 .lcDetail[static_cast<std::size_t>(
-                                     lc_index[static_cast<
-                                         std::size_t>(victim)])]
-                                 .interference)
-                        .strs("culprits", culprits)
-                        .strs("resources", resources)
-                        .nums("shares", shares);
-                    cfg.obs.atEpoch(e).emit(ev);
-                }
-                s = end;
-            }
-            cfg.obs.count("attr.epochs");
-        }
-
-        if (auditing) {
-            obs::Span span(cfg.obs, "audit");
-            auditor.afterEpoch(rec.entropy, cfg.ri, !lc_obs.empty(),
-                               !be_obs.empty(), e, t);
-        }
-        rec.regionRes.reserve(
-            static_cast<std::size_t>(layout.numRegions()));
-        for (int r = 0; r < layout.numRegions(); ++r)
-            rec.regionRes.push_back(layout.region(r).res);
-        rec.layout = layout;
-
-        if (tsr != nullptr) {
-            series.eS->record(e, rec.entropy.eS);
-            series.eLc->record(e, rec.entropy.eLc);
-            series.eBe->record(e, rec.entropy.eBe);
-            std::size_t lc_j = 0;
-            int epoch_violations = 0;
-            for (AppId i = 0; i < n; ++i) {
-                const auto ui = static_cast<std::size_t>(i);
-                const auto &o = rec.obs[ui];
-                // prev_ways/prev_cores hold this epoch's values at
-                // this point (updated in the measure phase above).
-                series.cores[ui]->record(e, prev_cores[ui]);
-                series.ways[ui]->record(e, prev_ways[ui]);
-                if (o.latencyCritical) {
-                    series.p95[ui]->record(e, o.p95Ms);
-                    series.queue[ui]->record(e, backlog[ui]);
-                    if (lc_j < rec.entropy.lcDetail.size()) {
-                        series.ret[ui]->record(
-                            e, rec.entropy.lcDetail[lc_j]
-                                   .remainingTolerance);
-                    }
-                    ++lc_j;
-                    if (o.p95Ms >
-                        o.thresholdMs *
-                            (1.0 + core::kThresholdElasticity))
-                        ++epoch_violations;
-                } else {
-                    series.ipc[ui]->record(e, o.ipc);
-                }
-            }
-            series.violations->record(e, epoch_violations);
-            series.faults->record(e, dropped);
-        }
-
-        if (epoch_traced) {
-            std::vector<double> p95, ipc;
-            p95.reserve(static_cast<std::size_t>(n));
-            ipc.reserve(static_cast<std::size_t>(n));
-            for (const auto &o : rec.obs) {
-                p95.push_back(o.latencyCritical ? o.p95Ms : 0.0);
-                ipc.push_back(o.latencyCritical ? 0.0 : o.ipc);
-            }
-            obs::Event ev("epoch");
-            ev.num("t", t)
-                .num("e_lc", rec.entropy.eLc)
-                .num("e_be", rec.entropy.eBe)
-                .num("e_s", rec.entropy.eS)
-                .nums("p95_ms", p95)
-                .nums("ipc", ipc);
-            cfg.obs.atEpoch(e).emit(ev);
-        }
-
-        // SLO burn-rate monitoring: every LC app's violation bit
-        // (the elastic QoS predicate the violation counters use)
-        // feeds the dual-window detector. Alert transitions emit
-        // unconditionally of trace sampling, like `violation` —
-        // alerts are the signal sampling must not drop.
-        if (slo_on) {
-            for (AppId i = 0; i < n; ++i) {
-                const auto ui = static_cast<std::size_t>(i);
-                const auto &o = rec.obs[ui];
-                if (!o.latencyCritical)
-                    continue;
-                const bool viol = o.p95Ms >
-                    o.thresholdMs *
-                        (1.0 + core::kThresholdElasticity);
-                const obs::SloAlertTransition tr =
-                    slo_monitor->observe(i, e, viol);
-                if (tr.kind ==
-                    obs::SloAlertTransition::Kind::Raise) {
-                    cfg.obs.count("slo.alert_raised");
-                    if (tracing) {
-                        obs::Event ev("alert_raise");
-                        ev.str("app", node_.profile(i).name)
-                            .num("burn_fast", tr.burnFast)
-                            .num("burn_slow", tr.burnSlow);
-                        cfg.obs.atEpoch(e).emit(ev);
-                    }
-                } else if (tr.kind ==
-                           obs::SloAlertTransition::Kind::Clear) {
-                    cfg.obs.count("slo.alert_cleared");
-                    if (tracing) {
-                        obs::Event ev("alert_clear");
-                        ev.str("app", node_.profile(i).name)
-                            .integer("duration", tr.durationEpochs)
-                            .num("burn_fast", tr.burnFast)
-                            .num("burn_slow", tr.burnSlow);
-                        cfg.obs.atEpoch(e).emit(ev);
-                    }
-                }
-            }
-        }
-        cfg.obs.count("sim.epochs");
-
-        // ---- steady-state aggregation (incremental) --------------
-        // Summed here, in epoch order, rather than in a post-run
-        // scan over result.epochs: the sums visit the same values
-        // in the same order, so aggregates are bitwise identical —
-        // and a keepEpochs=false run never needs the record vector
-        // at all (O(1) resident state instead of O(epochs)).
-        if (e >= result.warmupEpochs) {
-            result.meanELc += rec.entropy.eLc;
-            result.meanEBe += rec.entropy.eBe;
-            result.meanES += rec.entropy.eS;
-            for (AppId i = 0; i < n; ++i) {
-                const auto ui = static_cast<std::size_t>(i);
-                const auto &o = rec.obs[ui];
-                if (o.latencyCritical) {
-                    result.meanP95Ms[ui] += o.p95Ms;
-                    result.steadyMeanLoad[ui] += o.loadFraction;
-                    if (o.p95Ms > o.thresholdMs *
-                            (1.0 + core::kThresholdElasticity)) {
-                        ++result.violations;
-                    }
-                } else {
-                    result.meanIpc[ui] += o.ipc;
-                }
-            }
-            ++steady;
-        }
-
-        last_obs = rec.obs;
-        if (cfg.keepEpochs) {
-            rec.queueBacklog.assign(backlog.begin(),
-                                    backlog.end());
-            rec.policyArm = cur_arm;
-            result.epochs.push_back(std::move(rec));
-        }
+    Run run(node_, cfg, arms, schedule, result);
+    const bool tracing = cfg.obs.tracing();
+    if (tracing) {
+        obs::Event ev("run_start");
+        ev.str("scheduler", run.scheduler().name())
+            .str("node", node_.describe())
+            .integer("epochs", epochs)
+            .num("epoch_seconds", cfg.epochSeconds)
+            .integer("seed", static_cast<long long>(cfg.seed))
+            .integer("warmup", result.warmupEpochs);
+        if (cfg.traceSampleRate < 1.0)
+            ev.num("trace_sample", cfg.traceSampleRate);
+        cfg.obs.emit(ev);
     }
-
-    if (steady > 0) {
-        result.meanELc /= steady;
-        result.meanEBe /= steady;
-        result.meanES /= steady;
-        for (auto &v : result.meanP95Ms)
-            v /= steady;
-        for (auto &v : result.meanIpc)
-            v /= steady;
-        for (auto &v : result.steadyMeanLoad)
-            v /= steady;
-    }
-
-    int lc_total = 0, lc_ok = 0;
-    for (AppId i = 0; i < n; ++i) {
-        const auto &prof = node_.profile(i);
-        if (!prof.latencyCritical)
-            continue;
-        ++lc_total;
-        if (result.meanP95Ms[static_cast<std::size_t>(i)] <=
-            prof.tailThresholdMs *
-                (1.0 + core::kThresholdElasticity)) {
-            ++lc_ok;
-        }
-    }
-    result.yieldValue = lc_total > 0 ?
-        static_cast<double>(lc_ok) / lc_total : 1.0;
-
-    if (slo_on) {
-        result.slo = slo_monitor->summary();
-        cfg.obs.count("slo.alert_epochs",
-                      static_cast<double>(result.slo.alertEpochs));
-    }
-    if (attributing)
-        cfg.obs.count("attr.evals",
-                      static_cast<double>(
-                          attributor->evaluations()));
+    run.begin(detail::makeObservers(cfg, node_, epochs, result));
+    for (int e = 0; e < epochs; ++e)
+        run.step(e);
+    run.finish();
 
     if (tracing) {
         obs::Event ev("run_end");
-        ev.str("scheduler", cur->name())
+        ev.str("scheduler", run.scheduler().name())
             .num("mean_e_lc", result.meanELc)
             .num("mean_e_be", result.meanEBe)
             .num("mean_e_s", result.meanES)

@@ -4,12 +4,10 @@
  *
  * One epoch is one monitoring interval (the paper uses 500 ms). Each
  * epoch the simulator (1) lets the scheduler react to the previous
- * epoch's measurements, (2) evaluates the contention model under the
- * resulting layout and the current loads, (3) advances each LC app's
- * queue backlog explicitly (overload in one epoch spills into the
- * next), (4) produces the measured p95 / IPC including repartition
- * overhead and measurement noise, and (5) computes the entropy
- * report for the interval.
+ * epoch's measurements, (2) evaluates the contention model, (3)
+ * advances each LC app's queue backlog (overload spills into the next
+ * epoch), (4) measures p95 / IPC with repartition overhead and noise,
+ * and (5) computes the interval's entropy report.
  */
 
 #ifndef AHQ_CLUSTER_EPOCH_SIM_HH
@@ -48,10 +46,8 @@ struct SimulationConfig
     double noiseSigma = 0.05;
 
     /**
-     * Tail percentile monitored and fed to the entropy metric. The
-     * paper uses the 95th "without losing generality"; p99-oriented
-     * deployments can raise it. Observation fields named p95Ms hold
-     * this percentile.
+     * Tail percentile fed to the entropy metric; the paper uses the
+     * 95th "without losing generality". Fields named p95Ms hold it.
      */
     double tailPercentile = 0.95;
 
@@ -71,9 +67,9 @@ struct SimulationConfig
     double overheadCoresFactor = 0.06;
 
     /**
-     * Queue backlog cap, expressed in seconds of offered work
-     * (Tailbench-style load generators bound outstanding requests,
-     * so overloaded tails saturate instead of diverging).
+     * Queue backlog cap in seconds of offered work (Tailbench-style
+     * generators bound outstanding requests, so overloaded tails
+     * saturate instead of diverging).
      */
     double queueCapSeconds = 0.10;
 
@@ -81,82 +77,65 @@ struct SimulationConfig
     perf::ContentionTraits contention;
 
     /**
-     * Telemetry scope for this run (null sinks by default). The
-     * simulator forwards it to the scheduler and emits run/epoch
-     * events through it; with no sink attached the instrumentation
-     * reduces to one branch per epoch. When a TimeSeriesRegistry is
-     * attached (obs.series) the simulator also records per-epoch
-     * E_S / ReT / queue / allocation / fault / violation series
-     * under the scope's scenario tag.
+     * Telemetry scope (null sinks by default), forwarded to the
+     * scheduler. A sink gets run events and, from an observer, epoch
+     * events; obs.series the per-epoch E_S / ReT / queue / allocation
+     * / fault / violation series. Unattached, neither observer runs
+     * (DESIGN.md §12).
      */
     obs::Scope obs;
 
     /**
-     * Head-based trace sampling rate in [0, 1]. At 1 (default)
-     * every epoch's trace events are emitted; below 1 each epoch is
-     * kept iff epochTraceSampled(seed, epoch, rate) — a pure
-     * function of (seed, epoch) on its own RNG split, the same
-     * discipline as the fault injector — so sampled traces are
-     * byte-identical across thread counts and the per-node seed
-     * salting makes the decision independent per (run, node).
-     * Sampling gates the epoch/decision/fault trace events only:
-     * run_start/run_end, auditor violations, metrics counters and
-     * time-series recording are unaffected.
+     * Head-based trace sampling rate in [0, 1]. Below 1 an epoch's
+     * events are kept iff epochTraceSampled(seed, epoch, rate) — a
+     * pure function on its own RNG split — so sampled traces are
+     * byte-identical across thread counts, and per-node seed salting
+     * decides independently per (run, node). Only epoch/decision/
+     * fault events are sampled: run_start/run_end, auditor
+     * violations, metrics and time series are unaffected.
      */
     double traceSampleRate = 1.0;
 
     /**
-     * Invariant auditing for this run (see src/check/). Defaults
-     * to the AHQ_CHECK environment variable (unset = off, so an
-     * unaudited run pays one branch per hook); `log` records and
-     * traces violations, `strict` additionally throws
-     * check::InvariantViolation at the first one.
+     * Invariant auditing (src/check/), from AHQ_CHECK by default
+     * (unset = off: no audit observer, DESIGN.md §12). `log` records
+     * and traces violations; `strict` also throws at the first one.
      */
     check::Mode checkMode = check::modeFromEnv();
 
     /**
-     * Optional fault plan (see src/fault/). Null or inactive keeps
-     * the run on the exact unfaulted code path (and byte-identical
-     * traces); an active plan drives a per-run FaultInjector whose
-     * RNG stream is split off the run seed, so faulted runs stay
-     * deterministic per (seed, plan). The plan must outlive the run.
+     * Optional fault plan (src/fault/), outliving the run. Null or
+     * inactive keeps the exact unfaulted path; an active plan drives
+     * a per-run FaultInjector on a stream split off the run seed, so
+     * faulted runs stay deterministic per (seed, plan).
      */
     const fault::FaultPlan *faults = nullptr;
 
     /**
-     * Retain the per-epoch records in SimulationResult::epochs. On
-     * (the default) a run keeps its full timeline — what the paper
-     * figures, CSV dumps and timeline tooling consume. Off, the
-     * simulator aggregates incrementally and returns an empty
-     * epochs vector, so a fleet of N nodes costs O(N) resident
-     * memory instead of O(N x epochs). Every steady-state
-     * aggregate (meanES, meanP95Ms, steadyMeanLoad, violations,
-     * yield) and every trace byte is identical either way: the
-     * incremental sums visit the same values in the same epoch
-     * order the post-run scan used to.
+     * Retain per-epoch records in SimulationResult::epochs (the full
+     * timeline the figures, CSV dumps and timeline tools consume).
+     * Off, a fleet of N nodes costs O(N) memory instead of
+     * O(N x epochs); every aggregate and trace byte is identical
+     * either way, since the simulator sums the steady state in epoch
+     * order as it goes rather than scanning the records.
      */
     bool keepEpochs = true;
 
     /**
-     * Opt-in counterfactual interference attribution (see
-     * obs/attribution.hh). On, every post-warmup epoch with a
-     * suffering LC app costs n extra contention-model evaluations
-     * (one per co-runner removed); the per-(victim, culprit,
-     * resource) shares accumulate into SimulationResult::
-     * attribution and, when the epoch's trace events are kept,
-     * emit one `attribution` event per suffering victim. Off (the
-     * default) the hook is a single branch per epoch and the run
-     * is byte-identical to a build without the seam.
+     * Counterfactual interference attribution (obs/attribution.hh):
+     * each post-warmup epoch with a suffering LC app costs n extra
+     * model evaluations (one per co-runner removed); shares fold into
+     * SimulationResult::attribution and kept epochs emit one
+     * `attribution` event per victim. Off adds no observer, so the
+     * run is byte-identical to one without the seam (DESIGN.md §12).
      */
     bool attribute = false;
 
     /**
-     * Opt-in online SLO burn-rate monitoring (see obs/slo.hh). On,
-     * every LC app's per-epoch violation bit feeds a multi-window
-     * burn-rate detector; alert transitions emit `alert_raise` /
-     * `alert_clear` trace events (never trace-sampled, like
-     * `violation`) and bump the slo.* counters, with the run's
-     * totals in SimulationResult::slo. Off: one branch per epoch.
+     * Online SLO burn-rate monitoring (obs/slo.hh) of every LC app's
+     * violation bit: `alert_raise` / `alert_clear` events (never
+     * sampled, like `violation`), slo.* counters and the totals in
+     * SimulationResult::slo. Off: no observer.
      */
     bool slo = false;
 
@@ -165,11 +144,10 @@ struct SimulationConfig
 };
 
 /**
- * Epoch→arm mapping driving the policy-swap seam: epoch e runs
- * under arms[blockArm[e / blockEpochs]] (the last block absorbs
- * any trailing epochs). A null schedule — the single-scheduler
- * run() — costs exactly one branch per epoch, the same contract as
- * the fault and audit seams.
+ * Epoch→arm mapping of the policy-swap seam: epoch e runs under
+ * arms[blockArm[e / blockEpochs]] (the last block absorbs trailing
+ * epochs). A swap changes what is simulated, so it is part of the
+ * core step; a null schedule (run()) costs one branch per epoch.
  */
 struct PolicySchedule
 {
@@ -200,10 +178,8 @@ struct EpochRecord
     std::vector<sched::AppObservation> obs;
 
     /**
-     * Queue backlog (outstanding requests) per app at the end of
-     * the epoch (0 for BE apps) — the per-epoch queue-length
-     * series Little's-law DQ estimators consume. Only filled when
-     * SimulationConfig::keepEpochs retains records at all.
+     * Outstanding requests per app at the end of the epoch (0 for
+     * BE) — the queue-length series Little's-law DQ estimators use.
      */
     std::vector<double> queueBacklog;
 
@@ -215,9 +191,6 @@ struct EpochRecord
 
     /** Entropy accounting for the interval. */
     core::EntropyReport entropy;
-
-    /** Per-region resources at the end of the epoch. */
-    std::vector<machine::ResourceVector> regionRes;
 
     /** Copy of the layout in force during the epoch. */
     machine::RegionLayout layout{machine::ResourceVector{}};
@@ -247,20 +220,16 @@ struct SimulationResult
     std::vector<double> meanIpc;
 
     /**
-     * Steady-state mean offered load per app (post-warmup mean of
-     * the per-epoch loadFraction; 0 for BE). The fleet aggregation
-     * evaluates each LC app's solo-tail reference at this load —
-     * it must match the regime meanP95Ms was averaged over, so
-     * warmup epochs (where a trace may still be ramping) are
-     * excluded exactly like they are from meanP95Ms.
+     * Post-warmup mean loadFraction per app (0 for BE). Fleet pooling
+     * evaluates each LC app's solo-tail reference at this load, which
+     * must match the regime meanP95Ms was averaged over — so warmup
+     * epochs (a trace may still be ramping) are excluded here too.
      */
     std::vector<double> steadyMeanLoad;
 
     /**
-     * Accumulated interference attribution over the post-warmup
-     * epochs (empty unless SimulationConfig::attribute). Keys are
-     * app names; per-victim totals equal the sum of the victim's
-     * per-epoch R_i over the attributed epochs.
+     * Post-warmup attribution ledger keyed by app name (empty unless
+     * SimulationConfig::attribute); a victim's total is its summed R_i.
      */
     obs::AttributionLedger attribution;
 
@@ -269,10 +238,9 @@ struct SimulationResult
 };
 
 /**
- * RNG stream id for head-based trace sampling, split off the run
- * seed (cf. fault::kFaultStream): sampling draws never perturb the
- * measurement-noise stream, so a sampled run's simulation results
- * are bit-identical to an unsampled one.
+ * RNG stream for head-based trace sampling, split off the run seed
+ * (cf. fault::kFaultStream): sampling never perturbs the noise, so a
+ * sampled run's results are bit-identical to an unsampled one.
  */
 inline constexpr std::uint64_t kTraceSampleStream = 0x7e1e5;
 
@@ -283,31 +251,23 @@ inline constexpr std::uint64_t kTraceSampleStream = 0x7e1e5;
  */
 bool epochTraceSampled(std::uint64_t seed, int epoch, double rate);
 
-/**
- * Runs a scheduling strategy on a node for a configured duration.
- */
+/** Runs a scheduling strategy on a node for a configured duration. */
 class EpochSimulator
 {
   public:
     EpochSimulator(Node node, SimulationConfig config = {});
 
-    /**
-     * Simulate one full run. The scheduler is reset() first, so a
-     * scheduler instance can be reused across runs.
-     */
+    /** One full run (reset() first, so schedulers can be reused). */
     SimulationResult run(sched::Scheduler &scheduler) const;
 
     /**
-     * Policy-swap run: simulate under schedule.armAt(e)'s scheduler
-     * each epoch. At a block boundary where the arm changes, the
-     * incoming scheduler is reset() and re-initialises the layout
-     * (a real policy rollout hands the controller the *system*
-     * state, not its predecessor's internal state), so queue
-     * backlog carries across the swap — exactly the carryover that
-     * makes naive A/B estimates lie — while repartitioning costs
-     * are charged through the usual overhead model. Swapping to
-     * the already-active arm is a no-op. With a single arm and an
-     * empty schedule this is identical to run(scheduler).
+     * Policy-swap run under schedule.armAt(e)'s scheduler. Where the
+     * arm changes, the incoming scheduler is reset() and rebuilds the
+     * layout (a real rollout hands the controller the *system* state,
+     * not its predecessor's), so backlog carries across the swap —
+     * the carryover that makes naive A/B estimates lie — and the
+     * repartition is charged through the overhead model. One arm and
+     * an empty schedule is run(scheduler).
      *
      * @param arms Candidate schedulers (non-null, outlive the run).
      * @param schedule Epoch→arm mapping (see PolicySchedule).
@@ -324,7 +284,7 @@ class EpochSimulator
     SimulationConfig cfg;
 
     SimulationResult
-    runImpl(sched::Scheduler *const *arms, std::size_t num_arms,
+    runImpl(sched::Scheduler *const *arms,
             const PolicySchedule *schedule) const;
 };
 

@@ -119,12 +119,9 @@ yield(const std::vector<LcObservation> &lc, double elasticity)
     if (lc.empty())
         return 1.0;
     int satisfied = 0;
-    for (const auto &obs : lc) {
-        if (obs.actualTailMs <=
-            obs.thresholdMs * (1.0 + elasticity)) {
-            ++satisfied;
-        }
-    }
+    for (const auto &obs : lc)
+        satisfied +=
+            !violatesQos(obs.actualTailMs, obs.thresholdMs, elasticity);
     return static_cast<double>(satisfied) /
         static_cast<double>(lc.size());
 }

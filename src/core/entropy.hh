@@ -90,6 +90,18 @@ double systemEntropy(double e_lc, double e_be, double ri, bool has_lc,
                      bool has_be);
 
 /**
+ * The QoS-violation test: an observed tail latency misses its target
+ * M_i once it exceeds M_i relaxed by the elasticity (§II-C). Every
+ * violation counter, alert and yield computation goes through it.
+ */
+inline bool
+violatesQos(double tail_ms, double threshold_ms,
+            double elasticity = kThresholdElasticity)
+{
+    return tail_ms > threshold_ms * (1.0 + elasticity);
+}
+
+/**
  * Yield: the fraction of LC applications whose observed tail latency
  * satisfies its (elasticity-relaxed) QoS target (§I, §VI-A).
  *

@@ -79,10 +79,7 @@ extractBlocks(const cluster::SimulationResult &res,
                 ++lc_samples;
                 s.meanQueue += rec.queueBacklog[i];
                 s.meanArrivalRate += o.arrivalRate;
-                if (o.p95Ms >
-                    o.thresholdMs *
-                        (1.0 + core::kThresholdElasticity))
-                    ++viols;
+                viols += core::violatesQos(o.p95Ms, o.thresholdMs);
             }
         }
         const auto epochs = static_cast<double>(s.epochs);

@@ -17,7 +17,11 @@
  * The store is a small bounded open array (clear-on-full): lookups
  * stay allocation-free once warm and adversarial key churn (e.g. the
  * oracle sweeping thousands of layouts) degrades to plain
- * recomputation instead of unbounded growth.
+ * recomputation instead of unbounded growth. Clearing keeps every
+ * slot's storage, so once each slot has held a key and outcomes of
+ * the current size a store allocates nothing either — the memo-miss
+ * regime (time-varying load, a miss every epoch) stays
+ * allocation-free.
  */
 
 #ifndef AHQ_PERF_CONTENTION_CACHE_HH
@@ -51,7 +55,8 @@ class EvaluationMemo
         if (capacity_ == 0)
             return nullptr;
         const std::uint64_t h = hashKey(key);
-        for (const Entry &e : entries_) {
+        for (std::size_t k = 0; k < size_; ++k) {
+            const Entry &e = entries_[k];
             if (e.hash == h && e.key == key) {
                 ++hits_;
                 return &e.outcomes;
@@ -72,15 +77,21 @@ class EvaluationMemo
     {
         if (capacity_ == 0)
             return;
-        if (entries_.size() >= capacity_)
-            entries_.clear();
-        entries_.push_back(Entry{pendingHash_, key, outcomes});
+        if (size_ >= capacity_)
+            size_ = 0;
+        if (size_ == entries_.size())
+            entries_.emplace_back();
+        Entry &e = entries_[size_++];
+        e.hash = pendingHash_;
+        e.key = key;
+        e.outcomes = outcomes;
     }
 
+    /** Forget every entry (slot storage is kept for reuse). */
     void
     clear()
     {
-        entries_.clear();
+        size_ = 0;
     }
 
     std::size_t hits() const { return hits_; }
@@ -113,7 +124,10 @@ class EvaluationMemo
     };
 
     std::size_t capacity_;
+
+    /** Slots; the first size_ hold live entries. */
     std::vector<Entry> entries_;
+    std::size_t size_ = 0;
     std::uint64_t pendingHash_ = 0;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;

@@ -75,9 +75,9 @@ expectIdentical(const SimulationResult &a, const SimulationResult &b)
             EXPECT_DOUBLE_EQ(ea.obs[i].p95Ms, eb.obs[i].p95Ms);
             EXPECT_DOUBLE_EQ(ea.obs[i].ipc, eb.obs[i].ipc);
         }
-        ASSERT_EQ(ea.regionRes.size(), eb.regionRes.size());
-        for (std::size_t r = 0; r < ea.regionRes.size(); ++r)
-            EXPECT_EQ(ea.regionRes[r], eb.regionRes[r]);
+        ASSERT_EQ(ea.layout.numRegions(), eb.layout.numRegions());
+        for (int r = 0; r < ea.layout.numRegions(); ++r)
+            EXPECT_EQ(ea.layout.region(r).res, eb.layout.region(r).res);
     }
 }
 

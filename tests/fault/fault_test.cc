@@ -44,6 +44,18 @@ canonicalNode()
          cluster::be(apps::stream())});
 }
 
+/** Every epoch ran under the first epoch's region resources. */
+void
+expectLayoutFrozen(const cluster::SimulationResult &res)
+{
+    const auto &first = res.epochs.front().layout;
+    for (const auto &rec : res.epochs) {
+        ASSERT_EQ(rec.layout.numRegions(), first.numRegions());
+        for (int r = 0; r < first.numRegions(); ++r)
+            EXPECT_EQ(rec.layout.region(r).res, first.region(r).res);
+    }
+}
+
 TEST(FaultPlan, ParsesEveryDirectiveKind)
 {
     std::istringstream in(
@@ -238,8 +250,7 @@ TEST(EpochSimFaults, AllSamplesDroppedSkipsEveryDecision)
     // With every sample dropped the control loop must hold: no
     // decision ever fires, so the layout never moves.
     EXPECT_GT(metrics.counter("fault.decision_skipped"), 0.0);
-    for (const auto &rec : res.epochs)
-        EXPECT_EQ(rec.regionRes, res.epochs.front().regionRes);
+    expectLayoutFrozen(res);
 }
 
 TEST(EpochSimFaults, NoopActuationFreezesLayoutUnderArq)
@@ -268,8 +279,7 @@ TEST(EpochSimFaults, NoopActuationFreezesLayoutUnderArq)
     // strict auditor would throw on arq.rollback_exact otherwise).
     EXPECT_GT(metrics.counter("fault.actuation_fail"), 0.0);
     EXPECT_GT(metrics.counter("arq.actuation_failed"), 0.0);
-    for (const auto &rec : res.epochs)
-        EXPECT_EQ(rec.regionRes, res.epochs.front().regionRes);
+    expectLayoutFrozen(res);
 }
 
 TEST(EpochSimFaults, PartialActuationRetriesAndReconciles)

@@ -52,9 +52,9 @@ expectIdenticalRuns()
             EXPECT_DOUBLE_EQ(a.obs[i].ipc, b.obs[i].ipc);
         }
         EXPECT_DOUBLE_EQ(a.entropy.eS, b.entropy.eS);
-        ASSERT_EQ(a.regionRes.size(), b.regionRes.size());
-        for (std::size_t r = 0; r < a.regionRes.size(); ++r)
-            EXPECT_EQ(a.regionRes[r], b.regionRes[r]);
+        ASSERT_EQ(a.layout.numRegions(), b.layout.numRegions());
+        for (int r = 0; r < a.layout.numRegions(); ++r)
+            EXPECT_EQ(a.layout.region(r).res, b.layout.region(r).res);
     }
     EXPECT_DOUBLE_EQ(r1.meanES, r2.meanES);
 }

@@ -2,8 +2,8 @@
  * @file
  * Tests for thread-local allocation counting (obs/alloc.hh) and its
  * span-profiler integration — the instrument that verifies the
- * epoch decision loop's zero-alloc steady state instead of trusting
- * code review.
+ * epoch loop's zero-alloc steady state instead of trusting code
+ * review.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +11,16 @@
 #include <memory>
 #include <vector>
 
+#include "apps/catalog.hh"
+#include "cluster/cluster_sched.hh"
+#include "cluster/epoch_sim.hh"
 #include "machine/config.hh"
 #include "obs/alloc.hh"
 #include "obs/span.hh"
 #include "obs/trace_sink.hh"
 #include "sched/arq.hh"
+#include "sched/registry.hh"
+#include "trace/fleet_load.hh"
 
 namespace
 {
@@ -124,6 +129,57 @@ TEST(AllocCount, ArqSteadyStateDecisionLoopIsAllocFree)
         arq.adjust(layout, obs, t);
     EXPECT_EQ(threadAllocCount(), before)
         << "ARQ decision loop allocated in steady state";
+}
+
+/**
+ * The whole epoch loop, not just the decision: with no records kept
+ * and no seam on, a run allocates only while it sets up and warms
+ * its buffers, so 800 epochs cost exactly as many allocations as
+ * 400 — on the canonical node (every epoch hits the contention memo
+ * once the scheduler settles) and on a fleet-shaped node under
+ * diurnal load (every epoch misses it).
+ */
+TEST(AllocCount, EpochLoopIsAllocFreeWithoutObservers)
+{
+    if (!allocCountingEnabled())
+        GTEST_SKIP() << "sanitizer build: counting compiled out";
+    using namespace ahq::cluster;
+    namespace apps = ahq::apps;
+
+    const auto mc = ahq::machine::MachineConfig::xeonE52630v4();
+    const Node canonical(mc, {lcAt(apps::xapian(), 0.5),
+                              lcAt(apps::moses(), 0.2),
+                              lcAt(apps::imgDnn(), 0.2),
+                              be(apps::stream())});
+    ahq::trace::FleetLoadConfig load;
+    load.numNodes = 4;
+    const Node fleet_node(
+        mc, fleetNodeApps(ahq::trace::FleetLoadGenerator(load), 0));
+
+    struct Case
+    {
+        const char *strategy;
+        const Node *node;
+    };
+    for (const Case &c : {Case{"Unmanaged", &canonical},
+                          Case{"Unmanaged", &fleet_node},
+                          Case{"ARQ", &canonical}}) {
+        auto allocs = [&](int epochs) {
+            SimulationConfig cfg;
+            cfg.durationSeconds = epochs * cfg.epochSeconds;
+            cfg.keepEpochs = false;
+            cfg.checkMode = ahq::check::Mode::Off;
+            const EpochSimulator sim(*c.node, cfg);
+            auto sched = ahq::sched::makeScheduler(c.strategy);
+            const auto before = threadAllocCount();
+            const auto res = sim.run(*sched);
+            const auto count = threadAllocCount() - before;
+            EXPECT_TRUE(res.epochs.empty());
+            return count;
+        };
+        EXPECT_EQ(allocs(400), allocs(800))
+            << c.strategy << " on " << c.node->describe();
+    }
 }
 
 } // namespace

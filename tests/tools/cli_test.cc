@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -608,6 +609,75 @@ TEST(CliFleet, RebalancePrintsRoundsAndMigrations)
         << out.str();
     EXPECT_NE(out.str().find("spread"), std::string::npos);
     EXPECT_NE(out.str().find("migrations ="), std::string::npos);
+}
+
+TEST(CliFleet, FaultsFlagIsHonoured)
+{
+    const std::string bad = "/tmp/ahq_cli_fleet_badplan.jsonl";
+    {
+        std::ofstream f(bad);
+        f << "{\"p_drop\":0.2}\n";
+    }
+    std::ostringstream out, err;
+    EXPECT_EQ(dispatch({"fleet", "--nodes", "2", "--duration", "4",
+                        "--warmup", "2", "--faults", bad},
+                       out, err),
+              1);
+    EXPECT_NE(err.str().find(bad + ":1:"), std::string::npos)
+        << err.str();
+    std::remove(bad.c_str());
+
+    const std::string crash = "/tmp/ahq_cli_fleet_crash.jsonl";
+    {
+        std::ofstream f(crash);
+        f << "{\"fault\":\"node_crash\",\"node\":1,\"at_s\":3}\n";
+    }
+    std::ostringstream out2, err2;
+    EXPECT_EQ(dispatch({"fleet", "--nodes", "3", "--duration", "6",
+                        "--warmup", "2", "--faults", crash},
+                       out2, err2),
+              0)
+        << err2.str();
+    EXPECT_NE(out2.str().find("crashed: node1 (failovers = "),
+              std::string::npos)
+        << out2.str();
+    std::remove(crash.c_str());
+}
+
+TEST(CliFleet, FaultsRejectedWithRebalance)
+{
+    std::ostringstream out, err;
+    EXPECT_EQ(dispatch({"fleet", "--faults", "plan.jsonl",
+                        "--rebalance-every", "6"},
+                       out, err),
+              2);
+    EXPECT_NE(err.str().find("--rebalance-every"), std::string::npos)
+        << err.str();
+}
+
+TEST(CliFleet, ProfileRejected)
+{
+    std::ostringstream out, err;
+    EXPECT_EQ(dispatch({"fleet", "--nodes", "2", "--profile"}, out,
+                       err),
+              2);
+    EXPECT_NE(err.str().find("--profile"), std::string::npos)
+        << err.str();
+
+    ::setenv("AHQ_PROF", "1", 1);
+    std::ostringstream out2, err2;
+    const int rc = dispatch({"fleet", "--nodes", "2"}, out2, err2);
+    ::unsetenv("AHQ_PROF");
+    EXPECT_EQ(rc, 2) << out2.str();
+}
+
+TEST(CliFleet, CsvRejected)
+{
+    std::ostringstream out, err;
+    EXPECT_EQ(dispatch({"fleet", "--nodes", "2", "--csv", "f.csv"},
+                       out, err),
+              2);
+    EXPECT_NE(err.str().find("--csv"), std::string::npos) << err.str();
 }
 
 TEST(CliDispatch, ListsAndUsage)

@@ -143,4 +143,23 @@ TEST(ExperimentCli, RejectsMalformedInvocations)
     EXPECT_EQ(dispatch({"experiment", "frobnicate"}, out, err), 2);
 }
 
+TEST(ExperimentCli, ProfileRejected)
+{
+    auto args = runArgs("/tmp/ahq_exp_prof_unused.jsonl", "1");
+    args.push_back("--profile");
+    std::ostringstream out, err;
+    EXPECT_EQ(dispatch(args, out, err), 2);
+    EXPECT_NE(err.str().find("--profile"), std::string::npos)
+        << err.str();
+}
+
+TEST(ExperimentCli, CsvRejected)
+{
+    auto args = runArgs("/tmp/ahq_exp_csv_unused.jsonl", "1");
+    args.insert(args.end(), {"--csv", "/tmp/ahq_exp_unused.csv"});
+    std::ostringstream out, err;
+    EXPECT_EQ(dispatch(args, out, err), 2);
+    EXPECT_NE(err.str().find("--csv"), std::string::npos) << err.str();
+}
+
 } // namespace

@@ -294,6 +294,17 @@ parseSimulateArgs(const std::vector<std::string> &args,
 }
 
 void
+rejectProfileAndCsv(const SimulateOptions &opt, const std::string &verb)
+{
+    if (opt.profile) {
+        throw std::invalid_argument(
+            verb + " does not support --profile (or AHQ_PROF) yet");
+    }
+    if (!opt.csvPath.empty())
+        throw std::invalid_argument(verb + " does not support --csv");
+}
+
+void
 parseObservationsCsv(const std::string &path,
                      std::vector<core::LcObservation> &lc,
                      std::vector<core::BeObservation> &be)
@@ -952,14 +963,16 @@ dispatch(const std::vector<std::string> &argv, std::ostream &out,
               "with probability R in [0,1]; seeded, so sampled "
               "traces stay byte-identical at any --jobs)\n"
               "  --profile (span profiler + tree; env AHQ_PROF; "
-              "sweep/chaos keep traces byte-identical)\n"
+              "sweep/chaos keep traces byte-identical; fleet and "
+              "experiment reject it, and --csv)\n"
               "  --attribute (counterfactual interference "
               "attribution: blame ledger + attribution trace "
               "events) --slo (burn-rate SLO alerts)\n"
               "  --check off|log|strict (invariant audit; env "
               "AHQ_CHECK)\n"
               "  --faults FILE (JSONL fault plan; env AHQ_FAULTS; "
-              "chaos defaults to a built-in plan)\n"
+              "chaos defaults to a built-in plan; fleet fails "
+              "crashed nodes over)\n"
               "  (flags also accept --flag=value)\n"
               "strategies (--strategy):";
         for (const auto &s : sched::allStrategyNames())

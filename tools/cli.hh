@@ -147,6 +147,15 @@ parseSimulateArgs(const std::vector<std::string> &args,
                   bool require_apps = true);
 
 /**
+ * Reject the shared flags a multi-node verb cannot honour yet —
+ * --profile / AHQ_PROF and --csv — instead of silently ignoring them.
+ *
+ * @throws std::invalid_argument naming the flag and the verb.
+ */
+void rejectProfileAndCsv(const SimulateOptions &opt,
+                         const std::string &verb);
+
+/**
  * Parse an observations CSV into entropy inputs.
  *
  * @throws std::invalid_argument on malformed rows,

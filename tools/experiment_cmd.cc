@@ -375,6 +375,7 @@ runExperiment(const std::vector<std::string> &args,
     try {
         flags = peelFlags(tail, rest);
         opt = parseSimulateArgs(rest, /*require_apps=*/false);
+        rejectProfileAndCsv(opt, "experiment");
         if (!opt.lcApps.empty() || !opt.beApps.empty()) {
             throw std::invalid_argument(
                 "experiment synthesizes its workload from the "

@@ -16,6 +16,7 @@
 
 #include "cluster/cluster_sched.hh"
 #include "exec/jobs.hh"
+#include "fault/plan.hh"
 #include "obs/metrics.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace_sink.hh"
@@ -170,11 +171,17 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
     SimulateOptions opt;
     try {
         opt = parseSimulateArgs(rest, /*require_apps=*/false);
+        rejectProfileAndCsv(opt, "fleet");
         if (!opt.lcApps.empty() || !opt.beApps.empty()) {
             throw std::invalid_argument(
                 "fleet synthesizes its workload from the global "
                 "load generator; app specs are not accepted "
                 "(shape it with --nodes/--lc/--be/--tenants)");
+        }
+        if (!opt.faultsPath.empty() && ff.rebalanceEvery > 0) {
+            throw std::invalid_argument(
+                "--faults cannot be combined with --rebalance-every "
+                "(the cluster scheduler does not model node crashes)");
         }
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
@@ -208,6 +215,13 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
         cfg.keepEpochs = ff.keepEpochs;
         cfg.attribute = opt.attribute;
         cfg.slo = opt.slo;
+
+        // The plan must outlive the run: cfg holds a pointer.
+        fault::FaultPlan plan;
+        if (!opt.faultsPath.empty()) {
+            plan = fault::FaultPlan::fromFile(opt.faultsPath);
+            cfg.faults = &plan;
+        }
 
         std::unique_ptr<obs::FileTraceSink> sink;
         obs::MetricsRegistry metrics;
@@ -305,6 +319,12 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
                     sched::makeScheduler(opt.strategy));
             }
             const auto res = fleet.run(cfg);
+            if (!res.crashedNodes.empty()) {
+                out << "crashed:";
+                for (const int n : res.crashedNodes)
+                    out << " node" << n;
+                out << " (failovers = " << res.failovers << ")\n";
+            }
             e_lc = res.eLc;
             e_be = res.eBe;
             e_s = res.eS;
