@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "apps/catalog.hh"
+#include "exec/fan_out.hh"
 #include "exec/jobs.hh"
 #include "exec/parallel.hh"
 #include "sched/registry.hh"
@@ -66,13 +67,8 @@ ClusterScheduler::run(const SimulationConfig &base,
     // Short, unaudited, untraced trial runs drive every migration
     // decision; one fixed seed keeps candidates comparable and the
     // whole search deterministic per (nodes, config, seed).
-    SimulationConfig trial = base;
-    trial.obs = {};
-    trial.checkMode = check::Mode::Off;
-    trial.faults = nullptr;
-    trial.durationSeconds = cfg.trialSeconds;
-    trial.warmupEpochs = cfg.trialWarmupEpochs;
-    trial.keepEpochs = false;
+    const SimulationConfig trial =
+        trialConfig(base, cfg.trialSeconds, cfg.trialWarmupEpochs);
 
     auto node_es = [&](std::size_t n,
                        const std::vector<ColocatedApp> &set) {
@@ -109,37 +105,32 @@ ClusterScheduler::run(const SimulationConfig &base,
     FleetAccumulator pooled;
     for (int r = 0; r < cfg.rounds; ++r) {
         // ---- measurement round: every node in parallel ----------
-        std::vector<obs::BufferTraceSink> buffers(tracing ? nn : 0);
         std::vector<SimulationResult> results(nn);
         std::vector<FleetAccumulator> accums(nn);
-        exec::parallelFor(p, nn, [&](std::size_t n) {
-            SimulationConfig per_node = base;
-            per_node.durationSeconds =
-                cfg.roundEpochs * base.epochSeconds;
-            per_node.warmupEpochs = cfg.roundWarmupEpochs;
-            per_node.keepEpochs = false;
-            per_node.seed = base.seed + 0x9e37 * (n + 1) +
-                kRoundSeedSalt * static_cast<std::uint64_t>(r + 1);
-            if (tracing || scope.series != nullptr) {
-                per_node.obs = scope.tagged(
-                    (scope.scenario.empty()
-                         ? ""
-                         : scope.scenario + "/") +
-                    "round" + std::to_string(r) + "/node" +
-                    std::to_string(n));
-                if (tracing)
-                    per_node.obs.sink = &buffers[n];
-            }
-            Node node(configs_[n], apps_[n]);
-            EpochSimulator sim(node, per_node);
-            const auto sched = sched::makeScheduler(strategy_);
-            results[n] = sim.run(*sched);
-            accums[n].add(node, results[n]);
-        });
-        if (tracing) {
-            for (std::size_t n = 0; n < nn; ++n)
-                buffers[n].flushTo(*scope.sink);
-        }
+        exec::NodeFanOut fan(scope);
+        fan.run(
+            p, nn,
+            [&](std::size_t n) {
+                return "round" + std::to_string(r) + "/node" +
+                    std::to_string(n);
+            },
+            [&](std::size_t n, const obs::Scope &node_scope) {
+                SimulationConfig per_node = base;
+                per_node.durationSeconds =
+                    cfg.roundEpochs * base.epochSeconds;
+                per_node.warmupEpochs = cfg.roundWarmupEpochs;
+                per_node.keepEpochs = false;
+                per_node.seed = exec::nodeSeed(
+                    base.seed, n,
+                    kRoundSeedSalt * static_cast<std::uint64_t>(r + 1));
+                per_node.obs = node_scope;
+                Node node(configs_[n], apps_[n]);
+                EpochSimulator sim(node, per_node);
+                const auto sched = sched::makeScheduler(strategy_);
+                results[n] = sim.run(*sched);
+                accums[n].add(node, results[n]);
+            });
+        fan.flushAll();
         // Cold windows are consumed by the round that just ran
         // (roundEpochs >= the window): every app is warm again
         // until the next migration marks one cold.

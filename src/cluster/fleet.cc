@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 
+#include "exec/fan_out.hh"
 #include "exec/jobs.hh"
 #include "exec/parallel.hh"
 #include "obs/span.hh"
@@ -98,45 +99,49 @@ fleetEntropy(const std::vector<const Node *> &nodes,
     return acc.entropy(ri);
 }
 
+SimulationConfig
+trialConfig(const SimulationConfig &base, double seconds,
+            int warmup_epochs)
+{
+    SimulationConfig trial = base;
+    trial.obs = {};
+    trial.checkMode = check::Mode::Off;
+    trial.faults = nullptr;
+    trial.durationSeconds = seconds;
+    trial.warmupEpochs = warmup_epochs;
+    trial.keepEpochs = false;
+    return trial;
+}
+
 void
 Fleet::runEntries(std::vector<Entry> &entries,
-                  const SimulationConfig &config,
-                  const obs::Scope &scope, bool tracing,
+                  const SimulationConfig &config, exec::NodeFanOut &fan,
                   std::uint64_t seed_salt, const char *tag_suffix,
                   const std::vector<int> *ids,
-                  std::vector<obs::BufferTraceSink> &buffers,
                   std::vector<SimulationResult> &out,
                   std::vector<FleetAccumulator> &accums,
                   exec::ThreadPool &p)
 {
     out.resize(entries.size());
     accums.assign(entries.size(), {});
-    // Each task touches only its own node entry (its scheduler
-    // instance included), buffer, result and accumulator slot.
-    exec::parallelFor(p, entries.size(), [&](std::size_t n) {
-        const std::size_t id = ids != nullptr
-            ? static_cast<std::size_t>((*ids)[n])
-            : n;
-        SimulationConfig per_node = config;
-        per_node.seed = config.seed + 0x9e37 * (id + 1) + seed_salt;
-        // A per-node scenario tag is needed when tracing (events
-        // must say which node they came from) and also when a
-        // time-series registry is attached: per-(series, node) keys
-        // are what keep concurrent node recordings disjoint.
-        if (tracing || scope.series != nullptr) {
-            per_node.obs = scope.tagged(
-                (scope.scenario.empty()
-                     ? "node" + std::to_string(id)
-                     : scope.scenario + "/node" +
-                           std::to_string(id)) +
-                tag_suffix);
-            if (tracing)
-                per_node.obs.sink = &buffers[n];
-        }
-        EpochSimulator sim(entries[n].node, per_node);
-        out[n] = sim.run(*entries[n].scheduler);
-        accums[n].add(entries[n].node, out[n]);
-    });
+    const auto id = [&](std::size_t n) {
+        return ids != nullptr ? static_cast<std::size_t>((*ids)[n]) : n;
+    };
+    // Each node touches only its own entry (its scheduler instance
+    // included), result and accumulator slot.
+    fan.run(
+        p, entries.size(),
+        [&](std::size_t n) {
+            return "node" + std::to_string(id(n)) + tag_suffix;
+        },
+        [&](std::size_t n, const obs::Scope &scope) {
+            SimulationConfig per_node = config;
+            per_node.seed = exec::nodeSeed(config.seed, id(n), seed_salt);
+            per_node.obs = scope;
+            EpochSimulator sim(entries[n].node, per_node);
+            out[n] = sim.run(*entries[n].scheduler);
+            accums[n].add(entries[n].node, out[n]);
+        });
 }
 
 Fleet::FleetResult
@@ -184,14 +189,12 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
         static_cast<int>(crashed.size()) < numNodes();
 
     if (!crashing) {
-        // While tracing, each node's run writes into a private
-        // buffer; the buffers flush in node order below, keeping
-        // fleet traces byte-identical at any thread count.
-        std::vector<obs::BufferTraceSink> buffers(
-            tracing ? nodes_.size() : 0);
+        // Node buffers flush in node order below, interleaved with
+        // the fleet_node events.
+        exec::NodeFanOut fan(scope);
         std::vector<FleetAccumulator> accums;
-        runEntries(nodes_, config, scope, tracing, 0, "", nullptr,
-                   buffers, out.nodes, accums, p);
+        runEntries(nodes_, config, fan, 0, "", nullptr, out.nodes,
+                   accums, p);
         for (const auto &res : out.nodes) {
             out.violations += res.violations;
             out.attribution.merge(res.attribution);
@@ -217,7 +220,7 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
 
         if (tracing) {
             for (std::size_t n = 0; n < nodes_.size(); ++n) {
-                buffers[n].flushTo(*scope.sink);
+                fan.flush(n);
                 obs::Event ev("fleet_node");
                 ev.integer("node", static_cast<long long>(n))
                     .str("colocation", nodes_[n].node.describe())
@@ -255,12 +258,10 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
 
     SimulationConfig cfg_a = config;
     cfg_a.durationSeconds = ta;
-    std::vector<obs::BufferTraceSink> buf_a(
-        tracing ? nodes_.size() : 0);
+    exec::NodeFanOut fan_a(scope);
     std::vector<SimulationResult> res_a;
     std::vector<FleetAccumulator> acc_a;
-    runEntries(nodes_, cfg_a, scope, tracing, 0, "", nullptr, buf_a,
-               res_a, acc_a, p);
+    runEntries(nodes_, cfg_a, fan_a, 0, "", nullptr, res_a, acc_a, p);
 
     // ---- failover: re-place crashed apps onto the survivors ------
     std::vector<int> survivors;
@@ -282,13 +283,8 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
 
     // Short, unfaulted, unaudited trial runs drive the placement;
     // the advisor itself is deterministic per (apps, config).
-    SimulationConfig trial = config;
-    trial.obs = {};
-    trial.checkMode = check::Mode::Off;
-    trial.faults = nullptr;
-    trial.durationSeconds = 8.0 * config.epochSeconds;
-    trial.warmupEpochs = 2;
-    trial.keepEpochs = false;
+    const SimulationConfig trial =
+        trialConfig(config, 8.0 * config.epochSeconds, 2);
 
     const auto &first =
         nodes_[static_cast<std::size_t>(survivors.front())];
@@ -335,12 +331,11 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
     cfg_b.durationSeconds = config.durationSeconds - ta;
     cfg_b.warmupEpochs =
         std::max(0, config.warmupEpochs - crash_epoch);
-    std::vector<obs::BufferTraceSink> buf_b(
-        tracing ? phase_b.size() : 0);
+    exec::NodeFanOut fan_b(scope);
     std::vector<SimulationResult> res_b;
     std::vector<FleetAccumulator> acc_b;
-    runEntries(phase_b, cfg_b, scope, tracing, kRecoverySeedSalt,
-               "/recovered", &survivors, buf_b, res_b, acc_b, p);
+    runEntries(phase_b, cfg_b, fan_b, kRecoverySeedSalt, "/recovered",
+               &survivors, res_b, acc_b, p);
 
     // Crashed slots report their phase A segment; survivors report
     // the recovered segment they finished with — but their QoS
@@ -388,12 +383,12 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
     if (tracing) {
         std::size_t s = 0;
         for (std::size_t n = 0; n < nodes_.size(); ++n) {
-            buf_a[n].flushTo(*scope.sink);
+            fan_a.flush(n);
             const bool survived = !std::binary_search(
                 crashed.begin(), crashed.end(),
                 static_cast<int>(n));
             if (survived)
-                buf_b[s].flushTo(*scope.sink);
+                fan_b.flush(s);
             obs::Event ev("fleet_node");
             ev.integer("node", static_cast<long long>(n))
                 .str("colocation",

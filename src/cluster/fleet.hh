@@ -20,6 +20,7 @@
 
 namespace ahq::exec
 {
+class NodeFanOut;
 class ThreadPool;
 }
 
@@ -157,21 +158,21 @@ class Fleet
     std::vector<Entry> nodes_;
 
     /**
-     * Run one phase over a set of entries in parallel. `ids` maps
-     * entry index to the original node id for tags and seeds
-     * (nullptr = identity); `tag_suffix` distinguishes recovered
-     * segments; `seed_salt` decorrelates phase RNG streams. Each
-     * worker also folds its node's steady-state observations into
-     * its own accums slot — the streaming half of the aggregation;
-     * the caller merges the slots in node order.
+     * Run one phase over a set of entries through `fan` (the caller
+     * flushes its node buffers). `ids` maps entry index to the
+     * original node id for tags and seeds (nullptr = identity);
+     * `tag_suffix` distinguishes recovered segments; `seed_salt`
+     * decorrelates phase RNG streams. Each node also folds its
+     * steady-state observations into its own accums slot — the
+     * streaming half of the aggregation; the caller merges the
+     * slots in node order.
      */
     static void runEntries(std::vector<Entry> &entries,
                            const SimulationConfig &config,
-                           const obs::Scope &scope, bool tracing,
+                           exec::NodeFanOut &fan,
                            std::uint64_t seed_salt,
                            const char *tag_suffix,
                            const std::vector<int> *ids,
-                           std::vector<obs::BufferTraceSink> &buffers,
                            std::vector<SimulationResult> &out,
                            std::vector<FleetAccumulator> &accums,
                            exec::ThreadPool &p);
@@ -189,6 +190,14 @@ core::EntropyReport
 fleetEntropy(const std::vector<const Node *> &nodes,
              const std::vector<const SimulationResult *> &results,
              double ri = core::kDefaultRelativeImportance);
+
+/**
+ * Settings for short placement trial runs (failover placement,
+ * migration search): `base` without telemetry, audits, faults or
+ * per-epoch records, cut to `seconds` with `warmup_epochs` warmup.
+ */
+SimulationConfig trialConfig(const SimulationConfig &base,
+                             double seconds, int warmup_epochs);
 
 /**
  * Greedy entropy-driven placement: assign applications to a fixed

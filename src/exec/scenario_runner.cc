@@ -7,8 +7,8 @@
 
 #include <chrono>
 
+#include "exec/fan_out.hh"
 #include "exec/jobs.hh"
-#include "exec/parallel.hh"
 #include "obs/span.hh"
 #include "sched/registry.hh"
 
@@ -26,92 +26,58 @@ ScenarioRunner::ScenarioRunner(ThreadPool *pool,
 std::vector<cluster::SimulationResult>
 ScenarioRunner::run(const std::vector<ScenarioJob> &jobs) const
 {
-    ThreadPool &pool = pool_ ? *pool_ : globalPool();
-    if (!obs_.tracing() && obs_.metrics == nullptr &&
-        !obs_.profiling() && obs_.series == nullptr) {
-        return parallelMap(pool, jobs, [&](const ScenarioJob &job) {
-            const auto sched = factory_(job.strategy);
-            cluster::EpochSimulator sim(job.node, job.config);
-            return sim.run(*sched);
-        });
-    }
-
-    // Telemetry path. Each job traces into its own buffer and
-    // profiles into its own SpanProfiler; the buffers (span events
-    // included) are flushed to the real sink in job order
-    // afterwards, so the trace is byte-identical at any thread
-    // count. Metrics go straight to the shared registry — counter
-    // and histogram updates commute, so those totals are
-    // order-independent too, and so are the per-job profiler
-    // merges into the runner-level profiler (integer aggregates).
-    // The time-series registry (obs_.series) likewise rides along
-    // on the per-job scope copies: each job records under its own
-    // scenario tag, so concurrent jobs touch disjoint series and
-    // the folded buckets are order-independent by construction.
-    const bool tracing = obs_.tracing();
-    const bool profiling = obs_.profiling();
-    std::vector<obs::BufferTraceSink> buffers(jobs.size());
-    std::vector<obs::SpanProfiler> profs(
-        profiling ? jobs.size() : 0);
+    // Each job runs as one node of a fan-out: it traces into a
+    // private buffer and profiles into a private SpanProfiler, and
+    // the buffers (span events included) flush in job order, so the
+    // trace is byte-identical at any thread count. Metrics go
+    // straight to the shared registry — counter and histogram
+    // updates commute.
     std::vector<cluster::SimulationResult> results(jobs.size());
-    parallelFor(pool, jobs.size(), [&](std::size_t i) {
-        const ScenarioJob &job = jobs[i];
-        obs::Scope scope =
-            obs_.tagged(job.tag.empty() ? job.strategy : job.tag);
-        if (tracing)
-            scope.sink = &buffers[i];
-        if (profiling)
-            scope.prof = &profs[i];
+    NodeFanOut fan(obs_);
+    fan.run(
+        pool_ ? *pool_ : globalPool(), jobs.size(),
+        [&](std::size_t i) {
+            return jobs[i].tag.empty() ? jobs[i].strategy : jobs[i].tag;
+        },
+        [&](std::size_t i, const obs::Scope &scope) {
+            const ScenarioJob &job = jobs[i];
+            const auto start = std::chrono::steady_clock::now();
+            if (scope.tracing()) {
+                obs::Event ev("scenario_start");
+                ev.str("scheduler", job.strategy)
+                    .str("node", job.node.describe())
+                    .integer("job", static_cast<long long>(i));
+                scope.emit(ev);
+            }
 
-        const auto start = std::chrono::steady_clock::now();
-        if (tracing) {
-            obs::Event ev("scenario_start");
-            ev.str("scheduler", job.strategy)
-                .str("node", job.node.describe())
-                .integer("job",
-                         static_cast<long long>(i));
-            scope.emit(ev);
-        }
+            const auto sched = factory_(job.strategy);
+            cluster::SimulationConfig cfg = job.config;
+            cfg.obs = scope;
+            {
+                obs::Span span(scope, "exec.scenario");
+                cluster::EpochSimulator sim(job.node, cfg);
+                results[i] = sim.run(*sched);
+            }
 
-        const auto sched = factory_(job.strategy);
-        cluster::SimulationConfig cfg = job.config;
-        cfg.obs = scope;
-        {
-            obs::Span span(scope, "exec.scenario");
-            cluster::EpochSimulator sim(job.node, cfg);
-            results[i] = sim.run(*sched);
-        }
-
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (tracing) {
-            obs::Event ev("scenario_end");
-            ev.str("scheduler", job.strategy)
-                .num("mean_e_s", results[i].meanES)
-                .num("yield", results[i].yieldValue);
-            // Wall time is opt-in: it varies run to run and would
-            // break trace reproducibility.
-            if (obs_.wallClock)
-                ev.num("wall_ms", wall_ms);
-            scope.emit(ev);
-        }
-        scope.count("exec.scenarios");
-        scope.observe("exec.scenario_wall_ms", wall_ms);
-        if (profiling) {
-            // Span events land in this job's buffer (deterministic
-            // content, deterministic flush order below); the fold
-            // into the runner-level profiler commutes.
-            profs[i].flush(scope);
-            obs_.prof->merge(profs[i]);
-        }
-    });
-
-    if (tracing) {
-        for (auto &buf : buffers)
-            buf.flushTo(*obs_.sink);
-    }
+            const double wall_ms =
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+            if (scope.tracing()) {
+                obs::Event ev("scenario_end");
+                ev.str("scheduler", job.strategy)
+                    .num("mean_e_s", results[i].meanES)
+                    .num("yield", results[i].yieldValue);
+                // Wall time is opt-in: it varies run to run and
+                // would break trace reproducibility.
+                if (scope.wallClock)
+                    ev.num("wall_ms", wall_ms);
+                scope.emit(ev);
+            }
+            scope.count("exec.scenarios");
+            scope.observe("exec.scenario_wall_ms", wall_ms);
+        });
+    fan.flushAll();
     return results;
 }
 

@@ -41,8 +41,9 @@ struct ScenarioJob
 
     /**
      * Scenario id stamped into trace events (defaults to the
-     * strategy name when empty). Tag jobs when a batch runs the
-     * same strategy more than once.
+     * strategy name when empty), under the runner scope's own
+     * scenario when it has one. Tag jobs when a batch runs the same
+     * strategy more than once.
      */
     std::string tag;
 };
@@ -67,10 +68,10 @@ class ScenarioRunner
                             SchedulerFactory factory = {});
 
     /**
-     * Attach telemetry for subsequent batches. While tracing, each
-     * job writes into a private buffer that is flushed to the real
-     * sink in job order after the batch, so the trace bytes are
-     * identical at any thread count.
+     * Attach telemetry for subsequent batches. Each job runs as one
+     * node of an exec::NodeFanOut: private trace buffer and span
+     * profiler, flushed in job order after the batch, so the trace
+     * bytes are identical at any thread count.
      */
     void setObsScope(obs::Scope scope) { obs_ = std::move(scope); }
 

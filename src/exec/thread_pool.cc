@@ -5,10 +5,7 @@
 
 #include "exec/thread_pool.hh"
 
-#include <chrono>
 #include <stdexcept>
-
-#include "obs/span.hh"
 
 namespace ahq::exec
 {
@@ -88,24 +85,7 @@ ThreadPool::workerLoop()
             task = std::move(queue_.front());
             queue_.pop_front();
         }
-        obs::SpanProfiler *prof =
-            prof_.load(std::memory_order_relaxed);
-        if (prof == nullptr) {
-            task();
-            continue;
-        }
-        // Recorded directly (not through the thread-local span
-        // stack) so a pool-level profiler never becomes a foreign
-        // parent in the task's own span hierarchy.
-        const auto start = std::chrono::steady_clock::now();
         task();
-        prof->record(
-            "pool.task",
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<
-                    std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count()));
     }
 }
 

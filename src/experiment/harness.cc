@@ -11,26 +11,12 @@
 #include <string>
 
 #include "core/entropy.hh"
+#include "exec/fan_out.hh"
 #include "exec/jobs.hh"
-#include "exec/parallel.hh"
-#include "exec/thread_pool.hh"
-#include "obs/trace_sink.hh"
 #include "sched/registry.hh"
 
 namespace ahq::experiment
 {
-
-namespace
-{
-
-/** The Fleet per-node seed salting, reused verbatim. */
-std::uint64_t
-nodeSeed(std::uint64_t base, std::size_t node)
-{
-    return base + 0x9e37 * (node + 1);
-}
-
-} // namespace
 
 std::vector<BlockStat>
 extractBlocks(const cluster::SimulationResult &res,
@@ -127,50 +113,46 @@ runExperiment(const ExperimentRunConfig &config,
     const trace::FleetLoadGenerator gen(load);
 
     const auto nn = static_cast<std::size_t>(design.numNodes);
-    std::vector<obs::BufferTraceSink> buffers(tracing ? nn : 0);
     std::vector<std::vector<BlockStat>> node_blocks(nn);
+    std::vector<obs::AttributionLedger> node_blame(nn);
+    std::vector<obs::SloSummary> node_slo(nn);
 
-    exec::ThreadPool &p = pool ? *pool : exec::globalPool();
-    // Each task touches only its own node: its scheduler
-    // instances, trace buffer and block slot.
-    exec::parallelFor(p, nn, [&](std::size_t n) {
-        cluster::SimulationConfig per_node = config.base;
-        per_node.seed = nodeSeed(config.base.seed, n);
-        per_node.durationSeconds =
-            static_cast<double>(design.epochsPerNode()) *
-            per_node.epochSeconds;
-        per_node.warmupEpochs = 0;
-        per_node.keepEpochs = true;
-        if (tracing || scope.series != nullptr) {
-            per_node.obs = scope.tagged(
-                (scope.scenario.empty()
-                     ? "node" + std::to_string(n)
-                     : scope.scenario + "/node" +
-                           std::to_string(n)));
-            if (tracing)
-                per_node.obs.sink = &buffers[n];
-        }
+    // Each node touches only its own scheduler instances and slots;
+    // the fan-out replays trace buffers in node order, so experiment
+    // traces are byte-identical at any --jobs.
+    exec::NodeFanOut fan(scope);
+    fan.run(
+        pool ? *pool : exec::globalPool(), nn,
+        [](std::size_t n) { return "node" + std::to_string(n); },
+        [&](std::size_t n, const obs::Scope &node_scope) {
+            cluster::SimulationConfig per_node = config.base;
+            per_node.seed = exec::nodeSeed(config.base.seed, n);
+            per_node.durationSeconds =
+                static_cast<double>(design.epochsPerNode()) *
+                per_node.epochSeconds;
+            per_node.warmupEpochs = 0;
+            per_node.keepEpochs = true;
+            per_node.obs = node_scope;
 
-        const auto a = sched::makeScheduler(design.armA);
-        const auto b = sched::makeScheduler(design.armB);
-        cluster::Node node(config.machine,
-                           cluster::fleetNodeApps(
-                               gen, static_cast<int>(n)));
-        cluster::EpochSimulator sim(std::move(node), per_node);
-        const auto res = sim.runSwitched(
-            {a.get(), b.get()},
-            nodeSchedule(design, static_cast<int>(n)));
-        node_blocks[n] =
-            extractBlocks(res, design, static_cast<int>(n));
-    });
-
-    // Trace buffers replay in node order: experiment traces are
-    // byte-identical at any --jobs.
-    if (tracing)
-        for (auto &b : buffers)
-            b.flushTo(*scope.sink);
+            const auto a = sched::makeScheduler(design.armA);
+            const auto b = sched::makeScheduler(design.armB);
+            cluster::Node node(config.machine,
+                               cluster::fleetNodeApps(
+                                   gen, static_cast<int>(n)));
+            cluster::EpochSimulator sim(std::move(node), per_node);
+            const auto res = sim.runSwitched(
+                {a.get(), b.get()},
+                nodeSchedule(design, static_cast<int>(n)));
+            node_blocks[n] =
+                extractBlocks(res, design, static_cast<int>(n));
+            node_blame[n] = res.attribution;
+            node_slo[n] = res.slo;
+        });
+    fan.flushAll();
 
     for (std::size_t n = 0; n < nn; ++n) {
+        out.attribution.merge(node_blame[n]);
+        out.slo.merge(node_slo[n]);
         const auto arms =
             nodeBlockArms(design, static_cast<int>(n));
         for (std::size_t b = 1; b < arms.size(); ++b)

@@ -11,12 +11,12 @@
  * aggregates feed the naive / Differences-in-Q / mixed estimators
  * and the experiment verdict.
  *
- * Determinism: node n runs on seed base.seed + 0x9e37 * (n + 1)
+ * Determinism: node n runs on seed exec::nodeSeed(base.seed, n)
  * (the Fleet salting), the design randomization lives on its own
- * RNG stream, nodes fan out on the pool with per-node trace
- * buffers flushed in node order, and every aggregate is summed in
- * epoch order — results and trace bytes are identical at any
- * thread count.
+ * RNG stream, nodes fan out through exec::NodeFanOut (per-node
+ * trace buffers and profilers, flushed in node order), and every
+ * aggregate is summed in epoch order — results and trace bytes are
+ * identical at any thread count.
  */
 
 #ifndef AHQ_EXPERIMENT_HARNESS_HH
@@ -81,6 +81,15 @@ struct ExperimentResult
 
     /** Policy swaps across all nodes (arm changes in-schedule). */
     int policySwaps = 0;
+
+    /**
+     * Per-node blame ledgers merged in node order; empty unless
+     * base.attribute is set.
+     */
+    obs::AttributionLedger attribution;
+
+    /** Summed alert accounting (zeros unless base.slo). */
+    obs::SloSummary slo;
 };
 
 /**

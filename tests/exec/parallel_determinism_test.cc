@@ -1,18 +1,22 @@
 /**
  * @file
- * The exec layer's determinism contract: batches, oracle searches
- * and fleet runs must be bitwise identical at 1 and N threads.
- * Every scenario owns its SimulationConfig::seed, so scheduling
- * interleaving must be unobservable in the results.
+ * The exec layer's determinism contract: the node fan-out driver,
+ * batches, oracle searches and fleet runs must be bitwise identical
+ * at 1 and N threads. Every scenario owns its SimulationConfig::seed,
+ * so scheduling interleaving must be unobservable in the results.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "apps/catalog.hh"
 #include "cluster/fleet.hh"
 #include "cluster/oracle.hh"
+#include "exec/fan_out.hh"
 #include "exec/scenario_runner.hh"
 #include "exec/thread_pool.hh"
+#include "obs/span.hh"
 #include "sched/registry.hh"
 
 namespace
@@ -79,6 +83,64 @@ expectIdentical(const SimulationResult &a, const SimulationResult &b)
         for (int r = 0; r < ea.layout.numRegions(); ++r)
             EXPECT_EQ(ea.layout.region(r).res, eb.layout.region(r).res);
     }
+}
+
+TEST(NodeFanOut, BuildsNoTelemetryTheScopeDoesNotAskFor)
+{
+    std::atomic<int> labels{0};
+    exec::ThreadPool pool(4);
+    exec::NodeFanOut fan(obs::Scope{});
+    fan.run(
+        pool, 16,
+        [&](std::size_t) {
+            ++labels;
+            return std::string("node");
+        },
+        [](std::size_t, const obs::Scope &scope) {
+            EXPECT_EQ(scope.sink, nullptr);
+            EXPECT_EQ(scope.prof, nullptr);
+            EXPECT_TRUE(scope.scenario.empty());
+        });
+    EXPECT_EQ(labels.load(), 0);
+}
+
+TEST(NodeFanOut, TracesAndProfilesPerNodeInNodeOrderAtAnyPoolSize)
+{
+    EXPECT_EQ(exec::nodeSeed(42, 0), 42u + 0x9e37);
+    EXPECT_EQ(exec::nodeSeed(42, 2, 5), 42u + 3 * 0x9e37 + 5);
+    std::vector<std::string> traces;
+    for (const int threads : {1, 4}) {
+        obs::BufferTraceSink sink;
+        obs::SpanProfiler prof;
+        obs::Scope scope;
+        scope.sink = &sink;
+        scope.prof = &prof;
+        scope.scenario = "fleet";
+        exec::ThreadPool pool(threads);
+        exec::NodeFanOut fan(scope);
+        fan.run(
+            pool, 6,
+            [](std::size_t i) { return "node" + std::to_string(i); },
+            [](std::size_t i, const obs::Scope &node) {
+                obs::Span span(node, "work");
+                obs::Event ev("step");
+                ev.integer("i", static_cast<long long>(i));
+                node.emit(ev);
+            });
+        EXPECT_TRUE(sink.str().empty()); // nothing before the flush
+        fan.flushAll();
+        traces.push_back(sink.str());
+        EXPECT_EQ(prof.snapshot().at("work").count, 6u);
+    }
+    EXPECT_EQ(traces[0], traces[1]);
+    // Node 0's event, then its span, then node 1's event.
+    const auto &t = traces[0];
+    const auto step0 = t.find("\"scenario\":\"fleet/node0\"");
+    const auto span0 = t.find("\"type\":\"span\"");
+    const auto step1 = t.find("\"scenario\":\"fleet/node1\"");
+    EXPECT_LT(step0, span0);
+    EXPECT_LT(span0, step1);
+    EXPECT_EQ(t.find("total_ms"), std::string::npos);
 }
 
 TEST(ParallelDeterminism, ScenarioRunnerMatchesSerialFieldByField)

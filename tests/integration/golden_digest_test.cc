@@ -28,9 +28,12 @@
 #include "cluster/cluster_sched.hh"
 #include "cluster/epoch_sim.hh"
 #include "cluster/fleet.hh"
+#include "exec/scenario_runner.hh"
 #include "exec/thread_pool.hh"
 #include "experiment/harness.hh"
 #include "fault/plan.hh"
+#include "obs/metrics.hh"
+#include "obs/span.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace_sink.hh"
 #include "sched/registry.hh"
@@ -393,6 +396,55 @@ TEST(GoldenDigest, FleetWithNodeCrashAtOneAndFourThreads)
         addOutputs(h, sink);
         expectDigest("fleet/crash@" + std::to_string(threads), h,
                      0xf33107edcafdb014ULL);
+    }
+}
+
+TEST(GoldenDigest, TaggedScenarioBatchAtOneAndFourThreads)
+{
+    for (const int threads : {1, 4}) {
+        std::vector<exec::ScenarioJob> jobs;
+        for (const std::string name : {"PARTIES", "CLITE", "ARQ"}) {
+            SimulationConfig cfg = baseConfig();
+            cfg.durationSeconds = 20.0;
+            cfg.warmupEpochs = 8;
+            cfg.attribute = true;
+            jobs.push_back({name, canonicalNode(), cfg, name + "@canonical"});
+            cfg.seed = 7;
+            jobs.push_back({name, fleetShapedNode(), cfg, name + "@fleet"});
+        }
+        obs::BufferTraceSink sink;
+        obs::TimeSeriesRegistry series;
+        obs::MetricsRegistry metrics;
+        obs::SpanProfiler prof;
+        obs::Scope scope;
+        scope.sink = &sink;
+        scope.series = &series;
+        scope.metrics = &metrics;
+        scope.prof = &prof;
+        exec::ThreadPool pool(threads);
+        exec::ScenarioRunner runner(&pool);
+        runner.setObsScope(scope);
+        const auto results = runner.run(jobs);
+        Fnv h;
+        h.u(results.size());
+        for (const auto &res : results)
+            add(h, res);
+        addOutputs(h, sink, &series);
+        // Span structure and counts are deterministic; wall time is not.
+        for (const auto &[path, st] : prof.snapshot()) {
+            h.s(path);
+            h.u(st.count);
+        }
+        // Counter totals commute across workers; the histograms
+        // carry wall time and are left out.
+        std::ostringstream dump;
+        metrics.print(dump);
+        std::istringstream lines(dump.str());
+        for (std::string line; std::getline(lines, line);)
+            if (line.rfind("counter ", 0) == 0)
+                h.s(line);
+        expectDigest("runner/tagged-batch@" + std::to_string(threads), h,
+                     0xcbbfe6796ff38fccULL);
     }
 }
 

@@ -4,16 +4,11 @@
  * no-op, merge commutativity, deterministic flush (wallClock
  * gating), quantiles, and the cross-layer contracts — epoch
  * simulator span counts match the run's epoch count, child wall
- * time never exceeds its parent, ScenarioRunner span-bearing
- * traces stay byte-identical at any pool size, and ThreadPool's
- * diagnostics profiler records pool.task without polluting job
- * hierarchies.
+ * time never exceeds its parent, and ScenarioRunner span-bearing
+ * traces stay byte-identical at any pool size.
  */
 
 #include <gtest/gtest.h>
-
-#include <future>
-#include <thread>
 
 #include "apps/catalog.hh"
 #include "cluster/epoch_sim.hh"
@@ -325,25 +320,6 @@ TEST(SpanProfiler, RunnerTracesAreByteIdenticalAcrossPoolSizes)
     EXPECT_EQ(serial, parallel);
     EXPECT_NE(serial.find("\"type\":\"span\""),
               std::string::npos);
-}
-
-TEST(ThreadPool, AttachedProfilerCountsDrainedTasks)
-{
-    exec::ThreadPool pool(2);
-    SpanProfiler prof;
-    pool.attachProfiler(&prof);
-    std::vector<std::future<int>> futs;
-    for (int i = 0; i < 8; ++i)
-        futs.push_back(pool.submit([i] { return i; }));
-    for (auto &f : futs)
-        f.get();
-    pool.attachProfiler(nullptr);
-    const auto snap = prof.snapshot();
-    ASSERT_EQ(snap.count("pool.task"), 1u);
-    EXPECT_EQ(snap.at("pool.task").count, 8u);
-    // Recorded as a root path — never nested under job spans.
-    for (const auto &[path, st] : snap)
-        EXPECT_EQ(path.find('/'), std::string::npos) << path;
 }
 
 } // namespace

@@ -11,12 +11,14 @@
 #include <sstream>
 
 #include "cli.hh"
+#include "cli_test_util.hh"
 #include "obs/trace_reader.hh"
 
 namespace
 {
 
 using namespace ahq::cli;
+using namespace ahq::cli::test_util;
 
 TEST(CliParse, SimulateDefaults)
 {
@@ -443,13 +445,6 @@ TEST(CliSweep, TraceBytesIdenticalAcrossJobs)
 {
     const std::string t1 = "/tmp/ahq_sweep_trace_j1.jsonl";
     const std::string t4 = "/tmp/ahq_sweep_trace_j4.jsonl";
-    auto slurp = [](const std::string &path) {
-        std::ifstream in(path);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        return ss.str();
-    };
-
     std::ostringstream out1, err1, out4, err4;
     ASSERT_EQ(dispatch({"sweep", "--duration", "10", "--warmup",
                         "10", "--jobs", "1", "--trace", t1,
@@ -655,20 +650,53 @@ TEST(CliFleet, FaultsRejectedWithRebalance)
         << err.str();
 }
 
-TEST(CliFleet, ProfileRejected)
+TEST(CliFleet, ProfileHonouredWithTracesIdenticalAcrossJobs)
 {
-    std::ostringstream out, err;
-    EXPECT_EQ(dispatch({"fleet", "--nodes", "2", "--profile"}, out,
-                       err),
-              2);
-    EXPECT_NE(err.str().find("--profile"), std::string::npos)
-        << err.str();
+    const std::string crash = "/tmp/ahq_cli_fleet_prof_crash.jsonl";
+    {
+        std::ofstream f(crash);
+        f << "{\"fault\":\"node_crash\",\"node\":1,\"at_s\":2}\n";
+    }
+    // Plain Fleet::run, its crash/failover phases, and the
+    // ClusterScheduler rounds all carry per-node profilers.
+    const std::vector<std::vector<std::string>> modes{
+        {},
+        {"--faults", crash},
+        {"--rebalance-every", "3", "--spread", "0.0001"}};
+    for (const auto &mode : modes) {
+        std::vector<std::string> traces;
+        for (const std::string jobs : {"1", "4"}) {
+            const std::string path =
+                "/tmp/ahq_cli_fleet_prof_j" + jobs + ".jsonl";
+            std::vector<std::string> args{
+                "fleet", "--nodes", "3",    "--duration", "6",
+                "--warmup", "2",    "--profile", "--trace", path,
+                "--jobs",   jobs};
+            args.insert(args.end(), mode.begin(), mode.end());
+            std::ostringstream out, err;
+            ASSERT_EQ(dispatch(args, out, err), 0) << err.str();
+            EXPECT_NE(out.str().find("profile (span tree"),
+                      std::string::npos)
+                << out.str();
+            traces.push_back(slurp(path));
+            std::remove(path.c_str());
+        }
+        EXPECT_NE(traces[0].find("\"type\":\"span\""),
+                  std::string::npos);
+        // Wall clock off: span events carry counts, not times.
+        EXPECT_EQ(traces[0].find("total_ms"), std::string::npos);
+        EXPECT_EQ(traces[0], traces[1]);
+    }
+    std::remove(crash.c_str());
 
     ::setenv("AHQ_PROF", "1", 1);
-    std::ostringstream out2, err2;
-    const int rc = dispatch({"fleet", "--nodes", "2"}, out2, err2);
+    std::ostringstream out, err;
+    const int rc = dispatch(
+        {"fleet", "--nodes", "2", "--duration", "2", "--warmup", "0"},
+        out, err);
     ::unsetenv("AHQ_PROF");
-    EXPECT_EQ(rc, 2) << out2.str();
+    EXPECT_EQ(rc, 0) << err.str();
+    EXPECT_NE(out.str().find("profile (span tree"), std::string::npos);
 }
 
 TEST(CliFleet, CsvRejected)

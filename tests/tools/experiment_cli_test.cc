@@ -15,20 +15,13 @@
 #include <vector>
 
 #include "cli.hh"
+#include "cli_test_util.hh"
 
 namespace
 {
 
 using namespace ahq::cli;
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
+using namespace ahq::cli::test_util;
 
 /** A tiny but complete experiment invocation. */
 std::vector<std::string>
@@ -143,14 +136,25 @@ TEST(ExperimentCli, RejectsMalformedInvocations)
     EXPECT_EQ(dispatch({"experiment", "frobnicate"}, out, err), 2);
 }
 
-TEST(ExperimentCli, ProfileRejected)
+TEST(ExperimentCli, ProfileHonouredWithTracesIdenticalAcrossJobs)
 {
-    auto args = runArgs("/tmp/ahq_exp_prof_unused.jsonl", "1");
-    args.push_back("--profile");
-    std::ostringstream out, err;
-    EXPECT_EQ(dispatch(args, out, err), 2);
-    EXPECT_NE(err.str().find("--profile"), std::string::npos)
-        << err.str();
+    std::vector<std::string> traces;
+    for (const std::string jobs : {"1", "4"}) {
+        const std::string path =
+            "/tmp/ahq_exp_prof_j" + jobs + ".jsonl";
+        auto args = runArgs(path, jobs);
+        args.push_back("--profile");
+        std::ostringstream out, err;
+        ASSERT_EQ(dispatch(args, out, err), 0) << err.str();
+        EXPECT_NE(out.str().find("profile (span tree"),
+                  std::string::npos)
+            << out.str();
+        traces.push_back(slurp(path));
+        std::remove(path.c_str());
+    }
+    EXPECT_NE(traces[0].find("\"type\":\"span\""), std::string::npos);
+    EXPECT_EQ(traces[0].find("total_ms"), std::string::npos);
+    EXPECT_EQ(traces[0], traces[1]);
 }
 
 TEST(ExperimentCli, CsvRejected)

@@ -37,50 +37,17 @@ AlertsOptions
 parseAlertsArgs(const std::vector<std::string> &args)
 {
     AlertsOptions opt;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string a = args[i];
-        std::string inline_value;
-        bool has_inline = false;
-        if (a.rfind("--", 0) == 0) {
-            const auto eq = a.find('=');
-            if (eq != std::string::npos) {
-                inline_value = a.substr(eq + 1);
-                a = a.substr(0, eq);
-                has_inline = true;
-            }
-        }
-        auto next = [&](const char *flag) -> std::string {
-            if (has_inline)
-                return inline_value;
-            if (i + 1 >= args.size()) {
-                throw std::invalid_argument(
-                    std::string(flag) + " needs a value");
-            }
-            return args[++i];
-        };
-        if (a == "--scenario") {
-            opt.scenario = next("--scenario");
-        } else if (a == "--app") {
-            opt.app = next("--app");
-        } else if (a == "--format") {
-            opt.format = next("--format");
-            if (opt.format != "text" && opt.format != "csv" &&
-                opt.format != "json") {
-                throw std::invalid_argument(
-                    "--format must be text, csv or json (got " +
-                    opt.format + ")");
-            }
-        } else if (!a.empty() && a[0] == '-') {
-            throw std::invalid_argument("unknown option: " + a);
-        } else if (opt.path.empty()) {
-            opt.path = a;
-        } else {
-            throw std::invalid_argument(
-                "unexpected argument: " + a);
-        }
-    }
-    if (opt.path.empty())
-        throw std::invalid_argument("no trace file given");
+    opt.path = onePath(
+        Flags("alerts")
+            .value("--scenario",
+                   [&](const std::string &v) { opt.scenario = v; })
+            .value("--app", [&](const std::string &v) { opt.app = v; })
+            .value("--format",
+                   [&](const std::string &v) {
+                       opt.format =
+                           oneOf(v, "--format", {"text", "csv", "json"});
+                   })
+            .parse(args));
     return opt;
 }
 

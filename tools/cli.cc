@@ -6,22 +6,13 @@
 #include "cli.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "apps/catalog.hh"
 #include "cluster/oracle.hh"
-#include "exec/jobs.hh"
-#include "fault/plan.hh"
 #include "exec/scenario_runner.hh"
-#include "obs/metrics.hh"
-#include "obs/span.hh"
-#include "obs/timeseries.hh"
-#include "obs/trace_sink.hh"
 #include "report/csv.hh"
 #include "report/table.hh"
 #include "sched/registry.hh"
@@ -34,14 +25,6 @@ namespace
 
 using sched::makeScheduler;
 
-/** Apply --jobs (0 keeps the AHQ_JOBS / hardware default). */
-void
-applyJobs(const SimulateOptions &opt)
-{
-    if (opt.jobs > 0)
-        exec::setDefaultJobs(opt.jobs);
-}
-
 std::vector<std::string>
 splitCsvRow(const std::string &line)
 {
@@ -53,55 +36,53 @@ splitCsvRow(const std::string &line)
     return cells;
 }
 
-double
-parseDouble(const std::string &s, const std::string &what)
+/**
+ * Parse a run verb whose positionals are app specs ("name=load" LC
+ * entries and bare BE names). With `require_apps`, at least one
+ * must be given; chaos falls back to a canonical colocation.
+ */
+SimulateOptions
+parseAppRunArgs(Flags &flags, const std::vector<std::string> &args,
+                bool require_apps)
 {
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-        if (!std::isfinite(v))
-            throw std::invalid_argument("not finite");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument(
-            "bad " + what + ": '" + s +
-            "' (expected a finite number)");
+    SimulateOptions opt;
+    for (const auto &spec : parseRunFlags(flags, opt, args)) {
+        const auto eq = spec.find('=');
+        if (eq == std::string::npos) {
+            opt.beApps.push_back(spec);
+        } else {
+            opt.lcApps.emplace_back(
+                spec.substr(0, eq),
+                parseNumber(spec.substr(eq + 1), "load"));
+        }
     }
+    if (require_apps && opt.lcApps.empty() && opt.beApps.empty()) {
+        throw std::invalid_argument(
+            "no applications given (expected app=load or be_app)");
+    }
+    return opt;
 }
 
-/** Parses an integer flag value; fractional input is an error. */
-long long
-parseInt(const std::string &s, const std::string &what)
+/** The colocation of opt's app specs: LC apps first, in order. */
+std::vector<cluster::ColocatedApp>
+colocation(const SimulateOptions &opt)
 {
-    try {
-        std::size_t used = 0;
-        const long long v = std::stoll(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument(
-            "bad " + what + ": '" + s + "' (expected an integer)");
-    }
-}
-
-/** parseInt plus a minimum, with the range in the error message. */
-long long
-parseIntAtLeast(const std::string &s, const std::string &flag,
-                long long min_v)
-{
-    const long long v = parseInt(s, flag);
-    if (v < min_v) {
-        throw std::invalid_argument(
-            flag + " must be >= " + std::to_string(min_v) +
-            " (got " + s + ")");
-    }
-    return v;
+    std::vector<cluster::ColocatedApp> apps;
+    for (const auto &[name, load] : opt.lcApps)
+        apps.push_back(cluster::lcAt(apps::byName(name), load));
+    for (const auto &name : opt.beApps)
+        apps.push_back(cluster::be(apps::byName(name)));
+    return apps;
 }
 
 } // namespace
+
+SimulateOptions
+parseSimulateArgs(const std::vector<std::string> &args)
+{
+    Flags flags("simulate");
+    return parseAppRunArgs(flags, args, /*require_apps=*/true);
+}
 
 /**
  * Print a run's blame ledger, largest attributed share first (ties
@@ -143,167 +124,6 @@ printSloSummary(std::ostream &out, const obs::SloSummary &slo)
         << report::TextTable::num(slo.worstBurn) << "\n";
 }
 
-SimulateOptions
-parseSimulateArgs(const std::vector<std::string> &args,
-                  bool require_apps)
-{
-    SimulateOptions opt;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string a = args[i];
-        // "--flag=value" is split here so every flag accepts both
-        // spellings; positional "app=load" specs never start with
-        // '-' and are untouched.
-        std::string inline_value;
-        bool has_inline = false;
-        if (a.rfind("--", 0) == 0) {
-            const auto eq = a.find('=');
-            if (eq != std::string::npos) {
-                inline_value = a.substr(eq + 1);
-                a = a.substr(0, eq);
-                has_inline = true;
-            }
-        }
-        auto next = [&](const char *flag) -> std::string {
-            if (has_inline)
-                return inline_value;
-            if (i + 1 >= args.size()) {
-                throw std::invalid_argument(
-                    std::string(flag) + " needs a value");
-            }
-            return args[++i];
-        };
-        if (a == "--strategy") {
-            opt.strategy = next("--strategy");
-        } else if (a == "--duration") {
-            opt.durationSeconds =
-                parseDouble(next("--duration"), "--duration");
-            if (opt.durationSeconds <= 0.0) {
-                throw std::invalid_argument(
-                    "--duration must be a positive number of "
-                    "seconds (got " +
-                    std::to_string(opt.durationSeconds) + ")");
-            }
-        } else if (a == "--warmup") {
-            opt.warmupEpochs = static_cast<int>(
-                parseIntAtLeast(next("--warmup"), "--warmup", 0));
-        } else if (a == "--cores") {
-            opt.cores = static_cast<int>(
-                parseIntAtLeast(next("--cores"), "--cores", 1));
-        } else if (a == "--ways") {
-            opt.ways = static_cast<int>(
-                parseIntAtLeast(next("--ways"), "--ways", 1));
-        } else if (a == "--bw") {
-            opt.bwUnits = static_cast<int>(
-                parseIntAtLeast(next("--bw"), "--bw", 1));
-        } else if (a == "--seed") {
-            opt.seed = static_cast<std::uint64_t>(
-                parseIntAtLeast(next("--seed"), "--seed", 0));
-        } else if (a == "--percentile") {
-            opt.percentile =
-                parseDouble(next("--percentile"), "--percentile");
-            if (opt.percentile <= 0.0 || opt.percentile >= 1.0) {
-                throw std::invalid_argument(
-                    "--percentile must be in (0, 1), got " +
-                    std::to_string(opt.percentile));
-            }
-        } else if (a == "--ri") {
-            opt.ri = parseDouble(next("--ri"), "--ri");
-            if (opt.ri < 0.0 || opt.ri > 1.0) {
-                throw std::invalid_argument(
-                    "--ri must be within [0, 1] (Eq. 7 weights "
-                    "E_LC by RI), got " +
-                    std::to_string(opt.ri));
-            }
-        } else if (a == "--check") {
-            opt.checkMode = check::modeFromString(next("--check"));
-            opt.checkModeExplicit = true;
-        } else if (a == "--faults") {
-            opt.faultsPath = next("--faults");
-        } else if (a == "--csv") {
-            opt.csvPath = next("--csv");
-        } else if (a == "--trace") {
-            opt.tracePath = next("--trace");
-        } else if (a == "--trace-sample") {
-            opt.traceSampleRate = parseDouble(
-                next("--trace-sample"), "--trace-sample");
-            if (opt.traceSampleRate < 0.0 ||
-                opt.traceSampleRate > 1.0) {
-                throw std::invalid_argument(
-                    "--trace-sample must be within [0, 1] (the "
-                    "per-epoch keep probability), got " +
-                    std::to_string(opt.traceSampleRate));
-            }
-        } else if (a == "--metrics") {
-            if (has_inline) {
-                throw std::invalid_argument(
-                    "--metrics does not take a value");
-            }
-            opt.dumpMetrics = true;
-        } else if (a == "--attribute") {
-            if (has_inline) {
-                throw std::invalid_argument(
-                    "--attribute does not take a value");
-            }
-            opt.attribute = true;
-        } else if (a == "--slo") {
-            if (has_inline) {
-                throw std::invalid_argument(
-                    "--slo does not take a value");
-            }
-            opt.slo = true;
-        } else if (a == "--profile") {
-            if (has_inline) {
-                throw std::invalid_argument(
-                    "--profile does not take a value");
-            }
-            opt.profile = true;
-        } else if (a == "--jobs") {
-            opt.jobs = static_cast<int>(
-                parseIntAtLeast(next("--jobs"), "--jobs", 1));
-        } else if (!a.empty() && a[0] == '-') {
-            throw std::invalid_argument("unknown option: " + a);
-        } else {
-            const auto eq = a.find('=');
-            if (eq == std::string::npos) {
-                opt.beApps.push_back(a);
-            } else {
-                opt.lcApps.emplace_back(
-                    a.substr(0, eq),
-                    parseDouble(a.substr(eq + 1), "load"));
-            }
-        }
-    }
-    if (require_apps && opt.lcApps.empty() && opt.beApps.empty()) {
-        throw std::invalid_argument(
-            "no applications given (expected app=load or be_app)");
-    }
-    if (opt.tracePath.empty()) {
-        if (const char *env = std::getenv("AHQ_TRACE"))
-            opt.tracePath = env;
-    }
-    if (opt.faultsPath.empty()) {
-        if (const char *env = std::getenv("AHQ_FAULTS"))
-            opt.faultsPath = env;
-    }
-    if (!opt.profile) {
-        if (const char *env = std::getenv("AHQ_PROF"))
-            opt.profile = env[0] != '\0' &&
-                std::string(env) != "0";
-    }
-    return opt;
-}
-
-void
-rejectProfileAndCsv(const SimulateOptions &opt, const std::string &verb)
-{
-    if (opt.profile) {
-        throw std::invalid_argument(
-            verb + " does not support --profile (or AHQ_PROF) yet");
-    }
-    if (!opt.csvPath.empty())
-        throw std::invalid_argument(verb + " does not support --csv");
-}
-
 void
 parseObservationsCsv(const std::string &path,
                      std::vector<core::LcObservation> &lc,
@@ -330,16 +150,16 @@ parseObservationsCsv(const std::string &path,
                 throw std::invalid_argument(
                     where + ": lc rows need 5 columns");
             }
-            lc.push_back({parseDouble(cells[2], "ideal_ms"),
-                          parseDouble(cells[3], "actual_ms"),
-                          parseDouble(cells[4], "threshold_ms")});
+            lc.push_back({parseNumber(cells[2], "ideal_ms"),
+                          parseNumber(cells[3], "actual_ms"),
+                          parseNumber(cells[4], "threshold_ms")});
         } else if (cells[0] == "be") {
             if (cells.size() < 4) {
                 throw std::invalid_argument(
                     where + ": be rows need 4 columns");
             }
-            be.push_back({parseDouble(cells[2], "ipc_solo"),
-                          parseDouble(cells[3], "ipc_real")});
+            be.push_back({parseNumber(cells[2], "ipc_solo"),
+                          parseNumber(cells[3], "ipc_real")});
         } else {
             throw std::invalid_argument(
                 where + ": kind must be 'lc' or 'be'");
@@ -395,69 +215,18 @@ runSimulate(const std::vector<std::string> &args, std::ostream &out,
     }
 
     try {
-        applyJobs(opt);
-        std::vector<cluster::ColocatedApp> colocated;
-        for (const auto &[name, load] : opt.lcApps)
-            colocated.push_back(
-                cluster::lcAt(apps::byName(name), load));
-        for (const auto &name : opt.beApps)
-            colocated.push_back(cluster::be(apps::byName(name)));
-
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(opt.cores, opt.ways,
-                                           opt.bwUnits);
-        cluster::Node node(mc, std::move(colocated));
-
-        cluster::SimulationConfig cfg;
-        cfg.durationSeconds = opt.durationSeconds;
-        cfg.warmupEpochs = opt.warmupEpochs;
-        cfg.seed = opt.seed;
-        cfg.tailPercentile = opt.percentile;
-        cfg.ri = opt.ri;
-        cfg.checkMode = opt.checkMode;
-        cfg.traceSampleRate = opt.traceSampleRate;
-        cfg.attribute = opt.attribute;
-        cfg.slo = opt.slo;
-
-        // The plan must outlive the run: cfg holds a pointer.
-        fault::FaultPlan plan;
-        if (!opt.faultsPath.empty()) {
-            plan = fault::FaultPlan::fromFile(opt.faultsPath);
-            cfg.faults = &plan;
-        }
-
-        std::unique_ptr<obs::FileTraceSink> sink;
-        obs::MetricsRegistry metrics;
-        obs::SpanProfiler prof;
-        obs::TimeSeriesRegistry tseries;
-        if (!opt.tracePath.empty()) {
-            sink = std::make_unique<obs::FileTraceSink>(
-                opt.tracePath);
-            cfg.obs.sink = sink.get();
-            cfg.obs.scenario = opt.strategy;
-            // Time-series record every epoch regardless of
-            // --trace-sample, so `ahq timeline` sees the full run
-            // even from a heavily sampled trace.
-            cfg.obs.series = &tseries;
-        }
-        if (opt.dumpMetrics || sink || opt.profile)
-            cfg.obs.metrics = &metrics;
-        if (opt.profile) {
-            cfg.obs.prof = &prof;
-            // A single run owns its trace, so the span events may
-            // carry wall-clock fields (they differ run to run, but
-            // there is no --jobs fan-out here to stay identical
-            // across).
-            cfg.obs.wallClock = true;
-            if (cfg.obs.scenario.empty())
-                cfg.obs.scenario = opt.strategy;
-        }
-
+        auto apps = colocation(opt);
+        RunContext ctx(opt, opt.strategy);
+        // A single run owns its trace, so the span events may carry
+        // wall-clock fields (they differ run to run, but there is no
+        // --jobs fan-out here to stay identical across).
+        ctx.config.obs.wallClock = true;
+        cluster::Node node(ctx.machine(), std::move(apps));
         const auto sched = makeScheduler(opt.strategy);
-        cluster::EpochSimulator sim(node, cfg);
+        cluster::EpochSimulator sim(node, ctx.config);
         const auto res = sim.run(*sched);
         if (opt.profile)
-            prof.flush(cfg.obs);
+            ctx.prof.flush(ctx.config.obs);
 
         report::TextTable t({"app", "kind", "tail (ms)",
                              "threshold", "IPC", "IPC solo"});
@@ -508,19 +277,7 @@ runSimulate(const std::vector<std::string> &args, std::ostream &out,
             }
             out << "timeline written to " << opt.csvPath << "\n";
         }
-        if (opt.profile) {
-            out << "profile (span tree):\n";
-            printSpanProfile(out, prof, /*wall_times=*/true);
-        }
-        if (sink) {
-            // Series events come last: the folded per-run
-            // summaries close the trace deterministically.
-            tseries.flush(cfg.obs);
-            sink->flush();
-            out << "trace written to " << sink->path() << "\n";
-        }
-        if (opt.dumpMetrics)
-            metrics.print(out);
+        ctx.finish(out, "profile (span tree):");
         return 0;
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
@@ -532,56 +289,25 @@ int
 runOracle(const std::vector<std::string> &args, std::ostream &out,
           std::ostream &err)
 {
-    // Reuse the simulate grammar; --waystep rides on top.
-    std::vector<std::string> passthrough;
-    int way_step = 2;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string value;
-        if (args[i] == "--waystep") {
-            if (i + 1 >= args.size()) {
-                err << "error: --waystep needs a value\n";
-                return 2;
-            }
-            value = args[++i];
-        } else if (args[i].rfind("--waystep=", 0) == 0) {
-            value = args[i].substr(std::string("--waystep=").size());
-        } else {
-            passthrough.push_back(args[i]);
-            continue;
-        }
-        try {
-            way_step = static_cast<int>(
-                parseIntAtLeast(value, "--waystep", 1));
-        } catch (const std::exception &e) {
-            err << "error: " << e.what() << "\n";
-            return 2;
-        }
-    }
-
     SimulateOptions opt;
+    cluster::OracleConfig ocfg;
     try {
-        opt = parseSimulateArgs(passthrough);
+        Flags flags("oracle");
+        flags.value("--waystep", [&](const std::string &v) {
+            ocfg.wayStep = parseCount(v, "--waystep", 1);
+        });
+        opt = parseAppRunArgs(flags, args, /*require_apps=*/true);
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
         return 2;
     }
 
     try {
-        applyJobs(opt);
-        std::vector<cluster::ColocatedApp> colocated;
-        for (const auto &[name, load] : opt.lcApps)
-            colocated.push_back(
-                cluster::lcAt(apps::byName(name), load));
-        for (const auto &name : opt.beApps)
-            colocated.push_back(cluster::be(apps::byName(name)));
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(opt.cores, opt.ways,
-                                           opt.bwUnits);
-        cluster::Node node(mc, std::move(colocated));
-
-        cluster::OracleConfig ocfg;
-        ocfg.wayStep = way_step;
-        ocfg.tailPercentile = opt.percentile;
+        auto apps = colocation(opt);
+        RunContext ctx(opt, "");
+        cluster::Node node(ctx.machine(), std::move(apps));
+        ocfg.tailPercentile = ctx.config.tailPercentile;
+        ocfg.ri = ctx.config.ri;
 
         const auto iso = cluster::bestIsolatedPartition(node, ocfg);
         const auto hyb = cluster::bestHybridPartition(node, ocfg);
@@ -608,7 +334,8 @@ runSweep(const std::vector<std::string> &args, std::ostream &out,
 {
     SimulateOptions opt;
     try {
-        opt = parseSimulateArgs(args);
+        Flags flags("sweep");
+        opt = parseAppRunArgs(flags, args, /*require_apps=*/true);
         if (opt.lcApps.empty()) {
             throw std::invalid_argument(
                 "sweep needs at least one LC app (app=load)");
@@ -619,86 +346,32 @@ runSweep(const std::vector<std::string> &args, std::ostream &out,
     }
 
     try {
-        applyJobs(opt);
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(opt.cores, opt.ways,
-                                           opt.bwUnits);
+        const auto apps = colocation(opt);
+        RunContext ctx(opt, "");
+        const auto mc = ctx.machine();
         const std::vector<std::string> strategies{
             "Unmanaged", "LC-first", "PARTIES", "CLITE", "ARQ"};
         const std::vector<double> loads{0.1, 0.3, 0.5, 0.7, 0.9};
-
-        // Shared by every job below; must outlive runner.run().
-        fault::FaultPlan plan;
-        const bool faulting = !opt.faultsPath.empty();
-        if (faulting)
-            plan = fault::FaultPlan::fromFile(opt.faultsPath);
-
-        std::unique_ptr<obs::FileTraceSink> sink;
-        obs::MetricsRegistry metrics;
-        obs::SpanProfiler prof;
-        obs::TimeSeriesRegistry tseries;
-        obs::Scope scope;
-        if (!opt.tracePath.empty()) {
-            sink = std::make_unique<obs::FileTraceSink>(
-                opt.tracePath);
-            scope.sink = sink.get();
-            // Per-job scenario tags keep concurrent jobs on
-            // disjoint series; the flush below walks the sorted
-            // key set, so the series block is byte-identical at
-            // any --jobs.
-            scope.series = &tseries;
-        }
-        if (opt.dumpMetrics || sink || opt.profile)
-            scope.metrics = &metrics;
-        // wallClock stays off: the runner fans jobs across --jobs
-        // threads, and span-bearing traces must stay byte-identical
-        // at any thread count. The console tree below still shows
-        // wall times (stdout is not the trace).
-        if (opt.profile)
-            scope.prof = &prof;
 
         // One tagged job per (load, strategy), fanned across the
         // pool; results and (while tracing) trace buffers come back
         // in job order, so the output is identical at any --jobs.
         std::vector<exec::ScenarioJob> jobs;
         for (double load : loads) {
-            std::vector<cluster::ColocatedApp> colocated;
-            colocated.push_back(
-                cluster::lcAt(apps::byName(opt.lcApps[0].first),
-                              load));
-            for (std::size_t i = 1; i < opt.lcApps.size(); ++i) {
-                colocated.push_back(cluster::lcAt(
-                    apps::byName(opt.lcApps[i].first),
-                    opt.lcApps[i].second));
-            }
-            for (const auto &name : opt.beApps)
-                colocated.push_back(
-                    cluster::be(apps::byName(name)));
-            cluster::Node node(mc, std::move(colocated));
-
-            cluster::SimulationConfig cfg;
-            cfg.durationSeconds = opt.durationSeconds;
-            cfg.warmupEpochs = opt.warmupEpochs;
-            cfg.seed = opt.seed;
-            cfg.tailPercentile = opt.percentile;
-            cfg.ri = opt.ri;
-            cfg.checkMode = opt.checkMode;
-            cfg.traceSampleRate = opt.traceSampleRate;
-            cfg.attribute = opt.attribute;
-            cfg.slo = opt.slo;
-            if (faulting)
-                cfg.faults = &plan;
-
+            auto swept = apps;
+            swept[0] = cluster::lcAt(
+                apps::byName(opt.lcApps[0].first), load);
+            const cluster::Node node(mc, std::move(swept));
             const std::string load_tag =
                 report::TextTable::num(load * 100, 0) + "%";
             for (const auto &name : strategies) {
-                jobs.push_back({name, node, cfg,
+                jobs.push_back({name, node, ctx.config,
                                 name + "@" + load_tag});
             }
         }
 
         exec::ScenarioRunner runner;
-        runner.setObsScope(scope);
+        runner.setObsScope(ctx.config.obs);
         const auto results = runner.run(jobs);
 
         std::vector<std::string> header{opt.lcApps[0].first +
@@ -719,17 +392,7 @@ runSweep(const std::vector<std::string> &args, std::ostream &out,
         out << "E_S by strategy ("
             << opt.lcApps[0].first << " sweeping):\n";
         t.print(out);
-        if (opt.profile) {
-            out << "profile (span tree, all scenarios merged):\n";
-            printSpanProfile(out, prof, /*wall_times=*/true);
-        }
-        if (sink) {
-            tseries.flush(scope);
-            sink->flush();
-            out << "trace written to " << sink->path() << "\n";
-        }
-        if (opt.dumpMetrics)
-            metrics.print(out);
+        ctx.finish(out, "profile (span tree, all scenarios merged):");
         return 0;
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
@@ -743,14 +406,14 @@ runChaos(const std::vector<std::string> &args, std::ostream &out,
 {
     SimulateOptions opt;
     try {
-        opt = parseSimulateArgs(args, /*require_apps=*/false);
+        Flags flags("chaos");
+        opt = parseAppRunArgs(flags, args, /*require_apps=*/false);
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
         return 2;
     }
 
     try {
-        applyJobs(opt);
         // Canonical chaos colocation when no apps were given.
         if (opt.lcApps.empty() && opt.beApps.empty()) {
             opt.lcApps = {{"xapian", 0.5},
@@ -758,70 +421,32 @@ runChaos(const std::vector<std::string> &args, std::ostream &out,
                           {"img-dnn", 0.2}};
             opt.beApps = {"stream"};
         }
-        std::vector<cluster::ColocatedApp> colocated;
-        for (const auto &[name, load] : opt.lcApps)
-            colocated.push_back(
-                cluster::lcAt(apps::byName(name), load));
-        for (const auto &name : opt.beApps)
-            colocated.push_back(cluster::be(apps::byName(name)));
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(opt.cores, opt.ways,
-                                           opt.bwUnits);
-        cluster::Node node(mc, std::move(colocated));
-
-        const fault::FaultPlan plan =
-            opt.faultsPath.empty()
-                ? fault::FaultPlan::builtinChaos()
-                : fault::FaultPlan::fromFile(opt.faultsPath);
-
-        cluster::SimulationConfig cfg;
-        cfg.durationSeconds = opt.durationSeconds;
-        cfg.warmupEpochs = opt.warmupEpochs;
-        cfg.seed = opt.seed;
-        cfg.tailPercentile = opt.percentile;
-        cfg.ri = opt.ri;
+        auto apps = colocation(opt);
+        RunContext ctx(opt, "");
+        cluster::Node node(ctx.machine(), std::move(apps));
+        if (opt.faultsPath.empty()) {
+            ctx.plan = fault::FaultPlan::builtinChaos();
+            ctx.config.faults = &ctx.plan;
+        }
         // Chaos exists to prove the invariants hold under faults,
         // so the auditor is strict unless --check says otherwise.
-        cfg.checkMode = opt.checkModeExplicit ? opt.checkMode
-                                              : check::Mode::Strict;
-        cfg.faults = &plan;
-        cfg.traceSampleRate = opt.traceSampleRate;
-        cfg.attribute = opt.attribute;
-        cfg.slo = opt.slo;
-
-        std::unique_ptr<obs::FileTraceSink> sink;
-        obs::MetricsRegistry metrics;
-        obs::SpanProfiler prof;
-        obs::TimeSeriesRegistry tseries;
-        obs::Scope scope;
-        if (!opt.tracePath.empty()) {
-            sink = std::make_unique<obs::FileTraceSink>(
-                opt.tracePath);
-            scope.sink = sink.get();
-            // As in sweep: per-strategy tags keep the series
-            // disjoint and the sorted flush keeps them
-            // byte-identical at any --jobs.
-            scope.series = &tseries;
-        }
+        if (!opt.checkModeExplicit)
+            ctx.config.checkMode = check::Mode::Strict;
         // Metrics are always on: the summary below reads them.
-        scope.metrics = &metrics;
-        // As in sweep: profiler on, wallClock off (trace identity
-        // across --jobs).
-        if (opt.profile)
-            scope.prof = &prof;
+        ctx.config.obs.metrics = &ctx.metrics;
 
         std::vector<exec::ScenarioJob> jobs;
         for (const auto &name : sched::allStrategyNames())
-            jobs.push_back({name, node, cfg, name});
+            jobs.push_back({name, node, ctx.config, name});
 
         exec::ScenarioRunner runner;
-        runner.setObsScope(scope);
+        runner.setObsScope(ctx.config.obs);
         const auto results = runner.run(jobs);
 
         out << "chaos over " << node.describe() << " ("
             << (opt.faultsPath.empty() ? "built-in plan"
                                        : opt.faultsPath)
-            << ", check=" << check::toString(cfg.checkMode)
+            << ", check=" << check::toString(ctx.config.checkMode)
             << "):\n";
         report::TextTable t(
             {"strategy", "E_S", "yield", "violations"});
@@ -836,7 +461,7 @@ runChaos(const std::vector<std::string> &args, std::ostream &out,
 
         auto line = [&](const char *label, const char *name) {
             out << "  " << label << " = "
-                << static_cast<long long>(metrics.counter(name))
+                << static_cast<long long>(ctx.metrics.counter(name))
                 << "\n";
         };
         out << "fault injection:\n";
@@ -847,17 +472,7 @@ runChaos(const std::vector<std::string> &args, std::ostream &out,
         line("measurement recoveries", "recovery.measurement");
         line("actuation retries won", "recovery.actuation_retry");
 
-        if (opt.profile) {
-            out << "profile (span tree, all strategies merged):\n";
-            printSpanProfile(out, prof, /*wall_times=*/true);
-        }
-        if (sink) {
-            tseries.flush(scope);
-            sink->flush();
-            out << "trace written to " << sink->path() << "\n";
-        }
-        if (opt.dumpMetrics)
-            metrics.print(out);
+        ctx.finish(out, "profile (span tree, all strategies merged):");
         return 0;
     } catch (const check::InvariantViolation &e) {
         err << "invariant violation under faults: " << e.what()
@@ -922,13 +537,15 @@ dispatch(const std::vector<std::string> &argv, std::ostream &out,
               "  fleet [opts]               datacenter-scale fleet "
               "under the global load generator (--nodes N --lc N "
               "--be N --tenants M --zipf S --rebalance-every E "
-              "--spread T --keep-epochs)\n"
+              "--spread T)\n"
               "  experiment <verb> [opts]   online A/B policy "
               "experiment on the fleet: design | run | analyze | "
               "verdict (--design switchback|interleaved --arm-a S "
               "--arm-b S --nodes N --blocks N --block-epochs N "
-              "--resamples N --confidence C)\n"
-              "  oracle [opts] app=load..   best static partitions\n"
+              "--resamples N --confidence C; run also takes the "
+              "fleet's --lc --be --tenants --zipf)\n"
+              "  oracle [opts] app=load..   best static partitions "
+              "(--waystep N)\n"
               "  trace <file.jsonl>         summarise a --trace "
               "run\n"
               "  why [opts] <file.jsonl>    blame table from a "
@@ -951,10 +568,9 @@ dispatch(const std::vector<std::string> &argv, std::ostream &out,
               "  strategies                 scheduler registry\n"
               "  checks                     invariant-audit "
               "registry\n"
-              "options (simulate/sweep/oracle): --strategy S "
-              "--duration S --warmup N\n"
-              "  --cores N --ways N --bw N --seed N "
-              "--percentile P --ri R --csv FILE --waystep N\n"
+              "shared run flags: --strategy S --duration S "
+              "--warmup N --cores N --ways N\n"
+              "  --bw N --seed N --percentile P --ri R --csv FILE\n"
               "  --jobs N (worker threads; default AHQ_JOBS or "
               "all cores)\n"
               "  --trace FILE (JSONL decision trace; env "
@@ -963,8 +579,9 @@ dispatch(const std::vector<std::string> &argv, std::ostream &out,
               "with probability R in [0,1]; seeded, so sampled "
               "traces stay byte-identical at any --jobs)\n"
               "  --profile (span profiler + tree; env AHQ_PROF; "
-              "sweep/chaos keep traces byte-identical; fleet and "
-              "experiment reject it, and --csv)\n"
+              "only simulate's trace carries wall times, so every "
+              "fan-out verb's trace is byte-identical at any "
+              "--jobs)\n"
               "  --attribute (counterfactual interference "
               "attribution: blame ledger + attribution trace "
               "events) --slo (burn-rate SLO alerts)\n"
@@ -974,7 +591,20 @@ dispatch(const std::vector<std::string> &argv, std::ostream &out,
               "chaos defaults to a built-in plan; fleet fails "
               "crashed nodes over)\n"
               "  (flags also accept --flag=value)\n"
-              "strategies (--strategy):";
+              "shared run flags each verb honours (any other "
+              "exits 2):\n";
+        for (const auto &verb : runVerbs()) {
+            std::string line = "  " + verb.name + ":";
+            for (const auto &flag : verb.honoured) {
+                if (line.size() + 1 + flag.size() > 78) {
+                    os << line << "\n";
+                    line = "   ";
+                }
+                line += " " + flag;
+            }
+            os << line << "\n";
+        }
+        os << "strategies (--strategy):";
         for (const auto &s : sched::allStrategyNames())
             os << " " << s;
         os << "\n";

@@ -15,13 +15,22 @@
  *       strict invariant auditor watching (see docs/FAULTS.md).
  *   ahq apps | ahq strategies
  *       List the catalogue / the strategy registry.
+ *
+ * Every verb parses its arguments through one grammar (Flags), and
+ * every run verb turns the shared run flags into its simulation
+ * settings and telemetry through one RunContext. Each run verb
+ * declares the shared flags it honours (runVerbs()); any other
+ * shared flag — or the AHQ_TRACE / AHQ_FAULTS / AHQ_PROF variable
+ * standing in for one — exits 2 naming the flag and the verb.
  */
 
 #ifndef AHQ_TOOLS_CLI_HH
 #define AHQ_TOOLS_CLI_HH
 
+#include <functional>
+#include <limits>
 #include <map>
-#include <optional>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -29,14 +38,112 @@
 #include "check/check.hh"
 #include "cluster/epoch_sim.hh"
 #include "core/entropy.hh"
+#include "fault/plan.hh"
+#include "obs/metrics.hh"
+#include "obs/span.hh"
+#include "obs/timeseries.hh"
+#include "obs/trace_sink.hh"
 
-namespace ahq::obs
+namespace ahq::trace
 {
-class SpanProfiler;
-} // namespace ahq::obs
+struct FleetLoadConfig;
+} // namespace ahq::trace
 
 namespace ahq::cli
 {
+
+/**
+ * Parse an integer flag value. Fractional or trailing input, and
+ * values outside [min_v, max_v], fail with a message naming the flag
+ * and the accepted range.
+ *
+ * @throws std::invalid_argument
+ */
+long long parseInt(const std::string &s, const std::string &flag,
+                   long long min_v =
+                       std::numeric_limits<long long>::min(),
+                   long long max_v =
+                       std::numeric_limits<long long>::max());
+
+/** parseInt() for an int-valued count. */
+int parseCount(const std::string &s, const std::string &flag, int min_v,
+               int max_v = std::numeric_limits<int>::max());
+
+/**
+ * Parse a finite number; NaN, infinities and trailing input fail
+ * with a message naming the flag.
+ *
+ * @throws std::invalid_argument
+ */
+double parseNumber(const std::string &s, const std::string &flag);
+
+/**
+ * `value` if it is one of `choices`, else an error naming the flag.
+ *
+ * @throws std::invalid_argument
+ */
+std::string oneOf(const std::string &value, const std::string &flag,
+                  const std::vector<std::string> &choices);
+
+/**
+ * The flag grammar every `ahq` verb parses through. A verb registers
+ * the flags it accepts; parse() splits "--flag value" and
+ * "--flag=value", hands each value to its flag's setter and returns
+ * the positional arguments in order. An argument starting with '-'
+ * that the verb did not register, or unregistered with reject(),
+ * fails naming the flag and the verb.
+ */
+class Flags
+{
+  public:
+    /** @param verb The verb named in error messages. */
+    explicit Flags(std::string verb) : verb_(std::move(verb)) {}
+
+    /** A flag taking a value; re-registering a name replaces it. */
+    Flags &value(const std::string &name,
+                 std::function<void(const std::string &)> set);
+
+    /** A flag taking no value. */
+    Flags &toggle(const std::string &name, std::function<void()> set);
+
+    /** Unregister a flag, so parse() refuses it. */
+    Flags &reject(const std::string &name);
+
+    const std::string &verb() const { return verb_; }
+
+    /** @throws std::invalid_argument on any malformed argument. */
+    std::vector<std::string>
+    parse(const std::vector<std::string> &args) const;
+
+  private:
+    struct Spec
+    {
+        bool takesValue = false;
+        std::function<void(const std::string &)> set;
+    };
+    std::string verb_;
+    std::map<std::string, Spec> specs_;
+};
+
+/**
+ * The one positional argument (a trace file) an analysis verb takes.
+ *
+ * @throws std::invalid_argument when there is none or more than one.
+ */
+std::string onePath(const std::vector<std::string> &positional);
+
+/** A run verb and the shared run flags it honours. */
+struct RunVerb
+{
+    std::string name;
+    std::vector<std::string> honoured;
+};
+
+/**
+ * Every run verb with the shared flags it honours, in usage order —
+ * the table `ahq help` prints and RunContext enforces.
+ */
+const std::vector<RunVerb> &runVerbs();
 
 /** Parsed command line for the simulate subcommand. */
 struct SimulateOptions
@@ -111,8 +218,8 @@ struct SimulateOptions
      * Self-profile the run (--profile, or the AHQ_PROF environment
      * variable): attach a SpanProfiler to the hot paths and print
      * the span tree afterwards. simulate turns wall-clock fields on
-     * (a single run owns its trace); sweep/chaos keep them off so
-     * span-bearing traces stay byte-identical at any --jobs.
+     * (a single run owns its trace); every fan-out verb keeps them
+     * off so span-bearing traces stay byte-identical at any --jobs.
      */
     bool profile = false;
 
@@ -129,31 +236,72 @@ struct SimulateOptions
 };
 
 /**
- * Parse simulate-subcommand arguments (everything after the
- * subcommand word). Flags accept both "--flag value" and
- * "--flag=value". Numeric flags are validated eagerly — a
- * fractional --cores, a zero --jobs or an out-of-range --ri fails
- * here with a message naming the flag and the accepted range,
- * instead of surfacing later as a confusing simulation result.
+ * Parse a run verb's command line into `opt`: the shared run flags
+ * (those the verb of `flags` honours set `opt`, the others are
+ * refused), any verb-specific flags already registered on `flags`,
+ * then the AHQ_TRACE / AHQ_FAULTS / AHQ_PROF stand-ins. Numeric
+ * flags are validated eagerly — a fractional --cores, a zero --jobs
+ * or an out-of-range --ri fails here naming the flag and the
+ * accepted range. Returns the positional arguments.
  *
- * @param require_apps When true (the default) at least one app spec
- *        must be present; chaos passes false and falls back to a
- *        canonical colocation.
+ * @throws std::invalid_argument on malformed or refused input.
+ */
+std::vector<std::string>
+parseRunFlags(Flags &flags, SimulateOptions &opt,
+              const std::vector<std::string> &args);
+
+/**
+ * Register the --nodes/--lc/--be/--tenants/--zipf workload shape
+ * that fleet and experiment share, writing into `load`.
+ */
+void addWorkloadShape(Flags &flags, trace::FleetLoadConfig &load);
+
+/**
+ * Parse simulate's command line: every shared run flag, then at
+ * least one app spec ("name=load" LC entries and bare BE names).
  *
  * @throws std::invalid_argument on malformed input.
  */
-SimulateOptions
-parseSimulateArgs(const std::vector<std::string> &args,
-                  bool require_apps = true);
+SimulateOptions parseSimulateArgs(const std::vector<std::string> &args);
 
 /**
- * Reject the shared flags a multi-node verb cannot honour yet —
- * --profile / AHQ_PROF and --csv — instead of silently ignoring them.
- *
- * @throws std::invalid_argument naming the flag and the verb.
+ * One run's settings and telemetry, built from its parsed options:
+ * the common SimulationConfig fields, plus the fault plan, trace
+ * sink, metrics registry, span profiler and series registry that
+ * config points at. Not copyable — config points into it.
  */
-void rejectProfileAndCsv(const SimulateOptions &opt,
-                         const std::string &verb);
+class RunContext
+{
+  public:
+    /**
+     * Applies --jobs, loads --faults and opens --trace (throwing on
+     * a malformed plan or an unwritable path).
+     *
+     * @param scenario Scenario tag of the run's top-level events.
+     */
+    RunContext(const SimulateOptions &options, std::string scenario);
+
+    RunContext(const RunContext &) = delete;
+    RunContext &operator=(const RunContext &) = delete;
+
+    /** The node hardware, cut to --cores / --ways / --bw. */
+    machine::MachineConfig machine() const;
+
+    /**
+     * The finish sequence: the span tree (--profile, under
+     * `tree_title`), the series flush and sink flush (--trace), and
+     * the metrics dump (--metrics).
+     */
+    void finish(std::ostream &out, const std::string &tree_title);
+
+    const SimulateOptions &opt;
+    cluster::SimulationConfig config;
+    fault::FaultPlan plan;
+    std::unique_ptr<obs::FileTraceSink> sink;
+    obs::MetricsRegistry metrics;
+    obs::SpanProfiler prof;
+    obs::TimeSeriesRegistry series;
+};
 
 /**
  * Parse an observations CSV into entropy inputs.
@@ -176,7 +324,8 @@ int runSimulate(const std::vector<std::string> &args,
 /**
  * Run `ahq oracle`: search the best static partition of both
  * families (isolated / hybrid) for a colocation. Accepts the same
- * app specs and machine flags as simulate, plus --waystep.
+ * app specs and machine flags as simulate, --percentile, --ri (the
+ * search's E_S weighting), --jobs and --waystep.
  */
 int runOracle(const std::vector<std::string> &args,
               std::ostream &out, std::ostream &err);
@@ -187,8 +336,9 @@ int runOracle(const std::vector<std::string> &args,
  * a built-in plan when neither is given) and the invariant auditor
  * in strict mode unless --check overrides it. Prints the
  * per-strategy entropy table plus the fault / recovery counters.
- * Accepts simulate's grammar; app specs are optional (a canonical
- * chaos colocation is used when none are given).
+ * Accepts simulate's flags but --strategy/--csv; app specs are
+ * optional (a canonical chaos colocation is used when none are
+ * given).
  */
 int runChaos(const std::vector<std::string> &args, std::ostream &out,
              std::ostream &err);
@@ -201,10 +351,9 @@ int runChaos(const std::vector<std::string> &args, std::ostream &out,
  * --rebalance-every E the entropy-driven ClusterScheduler
  * migrates apps off the hottest node between E-epoch rounds
  * (--spread sets the trigger); without it one plain Fleet::run.
- * Accepts simulate's option grammar (no app specs — the generator
+ * Accepts the shared run flags (no app specs — the generator
  * synthesizes the workload) plus --nodes --lc --be --tenants
- * --zipf --rebalance-every --spread --keep-epochs
- * (implemented in fleet_cmd.cc).
+ * --zipf --rebalance-every --spread (implemented in fleet_cmd.cc).
  */
 int runFleet(const std::vector<std::string> &args, std::ostream &out,
              std::ostream &err);
@@ -220,8 +369,8 @@ int runFleet(const std::vector<std::string> &args, std::ostream &out,
  * `verdict` prints just the one-line outcome. Flags: --design
  * switchback|interleaved --arm-a S --arm-b S --nodes N --blocks N
  * --block-epochs N --resamples N --confidence C plus the fleet
- * workload shape (--lc --be --tenants --zipf) and simulate's
- * option grammar (implemented in experiment_cmd.cc).
+ * workload shape (--lc --be --tenants --zipf) and the shared run
+ * flags each verb honours (implemented in experiment_cmd.cc).
  */
 int runExperiment(const std::vector<std::string> &args,
                   std::ostream &out, std::ostream &err);
@@ -229,7 +378,8 @@ int runExperiment(const std::vector<std::string> &args,
 /**
  * Run `ahq sweep`: sweep the FIRST LC app's load from 10% to 90%
  * (its given load is ignored) under every strategy, printing the
- * E_S table — a command-line Fig. 8. Accepts simulate's grammar.
+ * E_S table — a command-line Fig. 8. Accepts simulate's flags but
+ * --strategy/--csv.
  */
 int runSweep(const std::vector<std::string> &args, std::ostream &out,
              std::ostream &err);

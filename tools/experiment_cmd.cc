@@ -15,17 +15,12 @@
 
 #include "cli.hh"
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "exec/jobs.hh"
 #include "experiment/harness.hh"
-#include "fault/plan.hh"
-#include "obs/metrics.hh"
 #include "obs/trace_reader.hh"
-#include "obs/trace_sink.hh"
 #include "report/table.hh"
 #include "sched/registry.hh"
 
@@ -34,130 +29,6 @@ namespace ahq::cli
 
 namespace
 {
-
-long long
-expInt(const std::string &s, const std::string &flag,
-       long long min_v)
-{
-    long long v = 0;
-    try {
-        std::size_t used = 0;
-        v = std::stoll(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-    } catch (const std::exception &) {
-        throw std::invalid_argument("bad " + flag + ": '" + s +
-                                    "' (expected an integer)");
-    }
-    if (v < min_v) {
-        throw std::invalid_argument(
-            flag + " must be >= " + std::to_string(min_v) +
-            " (got " + s + ")");
-    }
-    return v;
-}
-
-double
-expDouble(const std::string &s, const std::string &flag)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument(
-            "bad " + flag + ": '" + s +
-            "' (expected a number)");
-    }
-}
-
-/** Experiment-only flags, peeled off before parseSimulateArgs. */
-struct ExpFlags
-{
-    experiment::ExperimentDesign design;
-    experiment::EstimatorConfig estimator;
-    int lcPerNode = 2;
-    int bePerNode = 1;
-    int tenants = 64;
-    double zipfSkew = 1.1;
-};
-
-/**
- * Peel experiment flags; everything else lands in `rest` for
- * parseSimulateArgs (seed, jobs, trace, machine, faults, ...).
- */
-ExpFlags
-peelFlags(const std::vector<std::string> &args,
-          std::vector<std::string> &rest)
-{
-    ExpFlags f;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string a = args[i];
-        std::string inline_value;
-        bool has_inline = false;
-        if (a.rfind("--", 0) == 0) {
-            const auto eq = a.find('=');
-            if (eq != std::string::npos) {
-                inline_value = a.substr(eq + 1);
-                a = a.substr(0, eq);
-                has_inline = true;
-            }
-        }
-        auto next = [&](const char *flag) -> std::string {
-            if (has_inline)
-                return inline_value;
-            if (i + 1 >= args.size()) {
-                throw std::invalid_argument(
-                    std::string(flag) + " needs a value");
-            }
-            return args[++i];
-        };
-        if (a == "--design") {
-            f.design.kind = experiment::designKindFromName(
-                next("--design"));
-        } else if (a == "--arm-a") {
-            f.design.armA = next("--arm-a");
-        } else if (a == "--arm-b") {
-            f.design.armB = next("--arm-b");
-        } else if (a == "--nodes") {
-            f.design.numNodes = static_cast<int>(
-                expInt(next("--nodes"), "--nodes", 1));
-        } else if (a == "--blocks") {
-            f.design.blocksPerNode = static_cast<int>(
-                expInt(next("--blocks"), "--blocks", 2));
-        } else if (a == "--block-epochs") {
-            f.design.blockEpochs = static_cast<int>(expInt(
-                next("--block-epochs"), "--block-epochs", 1));
-        } else if (a == "--resamples") {
-            f.estimator.resamples = static_cast<int>(expInt(
-                next("--resamples"), "--resamples", 1));
-        } else if (a == "--confidence") {
-            f.estimator.confidence =
-                expDouble(next("--confidence"), "--confidence");
-            if (f.estimator.confidence <= 0.0 ||
-                f.estimator.confidence >= 1.0) {
-                throw std::invalid_argument(
-                    "--confidence must be in (0, 1)");
-            }
-        } else if (a == "--lc") {
-            f.lcPerNode = static_cast<int>(
-                expInt(next("--lc"), "--lc", 1));
-        } else if (a == "--be") {
-            f.bePerNode = static_cast<int>(
-                expInt(next("--be"), "--be", 0));
-        } else if (a == "--tenants") {
-            f.tenants = static_cast<int>(
-                expInt(next("--tenants"), "--tenants", 1));
-        } else if (a == "--zipf") {
-            f.zipfSkew = expDouble(next("--zipf"), "--zipf");
-        } else {
-            rest.push_back(args[i]);
-        }
-    }
-    return f;
-}
 
 std::string
 ciCell(const stats::ConfidenceInterval &ci)
@@ -219,11 +90,9 @@ blocksFromTrace(const std::string &path)
     return blocks;
 }
 
-int
-runDesignVerb(const ExpFlags &f, std::ostream &out)
+void
+printDesign(std::ostream &out, const experiment::ExperimentDesign &d)
 {
-    experiment::validateDesign(f.design);
-    const auto &d = f.design;
     out << "design: " << experiment::designKindName(d.kind)
         << ", A=" << d.armA << " B=" << d.armB << ", "
         << d.numNodes << " nodes x " << d.blocksPerNode
@@ -241,52 +110,17 @@ runDesignVerb(const ExpFlags &f, std::ostream &out)
         t.addRow({std::to_string(n), cells});
     }
     t.print(out);
-    return 0;
 }
 
-int
-runRunVerb(const ExpFlags &flags, const SimulateOptions &opt,
-           std::ostream &out)
+void
+runAndPrint(experiment::ExperimentRunConfig cfg,
+            const SimulateOptions &opt, std::ostream &out)
 {
-    experiment::ExperimentRunConfig cfg;
-    cfg.design = flags.design;
-    cfg.design.seed = opt.seed;
-    cfg.estimator = flags.estimator;
-    cfg.estimator.seed = opt.seed;
-    cfg.load.lcPerNode = flags.lcPerNode;
-    cfg.load.bePerNode = flags.bePerNode;
-    cfg.load.numTenants = flags.tenants;
-    cfg.load.zipfSkew = flags.zipfSkew;
-    cfg.load.seed = opt.seed;
-    cfg.machine = machine::MachineConfig::xeonE52630v4()
-                      .withAvailable(opt.cores, opt.ways,
-                                     opt.bwUnits);
-    cfg.base.seed = opt.seed;
-    cfg.base.tailPercentile = opt.percentile;
-    cfg.base.ri = opt.ri;
-    cfg.base.checkMode = opt.checkMode;
-    cfg.base.traceSampleRate = opt.traceSampleRate;
-
-    // Chaos-composed experiments: the same JSONL fault plans chaos
-    // runs accept are injected into every node of the experiment
-    // fleet (the plan outlives the run; it lives on this frame).
-    fault::FaultPlan plan;
-    if (!opt.faultsPath.empty()) {
-        plan = fault::FaultPlan::fromFile(opt.faultsPath);
-        cfg.base.faults = &plan;
-    }
-
-    std::unique_ptr<obs::FileTraceSink> sink;
-    obs::MetricsRegistry metrics;
-    if (!opt.tracePath.empty()) {
-        sink =
-            std::make_unique<obs::FileTraceSink>(opt.tracePath);
-        cfg.base.obs.sink = sink.get();
-        cfg.base.obs.scenario = "exp";
-    }
-    if (opt.dumpMetrics || sink)
-        cfg.base.obs.metrics = &metrics;
-
+    RunContext ctx(opt, "exp");
+    // Experiment traces carry no time series.
+    ctx.config.obs.series = nullptr;
+    cfg.machine = ctx.machine();
+    cfg.base = ctx.config;
     const auto res = experiment::runExperiment(cfg);
 
     out << "experiment: "
@@ -297,14 +131,14 @@ runRunVerb(const ExpFlags &flags, const SimulateOptions &opt,
         << res.design.blockEpochs << " epochs, "
         << res.policySwaps << " policy swaps\n";
     printEstimates(out, res.estimates, res.verdict);
-
-    if (sink) {
-        sink->flush();
-        out << "trace written to " << sink->path() << "\n";
+    if (opt.attribute && !res.attribution.empty()) {
+        out << "experiment blame ledger (top 12 by attributed "
+               "interference):\n";
+        printBlameTable(out, res.attribution, 12);
     }
-    if (opt.dumpMetrics)
-        metrics.print(out);
-    return 0;
+    if (opt.slo)
+        printSloSummary(out, res.slo);
+    ctx.finish(out, "profile (span tree, all nodes merged):");
 }
 
 } // namespace
@@ -319,44 +153,101 @@ runExperiment(const std::vector<std::string> &args,
         return 2;
     }
     const std::string verb = args[0];
-    const std::vector<std::string> tail(args.begin() + 1,
-                                        args.end());
+    if (verb != "design" && verb != "run" && verb != "analyze" &&
+        verb != "verdict") {
+        err << "unknown experiment verb: " << verb << "\n";
+        return 2;
+    }
+    const bool from_trace = verb == "analyze" || verb == "verdict";
 
-    if (verb == "analyze" || verb == "verdict") {
-        // Trace-driven verbs: flags + one positional trace path.
-        std::vector<std::string> rest;
-        ExpFlags flags;
-        std::string path;
-        try {
-            flags = peelFlags(tail, rest);
-            for (const auto &a : rest) {
-                if (a.rfind("--", 0) == 0) {
-                    throw std::invalid_argument(
-                        "unknown flag for " + verb + ": " + a);
-                }
-                if (!path.empty()) {
-                    throw std::invalid_argument(
-                        "exactly one trace file expected");
-                }
-                path = a;
-            }
-            if (path.empty())
+    SimulateOptions opt;
+    experiment::ExperimentRunConfig cfg;
+    cfg.load.numNodes = cfg.design.numNodes;
+    std::vector<std::string> positional;
+    try {
+        Flags flags("experiment " + verb);
+        if (!from_trace) {
+            addWorkloadShape(flags, cfg.load);
+            auto &d = cfg.design;
+            flags
+                .value("--design",
+                       [&](const std::string &v) {
+                           d.kind = experiment::designKindFromName(v);
+                       })
+                .value("--arm-a", [&](const std::string &v) { d.armA = v; })
+                .value("--arm-b", [&](const std::string &v) { d.armB = v; })
+                .value("--blocks",
+                       [&](const std::string &v) {
+                           d.blocksPerNode = parseCount(v, "--blocks", 2);
+                       })
+                .value("--block-epochs", [&](const std::string &v) {
+                    d.blockEpochs = parseCount(v, "--block-epochs", 1);
+                });
+        }
+        if (verb == "design") {
+            // The design is a pure function of (seed, geometry): it
+            // neither materializes the workload nor estimates.
+            for (const char *f : {"--lc", "--be", "--tenants", "--zipf"})
+                flags.reject(f);
+        } else {
+            auto &e = cfg.estimator;
+            flags
+                .value("--resamples",
+                       [&](const std::string &v) {
+                           e.resamples = parseCount(v, "--resamples", 1);
+                       })
+                .value("--confidence", [&](const std::string &v) {
+                    e.confidence = parseNumber(v, "--confidence");
+                    if (e.confidence <= 0.0 || e.confidence >= 1.0) {
+                        throw std::invalid_argument(
+                            "--confidence must be in (0, 1)");
+                    }
+                });
+        }
+        positional = parseRunFlags(
+            flags, opt, {args.begin() + 1, args.end()});
+        cfg.design.numNodes = cfg.load.numNodes;
+        cfg.design.seed = opt.seed;
+        cfg.estimator.seed = opt.seed;
+        cfg.load.seed = opt.seed;
+        if (from_trace) {
+            if (positional.size() != 1) {
                 throw std::invalid_argument(
-                    "trace file required");
-            const auto blocks = blocksFromTrace(path);
+                    positional.empty() ? "trace file required"
+                                       : "exactly one trace file "
+                                         "expected");
+            }
+        } else {
+            if (!positional.empty()) {
+                throw std::invalid_argument(
+                    "experiment synthesizes its workload from the "
+                    "global load generator; app specs are not "
+                    "accepted (shape it with --lc/--be/--tenants)");
+            }
+            // The arms must exist before any simulation starts.
+            sched::makeScheduler(cfg.design.armA);
+            sched::makeScheduler(cfg.design.armB);
+            experiment::validateDesign(cfg.design);
+        }
+    } catch (const std::exception &e) {
+        err << "error: " << e.what() << "\n";
+        return 2;
+    }
+
+    if (from_trace) {
+        try {
+            const auto blocks = blocksFromTrace(positional[0]);
             if (blocks.empty()) {
                 err << "error: no experiment_block events in "
-                    << path << "\n";
+                    << positional[0] << "\n";
                 return 1;
             }
-            const auto est = experiment::estimate(
-                blocks, flags.estimator);
+            const auto est = experiment::estimate(blocks, cfg.estimator);
             const auto verdict = experiment::verdictOf(est);
-            if (verb == "verdict") {
+            if (verb == "verdict")
                 out << experiment::verdictName(verdict) << "\n";
-            } else {
+            else
                 printEstimates(out, est, verdict);
-            }
             return 0;
         } catch (const std::exception &e) {
             err << "error: " << e.what() << "\n";
@@ -364,40 +255,14 @@ runExperiment(const std::vector<std::string> &args,
         }
     }
 
-    if (verb != "design" && verb != "run") {
-        err << "unknown experiment verb: " << verb << "\n";
-        return 2;
-    }
-
-    std::vector<std::string> rest;
-    ExpFlags flags;
-    SimulateOptions opt;
     try {
-        flags = peelFlags(tail, rest);
-        opt = parseSimulateArgs(rest, /*require_apps=*/false);
-        rejectProfileAndCsv(opt, "experiment");
-        if (!opt.lcApps.empty() || !opt.beApps.empty()) {
-            throw std::invalid_argument(
-                "experiment synthesizes its workload from the "
-                "global load generator; app specs are not "
-                "accepted (shape it with --lc/--be/--tenants)");
+        if (verb == "design") {
+            RunContext ctx(opt, ""); // applies --jobs; nothing runs
+            printDesign(out, cfg.design);
+        } else {
+            runAndPrint(cfg, opt, out);
         }
-        // The arms must exist before any simulation starts.
-        sched::makeScheduler(flags.design.armA);
-        sched::makeScheduler(flags.design.armB);
-        flags.design.seed = opt.seed;
-        experiment::validateDesign(flags.design);
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
-        return 2;
-    }
-
-    try {
-        if (opt.jobs > 0)
-            exec::setDefaultJobs(opt.jobs);
-        if (verb == "design")
-            return runDesignVerb(flags, out);
-        return runRunVerb(flags, opt, out);
+        return 0;
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
         return 1;

@@ -11,15 +11,9 @@
 
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "cluster/cluster_sched.hh"
-#include "exec/jobs.hh"
-#include "fault/plan.hh"
-#include "obs/metrics.hh"
-#include "obs/timeseries.hh"
-#include "obs/trace_sink.hh"
 #include "report/table.hh"
 #include "sched/registry.hh"
 #include "trace/fleet_load.hh"
@@ -27,158 +21,42 @@
 namespace ahq::cli
 {
 
-namespace
-{
-
-long long
-fleetInt(const std::string &s, const std::string &flag,
-         long long min_v)
-{
-    long long v = 0;
-    try {
-        std::size_t used = 0;
-        v = std::stoll(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-    } catch (const std::exception &) {
-        throw std::invalid_argument("bad " + flag + ": '" + s +
-                                    "' (expected an integer)");
-    }
-    if (v < min_v) {
-        throw std::invalid_argument(
-            flag + " must be >= " + std::to_string(min_v) +
-            " (got " + s + ")");
-    }
-    return v;
-}
-
-double
-fleetDouble(const std::string &s, const std::string &flag)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-        if (!std::isfinite(v))
-            throw std::invalid_argument("not finite");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument(
-            "bad " + flag + ": '" + s +
-            "' (expected a finite number)");
-    }
-}
-
-/** Fleet-only flags, peeled off before parseSimulateArgs. */
-struct FleetFlags
-{
-    int nodes = 8;
-    int lcPerNode = 2;
-    int bePerNode = 1;
-    int tenants = 64;
-    double zipfSkew = 1.1;
-
-    /** Rebalance round length in epochs; 0 = plain Fleet::run. */
-    int rebalanceEvery = 0;
-
-    double spreadThreshold = 0.10;
-
-    /** Retain per-epoch records (costs O(nodes x epochs) memory). */
-    bool keepEpochs = false;
-};
-
-} // namespace
-
 int
 runFleet(const std::vector<std::string> &args, std::ostream &out,
          std::ostream &err)
 {
-    FleetFlags ff;
     // Fleet defaults are deliberately lighter than simulate's (a
-    // fleet multiplies everything by N nodes); an explicit
-    // --duration / --warmup later in the list overrides these.
-    std::vector<std::string> rest{"--duration", "30", "--warmup",
-                                  "10"};
-    try {
-        for (std::size_t i = 0; i < args.size(); ++i) {
-            std::string a = args[i];
-            std::string inline_value;
-            bool has_inline = false;
-            if (a.rfind("--", 0) == 0) {
-                const auto eq = a.find('=');
-                if (eq != std::string::npos) {
-                    inline_value = a.substr(eq + 1);
-                    a = a.substr(0, eq);
-                    has_inline = true;
-                }
-            }
-            auto next = [&](const char *flag) -> std::string {
-                if (has_inline)
-                    return inline_value;
-                if (i + 1 >= args.size()) {
-                    throw std::invalid_argument(
-                        std::string(flag) + " needs a value");
-                }
-                return args[++i];
-            };
-            if (a == "--nodes") {
-                ff.nodes = static_cast<int>(
-                    fleetInt(next("--nodes"), "--nodes", 1));
-            } else if (a == "--lc") {
-                ff.lcPerNode = static_cast<int>(
-                    fleetInt(next("--lc"), "--lc", 1));
-            } else if (a == "--be") {
-                ff.bePerNode = static_cast<int>(
-                    fleetInt(next("--be"), "--be", 0));
-            } else if (a == "--tenants") {
-                ff.tenants = static_cast<int>(
-                    fleetInt(next("--tenants"), "--tenants", 1));
-            } else if (a == "--zipf") {
-                ff.zipfSkew = fleetDouble(next("--zipf"), "--zipf");
-                if (ff.zipfSkew < 0.0) {
-                    throw std::invalid_argument(
-                        "--zipf must be >= 0 (got " +
-                        std::to_string(ff.zipfSkew) + ")");
-                }
-            } else if (a == "--rebalance-every") {
-                ff.rebalanceEvery = static_cast<int>(
-                    fleetInt(next("--rebalance-every"),
-                             "--rebalance-every", 0));
-            } else if (a == "--spread") {
-                ff.spreadThreshold =
-                    fleetDouble(next("--spread"), "--spread");
-                if (ff.spreadThreshold < 0.0) {
-                    throw std::invalid_argument(
-                        "--spread must be >= 0 (got " +
-                        std::to_string(ff.spreadThreshold) + ")");
-                }
-            } else if (a == "--keep-epochs") {
-                if (has_inline) {
-                    throw std::invalid_argument(
-                        "--keep-epochs does not take a value");
-                }
-                ff.keepEpochs = true;
-            } else {
-                rest.push_back(args[i]);
-            }
-        }
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
-        return 2;
-    }
-
+    // fleet multiplies everything by N nodes).
     SimulateOptions opt;
+    opt.durationSeconds = 30.0;
+    opt.warmupEpochs = 10;
+    trace::FleetLoadConfig load;
+    load.numNodes = 8;
+    int rebalance_every = 0; // 0 = one plain Fleet::run
+    double spread_threshold = 0.10;
     try {
-        opt = parseSimulateArgs(rest, /*require_apps=*/false);
-        rejectProfileAndCsv(opt, "fleet");
-        if (!opt.lcApps.empty() || !opt.beApps.empty()) {
+        Flags flags("fleet");
+        addWorkloadShape(flags, load);
+        flags
+            .value("--rebalance-every",
+                   [&](const std::string &v) {
+                       rebalance_every =
+                           parseCount(v, "--rebalance-every", 0);
+                   })
+            .value("--spread", [&](const std::string &v) {
+                spread_threshold = parseNumber(v, "--spread");
+                if (spread_threshold < 0.0) {
+                    throw std::invalid_argument(
+                        "--spread must be >= 0 (got " + v + ")");
+                }
+            });
+        if (!parseRunFlags(flags, opt, args).empty()) {
             throw std::invalid_argument(
                 "fleet synthesizes its workload from the global "
                 "load generator; app specs are not accepted "
                 "(shape it with --nodes/--lc/--be/--tenants)");
         }
-        if (!opt.faultsPath.empty() && ff.rebalanceEvery > 0) {
+        if (!opt.faultsPath.empty() && rebalance_every > 0) {
             throw std::invalid_argument(
                 "--faults cannot be combined with --rebalance-every "
                 "(the cluster scheduler does not model node crashes)");
@@ -189,59 +67,21 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
     }
 
     try {
-        if (opt.jobs > 0)
-            exec::setDefaultJobs(opt.jobs);
-        trace::FleetLoadConfig lc;
-        lc.numNodes = ff.nodes;
-        lc.lcPerNode = ff.lcPerNode;
-        lc.bePerNode = ff.bePerNode;
-        lc.numTenants = ff.tenants;
-        lc.zipfSkew = ff.zipfSkew;
-        lc.seed = opt.seed;
-        const trace::FleetLoadGenerator gen(lc);
-
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(opt.cores, opt.ways,
-                                           opt.bwUnits);
-
-        cluster::SimulationConfig cfg;
-        cfg.durationSeconds = opt.durationSeconds;
-        cfg.warmupEpochs = opt.warmupEpochs;
-        cfg.seed = opt.seed;
-        cfg.tailPercentile = opt.percentile;
-        cfg.ri = opt.ri;
-        cfg.checkMode = opt.checkMode;
-        cfg.traceSampleRate = opt.traceSampleRate;
-        cfg.keepEpochs = ff.keepEpochs;
-        cfg.attribute = opt.attribute;
-        cfg.slo = opt.slo;
-
-        // The plan must outlive the run: cfg holds a pointer.
-        fault::FaultPlan plan;
-        if (!opt.faultsPath.empty()) {
-            plan = fault::FaultPlan::fromFile(opt.faultsPath);
-            cfg.faults = &plan;
-        }
-
-        std::unique_ptr<obs::FileTraceSink> sink;
-        obs::MetricsRegistry metrics;
-        obs::TimeSeriesRegistry tseries;
-        if (!opt.tracePath.empty()) {
-            sink = std::make_unique<obs::FileTraceSink>(
-                opt.tracePath);
-            cfg.obs.sink = sink.get();
-            cfg.obs.scenario = opt.strategy;
-            cfg.obs.series = &tseries;
-        }
-        if (opt.dumpMetrics || sink)
-            cfg.obs.metrics = &metrics;
+        load.seed = opt.seed;
+        const trace::FleetLoadGenerator gen(load);
+        RunContext ctx(opt, opt.strategy);
+        const auto mc = ctx.machine();
+        // Per-epoch records would cost O(nodes x epochs) memory and
+        // nothing here reads them.
+        cluster::SimulationConfig &cfg = ctx.config;
+        cfg.keepEpochs = false;
 
         // Peak offered demand: every LC slot's tenant at its
         // daytime peak, in the app's own QPS units.
         double peak_qps = 0.0;
-        for (int n = 0; n < ff.nodes; ++n) {
+        for (int n = 0; n < load.numNodes; ++n) {
             const auto apps = cluster::fleetNodeApps(gen, n);
-            for (int s = 0; s < ff.lcPerNode; ++s) {
+            for (int s = 0; s < load.lcPerNode; ++s) {
                 const auto rank = gen.tenant(n, s);
                 peak_qps += gen.tenantPeakLoad(rank) *
                     apps[static_cast<std::size_t>(s)]
@@ -249,10 +89,10 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
             }
         }
 
-        out << "fleet: " << ff.nodes << " nodes x ("
-            << ff.lcPerNode << " LC + " << ff.bePerNode
-            << " BE), " << ff.tenants << " tenants (zipf "
-            << ff.zipfSkew << "), strategy " << opt.strategy
+        out << "fleet: " << load.numNodes << " nodes x ("
+            << load.lcPerNode << " LC + " << load.bePerNode
+            << " BE), " << load.numTenants << " tenants (zipf "
+            << load.zipfSkew << "), strategy " << opt.strategy
             << "\n";
         out << "peak demand ~ "
             << static_cast<long long>(std::llround(peak_qps))
@@ -269,16 +109,16 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
         long long violations = 0, migrations = 0;
         obs::AttributionLedger blame;
         obs::SloSummary slo_totals;
-        if (ff.rebalanceEvery > 0) {
+        if (rebalance_every > 0) {
             cluster::ClusterConfig cc;
-            cc.roundEpochs = ff.rebalanceEvery;
+            cc.roundEpochs = rebalance_every;
             cc.rounds =
-                std::max(1, total_epochs / ff.rebalanceEvery);
+                std::max(1, total_epochs / rebalance_every);
             cc.roundWarmupEpochs = std::min(
                 cfg.warmupEpochs, cc.roundEpochs - 1);
-            cc.spreadThreshold = ff.spreadThreshold;
+            cc.spreadThreshold = spread_threshold;
             cluster::ClusterScheduler cs(cc, opt.strategy);
-            for (int n = 0; n < ff.nodes; ++n)
+            for (int n = 0; n < load.numNodes; ++n)
                 cs.addNode(mc, cluster::fleetNodeApps(gen, n));
             const auto res = cs.run(cfg);
             report::TextTable t(
@@ -312,7 +152,7 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
             slo_totals = res.slo;
         } else {
             cluster::Fleet fleet;
-            for (int n = 0; n < ff.nodes; ++n) {
+            for (int n = 0; n < load.numNodes; ++n) {
                 fleet.addNode(
                     cluster::Node(mc,
                                   cluster::fleetNodeApps(gen, n)),
@@ -349,22 +189,16 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
         out << "E_LC = " << e_lc << ", E_BE = " << e_be
             << ", E_S = " << e_s << ", yield = " << yield
             << ", violations = " << violations;
-        if (ff.rebalanceEvery > 0)
+        if (rebalance_every > 0)
             out << ", migrations = " << migrations;
         out << "\n";
         out << "wall " << report::TextTable::num(wall_s, 2)
             << " s, "
             << report::TextTable::num(
-                   wall_s > 0.0 ? ff.nodes / wall_s : 0.0, 1)
+                   wall_s > 0.0 ? load.numNodes / wall_s : 0.0, 1)
             << " nodes/s\n";
 
-        if (sink) {
-            tseries.flush(cfg.obs);
-            sink->flush();
-            out << "trace written to " << sink->path() << "\n";
-        }
-        if (opt.dumpMetrics)
-            metrics.print(out);
+        ctx.finish(out, "profile (span tree, all nodes merged):");
         return 0;
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";

@@ -430,35 +430,20 @@ runReport(const std::vector<std::string> &args, std::ostream &out,
     std::string format = "json";
     std::string outPath;
     std::vector<std::string> inputs;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        if (a == "--format" || a.rfind("--format=", 0) == 0) {
-            if (a == "--format") {
-                if (i + 1 >= args.size()) {
-                    err << "error: --format needs a value\n";
-                    return 2;
-                }
-                format = args[++i];
-            } else {
-                format = a.substr(std::string("--format=").size());
-            }
-            if (format != "json" && format != "md") {
-                err << "error: --format must be json or md (got "
-                    << format << ")\n";
-                return 2;
-            }
-        } else if (a == "-o" || a == "--output") {
-            if (i + 1 >= args.size()) {
-                err << "error: " << a << " needs a value\n";
-                return 2;
-            }
-            outPath = args[++i];
-        } else if (!a.empty() && a[0] == '-') {
-            err << "error: unknown option: " << a << "\n";
-            return 2;
-        } else {
-            inputs.push_back(a);
-        }
+    try {
+        const auto set_out = [&](const std::string &v) { outPath = v; };
+        inputs = Flags("report")
+                     .value("--format",
+                            [&](const std::string &v) {
+                                format = oneOf(v, "--format",
+                                               {"json", "md"});
+                            })
+                     .value("-o", set_out)
+                     .value("--output", set_out)
+                     .parse(args);
+    } catch (const std::exception &e) {
+        err << "error: " << e.what() << "\n";
+        return 2;
     }
     if (inputs.empty()) {
         err << "usage: ahq report [--format=json|md] [-o FILE] "
@@ -502,45 +487,23 @@ runBenchDiff(const std::vector<std::string> &args,
     double threshold = 0.10;
     std::string baseline;
     std::vector<std::string> files;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        std::string value;
-        if (a == "--baseline") {
-            if (i + 1 >= args.size()) {
-                err << "error: --baseline needs a value\n";
-                return 2;
-            }
-            baseline = args[++i];
-            continue;
-        } else if (a.rfind("--baseline=", 0) == 0) {
-            baseline = a.substr(std::string("--baseline=").size());
-            continue;
-        } else if (a == "--threshold") {
-            if (i + 1 >= args.size()) {
-                err << "error: --threshold needs a value\n";
-                return 2;
-            }
-            value = args[++i];
-        } else if (a.rfind("--threshold=", 0) == 0) {
-            value = a.substr(std::string("--threshold=").size());
-        } else if (!a.empty() && a[0] == '-') {
-            err << "error: unknown option: " << a << "\n";
-            return 2;
-        } else {
-            files.push_back(a);
-            continue;
-        }
-        try {
-            threshold = std::stod(value);
-        } catch (const std::exception &) {
-            threshold = -1.0;
-        }
-        if (threshold <= 0.0 || threshold >= 1.0) {
-            err << "error: --threshold must be a fraction in "
-                   "(0, 1), got '"
-                << value << "'\n";
-            return 2;
-        }
+    try {
+        files = Flags("bench-diff")
+                    .value("--baseline",
+                           [&](const std::string &v) { baseline = v; })
+                    .value("--threshold",
+                           [&](const std::string &v) {
+                               threshold = parseNumber(v, "--threshold");
+                               if (threshold <= 0.0 || threshold >= 1.0) {
+                                   throw std::invalid_argument(
+                                       "--threshold must be a fraction "
+                                       "in (0, 1), got '" + v + "'");
+                               }
+                           })
+                    .parse(args);
+    } catch (const std::exception &e) {
+        err << "error: " << e.what() << "\n";
+        return 2;
     }
     // Either the classic two-positional form, or --baseline plus
     // one positional (the fresh run) — the CI shape, where the
