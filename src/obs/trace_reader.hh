@@ -101,9 +101,13 @@ using TraceEventFn =
 
 /**
  * Stream a trace: parse one line at a time (blank lines skipped)
- * and hand each event to `fn` without materialising the file.
- * This is how `ahq trace`/`ahq profile` read multi-GB traces in
- * constant memory. When `stats` is non-null it is filled with the
+ * and hand each event to `fn` without materialising the file. The
+ * reader itself holds one line; what a caller keeps is its own
+ * fold. Of the analysis verbs, `ahq trace` keeps per-epoch data
+ * (every epoch's t and E_S) and `ahq timeline` per-bucket data
+ * (every matching series' buckets); `alerts` keeps one row per alert
+ * transition and `experiment analyze` one per block, and the rest
+ * only aggregate. When `stats` is non-null it is filled with the
  * event / unknown-type tally for the read.
  * @throws std::runtime_error with a "line N:" prefix on the first
  *         malformed line (nothing after it is delivered); anything

@@ -493,6 +493,88 @@ TEST(Report, FoldsSeriesEventsIntoEsColumns)
     std::remove(trace.c_str());
 }
 
+/** A file holding `text`, at tmpPath(name). */
+std::string
+writeTrace(const std::string &name, const std::string &text)
+{
+    const std::string path = tmpPath(name);
+    std::ofstream(path) << text;
+    return path;
+}
+
+TEST(TraceFold, EveryReaderRejectsAnUnknownSchemaVersion)
+{
+    const std::string trace = writeTrace(
+        "v99.jsonl",
+        "{\"v\":99,\"type\":\"experiment_block\",\"scenario\":\"exp\","
+        "\"node\":0,\"block\":0,\"arm\":0,\"epochs\":4,\"mean_es\":0.1}\n");
+    const std::vector<std::vector<std::string>> verbs{
+        {"trace", trace},
+        {"profile", trace},
+        {"timeline", trace},
+        {"why", trace},
+        {"alerts", trace},
+        {"report", trace},
+        {"experiment", "analyze", trace},
+        {"experiment", "verdict", trace},
+    };
+    for (const auto &argv : verbs) {
+        const auto res = run(argv);
+        EXPECT_EQ(res.code, 1) << argv[0] << ": " << res.out;
+        EXPECT_NE(res.err.find("line 1: unsupported schema version 99 "
+                               "(this build reads v1)"),
+                  std::string::npos)
+            << argv[0] << ": " << res.err;
+        EXPECT_TRUE(res.out.empty()) << argv[0] << ": " << res.out;
+    }
+    // Bench rows carry no header, so report still reads them.
+    const std::string bench = writeTrace(
+        "BENCH_v.json", "{\"type\":\"bench\",\"benchmark\":\"b\","
+                        "\"wall_ms\":1,\"throughput\":2}\n");
+    EXPECT_EQ(run({"report", bench}).code, 0);
+    std::remove(trace.c_str());
+    std::remove(bench.c_str());
+}
+
+TEST(TraceFold, ExperimentBadInputExitsOneLikeEveryReader)
+{
+    const std::string bad = writeTrace(
+        "exp_bad.jsonl", "{\"v\":1,\"type\":\"experiment_start\"}\n"
+                         "{\"v\":1,\"type\":\"experiment_blo\n");
+    for (const std::string verb : {"analyze", "verdict"}) {
+        const auto missing =
+            run({"experiment", verb, tmpPath("no_such.jsonl")});
+        EXPECT_EQ(missing.code, 1) << verb;
+        EXPECT_NE(missing.err.find("cannot open"), std::string::npos)
+            << missing.err;
+        EXPECT_EQ(missing.code, run({"why", tmpPath("no_such.jsonl")}).code);
+
+        const auto malformed = run({"experiment", verb, bad});
+        EXPECT_EQ(malformed.code, 1) << verb;
+        EXPECT_NE(malformed.err.find("line 2"), std::string::npos)
+            << malformed.err;
+        EXPECT_TRUE(malformed.out.empty()) << malformed.out;
+    }
+    std::remove(bad.c_str());
+}
+
+TEST(TraceFold, TraceAndProfileRefuseFlagsNamingFlagAndVerb)
+{
+    const auto trace = run({"trace", "--scenario=x", "t.jsonl"});
+    EXPECT_EQ(trace.code, 2);
+    EXPECT_NE(trace.err.find("trace does not accept --scenario"),
+              std::string::npos)
+        << trace.err;
+    const auto profile = run({"profile", "--format=json", "t.jsonl"});
+    EXPECT_EQ(profile.code, 2);
+    EXPECT_NE(profile.err.find("profile does not accept --format"),
+              std::string::npos)
+        << profile.err;
+    // Still exactly one path.
+    EXPECT_EQ(run({"trace", "a.jsonl", "b.jsonl"}).code, 2);
+    EXPECT_EQ(run({"profile", "a.jsonl", "b.jsonl"}).code, 2);
+}
+
 TEST(Usage, MentionsTheNewSubcommands)
 {
     const auto res = run({"help"});

@@ -84,15 +84,8 @@ parseSimulateArgs(const std::vector<std::string> &args)
     return parseAppRunArgs(flags, args, /*require_apps=*/true);
 }
 
-/**
- * Print a run's blame ledger, largest attributed share first (ties
- * broken by key order, so the table is deterministic). `top` = 0
- * prints every row.
- */
-void
-printBlameTable(std::ostream &out,
-                const obs::AttributionLedger &ledger,
-                std::size_t top)
+std::vector<obs::AttributionRow>
+blameRows(const obs::AttributionLedger &ledger, std::size_t top)
 {
     auto rows = ledger.rows();
     std::stable_sort(rows.begin(), rows.end(),
@@ -102,9 +95,17 @@ printBlameTable(std::ostream &out,
                      });
     if (top > 0 && rows.size() > top)
         rows.resize(top);
+    return rows;
+}
+
+void
+printBlameTable(std::ostream &out,
+                const obs::AttributionLedger &ledger,
+                std::size_t top)
+{
     report::TextTable t({"victim", "culprit", "resource",
                          "sum R_i share", "epochs"});
-    for (const auto &r : rows) {
+    for (const auto &r : blameRows(ledger, top)) {
         t.addRow({r.victim, r.culprit, r.resource,
                   report::TextTable::num(r.share),
                   std::to_string(r.epochs)});

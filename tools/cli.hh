@@ -388,7 +388,9 @@ int runSweep(const std::vector<std::string> &args, std::ostream &out,
  * Run `ahq trace <file.jsonl>`: summarise a trace produced with
  * --trace / AHQ_TRACE — epoch counts and E_S timeline per scenario,
  * scheduler decision totals (moves, rollbacks, bans), per-app ReT
- * summary (implemented in trace_cmd.cc).
+ * summary (implemented in trace_cmd.cc). Takes exactly one path and
+ * no flags. Like every analysis verb it reads through foldTrace()
+ * (trace_fold.hh) and exits 1 on bad input, 2 on a usage error.
  */
 int runTrace(const std::vector<std::string> &args, std::ostream &out,
              std::ostream &err);
@@ -433,8 +435,9 @@ int runAlerts(const std::vector<std::string> &args,
  * profiled trace into a flame-style indented tree per scenario —
  * count, total/mean/p99 wall time (when the trace carries timing)
  * and each span's share of its parent (implemented in
- * profile_cmd.cc). Exits 1 with a line-numbered error and no
- * partial table on malformed input.
+ * profile_cmd.cc). Takes exactly one path and no flags. Exits 1
+ * with a line-numbered error and no partial table on malformed
+ * input.
  */
 int runProfile(const std::vector<std::string> &args,
                std::ostream &out, std::ostream &err);
@@ -452,12 +455,18 @@ void printSpanProfile(std::ostream &out,
                       bool wall_times);
 
 /**
- * Print a blame ledger as a text table, largest attributed share
- * first (ties broken by ledger key order, so the output is
- * deterministic) — the console rendering simulate/fleet use for
- * --attribute and `ahq why` uses for its text format.
- *
- * @param top Keep only the `top` largest rows; 0 = all.
+ * A blame ledger's rows, largest attributed share first (ties broken
+ * by ledger key order, so the output is deterministic), cut to the
+ * `top` largest; 0 = all. The one row list behind printBlameTable()
+ * and `ahq why --format=csv|json`.
+ */
+std::vector<obs::AttributionRow>
+blameRows(const obs::AttributionLedger &ledger, std::size_t top);
+
+/**
+ * Print blameRows(ledger, top) as a text table — the console
+ * rendering simulate/fleet/experiment use for --attribute and
+ * `ahq why` uses for its text format.
  */
 void printBlameTable(std::ostream &out,
                      const obs::AttributionLedger &ledger,

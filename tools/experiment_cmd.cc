@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "experiment/harness.hh"
-#include "obs/trace_reader.hh"
 #include "report/table.hh"
 #include "sched/registry.hh"
+#include "trace_fold.hh"
 
 namespace ahq::cli
 {
@@ -63,31 +63,6 @@ printEstimates(std::ostream &out,
                 ? "straddles zero"
                 : "excludes zero")
         << ")\n";
-}
-
-/** Rebuild BlockStats from a trace's experiment_block events. */
-std::vector<experiment::BlockStat>
-blocksFromTrace(const std::string &path)
-{
-    std::vector<experiment::BlockStat> blocks;
-    obs::forEachTraceFile(path, [&](const obs::TraceEvent &ev,
-                                    int) {
-        if (ev.type() != "experiment_block")
-            return;
-        experiment::BlockStat s;
-        s.node = static_cast<int>(ev.num("node"));
-        s.block = static_cast<int>(ev.num("block"));
-        s.arm = static_cast<int>(ev.num("arm"));
-        s.epochs = static_cast<int>(ev.num("epochs"));
-        s.meanES = ev.num("mean_es");
-        s.meanP95Ms = ev.num("mean_p95_ms");
-        s.meanQueue = ev.num("mean_queue");
-        s.meanArrivalRate = ev.num("mean_arrival");
-        s.startQueue = ev.num("start_queue");
-        s.violRate = ev.num("viol_rate");
-        blocks.push_back(s);
-    });
-    return blocks;
 }
 
 void
@@ -235,13 +210,15 @@ runExperiment(const std::vector<std::string> &args,
     }
 
     if (from_trace) {
+        std::vector<experiment::BlockStat> blocks;
+        if (const int rc = foldTrace(positional[0], {.blocks = &blocks}, err))
+            return rc;
+        if (blocks.empty()) {
+            err << "error: no experiment_block events in "
+                << positional[0] << "\n";
+            return 1;
+        }
         try {
-            const auto blocks = blocksFromTrace(positional[0]);
-            if (blocks.empty()) {
-                err << "error: no experiment_block events in "
-                    << positional[0] << "\n";
-                return 1;
-            }
             const auto est = experiment::estimate(blocks, cfg.estimator);
             const auto verdict = experiment::verdictOf(est);
             if (verb == "verdict")
@@ -250,8 +227,9 @@ runExperiment(const std::vector<std::string> &args,
                 printEstimates(out, est, verdict);
             return 0;
         } catch (const std::exception &e) {
+            // Blocks the estimator cannot use are bad input too.
             err << "error: " << e.what() << "\n";
-            return 2;
+            return 1;
         }
     }
 

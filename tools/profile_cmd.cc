@@ -9,30 +9,17 @@
 #include "cli.hh"
 
 #include <algorithm>
-#include <cstdint>
 #include <map>
-#include <stdexcept>
 
-#include "obs/scope.hh"
 #include "obs/span.hh"
-#include "obs/trace_reader.hh"
 #include "report/table.hh"
+#include "trace_fold.hh"
 
 namespace ahq::cli
 {
 
 namespace
 {
-
-/** One span path's aggregates, from either source (live profiler
- *  snapshot or `span` trace events). */
-struct SpanRow
-{
-    std::uint64_t count = 0;
-    double totalMs = 0.0;
-    double maxMs = 0.0;
-    double p99Ms = 0.0;
-};
 
 /** Depth of a path = number of '/' separators. */
 int
@@ -118,66 +105,32 @@ int
 runProfile(const std::vector<std::string> &args, std::ostream &out,
            std::ostream &err)
 {
-    if (args.size() != 1) {
-        err << "usage: ahq profile <file.jsonl>\n";
+    std::string path;
+    try {
+        path = onePath(Flags("profile").parse(args));
+    } catch (const std::exception &e) {
+        err << "error: " << e.what() << "\n"
+            << "usage: ahq profile <file.jsonl>\n";
         return 2;
     }
 
-    // Everything is aggregated before a single byte is printed, so
-    // a malformed line can never leave a partial table behind.
-    std::vector<std::string> order; // scenarios, first-seen
-    std::map<std::string, std::map<std::string, SpanRow>> scen;
-    std::map<std::string, bool> timed;
-    long long span_events = 0;
-    try {
-        obs::forEachTraceFile(
-            args[0],
-            [&](const obs::TraceEvent &ev, int) {
-                const int v = static_cast<int>(ev.num("v", -1.0));
-                if (v != obs::kSchemaVersion) {
-                    throw std::runtime_error(
-                        "unsupported schema version " +
-                        std::to_string(v) +
-                        " (this build reads v" +
-                        std::to_string(obs::kSchemaVersion) + ")");
-                }
-                if (ev.type() != "span")
-                    return;
-                ++span_events;
-                const std::string tag = ev.str("scenario");
-                if (scen.find(tag) == scen.end())
-                    order.push_back(tag);
-                auto &row = scen[tag][ev.str("path")];
-                row.count +=
-                    static_cast<std::uint64_t>(ev.num("count"));
-                if (ev.has("total_ms")) {
-                    timed[tag] = true;
-                    row.totalMs += ev.num("total_ms");
-                    row.maxMs =
-                        std::max(row.maxMs, ev.num("max_ms"));
-                    // Merged events lose exact quantiles; the max
-                    // of the per-flush p99s is a sound upper bound.
-                    row.p99Ms =
-                        std::max(row.p99Ms, ev.num("p99_ms"));
-                }
-            });
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
-        return 1;
-    }
-    if (span_events == 0) {
-        err << "error: " << args[0]
+    // Everything is folded before a single byte is printed, so a
+    // malformed line can never leave a partial table behind.
+    SpanFold spans;
+    if (const int rc = foldTrace(path, {.spans = &spans}, err))
+        return rc;
+    if (spans.events == 0) {
+        err << "error: " << path
             << ": no span events (produce one with "
                "--profile --trace)\n";
         return 1;
     }
 
-    out << args[0] << ": " << span_events << " span event(s), "
-        << scen.size() << " scenario(s)\n";
-    for (const auto &tag : order) {
-        out << "scenario "
-            << (tag.empty() ? "(untagged)" : tag) << ":\n";
-        printTree(out, scen[tag], timed[tag]);
+    out << path << ": " << spans.events << " span event(s), "
+        << spans.trees.size() << " scenario(s)\n";
+    for (const auto &[tag, tree] : spans.trees) {
+        out << "scenario " << scenarioLabel(tag) << ":\n";
+        printTree(out, tree.rows, tree.timed);
     }
     return 0;
 }

@@ -9,17 +9,14 @@
 
 #include "cli.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <fstream>
 #include <map>
 #include <stdexcept>
 #include <vector>
 
-#include "obs/json.hh"
-#include "obs/trace_reader.hh"
 #include "report/table.hh"
+#include "trace_fold.hh"
 
 namespace ahq::cli
 {
@@ -27,398 +24,161 @@ namespace ahq::cli
 namespace
 {
 
-/** Aggregates for one scenario within one trace file. */
-struct RunSummary
+/** One report row: a scenario of one input file. */
+struct ReportRun
 {
     std::string file;
     std::string scenario;
-    std::string scheduler;
-    long long epochs = 0;
-    double sumEs = 0.0;
-    double finalEs = 0.0;
-    long long decisions = 0;
-    long long spans = 0;
-    long long faults = 0;
-
-    /**
-     * Folded E_S summary from the run's `series` event (the
-     * TimeSeriesRegistry flush), when the trace carries one. p99
-     * is the count-weighted 99th percentile of per-bucket maxima
-     * — an upper estimate that survives downsampling, since
-     * folding preserves maxima exactly.
-     */
-    bool hasSeries = false;
-    double esMin = 0.0;
-    double esMax = 0.0;
-    double esP99 = 0.0;
-
-    /** SLO alert accounting from alert_raise / alert_clear. */
-    long long alertRaises = 0;
-    long long alertClears = 0;
-
-    /** Worst fast-window burn rate seen at any transition. */
-    double worstBurn = 0.0;
+    RunFold::Run run;
+    AlertFold::Totals alerts;
 };
 
-/** One experiment_end event (an `ahq experiment run` outcome). */
-struct ExperimentEntry
-{
-    std::string file;
-    std::string scenario;
-    std::string verdict;
-    long long blocksA = 0;
-    long long blocksB = 0;
-    long long policySwaps = 0;
-    double esMixedEst = 0.0;
-    double esMixedLo = 0.0;
-    double esMixedHi = 0.0;
-    double p95MixedEst = 0.0;
-    double violMixedEst = 0.0;
-};
-
-/** One BENCH_*.json line. */
-struct BenchEntry
-{
-    std::string file;
-    std::string benchmark;
-    double wallMs = 0.0;
-    double throughput = 0.0;
-    std::string unit;
-    std::string config;
-    std::string gitRev;
-};
-
-bool
-isDecisionType(const std::string &type)
-{
-    return type.size() > 9 &&
-        type.compare(type.size() - 9, 9, "_decision") == 0;
-}
-
-/** Fold an `e_s` series event's buckets into the run summary. */
 void
-foldEsSeries(RunSummary &s, const obs::TraceEvent &ev)
+emitJson(std::ostream &out, const std::vector<ReportRun> &runs,
+         const std::vector<BenchRow> &bench,
+         const std::vector<ExperimentEnd> &experiments)
 {
-    const auto n = ev.nums("n");
-    const auto mins = ev.nums("min");
-    const auto maxs = ev.nums("max");
-    const std::size_t len =
-        std::min({n.size(), mins.size(), maxs.size()});
-    std::vector<std::pair<double, std::uint64_t>> maxima;
-    std::uint64_t total = 0;
-    bool any = false;
-    for (std::size_t i = 0; i < len; ++i) {
-        if (n[i] <= 0)
-            continue; // empty bucket (rendered as zeros)
-        const auto cnt = static_cast<std::uint64_t>(n[i]);
-        if (!any) {
-            s.esMin = mins[i];
-            s.esMax = maxs[i];
-            any = true;
-        } else {
-            s.esMin = std::min(s.esMin, mins[i]);
-            s.esMax = std::max(s.esMax, maxs[i]);
-        }
-        maxima.emplace_back(maxs[i], cnt);
-        total += cnt;
-    }
-    if (!any)
-        return;
-    s.hasSeries = true;
-    std::sort(maxima.begin(), maxima.end());
-    const double target = 0.99 * static_cast<double>(total);
-    std::uint64_t seen = 0;
-    s.esP99 = maxima.back().first;
-    for (const auto &[mx, cnt] : maxima) {
-        seen += cnt;
-        if (static_cast<double>(seen) >= target) {
-            s.esP99 = mx;
-            break;
-        }
-    }
-}
-
-/** Scan one input file into the run / bench aggregates. */
-void
-scanInput(const std::string &path,
-          std::vector<RunSummary> &runs,
-          std::vector<BenchEntry> &bench,
-          std::vector<ExperimentEntry> &experiments)
-{
-    // (file, scenario) -> index into runs, keeping file order.
-    std::map<std::string, std::size_t> index;
-    obs::forEachTraceFile(
-        path, [&](const obs::TraceEvent &ev, int) {
-            const std::string type = ev.type();
-            if (type == "bench") {
-                BenchEntry e;
-                e.file = path;
-                e.benchmark = ev.str("benchmark");
-                e.wallMs = ev.num("wall_ms");
-                e.throughput = ev.num("throughput");
-                e.unit = ev.str("unit");
-                e.config = ev.str("config");
-                e.gitRev = ev.str("git_rev");
-                bench.push_back(std::move(e));
-                return;
-            }
-            if (type == "experiment_end") {
-                ExperimentEntry e;
-                e.file = path;
-                e.scenario = ev.str("scenario");
-                e.verdict = ev.str("verdict");
-                e.blocksA =
-                    static_cast<long long>(ev.num("blocks_a"));
-                e.blocksB =
-                    static_cast<long long>(ev.num("blocks_b"));
-                e.policySwaps = static_cast<long long>(
-                    ev.num("policy_swaps"));
-                e.esMixedEst = ev.num("es_mixed_est");
-                e.esMixedLo = ev.num("es_mixed_lo");
-                e.esMixedHi = ev.num("es_mixed_hi");
-                e.p95MixedEst = ev.num("p95_mixed_est");
-                e.violMixedEst = ev.num("viol_mixed_est");
-                experiments.push_back(std::move(e));
-                return;
-            }
-            const std::string tag = ev.str("scenario");
-            auto it = index.find(tag);
-            if (it == index.end()) {
-                it = index.emplace(tag, runs.size()).first;
-                runs.push_back({path, tag, "", 0, 0.0, 0.0, 0,
-                                0, 0});
-            }
-            RunSummary &s = runs[it->second];
-            if (type == "run_start") {
-                s.scheduler = ev.str("scheduler");
-            } else if (type == "epoch") {
-                ++s.epochs;
-                s.finalEs = ev.num("e_s");
-                s.sumEs += s.finalEs;
-            } else if (type == "span") {
-                s.spans +=
-                    static_cast<long long>(ev.num("count"));
-            } else if (type == "fault") {
-                ++s.faults;
-            } else if (type == "alert_raise" ||
-                       type == "alert_clear") {
-                if (type == "alert_raise")
-                    ++s.alertRaises;
-                else
-                    ++s.alertClears;
-                s.worstBurn = std::max(s.worstBurn,
-                                       ev.num("burn_fast"));
-            } else if (type == "series" &&
-                       ev.str("series") == "e_s") {
-                foldEsSeries(s, ev);
-            } else if (isDecisionType(type)) {
-                ++s.decisions;
-            }
-        });
-}
-
-void
-emitJson(std::ostream &out, const std::vector<RunSummary> &runs,
-         const std::vector<BenchEntry> &bench,
-         const std::vector<ExperimentEntry> &experiments)
-{
-    std::string b;
-    b += "{\"tool\":\"ahq report\",\"runs\":[";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const RunSummary &s = runs[i];
-        if (i > 0)
-            b += ',';
-        b += "{\"file\":";
-        obs::json::appendString(b, s.file);
-        b += ",\"scenario\":";
-        obs::json::appendString(b, s.scenario);
-        b += ",\"scheduler\":";
-        obs::json::appendString(b, s.scheduler);
-        b += ",\"epochs\":";
-        obs::json::appendNumber(b, s.epochs);
-        b += ",\"mean_e_s\":";
-        obs::json::appendNumber(
-            b, s.epochs > 0 ? s.sumEs / s.epochs : 0.0);
-        b += ",\"final_e_s\":";
-        obs::json::appendNumber(b, s.finalEs);
-        b += ",\"decisions\":";
-        obs::json::appendNumber(b, s.decisions);
-        if (s.hasSeries) {
-            b += ",\"es_min\":";
-            obs::json::appendNumber(b, s.esMin);
-            b += ",\"es_max\":";
-            obs::json::appendNumber(b, s.esMax);
-            b += ",\"es_p99\":";
-            obs::json::appendNumber(b, s.esP99);
-        }
-        b += ",\"spans\":";
-        obs::json::appendNumber(b, s.spans);
-        b += ",\"faults\":";
-        obs::json::appendNumber(b, s.faults);
-        b += ",\"alert_raises\":";
-        obs::json::appendNumber(b, s.alertRaises);
-        b += ",\"alert_clears\":";
-        obs::json::appendNumber(b, s.alertClears);
-        b += ",\"worst_burn\":";
-        obs::json::appendNumber(b, s.worstBurn);
-        b += '}';
+    std::string b = "{\"tool\":\"ahq report\",\"runs\":[";
+    for (const ReportRun &r : runs) {
+        const auto &s = r.run;
+        const BucketSummary e = s.esSeries.value_or(BucketSummary{});
+        const auto es = [&](double v) { return s.esSeries ? Cell(v) : Cell(); };
+        jsonRow(b,
+                {"file", "scenario", "scheduler", "epochs", "mean_e_s",
+                 "final_e_s", "decisions", "es_min", "es_max", "es_p99",
+                 "spans", "faults", "alert_raises", "alert_clears",
+                 "worst_burn"},
+                {r.file, r.scenario, s.scheduler, s.epochs, s.meanEs(),
+                 s.finalEs, s.decisions, es(e.min), es(e.max), es(e.p99),
+                 s.spans, s.faults, r.alerts.raises, r.alerts.clears,
+                 r.alerts.worstBurn});
     }
     b += "],\"experiments\":[";
-    for (std::size_t i = 0; i < experiments.size(); ++i) {
-        const ExperimentEntry &e = experiments[i];
-        if (i > 0)
-            b += ',';
-        b += "{\"file\":";
-        obs::json::appendString(b, e.file);
-        b += ",\"scenario\":";
-        obs::json::appendString(b, e.scenario);
-        b += ",\"verdict\":";
-        obs::json::appendString(b, e.verdict);
-        b += ",\"blocks_a\":";
-        obs::json::appendNumber(b, e.blocksA);
-        b += ",\"blocks_b\":";
-        obs::json::appendNumber(b, e.blocksB);
-        b += ",\"policy_swaps\":";
-        obs::json::appendNumber(b, e.policySwaps);
-        b += ",\"es_mixed_est\":";
-        obs::json::appendNumber(b, e.esMixedEst);
-        b += ",\"es_mixed_lo\":";
-        obs::json::appendNumber(b, e.esMixedLo);
-        b += ",\"es_mixed_hi\":";
-        obs::json::appendNumber(b, e.esMixedHi);
-        b += ",\"p95_mixed_est\":";
-        obs::json::appendNumber(b, e.p95MixedEst);
-        b += ",\"viol_mixed_est\":";
-        obs::json::appendNumber(b, e.violMixedEst);
-        b += '}';
+    for (const ExperimentEnd &e : experiments) {
+        jsonRow(b,
+                {"file", "scenario", "verdict", "blocks_a", "blocks_b",
+                 "policy_swaps", "es_mixed_est", "es_mixed_lo",
+                 "es_mixed_hi", "p95_mixed_est", "viol_mixed_est"},
+                {e.file, e.scenario, e.verdict, e.blocksA, e.blocksB,
+                 e.policySwaps, e.esMixedEst, e.esMixedLo, e.esMixedHi,
+                 e.p95MixedEst, e.violMixedEst});
     }
     b += "],\"bench\":[";
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        const BenchEntry &e = bench[i];
-        if (i > 0)
-            b += ',';
-        b += "{\"file\":";
-        obs::json::appendString(b, e.file);
-        b += ",\"benchmark\":";
-        obs::json::appendString(b, e.benchmark);
-        b += ",\"wall_ms\":";
-        obs::json::appendNumber(b, e.wallMs);
-        b += ",\"throughput\":";
-        obs::json::appendNumber(b, e.throughput);
-        b += ",\"unit\":";
-        obs::json::appendString(b, e.unit);
-        b += ",\"config\":";
-        obs::json::appendString(b, e.config);
-        b += ",\"git_rev\":";
-        obs::json::appendString(b, e.gitRev);
-        b += '}';
+    for (const BenchRow &e : bench) {
+        jsonRow(b,
+                {"file", "benchmark", "wall_ms", "throughput", "unit",
+                 "config", "git_rev"},
+                {e.file, e.benchmark, e.wallMs, e.throughput, e.unit,
+                 e.config, e.gitRev});
     }
-    b += "]}";
-    out << b << "\n";
+    out << b << "]}\n";
+}
+
+/** A "## title" heading and a markdown table's header. */
+void
+mdHeader(std::ostream &out, const char *title,
+         const std::vector<std::string> &columns)
+{
+    out << "\n## " << title << "\n\n|";
+    for (const auto &c : columns)
+        out << " " << c << " |";
+    out << "\n";
+    for (std::size_t i = 0; i < columns.size(); ++i)
+        out << "|---";
+    out << "|\n";
+}
+
+/** One markdown table row. */
+void
+mdRow(std::ostream &out, const std::vector<std::string> &cells)
+{
+    out << "|";
+    for (const auto &c : cells)
+        out << " " << c << " |";
+    out << "\n";
 }
 
 void
-emitMarkdown(std::ostream &out,
-             const std::vector<RunSummary> &runs,
-             const std::vector<BenchEntry> &bench,
-             const std::vector<ExperimentEntry> &experiments)
+emitMarkdown(std::ostream &out, const std::vector<ReportRun> &runs,
+             const std::vector<BenchRow> &bench,
+             const std::vector<ExperimentEnd> &experiments)
 {
+    using report::TextTable;
+    using std::to_string;
+    const auto orDash = [](const std::string &s) {
+        return s.empty() ? "-" : s;
+    };
     out << "# ahq report\n";
     if (!runs.empty()) {
-        out << "\n## Runs\n\n"
-            << "| file | scenario | scheduler | epochs | mean E_S"
-               " | final E_S | E_S min | E_S max | E_S p99 | "
-               "decisions | spans | faults | alerts | worst burn "
-               "|\n"
-            << "|---|---|---|---|---|---|---|---|---|---|---|"
-               "---|---|---|\n";
-        for (const RunSummary &s : runs) {
-            out << "| " << s.file << " | "
-                << (s.scenario.empty() ? "(untagged)"
-                                       : s.scenario)
-                << " | " << (s.scheduler.empty() ? "-"
-                                                 : s.scheduler)
-                << " | " << s.epochs << " | "
-                << report::TextTable::num(
-                       s.epochs > 0 ? s.sumEs / s.epochs : 0.0)
-                << " | " << report::TextTable::num(s.finalEs)
-                << " | "
-                << (s.hasSeries
-                        ? report::TextTable::num(s.esMin) : "-")
-                << " | "
-                << (s.hasSeries
-                        ? report::TextTable::num(s.esMax) : "-")
-                << " | "
-                << (s.hasSeries
-                        ? report::TextTable::num(s.esP99) : "-")
-                << " | " << s.decisions << " | " << s.spans
-                << " | " << s.faults << " | " << s.alertRaises
-                << "/" << s.alertClears << " | "
-                << (s.alertRaises > 0
-                        ? report::TextTable::num(s.worstBurn)
-                        : "-")
-                << " |\n";
-        }
+        mdHeader(out, "Runs",
+                 {"file", "scenario", "scheduler", "epochs", "mean E_S",
+                  "final E_S", "E_S min", "E_S max", "E_S p99", "decisions",
+                  "spans", "faults", "alerts", "worst burn"});
+    }
+    for (const ReportRun &r : runs) {
+        const auto &s = r.run;
+        const BucketSummary e = s.esSeries.value_or(BucketSummary{});
+        const auto es = [&](double v) {
+            return s.esSeries ? TextTable::num(v) : "-";
+        };
+        mdRow(out, {r.file, scenarioLabel(r.scenario), orDash(s.scheduler),
+                    to_string(s.epochs), TextTable::num(s.meanEs()),
+                    TextTable::num(s.finalEs), es(e.min), es(e.max),
+                    es(e.p99), to_string(s.decisions), to_string(s.spans),
+                    to_string(s.faults),
+                    to_string(r.alerts.raises) + "/" +
+                        to_string(r.alerts.clears),
+                    r.alerts.raises > 0 ? TextTable::num(r.alerts.worstBurn)
+                                        : "-"});
     }
     if (!experiments.empty()) {
-        out << "\n## Experiments\n\n"
-            << "| file | scenario | verdict | dE_S mixed "
-               "[95% CI] | dp95 (ms) | dviol rate | blocks | "
-               "swaps |\n"
-            << "|---|---|---|---|---|---|---|---|\n";
-        for (const ExperimentEntry &e : experiments) {
-            out << "| " << e.file << " | "
-                << (e.scenario.empty() ? "(untagged)"
-                                       : e.scenario)
-                << " | " << e.verdict << " | "
-                << report::TextTable::num(e.esMixedEst) << " ["
-                << report::TextTable::num(e.esMixedLo) << ", "
-                << report::TextTable::num(e.esMixedHi) << "] | "
-                << report::TextTable::num(e.p95MixedEst)
-                << " | "
-                << report::TextTable::num(e.violMixedEst)
-                << " | " << e.blocksA << "+" << e.blocksB
-                << " | " << e.policySwaps << " |\n";
-        }
+        mdHeader(out, "Experiments",
+                 {"file", "scenario", "verdict", "dE_S mixed [95% CI]",
+                  "dp95 (ms)", "dviol rate", "blocks", "swaps"});
+    }
+    for (const ExperimentEnd &e : experiments) {
+        mdRow(out, {e.file, scenarioLabel(e.scenario), e.verdict,
+                    TextTable::num(e.esMixedEst) + " [" +
+                        TextTable::num(e.esMixedLo) + ", " +
+                        TextTable::num(e.esMixedHi) + "]",
+                    TextTable::num(e.p95MixedEst),
+                    TextTable::num(e.violMixedEst),
+                    to_string(e.blocksA) + "+" + to_string(e.blocksB),
+                    to_string(e.policySwaps)});
     }
     if (!bench.empty()) {
-        out << "\n## Benchmarks\n\n"
-            << "| file | benchmark | wall (ms) | throughput | "
-               "unit | config | git rev |\n"
-            << "|---|---|---|---|---|---|---|\n";
-        for (const BenchEntry &e : bench) {
-            out << "| " << e.file << " | " << e.benchmark
-                << " | " << report::TextTable::num(e.wallMs)
-                << " | "
-                << report::TextTable::num(e.throughput) << " | "
-                << (e.unit.empty() ? "-" : e.unit) << " | "
-                << (e.config.empty() ? "-" : e.config) << " | "
-                << (e.gitRev.empty() ? "-" : e.gitRev)
-                << " |\n";
-        }
+        mdHeader(out, "Benchmarks",
+                 {"file", "benchmark", "wall (ms)", "throughput", "unit",
+                  "config", "git rev"});
+    }
+    for (const BenchRow &e : bench) {
+        mdRow(out, {e.file, e.benchmark, TextTable::num(e.wallMs),
+                    TextTable::num(e.throughput), orDash(e.unit),
+                    orDash(e.config), orDash(e.gitRev)});
     }
     if (runs.empty() && bench.empty() && experiments.empty())
         out << "\n(no runs or benchmarks in the inputs)\n";
 }
 
-/** name -> last (wall_ms, throughput) seen, for bench-diff. */
-std::map<std::string, std::pair<double, double>>
-loadBenchFile(const std::string &path)
+/**
+ * Fill `entries` with name -> last (wall_ms, throughput) of a bench
+ * file; false, with the error on `err`, when `path` is not one.
+ */
+bool
+loadBenchFile(const std::string &path,
+              std::map<std::string, std::pair<double, double>> &entries,
+              std::ostream &err)
 {
-    std::map<std::string, std::pair<double, double>> entries;
-    obs::forEachTraceFile(
-        path, [&](const obs::TraceEvent &ev, int) {
-            if (ev.type() != "bench") {
-                throw std::runtime_error(
-                    "not a bench entry (type '" + ev.type() +
-                    "'; expected BENCH_*.json from --json)");
-            }
-            entries[ev.str("benchmark")] = {
-                ev.num("wall_ms"), ev.num("throughput")};
-        });
-    if (entries.empty())
-        throw std::runtime_error(path + ": no bench entries");
-    return entries;
+    std::vector<BenchRow> rows;
+    if (foldTrace(path, {.bench = &rows, .benchOnly = true}, err) != 0)
+        return false;
+    if (rows.empty()) {
+        err << "error: " << path << ": no bench entries\n";
+        return false;
+    }
+    for (const BenchRow &r : rows)
+        entries[r.benchmark] = {r.wallMs, r.throughput};
+    return true;
 }
 
 } // namespace
@@ -451,15 +211,21 @@ runReport(const std::vector<std::string> &args, std::ostream &out,
         return 2;
     }
 
-    std::vector<RunSummary> runs;
-    std::vector<BenchEntry> bench;
-    std::vector<ExperimentEntry> experiments;
-    try {
-        for (const auto &path : inputs)
-            scanInput(path, runs, bench, experiments);
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
-        return 1;
+    std::vector<ReportRun> runs;
+    std::vector<BenchRow> bench;
+    std::vector<ExperimentEnd> experiments;
+    for (const auto &path : inputs) {
+        RunFold fold(RunFold::Rows::Every);
+        AlertFold alerts(/*transitions=*/false);
+        if (const int rc = foldTrace(path,
+                                     {.runs = &fold,
+                                      .alerts = &alerts,
+                                      .experiments = &experiments,
+                                      .bench = &bench},
+                                     err))
+            return rc;
+        for (const auto &[tag, run] : fold.runs)
+            runs.push_back({path, tag, run, alerts.scenarioTotals(tag)});
     }
 
     std::ofstream file;
@@ -523,14 +289,12 @@ runBenchDiff(const std::vector<std::string> &args,
         return 2;
     }
 
+    // Unreadable input exits 2, not the fold's 1: perf_gate.cmake
+    // retries a 1 as a regression and stops on a 2.
     std::map<std::string, std::pair<double, double>> oldB, newB;
-    try {
-        oldB = loadBenchFile(files[0]);
-        newB = loadBenchFile(files[1]);
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
+    if (!loadBenchFile(files[0], oldB, err) ||
+        !loadBenchFile(files[1], newB, err))
         return 2;
-    }
 
     report::TextTable t({"benchmark", "wall old (ms)",
                          "wall new (ms)", "wall delta%",

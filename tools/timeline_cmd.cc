@@ -12,88 +12,17 @@
 #include "cli.hh"
 
 #include <algorithm>
-#include <cstdint>
-#include <map>
-#include <set>
 #include <sstream>
-#include <stdexcept>
 
-#include "obs/json.hh"
 #include "obs/scope.hh"
-#include "obs/trace_reader.hh"
 #include "report/table.hh"
+#include "trace_fold.hh"
 
 namespace ahq::cli
 {
 
 namespace
 {
-
-/** One series event's folded buckets, as read back from a trace. */
-struct SeriesData
-{
-    long long stride = 1;
-    long long epochs = 0;
-    long long capacity = 0;
-    long long points = 0;
-    std::vector<double> n, min, max, sum;
-
-    /** Buckets actually carried (arrays are truncated to this). */
-    std::size_t buckets() const { return n.size(); }
-};
-
-/** Epoch markers for one scenario, from fault-family events. */
-struct Markers
-{
-    std::set<int> faults, recoveries, violations;
-
-    /** alert_raise epochs (--slo runs), rendered on their own row. */
-    std::set<int> alerts;
-
-    bool empty() const
-    {
-        return faults.empty() && recoveries.empty() &&
-            violations.empty();
-    }
-};
-
-struct TimelineOptions
-{
-    std::string path;
-    std::string scenario;                // empty = all
-    std::vector<std::string> series;     // empty = all
-    std::string format = "text";         // text | csv | json
-    int width = 64;
-};
-
-TimelineOptions
-parseTimelineArgs(const std::vector<std::string> &args)
-{
-    TimelineOptions opt;
-    opt.path = onePath(
-        Flags("timeline")
-            .value("--scenario",
-                   [&](const std::string &v) { opt.scenario = v; })
-            .value("--series",
-                   [&](const std::string &v) {
-                       std::stringstream ss(v);
-                       std::string name;
-                       while (std::getline(ss, name, ','))
-                           if (!name.empty())
-                               opt.series.push_back(name);
-                   })
-            .value("--format",
-                   [&](const std::string &v) {
-                       opt.format =
-                           oneOf(v, "--format", {"text", "csv", "json"});
-                   })
-            .value("--width",
-                   [&](const std::string &v) {
-                       opt.width = parseCount(v, "--width", 8, 4096);
-                   })
-            .parse(args));
-    return opt;
-}
 
 /**
  * Pairwise-fold the bucket arrays in place until at most `width`
@@ -134,60 +63,6 @@ foldToWidth(SeriesData &d, int width)
         stride *= 2;
     }
     return stride;
-}
-
-/** Count-weighted summary over the (unfolded) buckets. */
-struct Summary
-{
-    double min = 0.0, max = 0.0, mean = 0.0, p99 = 0.0;
-    std::uint64_t count = 0;
-};
-
-Summary
-summarize(const SeriesData &d)
-{
-    Summary s;
-    bool any = false;
-    double total_sum = 0.0;
-    std::uint64_t total_count = 0;
-    // (bucket max, bucket count): the p99 below is the
-    // count-weighted 99th percentile of per-bucket maxima — an
-    // upper estimate that survives downsampling, since folding
-    // preserves maxima exactly.
-    std::vector<std::pair<double, std::uint64_t>> maxima;
-    for (std::size_t i = 0; i < d.buckets(); ++i) {
-        if (d.n[i] <= 0)
-            continue;
-        const auto cnt = static_cast<std::uint64_t>(d.n[i]);
-        if (!any) {
-            s.min = d.min[i];
-            s.max = d.max[i];
-            any = true;
-        } else {
-            s.min = std::min(s.min, d.min[i]);
-            s.max = std::max(s.max, d.max[i]);
-        }
-        total_sum += d.sum[i];
-        total_count += cnt;
-        maxima.emplace_back(d.max[i], cnt);
-    }
-    if (!any)
-        return s;
-    s.count = total_count;
-    s.mean = total_sum / static_cast<double>(total_count);
-    std::sort(maxima.begin(), maxima.end());
-    const double target =
-        0.99 * static_cast<double>(total_count);
-    std::uint64_t seen = 0;
-    s.p99 = maxima.back().first;
-    for (const auto &[mx, cnt] : maxima) {
-        seen += cnt;
-        if (static_cast<double>(seen) >= target) {
-            s.p99 = mx;
-            break;
-        }
-    }
-    return s;
 }
 
 /** ASCII intensity ramp, low to high (space = empty bucket). */
@@ -240,9 +115,26 @@ int
 runTimeline(const std::vector<std::string> &args, std::ostream &out,
             std::ostream &err)
 {
-    TimelineOptions opt;
+    TraceFilter filter;
+    std::string format;
+    SeriesFold fold;
+    int width = 64;
+    std::string path;
     try {
-        opt = parseTimelineArgs(args);
+        Flags flags("timeline");
+        addAnalysisFlags(flags, filter, format, {"text", "csv", "json"})
+            .reject("--app")
+            .value("--series",
+                   [&](const std::string &v) {
+                       std::stringstream ss(v);
+                       for (std::string name; std::getline(ss, name, ',');)
+                           if (!name.empty())
+                               fold.wanted.insert(name);
+                   })
+            .value("--width", [&](const std::string &v) {
+                width = parseCount(v, "--width", 8, 4096);
+            });
+        path = onePath(flags.parse(args));
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n"
             << "usage: ahq timeline [--series=a,b] "
@@ -251,186 +143,59 @@ runTimeline(const std::vector<std::string> &args, std::ostream &out,
         return 2;
     }
 
-    // First (and only) pass: collect series events and fault-family
-    // markers, everything aggregated before anything is printed.
-    std::map<std::pair<std::string, std::string>, SeriesData> data;
-    std::map<std::string, Markers> markers;
-    const std::set<std::string> wanted(opt.series.begin(),
-                                       opt.series.end());
+    // One pass, everything folded before anything is printed.
     obs::TraceReadStats stats;
-    try {
-        obs::forEachTraceFile(
-            opt.path,
-            [&](const obs::TraceEvent &ev, int) {
-                const int v =
-                    static_cast<int>(ev.num("v", -1.0));
-                if (v != obs::kSchemaVersion) {
-                    throw std::runtime_error(
-                        "unsupported schema version " +
-                        std::to_string(v) +
-                        " (this build reads v" +
-                        std::to_string(obs::kSchemaVersion) + ")");
-                }
-                const std::string scenario = ev.str("scenario");
-                if (!opt.scenario.empty() &&
-                    scenario != opt.scenario)
-                    return;
-                const std::string type = ev.type();
-                if (type == "series") {
-                    const std::string name = ev.str("series");
-                    if (!wanted.empty() &&
-                        wanted.find(name) == wanted.end())
-                        return;
-                    SeriesData d;
-                    d.stride = static_cast<long long>(
-                        ev.num("stride", 1.0));
-                    d.epochs = static_cast<long long>(
-                        ev.num("epochs"));
-                    d.capacity = static_cast<long long>(
-                        ev.num("capacity"));
-                    d.points = static_cast<long long>(
-                        ev.num("points"));
-                    d.n = ev.nums("n");
-                    d.min = ev.nums("min");
-                    d.max = ev.nums("max");
-                    d.sum = ev.nums("sum");
-                    if (d.stride < 1)
-                        d.stride = 1;
-                    // Tolerate short arrays (foreign writers):
-                    // clip to the common length.
-                    const std::size_t len = std::min(
-                        {d.n.size(), d.min.size(), d.max.size(),
-                         d.sum.size()});
-                    d.n.resize(len);
-                    d.min.resize(len);
-                    d.max.resize(len);
-                    d.sum.resize(len);
-                    data[{scenario, name}] = std::move(d);
-                } else if (type == "fault" ||
-                           type == "recovery" ||
-                           type == "violation" ||
-                           type == "alert_raise") {
-                    const int epoch = static_cast<int>(
-                        ev.num("epoch", -1.0));
-                    if (epoch < 0)
-                        return;
-                    auto &m = markers[scenario];
-                    if (type == "fault")
-                        m.faults.insert(epoch);
-                    else if (type == "recovery")
-                        m.recoveries.insert(epoch);
-                    else if (type == "alert_raise")
-                        m.alerts.insert(epoch);
-                    else
-                        m.violations.insert(epoch);
-                }
-            },
-            &stats);
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
-        return 1;
-    }
+    if (const int rc =
+            foldTrace(path, {.series = &fold, .stats = &stats}, err, filter))
+        return rc;
+    const auto &data = fold.series;
+    const auto &markers = fold.markers;
     if (data.empty()) {
-        err << "error: " << opt.path
+        err << "error: " << path
             << ": no matching series events (produce them with "
                "--trace; series land at the end of the trace)\n";
         return 1;
     }
 
-    if (opt.format == "csv") {
-        out << "scenario,series,bucket,epoch_lo,stride,count,min,"
-               "max,mean\n";
-        for (const auto &[key, d] : data) {
-            for (std::size_t i = 0; i < d.buckets(); ++i) {
-                out << key.first << "," << key.second << "," << i
-                    << "," << (static_cast<long long>(i) * d.stride)
-                    << "," << d.stride << ","
-                    << static_cast<long long>(d.n[i]);
-                if (d.n[i] > 0) {
-                    std::string cells;
-                    cells.push_back(',');
-                    obs::json::appendNumber(cells, d.min[i]);
-                    cells.push_back(',');
-                    obs::json::appendNumber(cells, d.max[i]);
-                    cells.push_back(',');
-                    obs::json::appendNumber(cells,
-                                      d.sum[i] / d.n[i]);
-                    out << cells;
-                } else {
-                    out << ",,,";
+    if (format != "text") {
+        if (format == "csv") {
+            csvHeader(out, {"scenario", "series", "bucket", "epoch_lo",
+                            "stride", "count", "min", "max", "mean"});
+            for (const auto &[key, d] : data) {
+                for (std::size_t i = 0; i < d.buckets(); ++i) {
+                    const auto b = static_cast<long long>(i);
+                    const bool any = d.n[i] > 0;
+                    csvRow(out, {key.first, key.second, b, b * d.stride,
+                                 d.stride, static_cast<long long>(d.n[i]),
+                                 any ? Cell(d.min[i]) : Cell(),
+                                 any ? Cell(d.max[i]) : Cell(),
+                                 any ? Cell(d.sum[i] / d.n[i]) : Cell()});
                 }
-                out << "\n";
             }
-        }
-        if (stats.unknownEvents > 0) {
-            err << "note: " << stats.unknownEvents
-                << " unknown event(s) ignored\n";
-        }
-        return 0;
-    }
-
-    if (opt.format == "json") {
-        std::string buf;
-        buf += "{\"v\":1,\"series\":[";
-        bool first = true;
-        for (const auto &[key, d] : data) {
-            if (!first)
-                buf.push_back(',');
-            first = false;
-            buf += "{\"scenario\":";
-            obs::json::appendString(buf, key.first);
-            buf += ",\"series\":";
-            obs::json::appendString(buf, key.second);
-            buf += ",\"stride\":";
-            obs::json::appendNumber(buf, d.stride);
-            buf += ",\"epochs\":";
-            obs::json::appendNumber(buf, d.epochs);
-            buf += ",\"points\":";
-            obs::json::appendNumber(buf, d.points);
-            auto arr = [&](const char *name,
-                           const std::vector<double> &vals) {
-                buf += ",\"";
-                buf += name;
-                buf += "\":[";
-                for (std::size_t i = 0; i < vals.size(); ++i) {
-                    if (i)
-                        buf.push_back(',');
-                    obs::json::appendNumber(buf, vals[i]);
+        } else {
+            std::string buf = "{\"v\":1,\"series\":[";
+            for (const auto &[key, d] : data) {
+                jsonRow(buf,
+                        {"scenario", "series", "stride", "epochs", "points",
+                         "n", "min", "max", "sum"},
+                        {key.first, key.second, d.stride, d.epochs, d.points,
+                         d.n, d.min, d.max, d.sum});
+            }
+            buf += "],\"markers\":[";
+            using Kind = std::pair<const std::set<int> *, const char *>;
+            for (const auto &[scenario, m] : markers) {
+                for (const auto &[epochs, kind] :
+                     {Kind{&m.faults, "fault"},
+                      Kind{&m.recoveries, "recovery"},
+                      Kind{&m.violations, "violation"},
+                      Kind{&m.alerts, "alert_raise"}}) {
+                    for (const int e : *epochs)
+                        jsonRow(buf, {"scenario", "type", "epoch"},
+                                {scenario, kind, e});
                 }
-                buf.push_back(']');
-            };
-            arr("n", d.n);
-            arr("min", d.min);
-            arr("max", d.max);
-            arr("sum", d.sum);
-            buf.push_back('}');
+            }
+            out << buf << "]}\n";
         }
-        buf += "],\"markers\":[";
-        first = true;
-        for (const auto &[scenario, m] : markers) {
-            auto list = [&](const std::set<int> &epochs,
-                            const char *kind) {
-                for (int e : epochs) {
-                    if (!first)
-                        buf.push_back(',');
-                    first = false;
-                    buf += "{\"scenario\":";
-                    obs::json::appendString(buf, scenario);
-                    buf += ",\"type\":";
-                    obs::json::appendString(buf, kind);
-                    buf += ",\"epoch\":";
-                    obs::json::appendNumber(
-                        buf, static_cast<long long>(e));
-                    buf.push_back('}');
-                }
-            };
-            list(m.faults, "fault");
-            list(m.recoveries, "recovery");
-            list(m.violations, "violation");
-            list(m.alerts, "alert_raise");
-        }
-        buf += "]}";
-        out << buf << "\n";
         if (stats.unknownEvents > 0) {
             err << "note: " << stats.unknownEvents
                 << " unknown event(s) ignored\n";
@@ -441,17 +206,15 @@ runTimeline(const std::vector<std::string> &args, std::ostream &out,
     // Text mode: aligned sparklines, one block per
     // (scenario, series), sorted — deterministic whatever order
     // the events appeared in.
-    out << opt.path << ": " << data.size() << " series (schema v"
+    out << path << ": " << data.size() << " series (schema v"
         << obs::kSchemaVersion << ")\n";
     for (const auto &[key, original] : data) {
-        const Summary s = summarize(original);
+        const BucketSummary s = summarize(original);
         SeriesData d = original;
-        const long long display_stride = foldToWidth(d, opt.width);
+        const long long display_stride = foldToWidth(d, width);
 
-        out << "\n"
-            << (key.first.empty() ? "(untagged)" : key.first)
-            << " :: " << key.second << "  (epochs=" << d.epochs
-            << ", stride=" << original.stride
+        out << "\n" << scenarioLabel(key.first) << " :: " << key.second
+            << "  (epochs=" << d.epochs << ", stride=" << original.stride
             << ", points=" << original.points << ")\n";
         if (s.count == 0) {
             out << "  (empty)\n";
