@@ -17,40 +17,20 @@
  * for the gate.
  */
 
-#include <chrono>
 #include <iostream>
 #include <vector>
 
-#include "cluster/cluster_sched.hh"
 #include "common.hh"
 #include "sched/registry.hh"
-#include "trace/fleet_load.hh"
 
 using namespace ahq;
 using namespace ahq::bench;
 
-namespace
-{
-
-/** The hot-path shape: faults off, no retained epochs. */
-cluster::SimulationConfig
-hotConfig()
-{
-    cluster::SimulationConfig cfg;
-    cfg.durationSeconds = 1800.0; // 3600 epochs of 500 ms
-    cfg.warmupEpochs = 5;
-    cfg.keepEpochs = false;
-    return cfg;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args =
-        parseBenchArgs(argc, argv, "attribution_overhead");
-    BenchJsonWriter json("attribution_overhead", args);
+    BenchJsonWriter json(
+        parseBenchArgs(argc, argv, "attribution_overhead"));
 
     report::heading(std::cout,
                     "Attribution overhead: the blame/SLO seams on "
@@ -59,13 +39,7 @@ main(int argc, char **argv)
 
     const cluster::SimulationConfig base = hotConfig();
     const double epochs = base.durationSeconds / base.epochSeconds;
-    const int reps = 15;
-
-    trace::FleetLoadConfig lc;
-    lc.numNodes = 4;
-    const trace::FleetLoadGenerator gen(lc);
-    const auto mc = machine::MachineConfig::xeonE52630v4();
-    const cluster::Node node(mc, cluster::fleetNodeApps(gen, 0));
+    const cluster::Node node = hotNode();
     const auto arq = sched::makeScheduler("ARQ");
 
     struct Variant
@@ -74,7 +48,6 @@ main(int argc, char **argv)
         bool attribute;
         bool slo;
         const char *note;
-        double seconds = 1e300;
         double es = 0.0;
     };
     Variant variants[] = {
@@ -88,36 +61,25 @@ main(int argc, char **argv)
          "epochs=3600 ARQ attribute=on slo=on"},
     };
 
-    // A percent-level comparison at ~20 ms per run drowns in
-    // scheduling noise if each variant is timed in its own block;
-    // interleave the reps so every variant samples the same
-    // machine conditions, then take each variant's minimum.
     std::vector<cluster::EpochSimulator> sims;
+    std::vector<Row> rows;
     sims.reserve(std::size(variants));
-    for (const auto &v : variants) {
+    for (std::size_t i = 0; i < std::size(variants); ++i) {
         cluster::SimulationConfig cfg = base;
-        cfg.attribute = v.attribute;
-        cfg.slo = v.slo;
+        cfg.attribute = variants[i].attribute;
+        cfg.slo = variants[i].slo;
         sims.emplace_back(node, cfg);
+        rows.push_back(
+            {variants[i].name, epochs, "epochs/s", variants[i].note,
+             [&, i] { variants[i].es = sims[i].run(*arq).meanES; }});
     }
-    for (int rep = 0; rep < reps; ++rep) {
-        for (std::size_t i = 0; i < sims.size(); ++i) {
-            const auto t0 = std::chrono::steady_clock::now();
-            variants[i].es = sims[i].run(*arq).meanES;
-            const auto t1 = std::chrono::steady_clock::now();
-            variants[i].seconds = std::min(
-                variants[i].seconds,
-                std::chrono::duration<double>(t1 - t0).count());
-        }
-    }
+    const std::vector<double> best = timeRows(rows, json);
 
     report::TextTable t(
         {"workload", "wall (ms)", "epochs/s", "E_S"});
-    for (const auto &v : variants) {
-        t.addRow({v.name, num(v.seconds * 1e3),
-                  num(epochs / v.seconds, 0), num(v.es)});
-        json.add(v.name, v.seconds * 1e3, epochs / v.seconds,
-                 "epochs/s", v.note);
+    for (std::size_t i = 0; i < std::size(variants); ++i) {
+        t.addRow({variants[i].name, num(best[i] * 1e3),
+                  num(epochs / best[i], 0), num(variants[i].es)});
     }
     t.print(std::cout);
 
@@ -131,10 +93,8 @@ main(int argc, char **argv)
         }
     }
 
-    const double slo_over =
-        variants[1].seconds / variants[0].seconds - 1.0;
-    const double attr_over =
-        variants[2].seconds / variants[0].seconds - 1.0;
+    const double slo_over = best[1] / best[0] - 1.0;
+    const double attr_over = best[2] / best[0] - 1.0;
     std::cout << "slo monitoring overhead on the hot path: "
               << num(slo_over * 100.0, 2) << "% (gate: < 2%)\n"
               << "attribution overhead on the hot path: "

@@ -1,13 +1,14 @@
 /**
  * @file
- * Shared plumbing for the table/figure-reproducing bench binaries:
- * standard colocations, strategy registry, scenario runner and CSV
- * output location.
+ * Shared plumbing for the bench binaries: standard colocations,
+ * strategy registry, scenario runner, CSV output location, and the
+ * one timing harness and BENCH_*.json writer of the timing benches.
  */
 
 #ifndef AHQ_BENCH_COMMON_HH
 #define AHQ_BENCH_COMMON_HH
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -100,6 +101,18 @@ canonicalNode(double xapian_load, double moses_load,
               const machine::MachineConfig &mc =
                   machine::MachineConfig::xeonE52630v4());
 
+/**
+ * The epoch hot path the seam-overhead benches time: 3600 epochs of
+ * 500 ms, faults off, no retained epochs.
+ */
+cluster::SimulationConfig hotConfig();
+
+/**
+ * The fleet-shaped node those benches run: node 0 of a 4-node
+ * global load generator (cluster::fleetNodeApps).
+ */
+cluster::Node hotNode();
+
 /** Sweep helper: E_S as a function of available cores. */
 core::EntropyCurve
 entropyVsCores(const std::string &strategy,
@@ -113,9 +126,18 @@ std::string num(double v, int precision = 3);
 /**
  * The git revision the bench binary was configured from (the
  * AHQ_GIT_REV compile definition; "unknown" outside a checkout) —
- * stamped into BENCH_*.json so bench_diff can name what regressed.
+ * stamped into BENCH_*.json so bench-diff can name what regressed.
  */
 std::string gitRev();
+
+/**
+ * The machine a bench number was measured on: CPU model, the CPUs
+ * this process may run on (what `nproc` prints) and the build type,
+ * e.g. "cpu=Intel(R) Xeon(R) Processor nproc=4 build=Release".
+ * Stamped into every BENCH_*.json row so bench-diff can say when a
+ * baseline came from another machine or build.
+ */
+std::string machineFingerprint();
 
 /** Parsed perf-trajectory flags for a bench main(). */
 struct BenchArgs
@@ -141,16 +163,16 @@ BenchArgs parseBenchArgs(int argc, char **argv,
  * Perf-trajectory emitter: collects one row per timed workload and
  * writes them as BENCH_<name>.json — JSONL, one flat object per
  * line: {"type":"bench","benchmark":...,"wall_ms":...,
- * "throughput":...,"unit":...,"config":...,"git_rev":...} — the
- * shape obs::parseTraceLine reads back and `ahq report` /
- * `ahq bench-diff` / tools/bench_diff consume. A writer built from
+ * "throughput":...,"unit":...,"config":...,"git_rev":...,
+ * "fingerprint":...} — the shape obs::parseTraceLine reads back and
+ * `ahq report` / `ahq bench-diff` consume. A writer built from
  * BenchArgs with json=false drops every row, so benches call add()
  * unconditionally.
  */
 class BenchJsonWriter
 {
   public:
-    BenchJsonWriter(const std::string &name, const BenchArgs &args);
+    explicit BenchJsonWriter(const BenchArgs &args);
 
     /** Writes the collected rows (no-op when --json was absent). */
     ~BenchJsonWriter();
@@ -173,6 +195,92 @@ class BenchJsonWriter
     std::string path_;
     std::vector<std::string> lines_;
 };
+
+/**
+ * Keep `v` observable, so the optimizer cannot delete the work that
+ * computed it from a timed call.
+ */
+template <class T>
+inline void
+keep(const T &v)
+{
+    asm volatile("" : : "r,m"(v) : "memory");
+}
+
+/** Wall time since construction, on the monotonic clock. */
+class Stopwatch
+{
+  public:
+    Stopwatch();
+
+    /** Seconds elapsed since construction. */
+    double seconds() const;
+
+  private:
+    std::chrono::steady_clock::time_point start_;
+};
+
+/** A sample repeats its call until at least this much wall time. */
+extern const double kSampleSeconds;
+
+/** Rounds go on until every variant's samples add up to this. */
+extern const double kVariantBudgetSeconds;
+
+/** One sample: `calls` back-to-back calls taking `seconds` in all. */
+struct Sample
+{
+    long calls = 0;
+    double seconds = 0.0;
+};
+
+/** Every sample one variant got, in the order they were taken. */
+struct Timing
+{
+    std::vector<Sample> samples;
+
+    /** The lowest seconds per call over the samples. */
+    double best() const;
+};
+
+/**
+ * The one timer of the bench binaries. Runs the variants
+ * round-robin, one sample of each per round, so every variant sees
+ * the same machine conditions and all get the same number of
+ * samples; a sample calls its variant until kSampleSeconds have
+ * passed (at least once), and rounds go on until every variant's
+ * samples add up to kVariantBudgetSeconds — so a variant slower
+ * than the budget, timed alone, gets exactly one sample. Returns
+ * one Timing per variant, in input order.
+ */
+std::vector<Timing>
+sampleInterleaved(const std::vector<std::function<void()>> &variants);
+
+/** One timed bench row: the call it times and how it is reported. */
+struct Row
+{
+    /** Row name, unique within the BENCH file. */
+    std::string name;
+
+    /** Units of work one call completes (epochs, nodes, evals). */
+    double work = 1.0;
+
+    /** What the throughput counts ("epochs/s"). */
+    std::string unit;
+
+    /** Free-form knob summary ("epochs=60 ARQ"). */
+    std::string config;
+
+    /** One call of the timed work. */
+    std::function<void()> call;
+};
+
+/**
+ * Time `rows` together with sampleInterleaved(), add each row's
+ * best call to `json` and return the best seconds per call, in row
+ * order.
+ */
+std::vector<double> timeRows(const std::vector<Row> &rows,
+                             BenchJsonWriter &json);
 
 /**
  * The Section VI-A load-sweep figure shape shared by Figs. 8, 9 and

@@ -2,51 +2,42 @@
  * @file
  * Fast perf-trajectory anchor (not a paper figure): epoch-loop
  * throughput of the canonical 4-app colocation under every
- * registered strategy, the span-profiler-on variant, larger-node
+ * registered strategy, with each observability seam on (profiler,
+ * trace sink + metrics, audit log, fault injection), larger-node
  * variants (8 and 32 colocated apps — where the GP window cap and
  * the O(n²) incremental Cholesky keep CLITE's decision cost flat),
- * and a small Fleet run. Finishes in a few seconds total. With
- * --json it writes BENCH_epoch_throughput.json — the file the repo
- * commits as the baseline tools/bench_diff compares future
- * revisions against (see EXPERIMENTS.md).
+ * a small Fleet run, and the online hot paths a controller runs
+ * inside one epoch (entropy, M/M/c percentiles, the contention
+ * model, GP fit + EI, the P² quantile). Every row is timed in one
+ * interleaved sampleInterleaved() run. With --json it writes
+ * BENCH_epoch_throughput.json — the file the repo commits as the
+ * baseline `ahq bench-diff` compares future revisions against (see
+ * EXPERIMENTS.md).
  */
 
-#include <chrono>
 #include <iostream>
 
-#include "common.hh"
+#include "check/check.hh"
 #include "cluster/fleet.hh"
+#include "common.hh"
+#include "core/entropy.hh"
+#include "fault/plan.hh"
+#include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace_sink.hh"
+#include "perf/contention.hh"
+#include "perf/queueing.hh"
+#include "sched/gp.hh"
 #include "sched/registry.hh"
+#include "stats/percentile.hh"
+#include "stats/rng.hh"
 
 using namespace ahq;
 using namespace ahq::bench;
 
 namespace
 {
-
-/** Best-of-N wall seconds, like parallel_scaling. */
-double
-secondsOfN(const std::function<void()> &fn, int reps)
-{
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-}
-
-double
-secondsOf(const std::function<void()> &fn)
-{
-    return secondsOfN(fn, 3);
-}
 
 /** Fig. 12's 6 LC + 2 BE colocation. */
 cluster::Node
@@ -96,13 +87,13 @@ thirtyTwoAppNode()
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args =
-        parseBenchArgs(argc, argv, "epoch_throughput");
-    BenchJsonWriter json("epoch_throughput", args);
+    BenchJsonWriter json(
+        parseBenchArgs(argc, argv, "epoch_throughput"));
 
     report::heading(std::cout,
                     "Epoch-loop throughput (canonical 4-app node, "
-                    "30 simulated seconds)");
+                    "30 simulated seconds) and the online hot "
+                    "paths");
 
     const auto node = canonicalNode(0.5, 0.2, 0.2, apps::stream());
     cluster::SimulationConfig cfg = standardConfig();
@@ -110,119 +101,93 @@ main(int argc, char **argv)
     cfg.warmupEpochs = 0;
     const double epochs = cfg.durationSeconds / cfg.epochSeconds;
 
-    report::TextTable t({"workload", "wall (ms)", "epochs/s"});
-    auto row = [&](const std::string &name,
-                   const cluster::Node &n,
+    std::vector<Row> rows;
+    auto sim = [&](const std::string &name, const cluster::Node &n,
                    const cluster::SimulationConfig &c,
                    const std::string &strategy,
-                   const std::string &config) {
-        const double s = secondsOf([&] {
-            const auto r = runScenario(strategy, n, c);
-            if (r.epochs.empty())
-                std::cerr << "empty run\n"; // keep r observable
-        });
-        t.addRow({name, num(s * 1e3), num(epochs / s, 0)});
-        json.add(name, s * 1e3, epochs / s, "epochs/s", config);
+                   const std::string &config,
+                   std::function<void()> after = {}) {
+        rows.push_back(
+            {name, c.durationSeconds / c.epochSeconds, "epochs/s",
+             config, [&n, &c, strategy, after] {
+                 keep(runScenario(strategy, n, c).meanES);
+                 if (after)
+                     after();
+             }});
     };
 
     // Every registered strategy (the registry's presentation
     // order), not just the headline five.
     for (const auto &strategy : sched::allStrategyNames())
-        row(strategy, node, cfg, strategy,
-            "epochs=60 " + strategy);
+        sim(strategy, node, cfg, strategy, "epochs=60 " + strategy);
 
-    // The profiler-on variant tracks the span-timing overhead on
-    // the same workload (spans: epoch phases + scheduler steps).
+    // Each observability seam switched on, on the same workload:
+    // the span profiler (epoch phases + scheduler steps), a live
+    // trace sink with a metrics registry, the invariant audit log
+    // and the builtin chaos fault plan. Unused, a seam attaches no
+    // observer at all (DESIGN.md §12); these rows price using it.
     cluster::SimulationConfig prof_cfg = cfg;
     obs::SpanProfiler prof;
     prof_cfg.obs.prof = &prof;
-    row("ARQ+profiler", node, prof_cfg, "ARQ",
+    sim("ARQ+profiler", node, prof_cfg, "ARQ",
         "epochs=60 ARQ profile=1");
+
+    cluster::SimulationConfig trace_cfg = cfg;
+    obs::BufferTraceSink trace_sink;
+    obs::MetricsRegistry trace_metrics;
+    trace_cfg.obs.sink = &trace_sink;
+    trace_cfg.obs.metrics = &trace_metrics;
+    trace_cfg.obs.scenario = "ARQ";
+    sim("ARQ+trace", node, trace_cfg, "ARQ",
+        "epochs=60 ARQ trace_sample=1 metrics=1",
+        [&] { trace_sink.clear(); });
+
+    cluster::SimulationConfig audit_cfg = cfg;
+    audit_cfg.checkMode = check::Mode::Log;
+    sim("ARQ+audit", node, audit_cfg, "ARQ", "epochs=60 ARQ check=log");
+
+    cluster::SimulationConfig fault_cfg = cfg;
+    const auto chaos = fault::FaultPlan::builtinChaos();
+    fault_cfg.faults = &chaos;
+    sim("ARQ+faults", node, fault_cfg, "ARQ",
+        "epochs=60 ARQ faults=builtin-chaos");
 
     // Telemetry variants on a 600-epoch run (telemetry's per-run
     // costs — run_start, series handle setup, the final flush —
-    // are fixed, so the overhead claim is about the steady state,
-    // not the amortization of a short run):
+    // are fixed, so the overhead claim is about the steady state),
+    // reported against plain ARQ at 600 epochs:
     //   off-path  sink attached, sampling rejects every epoch, no
-    //             series registry. This is the shape a fleet node
-    //             is in when it loses the sampling draw, and the
-    //             gated claim: <2% over plain ARQ.
+    //             series registry: the shape a fleet node is in
+    //             when it loses the sampling draw.
     //   on-path   series registry recording every epoch plus
     //             head-based sampling keeping 5% of trace events —
-    //             the production shape for sampled fleet runs. Its
-    //             cost is real (~20 bucket updates per ~1.4 us
-    //             simulated epoch) and reported, not gated; both
-    //             rows land in the committed baseline so
-    //             tools/bench_diff catches drift.
-    {
-        cluster::SimulationConfig long_cfg = cfg;
-        long_cfg.durationSeconds = 300.0;
-        const double long_epochs =
-            long_cfg.durationSeconds / long_cfg.epochSeconds;
-        obs::BufferTraceSink ts_sink;
-        obs::TimeSeriesRegistry ts_registry;
-        cluster::SimulationConfig ts_cfg = long_cfg;
-        ts_cfg.obs.sink = &ts_sink;
-        ts_cfg.obs.scenario = "ARQ";
-        ts_cfg.obs.series = &ts_registry;
-        ts_cfg.traceSampleRate = 0.05;
+    //             the production shape for sampled fleet runs.
+    cluster::SimulationConfig long_cfg = cfg;
+    long_cfg.durationSeconds = 300.0;
+    const std::size_t plain600 = rows.size();
+    sim("ARQ@600", node, long_cfg, "ARQ", "epochs=600 ARQ");
 
-        obs::BufferTraceSink off_sink;
-        cluster::SimulationConfig off_cfg = long_cfg;
-        off_cfg.obs.sink = &off_sink;
-        off_cfg.obs.scenario = "ARQ";
-        off_cfg.traceSampleRate = 0.0;
+    obs::BufferTraceSink off_sink;
+    cluster::SimulationConfig off_cfg = long_cfg;
+    off_cfg.obs.sink = &off_sink;
+    off_cfg.obs.scenario = "ARQ";
+    off_cfg.traceSampleRate = 0.0;
+    sim("ARQ+trace-off", node, off_cfg, "ARQ",
+        "epochs=600 ARQ trace_sample=0 series=0",
+        [&] { off_sink.clear(); });
 
-        // A multi-sided comparison at ~1 ms per run drowns in
-        // scheduling noise if each side is timed in its own block;
-        // interleave the reps so every side samples the same
-        // machine conditions, then take each side's minimum.
-        double s_plain = 1e300, s_off = 1e300, s = 1e300;
-        auto timeOne = [&](const cluster::SimulationConfig &c,
-                           double &best) {
-            const auto t0 = std::chrono::steady_clock::now();
-            {
-                const auto r = runScenario("ARQ", node, c);
-                if (r.epochs.empty())
-                    std::cerr << "empty run\n";
-            }
-            const auto t1 = std::chrono::steady_clock::now();
-            best = std::min(
-                best,
-                std::chrono::duration<double>(t1 - t0).count());
-        };
-        for (int rep = 0; rep < 20; ++rep) {
-            timeOne(long_cfg, s_plain);
-            off_sink.clear();
-            timeOne(off_cfg, s_off);
+    obs::BufferTraceSink ts_sink;
+    obs::TimeSeriesRegistry ts_registry;
+    cluster::SimulationConfig ts_cfg = long_cfg;
+    ts_cfg.obs.sink = &ts_sink;
+    ts_cfg.obs.scenario = "ARQ";
+    ts_cfg.obs.series = &ts_registry;
+    ts_cfg.traceSampleRate = 0.05;
+    sim("ARQ+timeseries", node, ts_cfg, "ARQ",
+        "epochs=600 ARQ trace_sample=0.05 series=1", [&] {
             ts_sink.clear();
             ts_registry.clear();
-            timeOne(ts_cfg, s);
-        }
-        t.addRow({"ARQ+trace-off", num(s_off * 1e3),
-                  num(long_epochs / s_off, 0)});
-        json.add("ARQ+trace-off", s_off * 1e3, long_epochs / s_off,
-                 "epochs/s",
-                 "epochs=600 ARQ trace_sample=0 series=0");
-        t.addRow({"ARQ+timeseries", num(s * 1e3),
-                  num(long_epochs / s, 0)});
-        json.add("ARQ+timeseries", s * 1e3, long_epochs / s,
-                 "epochs/s",
-                 "epochs=600 ARQ trace_sample=0.05 series=1");
-        const double off_pct = 100.0 * (s_off / s_plain - 1.0);
-        std::cout << "off-path overhead (sampling rejects all) vs "
-                     "plain ARQ @"
-                  << static_cast<int>(long_epochs)
-                  << " epochs: " << num(off_pct)
-                  << "% (gate: <2%)\n";
-        if (off_pct >= 2.0)
-            std::cout << "WARNING: off-path overhead exceeds the "
-                         "2% gate\n";
-        std::cout << "on-path overhead (series + 5% sampling) vs "
-                     "plain ARQ @"
-                  << static_cast<int>(long_epochs) << " epochs: "
-                  << num(100.0 * (s / s_plain - 1.0)) << "%\n";
-    }
+        });
 
     // Larger colocations: the decision loops that scale with app
     // count (CLITE's GP over groups x kinds, ARQ's ReT array, the
@@ -232,31 +197,107 @@ main(int argc, char **argv)
     for (const auto &strategy :
          {std::string("Unmanaged"), std::string("CLITE"),
           std::string("ARQ")}) {
-        row(strategy + "@8apps", node8, cfg, strategy,
+        sim(strategy + "@8apps", node8, cfg, strategy,
             "epochs=60 apps=8 " + strategy);
-        row(strategy + "@32apps", node32, cfg, strategy,
+        sim(strategy + "@32apps", node32, cfg, strategy,
             "epochs=60 apps=32 " + strategy);
     }
 
     // A small fleet: 4 canonical nodes under ARQ, epochs counted
     // across all nodes (runs on the global pool, byte-identical at
     // any thread count).
-    {
-        const double s = secondsOf([&] {
-            cluster::Fleet fleet;
-            for (int i = 0; i < 4; ++i)
-                fleet.addNode(node, sched::makeScheduler("ARQ"));
-            const auto r = fleet.run(cfg);
-            if (r.nodes.empty())
-                std::cerr << "empty fleet run\n";
-        });
-        const double fleet_epochs = 4.0 * epochs;
-        t.addRow({"Fleet/ARQ x4", num(s * 1e3),
-                  num(fleet_epochs / s, 0)});
-        json.add("Fleet/ARQ x4", s * 1e3, fleet_epochs / s,
-                 "epochs/s", "epochs=60 nodes=4 ARQ");
+    rows.push_back({"Fleet/ARQ x4", 4.0 * epochs, "epochs/s",
+                    "epochs=60 nodes=4 ARQ", [&] {
+                        cluster::Fleet fleet;
+                        for (int i = 0; i < 4; ++i) {
+                            fleet.addNode(node,
+                                          sched::makeScheduler("ARQ"));
+                        }
+                        keep(fleet.run(cfg).eS);
+                    }});
+
+    // The online hot paths inside one epoch. Inputs live in the
+    // closures, not in constants the compiler could fold.
+    const std::vector<core::BeObservation> be_obs(2, {2.63, 1.5});
+    for (const std::size_t n : {3u, 6u, 32u}) {
+        rows.push_back(
+            {"entropy@" + std::to_string(n) + "apps", 1.0, "evals/s",
+             "lc=" + std::to_string(n) + " be=2",
+             [lc = std::vector<core::LcObservation>(n, {2.77, 5.0, 4.22}),
+              &be_obs] { keep(core::computeEntropy(lc, be_obs).eS); }});
     }
 
+    double lambda = 3000.0;
+    rows.push_back({"mmc_p95_exact", 1.0, "evals/s",
+                    "c=4 lambda=3000 mu=1200", [&] {
+                        keep(perf::mmcSojournPercentile(4.0, lambda,
+                                                        1200.0, 0.95));
+                    }});
+    rows.push_back({"mmc_p95_approx", 1.0, "evals/s",
+                    "c=4 lambda=3000 mu=1200 z=2.9", [&] {
+                        keep(perf::sojournPercentileApprox(
+                            4.0, lambda, 1200.0, 2.9));
+                    }});
+
+    const auto mc = machine::MachineConfig::xeonE52630v4();
+    const perf::ContentionModel model(mc);
+    const auto layout = machine::RegionLayout::arqInitial(
+        mc.availableResources(), {0, 1, 2}, {3});
+    const std::vector<perf::AppDemand> demands{
+        apps::xapian().toDemand(0.5), apps::moses().toDemand(0.2),
+        apps::imgDnn().toDemand(0.2), apps::stream().toDemand(0.0)};
+    rows.push_back({"contention_eval", 1.0, "evals/s",
+                    "canonical ARQ layout, repeated input (memo hit)",
+                    [&] {
+                        keep(model
+                                 .evaluate(layout, demands,
+                                           perf::CoreSharePolicy::
+                                               LcPriority)[0]
+                                 .serviceRate);
+                    }});
+
+    for (const std::size_t n : {8u, 24u, 64u}) {
+        stats::Rng rng(1);
+        std::vector<std::vector<double>> xs;
+        std::vector<double> ys;
+        for (std::size_t i = 0; i < n; ++i) {
+            xs.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
+            ys.push_back(rng.normal(0.0, 1.0));
+        }
+        rows.push_back({"gp_fit_ei@" + std::to_string(n), 1.0, "fits/s",
+                        "samples=" + std::to_string(n) + " dims=3",
+                        [xs, ys] {
+                            sched::GaussianProcess gp(0.35, 1.0, 0.01);
+                            gp.fit(xs, ys);
+                            keep(gp.expectedImprovement({0.5, 0.5, 0.5},
+                                                        0.0));
+                        }});
+    }
+
+    stats::Rng p2_rng(2);
+    stats::P2Quantile p2(0.95);
+    rows.push_back({"p2_quantile_add", 1.0, "adds/s", "q=0.95", [&] {
+                        p2.add(p2_rng.exponential(1.0));
+                    }});
+
+    const std::vector<double> best = timeRows(rows, json);
+    report::TextTable t({"workload", "per call (us)", "throughput"});
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        t.addRow({rows[i].name, num(best[i] * 1e6),
+                  num(rows[i].work / best[i], 0) + " " + rows[i].unit});
+    }
     t.print(std::cout);
+    const double off_pct =
+        100.0 * (best[plain600 + 1] / best[plain600] - 1.0);
+    std::cout << "off-path overhead (sampling rejects all) vs plain "
+                 "ARQ @600 epochs: "
+              << num(off_pct) << "% (budget: <2%)\n";
+    if (off_pct >= 2.0)
+        std::cout << "WARNING: off-path overhead exceeds the 2% "
+                     "budget\n";
+    std::cout << "on-path overhead (series + 5% sampling) vs plain "
+                 "ARQ @600 epochs: "
+              << num(100.0 * (best[plain600 + 2] / best[plain600] - 1.0))
+              << "%\n";
     return 0;
 }

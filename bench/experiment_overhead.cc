@@ -2,63 +2,29 @@
  * @file
  * Experiment-seam overhead anchor: the policy-swap seam threaded
  * through EpochSimulator must cost nothing measurable when no
- * experiment is running. Times the faults-off epoch hot path three
- * ways — the plain single-scheduler run, the same run through
- * runSwitched with a dormant schedule (the seam engaged but never
- * swapping), and a full switchback runExperiment — and fails if the
- * dormant seam costs more than 2% over plain. With --json it writes
- * BENCH_experiment_overhead.json, committed as the perf baseline
- * for the `ctest -L perf` gate.
+ * experiment is running. Times the faults-off epoch hot path two
+ * ways, interleaved — the plain single-scheduler run and the same
+ * run through runSwitched with a dormant schedule (the seam engaged
+ * but never swapping) — plus a full switchback runExperiment, and
+ * fails if the dormant seam costs more than 2% over plain. With
+ * --json it writes BENCH_experiment_overhead.json, committed as the
+ * perf baseline for the `ctest -L perf` gate.
  */
 
-#include <chrono>
-#include <functional>
 #include <iostream>
 
 #include "common.hh"
 #include "experiment/harness.hh"
 #include "sched/registry.hh"
-#include "trace/fleet_load.hh"
 
 using namespace ahq;
 using namespace ahq::bench;
 
-namespace
-{
-
-double
-secondsOfN(const std::function<void()> &fn, int reps)
-{
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-}
-
-/** The hot-path shape: faults off, no retained epochs. */
-cluster::SimulationConfig
-hotConfig()
-{
-    cluster::SimulationConfig cfg;
-    cfg.durationSeconds = 1800.0; // 3600 epochs of 500 ms
-    cfg.warmupEpochs = 5;
-    cfg.keepEpochs = false;
-    return cfg;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args =
-        parseBenchArgs(argc, argv, "experiment_overhead");
-    BenchJsonWriter json("experiment_overhead", args);
+    BenchJsonWriter json(
+        parseBenchArgs(argc, argv, "experiment_overhead"));
 
     report::heading(std::cout,
                     "Experiment overhead: the policy-swap seam on "
@@ -66,70 +32,58 @@ main(int argc, char **argv)
                     "epochs)");
 
     const cluster::SimulationConfig cfg = hotConfig();
-    const double epochs =
-        cfg.durationSeconds / cfg.epochSeconds;
-    const int reps = 9;
+    const double epochs = cfg.durationSeconds / cfg.epochSeconds;
+    const cluster::EpochSimulator sim(hotNode(), cfg);
+    const auto arq = sched::makeScheduler("ARQ");
 
-    trace::FleetLoadConfig lc;
-    lc.numNodes = 4;
-    const trace::FleetLoadGenerator gen(lc);
-    const auto mc = machine::MachineConfig::xeonE52630v4();
-    const cluster::EpochSimulator sim(
-        cluster::Node(mc, cluster::fleetNodeApps(gen, 0)), cfg);
+    // A real switchback through the full harness.
+    experiment::ExperimentRunConfig ec;
+    ec.design.kind = experiment::DesignKind::Switchback;
+    ec.design.armA = "ARQ";
+    ec.design.armB = "Unmanaged";
+    ec.design.numNodes = 4;
+    ec.design.blocksPerNode = 4;
+    ec.design.blockEpochs = 8;
+    ec.design.seed = 42;
+    ec.estimator.resamples = 200;
+    ec.base.seed = 42;
+    const int exp_epochs = ec.design.numNodes *
+                           ec.design.blocksPerNode *
+                           ec.design.blockEpochs;
+
+    // The dormant seam is runSwitched with one arm and an empty
+    // schedule: the contract says it is identical to run(), and the
+    // timing shows its per-epoch branch is free too. The gated pair
+    // alternates on its own, so each follows the other; with the
+    // switchback in the rounds, plain would always follow it.
+    double es_plain = 0.0;
+    double es_seam = 0.0;
+    std::vector<double> best = timeRows(
+        {{"epoch_plain", epochs, "epochs/s",
+          "epochs=3600 ARQ faults=off",
+          [&] { es_plain = sim.run(*arq).meanES; }},
+         {"epoch_seam_idle", epochs, "epochs/s",
+          "epochs=3600 ARQ faults=off seam=idle",
+          [&] {
+              es_seam = sim.runSwitched({arq.get()},
+                                        cluster::PolicySchedule{})
+                            .meanES;
+          }}},
+        json);
+    best.push_back(timeRows(
+        {{"experiment_switchback", static_cast<double>(exp_epochs),
+          "epochs/s", "nodes=4 blocks=4 block_epochs=8 resamples=200",
+          [&] { keep(experiment::runExperiment(ec).blocks.size()); }}},
+        json)[0]);
 
     report::TextTable t(
         {"workload", "wall (ms)", "epochs/s", "E_S"});
-
-    // ---- plain run: the pre-seam contract -----------------------
-    const auto arq = sched::makeScheduler("ARQ");
-    double es_plain = 0.0;
-    const double s_plain = secondsOfN(
-        [&] { es_plain = sim.run(*arq).meanES; }, reps);
-    t.addRow({"epoch_plain", num(s_plain * 1e3),
-              num(epochs / s_plain, 0), num(es_plain)});
-    json.add("epoch_plain", s_plain * 1e3, epochs / s_plain,
-             "epochs/s", "epochs=3600 ARQ faults=off");
-
-    // ---- dormant seam: runSwitched, one arm, empty schedule -----
-    // The contract says this is identical to run(); the timing
-    // proves the seam's per-epoch branch is identical too.
-    double es_seam = 0.0;
-    const double s_seam = secondsOfN(
-        [&] {
-            es_seam = sim.runSwitched({arq.get()},
-                                      cluster::PolicySchedule{})
-                          .meanES;
-        },
-        reps);
-    t.addRow({"epoch_seam_idle", num(s_seam * 1e3),
-              num(epochs / s_seam, 0), num(es_seam)});
-    json.add("epoch_seam_idle", s_seam * 1e3, epochs / s_seam,
-             "epochs/s", "epochs=3600 ARQ faults=off seam=idle");
-
-    // ---- a real switchback through the full harness -------------
-    {
-        experiment::ExperimentRunConfig ec;
-        ec.design.kind = experiment::DesignKind::Switchback;
-        ec.design.armA = "ARQ";
-        ec.design.armB = "Unmanaged";
-        ec.design.numNodes = 4;
-        ec.design.blocksPerNode = 4;
-        ec.design.blockEpochs = 8;
-        ec.design.seed = 42;
-        ec.estimator.resamples = 200;
-        ec.base.seed = 42;
-        const int total_epochs = ec.design.numNodes *
-                                 ec.design.blocksPerNode *
-                                 ec.design.blockEpochs;
-        const double s_exp = secondsOfN(
-            [&] { (void)experiment::runExperiment(ec); }, 3);
-        t.addRow({"experiment_switchback", num(s_exp * 1e3),
-                  num(total_epochs / s_exp, 0), "-"});
-        json.add("experiment_switchback", s_exp * 1e3,
-                 total_epochs / s_exp, "epochs/s",
-                 "nodes=4 blocks=4 block_epochs=8 resamples=200");
-    }
-
+    t.addRow({"epoch_plain", num(best[0] * 1e3),
+              num(epochs / best[0], 0), num(es_plain)});
+    t.addRow({"epoch_seam_idle", num(best[1] * 1e3),
+              num(epochs / best[1], 0), num(es_seam)});
+    t.addRow({"experiment_switchback", num(best[2] * 1e3),
+              num(exp_epochs / best[2], 0), "-"});
     t.print(std::cout);
 
     // Correctness first: the dormant seam must not perturb a single
@@ -140,7 +94,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const double overhead = s_seam / s_plain - 1.0;
+    const double overhead = best[1] / best[0] - 1.0;
     std::cout << "seam overhead on the hot path: "
               << num(overhead * 100.0, 2) << "% (gate: < 2%)\n";
     if (overhead > 0.02) {

@@ -13,7 +13,6 @@
 
 #include <sys/resource.h>
 
-#include <chrono>
 #include <cstring>
 #include <iostream>
 
@@ -28,20 +27,6 @@ using namespace ahq::bench;
 
 namespace
 {
-
-double
-secondsOfN(const std::function<void()> &fn, int reps)
-{
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-}
 
 /** Peak resident set size in MiB (Linux ru_maxrss is KiB). */
 double
@@ -81,8 +66,7 @@ buildFleet(const trace::FleetLoadGenerator &gen, int nodes)
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = parseBenchArgs(argc, argv, "fleet_scale");
-    BenchJsonWriter json("fleet_scale", args);
+    BenchJsonWriter json(parseBenchArgs(argc, argv, "fleet_scale"));
 
     report::heading(std::cout,
                     "Fleet scale: streaming aggregation under the "
@@ -123,35 +107,37 @@ main(int argc, char **argv)
     }
 
     // ---- scale rows: 1k and 10k nodes --------------------------
+    // One row per sampler call: in rounds with faster rows the 10k
+    // run would repeat every round.
     for (const int nodes : {1000, 10000}) {
         trace::FleetLoadConfig lc;
         lc.numNodes = nodes;
         lc.numTenants = 1024;
         const trace::FleetLoadGenerator gen(lc);
-        double es = 0.0;
-        const double s = secondsOfN(
-            [&] {
-                auto fleet = buildFleet(gen, nodes);
-                const auto r = fleet.run(cfg);
-                es = r.eS;
-                // O(nodes) memory is structural: no slot may
-                // retain its per-epoch records.
-                for (const auto &res : r.nodes) {
-                    if (!res.epochs.empty()) {
-                        std::cerr << "FAIL: epochs retained with "
-                                     "keepEpochs=false\n";
-                        std::exit(1);
-                    }
-                }
-            },
-            nodes <= 1000 ? 2 : 1);
         const std::string name =
             "fleet_run_" + std::to_string(nodes / 1000) + "k";
+        double es = 0.0;
+        const double s = timeRows(
+            {{name, static_cast<double>(nodes), "nodes/s",
+              "epochs=20 tenants=1024 ARQ nodes=" +
+                  std::to_string(nodes),
+              [&] {
+                  auto fleet = buildFleet(gen, nodes);
+                  const auto r = fleet.run(cfg);
+                  es = r.eS;
+                  // O(nodes) memory is structural: no slot may
+                  // retain its per-epoch records.
+                  for (const auto &res : r.nodes) {
+                      if (!res.epochs.empty()) {
+                          std::cerr << "FAIL: epochs retained with "
+                                       "keepEpochs=false\n";
+                          std::exit(1);
+                      }
+                  }
+              }}},
+            json)[0];
         t.addRow({name, num(s * 1e3), num(nodes / s, 0),
                   num(nodes * epochs_per_node / s, 0), num(es)});
-        json.add(name, s * 1e3, nodes / s, "nodes/s",
-                 "epochs=20 tenants=1024 ARQ nodes=" +
-                     std::to_string(nodes));
         if (nodes / s < 1000.0) {
             std::cout << "WARNING: " << name << " below the 1k "
                       << "nodes/s acceptance floor\n";
@@ -167,22 +153,21 @@ main(int argc, char **argv)
         const trace::FleetLoadGenerator gen(lc);
         const auto mc = machine::MachineConfig::xeonE52630v4();
         double es = 0.0;
-        const double s = secondsOfN(
-            [&] {
-                cluster::ClusterConfig cc;
-                cluster::ClusterScheduler cs(cc, "ARQ");
-                for (int n = 0; n < lc.numNodes; ++n)
-                    cs.addNode(mc, cluster::fleetNodeApps(gen, n));
-                es = cs.run(cfg).eS;
-            },
-            2);
         const double total_epochs =
             3.0 * 20.0 * lc.numNodes; // rounds x epochs x nodes
+        const double s = timeRows(
+            {{"cluster_sched_64", total_epochs, "epochs/s",
+              "rounds=3 epochs=20 ARQ nodes=64", [&] {
+                  cluster::ClusterConfig cc;
+                  cluster::ClusterScheduler cs(cc, "ARQ");
+                  for (int n = 0; n < lc.numNodes; ++n)
+                      cs.addNode(mc, cluster::fleetNodeApps(gen, n));
+                  es = cs.run(cfg).eS;
+              }}},
+            json)[0];
         t.addRow({"cluster_sched_64", num(s * 1e3),
                   num(lc.numNodes / s, 0), num(total_epochs / s, 0),
                   num(es)});
-        json.add("cluster_sched_64", s * 1e3, total_epochs / s,
-                 "epochs/s", "rounds=3 epochs=20 ARQ nodes=64");
     }
 
     t.print(std::cout);

@@ -8,7 +8,6 @@
  *  - ARQ's low-load BE IPC uplift (paper: +63.8% / +37.1%).
  */
 
-#include <chrono>
 #include <iostream>
 
 #include "common.hh"
@@ -20,10 +19,9 @@ using namespace ahq::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs bench_args =
-        parseBenchArgs(argc, argv, "headline_summary");
-    BenchJsonWriter json("headline_summary", bench_args);
-    const auto wall_start = std::chrono::steady_clock::now();
+    BenchJsonWriter json(
+        parseBenchArgs(argc, argv, "headline_summary"));
+    const Stopwatch wall;
 
     report::heading(std::cout,
                     "Headline summary over the Fig. 8/9 sweeps");
@@ -125,10 +123,7 @@ main(int argc, char **argv)
                  "is a calibrated simulator, not the authors' "
                  "testbed (see EXPERIMENTS.md).\n";
 
-    const double wall_s =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
+    const double wall_s = wall.seconds();
     const int scenarios = parties.n + clite.n + arq.n;
     json.add("headline_summary", wall_s * 1e3,
              scenarios / wall_s, "scenarios/s",

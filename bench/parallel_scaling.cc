@@ -8,7 +8,6 @@
  * speedup trajectory as the engine evolves.
  */
 
-#include <chrono>
 #include <iostream>
 #include <thread>
 
@@ -22,21 +21,6 @@ using namespace ahq::bench;
 
 namespace
 {
-
-double
-secondsOf(const std::function<void()> &fn)
-{
-    // Best of three keeps scheduler jitter out of the trajectory.
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-}
 
 std::vector<exec::ScenarioJob>
 scenarioBatch()
@@ -63,9 +47,8 @@ scenarioBatch()
 int
 main(int argc, char **argv)
 {
-    const BenchArgs bench_args =
-        parseBenchArgs(argc, argv, "parallel_scaling");
-    BenchJsonWriter json("parallel_scaling", bench_args);
+    BenchJsonWriter json(
+        parseBenchArgs(argc, argv, "parallel_scaling"));
 
     report::heading(std::cout,
                     "Parallel scaling — ScenarioRunner batch and "
@@ -100,13 +83,20 @@ main(int argc, char **argv)
         cluster::OracleConfig cfg = ocfg;
         cfg.pool = &pool;
 
+        const std::string cfg_tag = "threads=" +
+            std::to_string(threads) + " hw=" + std::to_string(hw);
         std::vector<cluster::SimulationResult> batch_res;
-        const double batch_s =
-            secondsOf([&] { batch_res = runner.run(jobs); });
         cluster::OracleResult oracle_res;
-        const double oracle_s = secondsOf([&] {
-            oracle_res = cluster::bestHybridPartition(node, cfg);
-        });
+        const std::vector<double> best = timeRows(
+            {{"batch@" + std::to_string(threads) + "t",
+              static_cast<double>(jobs.size()), "scenarios/s", cfg_tag,
+              [&] { batch_res = runner.run(jobs); }},
+             {"oracle@" + std::to_string(threads) + "t", 1.0,
+              "searches/s", cfg_tag,
+              [&] { oracle_res = cluster::bestHybridPartition(node, cfg); }}},
+            json);
+        const double batch_s = best[0];
+        const double oracle_s = best[1];
 
         bool identical =
             oracle_res.evaluated == ref_oracle.evaluated &&
@@ -134,15 +124,6 @@ main(int argc, char **argv)
                      num(batch_s, 4), num(batch_sp, 3),
                      num(oracle_s, 4), num(oracle_sp, 3),
                      identical ? "1" : "0"});
-        const std::string cfg_tag = "threads=" +
-            std::to_string(threads) + " hw=" + std::to_string(hw);
-        json.add("batch@" + std::to_string(threads) + "t",
-                 batch_s * 1e3,
-                 static_cast<double>(jobs.size()) / batch_s,
-                 "scenarios/s", cfg_tag);
-        json.add("oracle@" + std::to_string(threads) + "t",
-                 oracle_s * 1e3, 1.0 / oracle_s, "searches/s",
-                 cfg_tag);
         if (!identical) {
             std::cerr << "determinism violation at " << threads
                       << " threads\n";

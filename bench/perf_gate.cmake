@@ -1,19 +1,19 @@
 # The `ctest -L perf` regression gate, run via `cmake -P`.
 #
-# Runs the anchor benchmark with --json and diffs the fresh numbers
-# against the committed baseline with tools/bench_diff (default 10%
+# Runs a timing bench with --json and diffs the fresh numbers
+# against the committed baseline with `ahq bench-diff` (default 10%
 # threshold). Timing on a loaded machine can transiently dip far
 # beyond any sane threshold, so a flagged diff is retried with a
 # fresh benchmark run up to 3 attempts — a real regression is
 # deterministic and fails all three, transient load noise is not and
 # passes a later attempt.
 #
-# Required -D variables: BENCH (epoch_throughput binary), DIFF
-# (bench_diff binary), BASELINE (committed BENCH_*.json), JSON
-# (scratch output path). Optional: THRESHOLD (regression fraction
-# handed to bench_diff; defaults to bench_diff's own 10% when empty).
+# Required -D variables: BENCH (the bench binary), AHQ (the ahq
+# binary), BASELINE (committed BENCH_*.json), JSON (scratch output
+# path). Optional: THRESHOLD (regression fraction handed to
+# bench-diff; defaults to bench-diff's own 10% when empty).
 
-foreach(var BENCH DIFF BASELINE JSON)
+foreach(var BENCH AHQ BASELINE JSON)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "perf_gate.cmake: -D${var}= is required")
     endif()
@@ -32,15 +32,15 @@ foreach(attempt RANGE 1 ${attempts})
             "perf gate: ${BENCH} failed (exit ${bench_rc})")
     endif()
     execute_process(
-        COMMAND ${DIFF} ${threshold_args} --baseline ${BASELINE}
-            ${JSON}
+        COMMAND ${AHQ} bench-diff ${threshold_args} --baseline
+            ${BASELINE} ${JSON}
         RESULT_VARIABLE diff_rc OUTPUT_VARIABLE diff_out)
     message("${diff_out}")
     if(diff_rc EQUAL 0)
         return()
     endif()
     if(diff_rc EQUAL 2)
-        message(FATAL_ERROR "perf gate: bench_diff usage error")
+        message(FATAL_ERROR "perf gate: bench-diff usage error")
     endif()
     if(attempt LESS attempts)
         message(STATUS "perf gate: attempt ${attempt}/${attempts} "

@@ -332,6 +332,70 @@ TEST(BenchDiff, ReportsSpeedupsAndBaselineSelection)
     std::remove(newf.c_str());
 }
 
+TEST(BenchDiff, NamesBothFingerprintsWhenTheyDiffer)
+{
+    const std::string oldf = tmpPath("BENCH_fp_base.json");
+    const std::string newf = tmpPath("BENCH_fp_run.json");
+    auto write = [](const std::string &path, double wall,
+                    const std::string &fingerprint) {
+        std::ofstream f(path);
+        f << "{\"type\":\"bench\",\"benchmark\":\"b\","
+             "\"wall_ms\":"
+          << wall
+          << ",\"throughput\":0,\"unit\":\"eps\",\"config\":\"c\","
+             "\"git_rev\":\"r\"";
+        if (!fingerprint.empty())
+            f << ",\"fingerprint\":\"" << fingerprint << "\"";
+        f << "}\n";
+    };
+    auto lines = [](const std::string &out) {
+        std::size_t n = 0;
+        for (auto at = out.find("fingerprint:");
+             at != std::string::npos;
+             at = out.find("fingerprint:", at + 1))
+            ++n;
+        return n;
+    };
+    const std::string a = "cpu=Xeon A nproc=4 build=Release";
+    const std::string b = "cpu=Xeon B nproc=8 build=Release";
+
+    // Neither side has one, or both carry the same: no line.
+    write(oldf, 100.0, "");
+    write(newf, 100.0, "");
+    EXPECT_EQ(lines(run({"bench-diff", oldf, newf}).out), 0u);
+    write(oldf, 100.0, a);
+    write(newf, 100.0, a);
+    EXPECT_EQ(lines(run({"bench-diff", oldf, newf}).out), 0u);
+
+    // Different machines: one line naming both, first, and the
+    // exit code still only reflects the numbers.
+    write(newf, 100.0, b);
+    const auto differ = run({"bench-diff", "--baseline", oldf, newf});
+    EXPECT_EQ(differ.code, 0) << differ.err;
+    EXPECT_EQ(differ.out.rfind("fingerprint: baseline \"" + a +
+                                   "\" vs new \"" + b + "\"\n",
+                               0),
+              0u)
+        << differ.out;
+    EXPECT_EQ(lines(differ.out), 1u);
+    write(newf, 200.0, b);
+    EXPECT_EQ(run({"bench-diff", oldf, newf}).code, 1);
+
+    // A baseline without a fingerprint counts as different.
+    write(oldf, 100.0, "");
+    write(newf, 100.0, b);
+    const auto bare = run({"bench-diff", oldf, newf});
+    EXPECT_EQ(bare.code, 0);
+    EXPECT_NE(bare.out.find("fingerprint: baseline (none) vs new \"" +
+                            b + "\"\n"),
+              std::string::npos)
+        << bare.out;
+    EXPECT_EQ(lines(bare.out), 1u);
+
+    std::remove(oldf.c_str());
+    std::remove(newf.c_str());
+}
+
 TEST(CliParse, TraceSampleFlag)
 {
     EXPECT_DOUBLE_EQ(parseSimulateArgs({"xapian=0.5", "stream"})

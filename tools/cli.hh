@@ -491,9 +491,11 @@ int runReport(const std::vector<std::string> &args,
  * throughput; geometric mean in the footer) and flag regressions
  * beyond the threshold (default 10%). With --baseline only the new
  * file is passed positionally — the CI shape, where the old file
- * is a committed baseline. Exit 0 when clean, 1 when a regression
- * is flagged, 2 on usage or parse errors (implemented in
- * report_cmd.cc; also built standalone as tools/bench_diff).
+ * is a committed baseline. When the two files' machine fingerprints
+ * differ (a file without one reads as none), one `fingerprint:`
+ * line naming both comes first. Exit 0 when clean, 1 when a
+ * regression is flagged, 2 on usage or parse errors (implemented in
+ * report_cmd.cc).
  */
 int runBenchDiff(const std::vector<std::string> &args,
                  std::ostream &out, std::ostream &err);

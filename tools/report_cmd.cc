@@ -3,8 +3,7 @@
  * `ahq report` — fold decision traces and BENCH_*.json
  * perf-trajectory files from one or more runs into a single JSON
  * or Markdown summary — and `ahq bench-diff`, the regression gate
- * comparing two BENCH_*.json files (also built standalone as
- * tools/bench_diff).
+ * comparing two BENCH_*.json files.
  */
 
 #include "cli.hh"
@@ -162,12 +161,14 @@ emitMarkdown(std::ostream &out, const std::vector<ReportRun> &runs,
 
 /**
  * Fill `entries` with name -> last (wall_ms, throughput) of a bench
- * file; false, with the error on `err`, when `path` is not one.
+ * file and `fingerprint` with its last row's machine fingerprint
+ * ("" when it carries none); false, with the error on `err`, when
+ * `path` is not one.
  */
 bool
 loadBenchFile(const std::string &path,
               std::map<std::string, std::pair<double, double>> &entries,
-              std::ostream &err)
+              std::string &fingerprint, std::ostream &err)
 {
     std::vector<BenchRow> rows;
     if (foldTrace(path, {.bench = &rows, .benchOnly = true}, err) != 0)
@@ -178,6 +179,7 @@ loadBenchFile(const std::string &path,
     }
     for (const BenchRow &r : rows)
         entries[r.benchmark] = {r.wallMs, r.throughput};
+    fingerprint = rows.back().fingerprint;
     return true;
 }
 
@@ -292,9 +294,19 @@ runBenchDiff(const std::vector<std::string> &args,
     // Unreadable input exits 2, not the fold's 1: perf_gate.cmake
     // retries a 1 as a regression and stops on a 2.
     std::map<std::string, std::pair<double, double>> oldB, newB;
-    if (!loadBenchFile(files[0], oldB, err) ||
-        !loadBenchFile(files[1], newB, err))
+    std::string oldFp, newFp;
+    if (!loadBenchFile(files[0], oldB, oldFp, err) ||
+        !loadBenchFile(files[1], newB, newFp, err))
         return 2;
+    // Numbers from another machine or build type are not comparable
+    // at face value; say so before the table that compares them.
+    if (newFp != oldFp) {
+        const auto side = [](const std::string &fp) {
+            return fp.empty() ? std::string("(none)") : '"' + fp + '"';
+        };
+        out << "fingerprint: baseline " << side(oldFp) << " vs new "
+            << side(newFp) << "\n";
+    }
 
     report::TextTable t({"benchmark", "wall old (ms)",
                          "wall new (ms)", "wall delta%",

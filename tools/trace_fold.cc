@@ -276,7 +276,8 @@ foldLine(const obs::TraceEvent &ev, const std::string &path,
         folds.bench->push_back(
             {path, ev.str("benchmark"), ev.num("wall_ms"),
              ev.num("throughput"), ev.str("unit"),
-             ev.str("config"), ev.str("git_rev")});
+             ev.str("config"), ev.str("git_rev"),
+             ev.str("fingerprint")});
         return;
     }
     if (folds.benchOnly) {

@@ -286,6 +286,7 @@ struct BenchRow
     std::string unit;
     std::string config;
     std::string gitRev;
+    std::string fingerprint;
 };
 
 /** The folds one verb asks foldTrace() to feed; null = not folded. */
