@@ -59,9 +59,9 @@ main()
                   << (ru ? num(*ru, 2) : "unreachable")
                   << " cores, ARQ "
                   << (ra ? num(*ra, 2) : "unreachable") << " cores";
-        if (ru && ra) {
-            std::cout << "  -> resource equivalence "
-                      << num(*ru - *ra, 2) << " cores";
+        if (const auto eq = core::resourceEquivalence(cu, ca, target)) {
+            std::cout << "  -> resource equivalence " << num(*eq, 2)
+                      << " cores";
         }
         std::cout << "\n";
     }
@@ -80,12 +80,22 @@ main()
     const std::vector<std::string> strategies{
         "Unmanaged", "PARTIES", "CLITE", "ARQ"};
 
-    for (int w : ways) {
-        std::vector<std::string> row{std::to_string(w)};
-        for (const auto &s : strategies) {
-            const auto curve = entropyVsCores(s, cores, w,
-                                              apps::fluidanimate());
-            const auto needed = core::resourceForEntropy(curve, 0.3);
+    // One isentropic line per strategy, over E_S-vs-cores curves
+    // sampled at each way count.
+    const std::vector<double> secondaries(ways.begin(), ways.end());
+    std::vector<std::vector<core::IsentropicPoint>> lines;
+    for (const auto &s : strategies) {
+        std::vector<core::EntropyCurve> curves;
+        for (int w : ways) {
+            curves.push_back(
+                entropyVsCores(s, cores, w, apps::fluidanimate()));
+        }
+        lines.push_back(core::isentropicLine(secondaries, curves, 0.3));
+    }
+    for (std::size_t k = 0; k < ways.size(); ++k) {
+        std::vector<std::string> row{std::to_string(ways[k])};
+        for (const auto &line : lines) {
+            const auto &needed = line[k].primary;
             row.push_back(needed ? num(*needed, 2) : "-");
         }
         tb.addRow(row);

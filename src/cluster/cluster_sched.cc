@@ -70,15 +70,8 @@ ClusterScheduler::run(const SimulationConfig &base,
     const SimulationConfig trial =
         trialConfig(base, cfg.trialSeconds, cfg.trialWarmupEpochs);
 
-    auto node_es = [&](std::size_t n,
-                       const std::vector<ColocatedApp> &set) {
-        if (set.empty())
-            return 0.0;
-        Node node(configs_[n], set);
-        EpochSimulator sim(node, trial);
-        const auto sched = sched::makeScheduler(strategy_);
-        return sim.run(*sched).meanES;
-    };
+    const std::function<std::unique_ptr<sched::Scheduler>()>
+        make_scheduler = [this] { return sched::makeScheduler(strategy_); };
 
     // Per-node mean E_S estimate: measured each round, patched
     // from trial values between migrations within a rebalance.
@@ -205,7 +198,8 @@ ClusterScheduler::run(const SimulationConfig &base,
                     auto rest = apps_[uh];
                     rest.erase(rest.begin() +
                                static_cast<std::ptrdiff_t>(i));
-                    residual[i] = node_es(uh, rest);
+                    residual[i] = trialEntropy(configs_[uh], rest, trial,
+                                               make_scheduler);
                 });
             std::size_t victim = 0;
             double victim_es = kInf;
@@ -230,7 +224,8 @@ ClusterScheduler::run(const SimulationConfig &base,
                 set.push_back(apps_[uh][victim]);
                 set.back().coldEpochs = cfg.migrationCostEpochs;
                 set.back().coldPenalty = cfg.migrationPenalty;
-                dest_es[d] = node_es(d, set);
+                dest_es[d] =
+                    trialEntropy(configs_[d], set, trial, make_scheduler);
             });
             int dest = -1;
             double best = kInf;

@@ -267,22 +267,16 @@ class Run : public detail::EpochState
                 // on outstanding work.
                 const double b_new = std::clamp(
                     backlog[ui] + (lambda - cap) * cfg_.epochSeconds,
-                    0.0, lambda * cfg_.queueCapSeconds + 32.0);
+                    0.0, perf::backlogCap(lambda, cfg_.queueCapSeconds));
                 const double b_mid = 0.5 * (backlog[ui] + b_new);
                 backlog[ui] = b_new;
 
-                // Steady queueing at a stabilised arrival rate plus
-                // the carried backlog's drain time; timeslice
-                // stretching (FairShare) inflates the service tail.
-                const double svc_tail =
-                    prof.svcMultAt(cfg_.tailPercentile) *
-                    out.serviceStretch;
-                double t95 = perf::sojournPercentileApprox(
-                    out.coreEquivalents, std::min(lambda, 0.98 * cap),
-                    per_server, svc_tail, cfg_.tailPercentile);
-                if (!std::isfinite(t95))
-                    t95 = svc_tail / per_server;
-                t95 += b_mid / std::max(cap, 1e-9);
+                // The LC tail rule the oracle shares, over the epoch's
+                // mean backlog.
+                const double t95 = perf::lcTailSeconds(
+                    out.coreEquivalents, per_server, cap, lambda,
+                    prof.svcMultAt(cfg_.tailPercentile),
+                    out.serviceStretch, b_mid, cfg_.tailPercentile);
                 value = (prof.baseLatencyMs + 1000.0 * t95) * overhead;
             } else {
                 // Repartitioning costs BE throughput too (cold ways

@@ -25,6 +25,7 @@
 #include "obs/scope.hh"
 #include "obs/slo.hh"
 #include "perf/contention.hh"
+#include "perf/queueing.hh"
 #include "sched/scheduler.hh"
 
 namespace ahq::cluster
@@ -71,7 +72,7 @@ struct SimulationConfig
      * generators bound outstanding requests, so overloaded tails
      * saturate instead of diverging).
      */
-    double queueCapSeconds = 0.10;
+    double queueCapSeconds = perf::kDefaultQueueCapSeconds;
 
     /** Contention model tunables. */
     perf::ContentionTraits contention;

@@ -37,6 +37,8 @@ Fleet::addNode(Node node, std::unique_ptr<sched::Scheduler> scheduler)
 void
 FleetAccumulator::add(const Node &node, const SimulationResult &res)
 {
+    assert(res.steadyMeanLoad.size() ==
+           static_cast<std::size_t>(node.numApps()));
     violations += res.violations;
     for (machine::AppId i = 0; i < node.numApps(); ++i) {
         const auto &p = node.profile(i);
@@ -47,25 +49,7 @@ FleetAccumulator::add(const Node &node, const SimulationResult &res)
             // reference must be too (a trace still ramping during
             // warmup would otherwise drag the reference below the
             // regime the steady tail was measured in).
-            double mean_load = 0.0;
-            if (ui < res.steadyMeanLoad.size()) {
-                mean_load = res.steadyMeanLoad[ui];
-            } else if (!res.epochs.empty()) {
-                // Hand-built result without steadyMeanLoad: derive
-                // it from the retained epochs, post-warmup only.
-                double load_sum = 0.0;
-                int steady = 0;
-                for (std::size_t e = static_cast<std::size_t>(
-                         std::max(res.warmupEpochs, 0));
-                     e < res.epochs.size(); ++e) {
-                    load_sum += res.epochs[e].obs[ui].loadFraction;
-                    ++steady;
-                }
-                if (steady > 0)
-                    mean_load =
-                        load_sum / static_cast<double>(steady);
-            }
-            lc.push_back({p.soloTailP95Ms(mean_load),
+            lc.push_back({p.soloTailP95Ms(res.steadyMeanLoad[ui]),
                           res.meanP95Ms[ui], p.tailThresholdMs});
         } else {
             be.push_back({p.ipcSolo, res.meanIpc[ui]});
@@ -87,18 +71,6 @@ FleetAccumulator::entropy(double ri) const
     return core::computeEntropy(lc, be, ri);
 }
 
-core::EntropyReport
-fleetEntropy(const std::vector<const Node *> &nodes,
-             const std::vector<const SimulationResult *> &results,
-             double ri)
-{
-    assert(nodes.size() == results.size());
-    FleetAccumulator acc;
-    for (std::size_t n = 0; n < nodes.size(); ++n)
-        acc.add(*nodes[n], *results[n]);
-    return acc.entropy(ri);
-}
-
 SimulationConfig
 trialConfig(const SimulationConfig &base, double seconds,
             int warmup_epochs)
@@ -111,6 +83,19 @@ trialConfig(const SimulationConfig &base, double seconds,
     trial.warmupEpochs = warmup_epochs;
     trial.keepEpochs = false;
     return trial;
+}
+
+double
+trialEntropy(const machine::MachineConfig &config,
+             const std::vector<ColocatedApp> &apps,
+             const SimulationConfig &trial,
+             const std::function<std::unique_ptr<sched::Scheduler>()>
+                 &make_scheduler)
+{
+    if (apps.empty())
+        return 0.0;
+    const auto sched = make_scheduler();
+    return EpochSimulator(Node(config, apps), trial).run(*sched).meanES;
 }
 
 void
@@ -470,15 +455,6 @@ PlacementAdvisor::place(
     placement.nodeEntropy.assign(
         static_cast<std::size_t>(numNodes_), 0.0);
 
-    auto node_entropy = [&](const std::vector<ColocatedApp> &set) {
-        if (set.empty())
-            return 0.0;
-        Node node(nodeConfig, set);
-        EpochSimulator sim(node, trial_config);
-        const auto sched = makeScheduler();
-        return sim.run(*sched).meanES;
-    };
-
     exec::ThreadPool &p = pool ? *pool : exec::globalPool();
     std::vector<double> trial_es(
         static_cast<std::size_t>(numNodes_), 0.0);
@@ -491,7 +467,8 @@ PlacementAdvisor::place(
             [&](std::size_t n) {
                 auto trial = per_node[n];
                 trial.push_back(apps[oi]);
-                trial_es[n] = node_entropy(trial);
+                trial_es[n] = trialEntropy(nodeConfig, trial,
+                                           trial_config, makeScheduler);
             });
         int best_node = 0;
         double best_es = std::numeric_limits<double>::infinity();
@@ -514,7 +491,8 @@ PlacementAdvisor::place(
     // later apps joined them. Empty nodes report 0.
     exec::parallelFor(
         p, static_cast<std::size_t>(numNodes_), [&](std::size_t n) {
-            placement.nodeEntropy[n] = node_entropy(per_node[n]);
+            placement.nodeEntropy[n] = trialEntropy(
+                nodeConfig, per_node[n], trial_config, makeScheduler);
         });
 
     double sum = 0.0;

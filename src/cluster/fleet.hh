@@ -46,15 +46,14 @@ struct FleetAccumulator
     long long violations = 0;
 
     /**
-     * Fold one node's steady-state result in. Each LC app's
-     * solo-tail reference is evaluated at its *steady-state* mean
-     * load (SimulationResult::steadyMeanLoad): meanP95Ms is a
-     * post-warmup aggregate, so pooling it against a load average
-     * that included warmup epochs (where a trace may still be
-     * ramping) would compare the steady tail against a reference
-     * the steady state never saw. Results lacking steadyMeanLoad
-     * (hand-built) fall back to scanning res.epochs from
-     * res.warmupEpochs on — the identical sum.
+     * Fold one node's steady-state result (EpochSimulator::run's,
+     * for this node) in. Each LC app's solo-tail reference is
+     * evaluated at its *steady-state* mean load
+     * (SimulationResult::steadyMeanLoad): meanP95Ms is a post-warmup
+     * aggregate, so pooling it against a load average that included
+     * warmup epochs (where a trace may still be ramping) would
+     * compare the steady tail against a reference the steady state
+     * never saw.
      */
     void add(const Node &node, const SimulationResult &res);
 
@@ -179,25 +178,25 @@ class Fleet
 };
 
 /**
- * Pool per-node steady-state measurements into a datacenter-wide
- * entropy report (exposed for tests and custom aggregation).
- *
- * @param nodes The colocations, in the same order as results.
- * @param results Their simulation results.
- * @param ri Relative importance for the pooled E_S.
- */
-core::EntropyReport
-fleetEntropy(const std::vector<const Node *> &nodes,
-             const std::vector<const SimulationResult *> &results,
-             double ri = core::kDefaultRelativeImportance);
-
-/**
  * Settings for short placement trial runs (failover placement,
  * migration search): `base` without telemetry, audits, faults or
  * per-epoch records, cut to `seconds` with `warmup_epochs` warmup.
  */
 SimulationConfig trialConfig(const SimulationConfig &base,
                              double seconds, int warmup_epochs);
+
+/**
+ * The trial objective of every placement search (failover
+ * placement, migration search): the mean E_S of one `trial` run of
+ * `apps` on a `config` node under a fresh scheduler from
+ * `make_scheduler`, or 0 when `apps` is empty.
+ */
+double trialEntropy(
+    const machine::MachineConfig &config,
+    const std::vector<ColocatedApp> &apps,
+    const SimulationConfig &trial,
+    const std::function<std::unique_ptr<sched::Scheduler>()>
+        &make_scheduler);
 
 /**
  * Greedy entropy-driven placement: assign applications to a fixed

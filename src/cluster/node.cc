@@ -49,20 +49,6 @@ Node::Node(machine::MachineConfig config, std::vector<ColocatedApp> apps)
             be_.push_back(i);
         }
     }
-    // Registration-time curve tables: one per app, over the
-    // machine's integer way lattice (see perf/curve_table.hh).
-    auto tables = std::make_shared<std::vector<perf::AppCurveTable>>();
-    tables->reserve(apps_.size());
-    for (const auto &a : apps_)
-        tables->emplace_back(a.profile.cpi, config_.totalLlcWays);
-    curves_ = std::move(tables);
-}
-
-const perf::AppCurveTable &
-Node::curves(machine::AppId id) const
-{
-    assert(id >= 0 && id < numApps());
-    return (*curves_)[static_cast<std::size_t>(id)];
 }
 
 const apps::AppProfile &
@@ -94,13 +80,10 @@ Node::demandsAt(double time_s,
 {
     demands.clear();
     demands.reserve(apps_.size());
-    for (int i = 0; i < numApps(); ++i) {
+    for (int i = 0; i < numApps(); ++i)
         demands.push_back(
             apps_[static_cast<std::size_t>(i)].profile.toDemand(
                 loadAt(i, time_s)));
-        demands.back().curves =
-            &(*curves_)[static_cast<std::size_t>(i)];
-    }
 }
 
 std::vector<sched::AppObservation>

@@ -88,14 +88,10 @@ class Node
 
     /**
      * As demandsAt(), but writing into @p demands so the per-epoch
-     * simulation loop recycles one buffer. Each demand carries the
-     * node's precomputed per-app curve table.
+     * simulation loop recycles one buffer.
      */
     void demandsAt(double time_s,
                    std::vector<perf::AppDemand> &demands) const;
-
-    /** Precomputed contention curves of one app (node lifetime). */
-    const perf::AppCurveTable &curves(machine::AppId id) const;
 
     /**
      * Observation skeletons with the static fields (id, kind,
@@ -114,13 +110,6 @@ class Node
     std::vector<ColocatedApp> apps_;
     std::vector<machine::AppId> lc;
     std::vector<machine::AppId> be_;
-
-    /**
-     * Per-app curve tables over the machine's way lattice, built
-     * once at registration (shared_ptr so Node copies stay cheap
-     * and AppDemand::curves pointers remain valid across them).
-     */
-    std::shared_ptr<const std::vector<perf::AppCurveTable>> curves_;
 };
 
 } // namespace ahq::cluster

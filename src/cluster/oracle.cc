@@ -6,7 +6,6 @@
 #include "cluster/oracle.hh"
 
 #include <cassert>
-#include <cmath>
 #include <functional>
 #include <limits>
 
@@ -148,22 +147,15 @@ steadyStateEntropy(const Node &node, const RegionLayout &layout,
             const double load = node.loadAt(i, 0.0);
             const double lambda = p.arrivalRate(load);
             const double cap = out[ui].serviceRate;
-            const double svc_tail =
-                p.svcMultAt(cfg.tailPercentile) *
-                out[ui].serviceStretch;
-            const double lam_eff = std::min(lambda, 0.98 * cap);
-            double t = perf::sojournPercentileApprox(
-                out[ui].coreEquivalents, lam_eff,
-                out[ui].perServerRate, svc_tail,
-                cfg.tailPercentile);
-            if (!std::isfinite(t))
-                t = svc_tail / out[ui].perServerRate;
-            if (lambda > cap) {
-                // Saturated: the generator-capped backlog drains
-                // ahead of every request (cf. the epoch simulator).
-                const double backlog = lambda * 0.10 + 32.0;
-                t += backlog / std::max(cap, 1e-9);
-            }
+            // Saturated, the backlog sits at the generator's cap and
+            // drains ahead of every request (cf. the epoch simulator).
+            const double backlog = lambda > cap
+                ? perf::backlogCap(lambda, perf::kDefaultQueueCapSeconds)
+                : 0.0;
+            const double t = perf::lcTailSeconds(
+                out[ui].coreEquivalents, out[ui].perServerRate, cap,
+                lambda, p.svcMultAt(cfg.tailPercentile),
+                out[ui].serviceStretch, backlog, cfg.tailPercentile);
             lc.push_back(
                 {p.soloTailPercentileMs(load, cfg.tailPercentile),
                  p.baseLatencyMs + 1000.0 * t,

@@ -13,7 +13,7 @@
  * value of resource sharing; the gap between a live controller and
  * its family's oracle measures the controller's convergence.
  *
- * The search is deliberately noise-free and backlog-free (steady
+ * The search is deliberately noise-free and transient-free (steady
  * state), so it bounds what any feedback controller could converge
  * to under the same model.
  */
@@ -75,8 +75,9 @@ struct OracleResult
 
 /**
  * Steady-state entropy of one candidate layout (no noise, no
- * backlog, no repartition overhead) — the objective the oracle
- * minimises, exposed for tests and custom searches.
+ * repartition overhead, and a backlog only when saturated, held at
+ * the generator's cap) — the objective the oracle minimises, under
+ * the epoch simulator's LC tail rule (perf::lcTailSeconds).
  *
  * @param node The colocation.
  * @param layout Candidate layout.

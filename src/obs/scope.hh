@@ -6,8 +6,8 @@
  * MetricsRegistry and the context tags (scenario id, current epoch)
  * that every emitted event carries. Both pointers default to null,
  * so an un-instrumented run pays exactly one branch per potential
- * event — the overhead contract the micro-benchmarks check (<2%
- * on the epoch loop with tracing off).
+ * event — the <2% overhead contract on the epoch loop with tracing
+ * off (DESIGN.md §8).
  *
  * Every event line carries a `v` schema-version field (see
  * docs/TRACE_SCHEMA.md for the event taxonomy and evolution rules).

@@ -21,7 +21,7 @@
  * Cost contract: a Span whose profiler pointer is null is one
  * branch — no clock read, no allocation — so the profiler-off
  * epoch loop stays inside the established <2% overhead budget
- * (BM_EpochSimProfiling/0 measures it).
+ * (DESIGN.md §11).
  */
 
 #ifndef AHQ_OBS_SPAN_HH

@@ -29,6 +29,14 @@ using machine::ResourceKind;
 namespace
 {
 
+/**
+ * Entries of the exact-key evaluation memo. Hits return
+ * byte-identical outcomes for byte-identical inputs, so the size
+ * changes no observable result — only the cost of epochs whose
+ * layout and demands repeat.
+ */
+constexpr std::size_t kMemoCapacity = 64;
+
 double
 damp(double old_v, double new_v, double alpha)
 {
@@ -132,10 +140,7 @@ buildMemoKey(const RegionLayout &layout,
 ContentionModel::ContentionModel(machine::MachineConfig config,
                                  ContentionTraits traits)
     : config_(std::move(config)), traits_(traits),
-      bwModel(traits.bandwidth),
-      memo_(traits.memoCapacity > 0
-                ? static_cast<std::size_t>(traits.memoCapacity)
-                : 0)
+      bwModel(traits.bandwidth), memo_(kMemoCapacity)
 {
     assert(config_.valid());
     assert(traits_.iterations > 0);
@@ -181,14 +186,11 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
     ws.st.assign(n, AppState{});
     std::vector<AppState> &st = ws.st;
     // Hoist the per-app ideal CPI (constant across the fixed point;
-    // CpiModel::speed would otherwise recompute it per call). The
-    // curve table, when registered, supplies the identical value.
+    // CpiModel::speed would otherwise recompute it per call).
     ws.cpiIdeal.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         const AppDemand &d = demands[i];
-        ws.cpiIdeal[i] = d.curves != nullptr
-            ? d.curves->cpiIdeal()
-            : d.cpi.cpiIdeal(ideal_ways);
+        ws.cpiIdeal[i] = d.cpi.cpiIdeal(ideal_ways);
         st[i].ways = std::max(
             1.0, static_cast<double>(layout.reachable(
                      static_cast<AppId>(i), ResourceKind::LlcWays)));
@@ -290,8 +292,7 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
                 // the compounding that makes heavy oversubscription
                 // catastrophic on real CFS nodes.
                 const double util = ws.lambda[i] /
-                    std::max(1e-9, st[i].speed) *
-                    traits_.lcOccupancyHeadroom * ws.prevStretch[i];
+                    std::max(1e-9, st[i].speed) * ws.prevStretch[i];
                 ws.resid[k] = std::max(0.0, util - st[i].isoCores);
                 ws.burstCap[k] = std::max(
                     0.0, static_cast<double>(d.threads) -

@@ -40,7 +40,6 @@
 #include "perf/bandwidth.hh"
 #include "perf/contention_cache.hh"
 #include "perf/cpi.hh"
-#include "perf/curve_table.hh"
 
 namespace ahq::perf
 {
@@ -78,14 +77,6 @@ struct AppDemand
 
     /** Cache/CPI behaviour. */
     CpiModel cpi;
-
-    /**
-     * Optional precomputed curve table for this app (not owned; must
-     * outlive the demand and match cpi). Purely an evaluation
-     * accelerator — never part of the model's inputs, so it is
-     * excluded from memo keys.
-     */
-    const AppCurveTable *curves = nullptr;
 
     AppDemand() : cpi(MissRateCurve(10.0, 1.0, 4.0), CpiTraits{}) {}
 };
@@ -144,13 +135,6 @@ struct ContentionTraits
     BandwidthTraits bandwidth;
 
     /**
-     * LC demand headroom: when computing how much shared-region core
-     * capacity an LC app occupies on average, its mean utilisation is
-     * multiplied by this factor to account for burstiness.
-     */
-    double lcOccupancyHeadroom = 1.0;
-
-    /**
      * Service-time inflation for LC work executed on shared-region
      * cores (>= 1). Between LC requests a shared core runs other
      * work, so each request pays context-switch and private-cache
@@ -159,14 +143,6 @@ struct ContentionTraits
      * triangles).
      */
     double sharedServicePenalty = 1.15;
-
-    /**
-     * Entries of the exact-key evaluation memo (0 disables). Hits
-     * return byte-identical outcomes for byte-identical inputs, so
-     * this changes no observable result — only the cost of epochs
-     * whose layout and demands repeat.
-     */
-    int memoCapacity = 64;
 };
 
 /**

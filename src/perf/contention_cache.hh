@@ -27,6 +27,7 @@
 #ifndef AHQ_PERF_CONTENTION_CACHE_HH
 #define AHQ_PERF_CONTENTION_CACHE_HH
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -39,9 +40,11 @@ template <typename Outcome>
 class EvaluationMemo
 {
   public:
+    /** @param capacity Entries held before the store clears (>= 1). */
     explicit EvaluationMemo(std::size_t capacity)
         : capacity_(capacity)
     {
+        assert(capacity >= 1);
     }
 
     /**
@@ -52,8 +55,6 @@ class EvaluationMemo
     const std::vector<Outcome> *
     find(const std::vector<double> &key)
     {
-        if (capacity_ == 0)
-            return nullptr;
         const std::uint64_t h = hashKey(key);
         for (std::size_t k = 0; k < size_; ++k) {
             const Entry &e = entries_[k];
@@ -75,8 +76,6 @@ class EvaluationMemo
     store(const std::vector<double> &key,
           const std::vector<Outcome> &outcomes)
     {
-        if (capacity_ == 0)
-            return;
         if (size_ >= capacity_)
             size_ = 0;
         if (size_ == entries_.size())

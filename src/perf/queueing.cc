@@ -176,6 +176,25 @@ sojournPercentileApprox(double c, double lambda, double mu,
 }
 
 double
+backlogCap(double lambda, double queue_cap_seconds)
+{
+    return lambda * queue_cap_seconds + 32.0;
+}
+
+double
+lcTailSeconds(double servers, double per_server, double cap,
+              double lambda, double svc_mult, double stretch,
+              double backlog, double p)
+{
+    const double svc_tail = svc_mult * stretch;
+    double t = sojournPercentileApprox(
+        servers, std::min(lambda, 0.98 * cap), per_server, svc_tail, p);
+    if (!std::isfinite(t))
+        t = svc_tail / per_server;
+    return t + backlog / std::max(cap, 1e-9);
+}
+
+double
 mmcSojournTail(double t, double c, double lambda, double mu)
 {
     assert(c > 0.0 && mu > 0.0 && lambda >= 0.0);

@@ -101,6 +101,42 @@ double mmcSojournPercentileWithBacklog(double c, double lambda, double mu,
 double sojournPercentileApprox(double c, double lambda, double mu,
                                double svc_pmult, double p = 0.95);
 
+/**
+ * Default generator-side queue cap, seconds of offered arrivals (the
+ * epoch simulator's SimulationConfig::queueCapSeconds; the oracle's
+ * steady state holds a saturated app's backlog at this cap).
+ */
+inline constexpr double kDefaultQueueCapSeconds = 0.10;
+
+/**
+ * Most requests an LC app's load generator keeps outstanding:
+ * lambda * queue_cap_seconds + 32. Tailbench-style generators bound
+ * outstanding work, so an overloaded tail saturates instead of
+ * diverging.
+ */
+double backlogCap(double lambda, double queue_cap_seconds);
+
+/**
+ * The LC tail rule, in seconds: what the epoch simulator measures
+ * and the oracle minimises. The sojourn percentile
+ * (sojournPercentileApprox) at the stabilised rate
+ * min(lambda, 0.98 cap) with the service tail svc_mult x stretch —
+ * or one such service tail when that percentile is not finite —
+ * plus the drain time of the backlog over the capacity.
+ *
+ * @param servers Core-equivalents (> 0).
+ * @param per_server Per-server service rate, requests/s (> 0).
+ * @param cap Total service capacity, requests/s.
+ * @param lambda Offered arrival rate, requests/s (>= 0).
+ * @param svc_mult Service-time percentile multiplier at p.
+ * @param stretch Processor-sharing service stretch (>= 1).
+ * @param backlog Requests queued ahead of the arrivals (>= 0).
+ * @param p Percentile in (0, 1).
+ */
+double lcTailSeconds(double servers, double per_server, double cap,
+                     double lambda, double svc_mult, double stretch,
+                     double backlog, double p);
+
 } // namespace ahq::perf
 
 #endif // AHQ_PERF_QUEUEING_HH

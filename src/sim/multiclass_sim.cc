@@ -18,6 +18,7 @@
 
 #include "sim/multiclass_sim.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 
@@ -67,7 +68,7 @@ MultiClassSimulator::run(double duration, stats::Rng &rng,
 {
     Simulator sim;
     MultiClassResult res;
-    res.duration = duration;
+    res.measuredSeconds = std::max(0.0, duration - warmup);
     res.lcSojournTimes.resize(classes_.size());
 
     // Server table: per-class private blocks, then the shared pool.
@@ -142,10 +143,11 @@ MultiClassSimulator::run(double duration, stats::Rng &rng,
         const double svc = rng.exponential(
             classes_[static_cast<std::size_t>(req.cls)]
                 .serviceRate);
-        sim.scheduleAfter(svc, [&, s, gen, req]() {
+        sim.scheduleAfter(svc, [&, s, gen, req, svc]() {
             if (servers[s].generation != gen)
                 return;
             --in_service[static_cast<std::size_t>(req.cls)];
+            res.lcBusySeconds += svc;
             if (req.arrival >= warmup) {
                 res.lcSojournTimes[static_cast<std::size_t>(
                                        req.cls)]
@@ -190,6 +192,7 @@ MultiClassSimulator::run(double duration, stats::Rng &rng,
     auto place_arrival = [&](int cls) {
         const auto c = static_cast<std::size_t>(cls);
         const Pending req{sim.now(), cls};
+        ++res.lcArrivals;
         if (in_service[c] < classes_[c].maxConcurrency) {
             // Private servers first.
             const auto &[lo, hi] = private_range[c];
@@ -245,6 +248,9 @@ MultiClassSimulator::run(double duration, stats::Rng &rng,
     }
 
     sim.run(duration);
+    for (std::size_t c = 0; c < classes_.size(); ++c)
+        res.lcInSystem += queues[c].size() +
+            static_cast<std::uint64_t>(in_service[c]);
     return res;
 }
 

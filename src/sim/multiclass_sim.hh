@@ -47,17 +47,28 @@ struct MultiClassResult
     /** Per-class sojourn times, seconds, completion order. */
     std::vector<std::vector<double>> lcSojournTimes;
 
-    /** BE work chunks completed on the shared pool. */
+    /** BE work chunks completed on the shared pool after warmup. */
     std::uint64_t beChunksCompleted = 0;
 
-    double duration = 0.0;
+    /** The measured window, duration - warmup, seconds. */
+    double measuredSeconds = 0.0;
 
-    /** BE throughput, chunks/second. */
+    /** LC requests that arrived over the whole run (all classes). */
+    std::uint64_t lcArrivals = 0;
+
+    /** LC requests still queued or in service when the run ended. */
+    std::uint64_t lcInSystem = 0;
+
+    /** Server-busy seconds of the completed LC requests. */
+    double lcBusySeconds = 0.0;
+
+    /** BE throughput over the measured window, chunks/second. */
     double
     beThroughput() const
     {
-        return duration > 0.0 ?
-            static_cast<double>(beChunksCompleted) / duration : 0.0;
+        return measuredSeconds > 0.0 ?
+            static_cast<double>(beChunksCompleted) / measuredSeconds
+            : 0.0;
     }
 };
 

@@ -3,9 +3,10 @@
  * A minimal discrete-event simulation engine.
  *
  * The epoch-level system simulator (cluster/) is analytic, but the
- * library also ships a request-level discrete-event path used to
- * cross-validate the analytic queueing formulas (tests/ and
- * bench/fig07) and to let downstream users plug in custom workloads.
+ * library also ships a request-level discrete-event path, the
+ * multi-class region simulator, used to cross-validate the analytic
+ * queueing formulas (tests/ and bench/validation_model) and to let
+ * downstream users plug in custom workloads.
  */
 
 #ifndef AHQ_SIM_SIMULATOR_HH

@@ -59,7 +59,9 @@ TEST(FleetStream, WarmupExcludedFromPooledLoad)
     ASSERT_EQ(res.steadyMeanLoad.size(), 2u);
     EXPECT_NEAR(res.steadyMeanLoad[0], 0.3, 1e-12);
 
-    const auto rep = fleetEntropy({&node}, {&res});
+    FleetAccumulator acc;
+    acc.add(node, res);
+    const auto rep = acc.entropy();
     const auto manual = core::computeEntropy(
         {{node.profile(0).soloTailP95Ms(0.3), res.meanP95Ms[0],
           node.profile(0).tailThresholdMs}},
@@ -78,26 +80,6 @@ TEST(FleetStream, WarmupExcludedFromPooledLoad)
         {{node.profile(1).ipcSolo, res.meanIpc[1]}});
     EXPECT_GT(std::abs(rep.meanTolerance - polluted.meanTolerance),
               1e-6);
-}
-
-/**
- * Hand-built results without steadyMeanLoad fall back to scanning
- * the retained epochs — post-warmup only, the identical sum.
- */
-TEST(FleetStream, EpochScanFallbackMatchesSteadyMeanLoad)
-{
-    auto ramp = std::make_shared<trace::StepTrace>(
-        std::vector<std::pair<double, double>>{{0.0, 0.8},
-                                               {15.0, 0.4}});
-    Node node(machine::MachineConfig::xeonE52630v4(),
-              {lcWith(apps::xapian(), ramp), be(apps::stream())});
-    sched::Arq s;
-    auto res = EpochSimulator(node, quick()).run(s);
-    const auto with_field = fleetEntropy({&node}, {&res});
-    res.steadyMeanLoad.clear();
-    const auto with_scan = fleetEntropy({&node}, {&res});
-    EXPECT_EQ(with_field.eS, with_scan.eS);
-    EXPECT_EQ(with_field.eLc, with_scan.eLc);
 }
 
 /**

@@ -56,7 +56,10 @@ TEST(Fleet, PooledEntropyMatchesManualComputation)
     const auto r1 = EpochSimulator(n1, quick()).run(s1);
     const auto r2 = EpochSimulator(n2, quick()).run(s2);
 
-    const auto rep = fleetEntropy({&n1, &n2}, {&r1, &r2});
+    FleetAccumulator acc;
+    acc.add(n1, r1);
+    acc.add(n2, r2);
+    const auto rep = acc.entropy();
     EXPECT_EQ(rep.lcDetail.size(), 2u);
 
     std::vector<core::LcObservation> lc{

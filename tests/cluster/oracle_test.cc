@@ -8,7 +8,10 @@
 #include "apps/catalog.hh"
 #include <cmath>
 
+#include "cluster/epoch_sim.hh"
 #include "cluster/oracle.hh"
+#include "perf/queueing.hh"
+#include "sched/registry.hh"
 
 namespace
 {
@@ -125,6 +128,56 @@ TEST(Oracle, HighLoadShiftsResourcesToLoadedApp)
     EXPECT_GE(hot.layout.reachable(0, machine::ResourceKind::Cores),
               cold.layout.reachable(
                   0, machine::ResourceKind::Cores) - 1);
+}
+
+/**
+ * The simulator and the oracle share one LC tail rule. On a
+ * constant-load node without noise, under strategies that never
+ * change the layout, the oracle's steady-state E_S equals the
+ * simulator's epoch E_S bit for bit: at epoch 0 below saturation,
+ * and saturated (xapian at 0.98 on 4 cores) at the last epoch, once
+ * every saturated app's backlog sits at the generator's cap the
+ * oracle assumes.
+ */
+TEST(Oracle, SteadyStateEntropyIsTheSimulatorsEpochEntropy)
+{
+    for (const char *strategy : {"Unmanaged", "LC-first"}) {
+        for (const double p : {0.95, 0.9}) {
+            for (const bool saturated : {false, true}) {
+                const double load = saturated ? 0.98 : 0.5;
+                const Node node(
+                    machine::MachineConfig::xeonE52630v4()
+                        .withAvailable(saturated ? 4 : 10, 20, 10),
+                    {lcAt(apps::xapian(), load),
+                     lcAt(apps::moses(), 0.2), be(apps::stream())});
+                SimulationConfig sim;
+                sim.noiseSigma = 0.0;
+                sim.tailPercentile = p;
+                sim.durationSeconds = 30.0;
+                const auto sched = sched::makeScheduler(strategy);
+                const auto res = EpochSimulator(node, sim).run(*sched);
+                const auto &rec =
+                    saturated ? res.epochs.back() : res.epochs.front();
+                const double xapian_cap = perf::backlogCap(
+                    node.profile(0).arrivalRate(load),
+                    sim.queueCapSeconds);
+                ASSERT_EQ(rec.queueBacklog[0],
+                          saturated ? xapian_cap : 0.0)
+                    << strategy;
+                if (saturated) {
+                    ASSERT_EQ(res.epochs.end()[-2].queueBacklog,
+                              rec.queueBacklog)
+                        << strategy;
+                }
+                OracleConfig oc;
+                oc.tailPercentile = p;
+                const auto rep = steadyStateEntropy(
+                    node, rec.layout, sched->corePolicy(), oc);
+                EXPECT_EQ(rep.eS, rec.entropy.eS)
+                    << strategy << " p=" << p << " load=" << load;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -1,7 +1,9 @@
 /**
  * @file
- * Tests for the multi-class region simulator, including the
- * cross-validation of the analytic LcPriority contention model.
+ * Tests for the multi-class region simulator, the library's one
+ * request-level DES: its single-class cases cross-validate the
+ * analytic M/M/c formulas, its BE cases the preemptive priority the
+ * analytic LcPriority contention model assumes.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include "sim/multiclass_sim.hh"
 #include "stats/percentile.hh"
 #include "stats/rng.hh"
+#include "stats/summary.hh"
 
 namespace
 {
@@ -17,6 +20,150 @@ namespace
 using namespace ahq::sim;
 using ahq::stats::exactPercentile;
 using ahq::stats::Rng;
+
+/** One LC class that may occupy all c servers of a shared pool. */
+LcClassSpec
+mmcClass(double lambda, double mu, int c)
+{
+    LcClassSpec spec;
+    spec.arrivalRate = lambda;
+    spec.serviceRate = mu;
+    spec.maxConcurrency = c;
+    return spec;
+}
+
+TEST(MultiClass, ConservesRequests)
+{
+    MultiClassSimulator sim({mmcClass(10.0, 8.0, 2)}, 2, 0.0);
+    Rng rng(1);
+    const auto res = sim.run(200.0, rng);
+    EXPECT_GT(res.lcArrivals, 0u);
+    // Every arrival either completed or is still in the system.
+    EXPECT_EQ(res.lcArrivals,
+              res.lcSojournTimes[0].size() + res.lcInSystem);
+}
+
+TEST(MultiClass, MeanSojournMatchesMmc)
+{
+    const int c = 3;
+    const double lambda = 2.0, mu = 1.0;
+    MultiClassSimulator sim({mmcClass(lambda, mu, c)}, c, 0.0);
+    Rng rng(7);
+    const auto res = sim.run(20000.0, rng, 100.0);
+    const double analytic = ahq::perf::mmcMeanSojourn(c, lambda, mu);
+    const double measured = ahq::stats::mean(res.lcSojournTimes[0]);
+    EXPECT_NEAR(measured / analytic, 1.0, 0.05);
+}
+
+class MultiClassMmc
+    : public ::testing::TestWithParam<std::tuple<int, double>>
+{
+};
+
+TEST_P(MultiClassMmc, P95MatchesAnalytic)
+{
+    const int c = std::get<0>(GetParam());
+    const double rho = std::get<1>(GetParam());
+    const double mu = 1.0;
+    const double lambda = rho * c * mu;
+
+    MultiClassSimulator sim({mmcClass(lambda, mu, c)}, c, 0.0);
+    Rng rng(42 + c);
+    const auto res = sim.run(30000.0, rng, 200.0);
+    ASSERT_GT(res.lcSojournTimes[0].size(), 1000u);
+
+    const double analytic =
+        ahq::perf::mmcSojournPercentile(c, lambda, mu, 0.95);
+    const double measured = exactPercentile(res.lcSojournTimes[0], 95.0);
+    // Tail estimates near saturation have much higher sampling
+    // variance (long autocorrelated busy periods).
+    const double tol = rho >= 0.8 ? 0.20 : 0.08;
+    EXPECT_NEAR(measured / analytic, 1.0, tol)
+        << "c=" << c << " rho=" << rho;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, MultiClassMmc,
+    ::testing::Combine(::testing::Values(1, 2, 4),
+                       ::testing::Values(0.3, 0.6, 0.85)));
+
+TEST(MultiClass, BusyTimeMatchesUtilization)
+{
+    // Aggregate busy time / (servers * duration) ~ rho.
+    const int c = 2;
+    const double lambda = 1.2, mu = 1.0;
+    MultiClassSimulator sim({mmcClass(lambda, mu, c)}, c, 0.0);
+    Rng rng(23);
+    const double duration = 5000.0;
+    const auto res = sim.run(duration, rng);
+    const double rho = lambda / (c * mu);
+    EXPECT_NEAR(res.lcBusySeconds / (c * duration), rho, 0.05);
+}
+
+TEST(MultiClass, ZeroArrivalsProducesNothing)
+{
+    MultiClassSimulator sim({mmcClass(0.0, 1.0, 2)}, 2, 0.0);
+    Rng rng(3);
+    const auto res = sim.run(100.0, rng);
+    EXPECT_EQ(res.lcArrivals, 0u);
+    EXPECT_TRUE(res.lcSojournTimes[0].empty());
+}
+
+TEST(MultiClass, BeSaturatesIdlePool)
+{
+    // With negligible LC load, BE throughput approaches servers *
+    // chunk rate whatever the warmup: chunks count after warmup
+    // only, so the rate is over the measured window.
+    MultiClassSimulator sim({mmcClass(0.01, 100.0, 4)}, 4, 5.0);
+    for (const double warmup : {0.0, 1000.0, 1800.0}) {
+        Rng rng(11);
+        const auto res = sim.run(2000.0, rng, warmup);
+        EXPECT_NEAR(res.beThroughput(), 4 * 5.0, 1.0)
+            << "warmup=" << warmup;
+    }
+}
+
+TEST(MultiClass, LcPreemptionStealsBeThroughput)
+{
+    // LC load consuming ~half the pool halves BE throughput.
+    const int servers = 4;
+    const double lc_mu = 2.0;
+    const double lc_lambda = 4.0; // utilisation = 4 / (4*2) = 0.5
+    MultiClassSimulator sim({mmcClass(lc_lambda, lc_mu, servers)},
+                            servers, 5.0);
+    Rng rng(13);
+    const auto res = sim.run(5000.0, rng);
+    EXPECT_NEAR(res.beThroughput(), 0.5 * servers * 5.0,
+                0.08 * servers * 5.0);
+}
+
+TEST(MultiClass, LcLatencyShieldedFromBe)
+{
+    // LC p95 under preemptive priority with saturating BE work
+    // matches the BE-free M/M/c within tolerance: the definition of
+    // "LC apps take precedence" in the paper's LC-first baseline.
+    const int servers = 4;
+    const double lc_mu = 2.0, lc_lambda = 3.0;
+    MultiClassSimulator sim({mmcClass(lc_lambda, lc_mu, servers)},
+                            servers, 5.0);
+    Rng rng(17);
+    const auto res = sim.run(20000.0, rng);
+    ASSERT_GT(res.lcSojournTimes[0].size(), 1000u);
+    const double measured = exactPercentile(res.lcSojournTimes[0], 95.0);
+    const double analytic = ahq::perf::mmcSojournPercentile(
+        servers, lc_lambda, lc_mu, 0.95);
+    EXPECT_NEAR(measured / analytic, 1.0, 0.10);
+}
+
+TEST(MultiClass, HigherLcLoadLowersBeThroughput)
+{
+    Rng rng1(19), rng2(19);
+    MultiClassSimulator lo({mmcClass(1.0, 2.0, 4)}, 4, 5.0);
+    MultiClassSimulator hi({mmcClass(6.0, 2.0, 4)}, 4, 5.0);
+    const auto r_lo = lo.run(3000.0, rng1);
+    const auto r_hi = hi.run(3000.0, rng2);
+    EXPECT_GT(r_lo.beThroughput(), r_hi.beThroughput());
+}
 
 TEST(MultiClass, SingleClassNoBeMatchesMmc)
 {
