@@ -8,16 +8,17 @@
  * the O(n²) incremental Cholesky keep CLITE's decision cost flat),
  * a small Fleet run, and the online hot paths a controller runs
  * inside one epoch (entropy, M/M/c percentiles, the contention
- * model, GP fit + EI, the P² quantile). Every row is timed in one
- * interleaved sampleInterleaved() run. With --json it writes
- * BENCH_epoch_throughput.json — the file the repo commits as the
- * baseline `ahq bench-diff` compares future revisions against (see
- * EXPERIMENTS.md).
+ * model on a memo hit and on a miss, GP fit + EI, the P² quantile).
+ * Every row is timed in one interleaved sampleInterleaved() run.
+ * With --json it writes BENCH_epoch_throughput.json — the file the
+ * repo commits as the baseline `ahq bench-diff` compares future
+ * revisions against (see EXPERIMENTS.md).
  */
 
 #include <iostream>
 
 #include "check/check.hh"
+#include "cluster/cluster_sched.hh"
 #include "cluster/fleet.hh"
 #include "common.hh"
 #include "core/entropy.hh"
@@ -32,6 +33,7 @@
 #include "sched/registry.hh"
 #include "stats/percentile.hh"
 #include "stats/rng.hh"
+#include "trace/fleet_load.hh"
 
 using namespace ahq;
 using namespace ahq::bench;
@@ -254,6 +256,40 @@ main(int argc, char **argv)
                                            perf::CoreSharePolicy::
                                                LcPriority)[0]
                                  .serviceRate);
+                    }});
+
+    // The memo-miss regime: one fleet-shaped node's demands over a
+    // 240 s diurnal period, cycled so that every call misses the
+    // 64-entry memo. Its own model keeps the hit row's entry warm.
+    const perf::ContentionModel miss_model(mc);
+    const cluster::Node fleet_node(
+        mc, cluster::fleetNodeApps(
+                trace::FleetLoadGenerator(trace::FleetLoadConfig{}), 0));
+    std::vector<machine::AppId> fleet_lc, fleet_be;
+    for (int i = 0; i < fleet_node.numApps(); ++i) {
+        (fleet_node.apps()[static_cast<std::size_t>(i)]
+                 .profile.latencyCritical
+             ? fleet_lc
+             : fleet_be)
+            .push_back(i);
+    }
+    const auto fleet_layout = machine::RegionLayout::arqInitial(
+        mc.availableResources(), fleet_lc, fleet_be);
+    std::vector<std::vector<perf::AppDemand>> diurnal(480);
+    for (std::size_t k = 0; k < diurnal.size(); ++k)
+        fleet_node.demandsAt(0.5 * static_cast<double>(k), diurnal[k]);
+    std::size_t next_input = 0;
+    std::vector<perf::PerfOutcome> miss_out;
+    rows.push_back({"contention_eval_miss", 1.0, "evals/s",
+                    "fleet-shaped ARQ layout, 480 diurnal inputs "
+                    "cycled (memo miss)",
+                    [&] {
+                        miss_model.evaluateInto(
+                            fleet_layout, diurnal[next_input],
+                            perf::CoreSharePolicy::LcPriority,
+                            miss_out);
+                        next_input = (next_input + 1) % diurnal.size();
+                        keep(miss_out[0].serviceRate);
                     }});
 
     for (const std::size_t n : {8u, 24u, 64u}) {

@@ -24,6 +24,13 @@ SloMonitor::SloMonitor(int num_apps, SloTraits traits)
         s.bits.assign(
             static_cast<std::size_t>(traits_.slowWindowEpochs), 0);
     }
+    // Every epoch after the first window folds one burn rate per
+    // window, so full windows read them from tables of the same
+    // expression instead of dividing.
+    for (int k = 0; k <= traits_.fastWindowEpochs; ++k)
+        fullFastBurn_.push_back(burn(k, traits_.fastWindowEpochs));
+    for (int k = 0; k <= traits_.slowWindowEpochs; ++k)
+        fullSlowBurn_.push_back(burn(k, traits_.slowWindowEpochs));
 }
 
 SloAlertTransition
@@ -34,28 +41,29 @@ SloMonitor::observe(int app, int epoch, bool violated)
     const int slow = traits_.slowWindowEpochs;
 
     // Ring update: retire the bits leaving each window before the
-    // new one lands. fast < slow guarantees the fast retiree has
-    // not been overwritten yet.
-    const std::size_t pos =
-        static_cast<std::size_t>(s.seen % slow);
+    // new one lands. fast < slow guarantees the fast retiree, at
+    // (seen - fast) % slow, has not been overwritten yet.
+    const auto pos = static_cast<std::size_t>(s.pos);
     if (s.seen >= slow)
         s.slowCount -= s.bits[pos];
-    if (s.seen >= fast)
+    if (s.seen >= fast) {
         s.fastCount -= s.bits[static_cast<std::size_t>(
-            (s.seen - fast) % slow)];
+            s.pos >= fast ? s.pos - fast : s.pos + slow - fast)];
+    }
     const unsigned char bit = violated ? 1 : 0;
     s.bits[pos] = bit;
     s.fastCount += bit;
     s.slowCount += bit;
     ++s.seen;
+    s.pos = s.pos + 1 == slow ? 0 : s.pos + 1;
 
     SloAlertTransition tr;
-    const int in_fast = std::min(s.seen, fast);
-    const int in_slow = std::min(s.seen, slow);
-    tr.burnFast =
-        (static_cast<double>(s.fastCount) / in_fast) / budget_;
-    tr.burnSlow =
-        (static_cast<double>(s.slowCount) / in_slow) / budget_;
+    tr.burnFast = s.seen >= fast
+        ? fullFastBurn_[static_cast<std::size_t>(s.fastCount)]
+        : burn(s.fastCount, s.seen);
+    tr.burnSlow = s.seen >= slow
+        ? fullSlowBurn_[static_cast<std::size_t>(s.slowCount)]
+        : burn(s.slowCount, s.seen);
     summary_.worstBurn = std::max(summary_.worstBurn, tr.burnFast);
 
     if (!s.active) {

@@ -129,16 +129,27 @@ class SloMonitor
     {
         std::vector<unsigned char> bits;
         int seen = 0;
+        int pos = 0; // seen % slowWindowEpochs: the ring's next slot
         int fastCount = 0;
         int slowCount = 0;
         bool active = false;
         int raisedEpoch = -1;
     };
 
+    /** Burn rate of @p count violations in a window of @p epochs. */
+    double
+    burn(int count, int epochs) const
+    {
+        return (static_cast<double>(count) / epochs) / budget_;
+    }
+
     SloTraits traits_;
     double budget_;
     std::vector<AppState> apps_;
     SloSummary summary_;
+
+    /** burn(count, window) by count, for a full window. */
+    std::vector<double> fullFastBurn_, fullSlowBurn_;
 };
 
 } // namespace ahq::obs

@@ -2,12 +2,20 @@
  * @file
  * Contention model implementation.
  *
- * Hot-path note: evaluate() runs once (or more, under schedulers that
- * probe candidate layouts) per simulated epoch, so everything that
- * does not change across the fixed-point iterations — iso-core
- * grants, per-app offered load, MBA caps, shared-region member
- * splits — is computed once per call, and all loop state lives in a
- * reusable workspace instead of per-iteration vectors.
+ * Hot-path note: under time-varying load every epoch misses the memo
+ * and runs the whole fixed point, so a miss first compiles the layout
+ * and the demands' static fields into the workspace's flat arrays:
+ * iso-core grants, LC burst caps, MBA caps, offered load, the ideal
+ * CPI and overlapped miss penalty, the shared regions' LC and BE
+ * member lists and the way regions. Each iteration then computes
+ * every repeated subexpression once: lambda / speed serves the region
+ * loop and the busy cores, one miss term serves the bandwidth and
+ * speed updates, way stealing reads the mpki the previous iterate
+ * computed at exactly these ways, and water-filling computes each
+ * offer once per round. Every reuse is bitwise identical to
+ * recomputation, because every expression keeps its operands and
+ * order and every sum over regions stays in region order; the golden
+ * digests and the random-corpus digest pin that (DESIGN.md §12).
  */
 
 #include "perf/contention.hh"
@@ -44,48 +52,46 @@ damp(double old_v, double new_v, double alpha)
 }
 
 /**
- * Weighted max-min water-filling: distribute capacity among demands
- * with the given weights, never exceeding a consumer's cap. Writes
- * the grants into @p grant (scratch @p frozen is resized to match).
+ * Weighted max-min water-filling: distribute capacity among n
+ * consumers with the given weights, never exceeding a consumer's
+ * cap. Writes the grants into @p grant; @p frozen is scratch.
  */
 void
-waterFillInto(double capacity, const std::vector<double> &caps,
-              const std::vector<double> &weights,
-              std::vector<double> &grant, std::vector<char> &frozen)
+waterFill(double capacity, std::size_t n, const double *caps,
+          const double *weights, double *grant, char *frozen)
 {
-    const std::size_t n = caps.size();
-    grant.assign(n, 0.0);
-    frozen.assign(n, 0);
+    double weight_sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        grant[i] = 0.0;
+        frozen[i] = 0;
+        weight_sum += weights[i];
+    }
     double remaining = capacity;
-    for (int round = 0; round < static_cast<int>(n) + 1; ++round) {
-        double weight_sum = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!frozen[i])
-                weight_sum += weights[i];
-        }
+    for (std::size_t round = 0; round <= n; ++round) {
         if (weight_sum <= 0.0 || remaining <= 1e-12)
             break;
+        // One pass per round: a member's saturation test reads only
+        // its own grant from before the round, and the next round's
+        // weight sum accumulates in index order over the members
+        // still unfrozen.
         bool saturated = false;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (frozen[i])
-                continue;
-            const double offer = remaining * weights[i] / weight_sum;
-            if (grant[i] + offer >= caps[i] - 1e-12) {
-                saturated = true;
-            }
-        }
         double consumed = 0.0;
+        double next_sum = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             if (frozen[i])
                 continue;
             const double offer = remaining * weights[i] / weight_sum;
+            saturated = saturated || grant[i] + offer >= caps[i] - 1e-12;
             const double take = std::min(offer, caps[i] - grant[i]);
             grant[i] += take;
             consumed += take;
             if (grant[i] >= caps[i] - 1e-12)
                 frozen[i] = 1;
+            else
+                next_sum += weights[i];
         }
         remaining -= consumed;
+        weight_sum = next_sum;
         if (!saturated)
             break;
     }
@@ -171,6 +177,7 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
     const double bw_per_unit = config_.gibpsPerBwUnit();
     const double machine_bw_cap =
         config_.availableMemBwUnits * bw_per_unit;
+    const double alpha = traits_.damping;
 
     Workspace &ws = ws_;
 
@@ -183,75 +190,102 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
         return;
     }
 
-    ws.st.assign(n, AppState{});
-    std::vector<AppState> &st = ws.st;
-    // Hoist the per-app ideal CPI (constant across the fixed point;
-    // CpiModel::speed would otherwise recompute it per call).
-    ws.cpiIdeal.resize(n);
+    // ---- plan: compile the call's static inputs once -------------
+    for (auto *col : {&ws.threads, &ws.lambda, &ws.cpiIdeal, &ws.penalty,
+                      &ws.isoLc, &ws.isoBe, &ws.burstCap, &ws.capGibps,
+                      &ws.speed, &ws.ways, &ws.dilation, &ws.mbaScale,
+                      &ws.stretch, &ws.prevStretch, &ws.sharedGrant,
+                      &ws.beCores, &ws.busy, &ws.bwDemand, &ws.load,
+                      &ws.mpki, &ws.missTerm, &ws.newWays})
+        col->resize(n);
+    ws.lc.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const AppDemand &d = demands[i];
-        ws.cpiIdeal[i] = d.cpi.cpiIdeal(ideal_ways);
-        st[i].ways = std::max(
-            1.0, static_cast<double>(layout.reachable(
-                     static_cast<AppId>(i), ResourceKind::LlcWays)));
-        st[i].speed = ws.cpiIdeal[i] / d.cpi.cpi(st[i].ways, 1.0);
+        ws.lc[i] = demands[i].latencyCritical;
+        ws.isoLc[i] = ws.isoBe[i] = ws.capGibps[i] = 0.0; // summed below
     }
-
-    // ---- iteration-invariant precompute -------------------------
-    // Isolated core grants never change across iterations.
-    ws.isoLc.assign(n, 0.0);
-    ws.isoBe.assign(n, 0.0);
-    // Per-app MBA cap: sum of the app's regions' bandwidth units
-    // (integer-valued, so the region iteration order cannot change
-    // the sum). Shared-region units count fully — they are a cap,
-    // not a grant; contention shows up through rho.
-    ws.capGibps.assign(n, 0.0);
-    // Shared-region member splits by kind.
-    ws.lcOf.resize(static_cast<std::size_t>(layout.numRegions()));
-    ws.beOf.resize(static_cast<std::size_t>(layout.numRegions()));
+    ws.coreRegions.clear();
+    ws.coreMembers.clear();
+    ws.wayRegions.clear();
+    ws.wayMembers.clear();
     for (RegionId r = 0; r < layout.numRegions(); ++r) {
         const Region &reg = layout.region(r);
-        auto &lc = ws.lcOf[static_cast<std::size_t>(r)];
-        auto &be = ws.beOf[static_cast<std::size_t>(r)];
-        lc.clear();
-        be.clear();
         if (reg.members.empty())
             continue;
+        const double members = static_cast<double>(reg.members.size());
         for (AppId m : reg.members) {
-            ws.capGibps[static_cast<std::size_t>(m)] +=
-                static_cast<double>(reg.res.memBw);
-            if (demands[static_cast<std::size_t>(m)].latencyCritical)
-                lc.push_back(m);
-            else
-                be.push_back(m);
-        }
-        if (!reg.shared) {
-            // Non-shared regions are single-member by construction of
-            // all scheduler layouts; split evenly if not.
-            const double per = static_cast<double>(reg.res.cores) /
-                static_cast<double>(reg.members.size());
-            for (AppId m : reg.members) {
-                const auto i = static_cast<std::size_t>(m);
-                if (demands[i].latencyCritical)
-                    ws.isoLc[i] += per;
-                else
-                    ws.isoBe[i] += per;
+            const auto i = static_cast<std::size_t>(m);
+            // Per-app MBA cap: the app's regions' bandwidth units
+            // (integer-valued, so the order cannot change the sum).
+            // Shared-region units count fully — they are a cap, not
+            // a grant; contention shows up through rho.
+            ws.capGibps[i] += static_cast<double>(reg.res.memBw);
+            // Non-shared regions are single-member in every
+            // scheduler layout; split evenly if not.
+            if (!reg.shared) {
+                (ws.lc[i] ? ws.isoLc : ws.isoBe)[i] +=
+                    static_cast<double>(reg.res.cores) / members;
             }
         }
+        if (reg.shared) {
+            // LC members, then BE members, each in member order.
+            Workspace::CoreRegion c{static_cast<double>(reg.res.cores),
+                                    ws.coreMembers.size(), 0, 0};
+            for (AppId m : reg.members) {
+                if (ws.lc[static_cast<std::size_t>(m)])
+                    ws.coreMembers.push_back(static_cast<std::size_t>(m));
+            }
+            c.mid = ws.coreMembers.size();
+            for (AppId m : reg.members) {
+                if (!ws.lc[static_cast<std::size_t>(m)])
+                    ws.coreMembers.push_back(static_cast<std::size_t>(m));
+            }
+            c.end = ws.coreMembers.size();
+            ws.coreRegions.push_back(c);
+        }
+        if (reg.res.llcWays != 0) {
+            const double ways = static_cast<double>(reg.res.llcWays);
+            ws.wayRegions.push_back({reg.shared, ways, ways / members,
+                                     ws.wayMembers.size(),
+                                     ws.wayMembers.size() +
+                                         reg.members.size()});
+            for (AppId m : reg.members)
+                ws.wayMembers.push_back(static_cast<std::size_t>(m));
+        }
     }
-    for (std::size_t i = 0; i < n; ++i) {
-        ws.capGibps[i] =
-            std::max(0.25, ws.capGibps[i]) * bw_per_unit;
+    const std::size_t core_members = ws.coreMembers.size();
+    ws.memberThreads.resize(core_members);
+    for (std::size_t k = 0; k < core_members; ++k) {
+        ws.memberThreads[k] = static_cast<double>(
+            demands[ws.coreMembers[k]].threads);
     }
-    // LC offered load in core-seconds per second (at speed 1).
-    ws.lambda.resize(n);
+    for (auto *col : {&ws.own, &ws.caps, &ws.grants})
+        col->resize(core_members);
+    ws.frozen.resize(core_members);
+    ws.intensity.resize(ws.wayMembers.size());
+
     for (std::size_t i = 0; i < n; ++i) {
-        ws.lambda[i] =
-            demands[i].arrivalRate * demands[i].serviceTimeMs / 1000.0;
+        const AppDemand &d = demands[i];
+        ws.threads[i] = static_cast<double>(d.threads);
+        // LC offered load in core-seconds per second (at speed 1).
+        ws.lambda[i] = d.arrivalRate * d.serviceTimeMs / 1000.0;
+        ws.cpiIdeal[i] = d.cpi.cpiIdeal(ideal_ways);
+        ws.penalty[i] = d.cpi.overlappedPenalty();
+        // isoCores is reset to isoLc every iteration, so the LC
+        // burst cap threads - isoCores never changes.
+        ws.burstCap[i] = std::max(0.0, ws.threads[i] - ws.isoLc[i]);
+        ws.capGibps[i] = std::max(0.25, ws.capGibps[i]) * bw_per_unit;
+        ws.ways[i] = std::max(
+            1.0, static_cast<double>(layout.reachable(
+                     static_cast<AppId>(i), ResourceKind::LlcWays)));
+        ws.mpki[i] = d.cpi.mrc().mpki(ws.ways[i]);
+        ws.speed[i] = ws.cpiIdeal[i] / d.cpi.cpi(ws.ways[i], 1.0);
+        ws.dilation[i] = 1.0;
+        ws.mbaScale[i] = 1.0;
+        ws.stretch[i] = 1.0;
     }
 
-    const double alpha = traits_.damping;
-
+    const std::size_t *const core_of = ws.coreMembers.data();
+    const std::size_t *const way_of = ws.wayMembers.data();
     for (int iter = 0; iter < traits_.iterations; ++iter) {
         // Bitwise convergence detector: the next iteration's inputs
         // are exactly this iterate's {ways, mbaScale, dilation,
@@ -262,90 +296,63 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
         bool changed = false;
 
         // ---- core grant reset (iso grants are precomputed) ------
-        ws.prevStretch.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
-            ws.prevStretch[i] = st[i].stretch;
-            st[i].isoCores = ws.isoLc[i];
-            st[i].sharedGrant = 0.0;
-            st[i].stretch = 1.0;
-            st[i].beCores = ws.isoBe[i];
+            ws.prevStretch[i] = ws.stretch[i];
+            ws.stretch[i] = 1.0;
+            ws.sharedGrant[i] = 0.0;
+            ws.beCores[i] = ws.isoBe[i];
+            // LC busy cores at this iterate's speed, before stretch.
+            if (ws.lc[i])
+                ws.load[i] = ws.lambda[i] / std::max(1e-9, ws.speed[i]);
         }
 
         // ---- shared region core sharing -------------------------
-        for (RegionId r = 0; r < layout.numRegions(); ++r) {
-            const Region &reg = layout.region(r);
-            if (!reg.shared || reg.members.empty())
-                continue;
-            const double c_r = static_cast<double>(reg.res.cores);
-
-            const auto &lc = ws.lcOf[static_cast<std::size_t>(r)];
-            const auto &be = ws.beOf[static_cast<std::size_t>(r)];
-
+        for (const Workspace::CoreRegion &reg : ws.coreRegions) {
+            const double c_r = reg.cores;
             // Mean work each LC member pushes into this region.
-            ws.resid.assign(lc.size(), 0.0);
-            ws.burstCap.assign(lc.size(), 0.0);
-            for (std::size_t k = 0; k < lc.size(); ++k) {
-                const auto i = static_cast<std::size_t>(lc[k]);
-                const auto &d = demands[i];
-                // Timeslice stretching (previous iterate) inflates
-                // the occupancy, which feeds back into the stretch —
-                // the compounding that makes heavy oversubscription
-                // catastrophic on real CFS nodes.
-                const double util = ws.lambda[i] /
-                    std::max(1e-9, st[i].speed) * ws.prevStretch[i];
-                ws.resid[k] = std::max(0.0, util - st[i].isoCores);
-                ws.burstCap[k] = std::max(
-                    0.0, static_cast<double>(d.threads) -
-                        st[i].isoCores);
-            }
-
+            // Timeslice stretching (previous iterate) inflates the
+            // occupancy, which feeds back into the stretch — the
+            // compounding that makes heavy oversubscription
+            // catastrophic on real CFS nodes.
+            auto resid = [&](std::size_t i) {
+                return std::max(0.0, ws.load[i] * ws.prevStretch[i] -
+                                         ws.isoLc[i]);
+            };
             if (policy == CoreSharePolicy::LcPriority) {
                 double occupied = 0.0;
-                for (std::size_t k = 0; k < lc.size(); ++k)
-                    occupied += std::min(ws.resid[k], ws.burstCap[k]);
+                for (std::size_t k = reg.begin; k < reg.mid; ++k) {
+                    const std::size_t i = core_of[k];
+                    ws.own[k] = std::min(resid(i), ws.burstCap[i]);
+                    occupied += ws.own[k];
+                }
                 if (occupied <= c_r) {
                     // Stable: each LC app can burst into whatever the
                     // other LC apps leave idle on average.
-                    for (std::size_t k = 0; k < lc.size(); ++k) {
-                        const double own =
-                            std::min(ws.resid[k], ws.burstCap[k]);
-                        const double avail = c_r - (occupied - own);
-                        st[static_cast<std::size_t>(lc[k])]
-                            .sharedGrant += std::min(ws.burstCap[k],
-                                                     avail);
+                    for (std::size_t k = reg.begin; k < reg.mid; ++k) {
+                        const std::size_t i = core_of[k];
+                        ws.sharedGrant[i] += std::min(
+                            ws.burstCap[i], c_r - (occupied - ws.own[k]));
                     }
                 } else if (occupied > 0.0) {
                     // Overload: ration proportionally to demand.
-                    for (std::size_t k = 0; k < lc.size(); ++k) {
-                        const double own =
-                            std::min(ws.resid[k], ws.burstCap[k]);
-                        st[static_cast<std::size_t>(lc[k])]
-                            .sharedGrant += c_r * own / occupied;
+                    for (std::size_t k = reg.begin; k < reg.mid; ++k) {
+                        ws.sharedGrant[core_of[k]] +=
+                            c_r * ws.own[k] / occupied;
                     }
                 }
                 // BE apps get the leftover, water-filled by threads.
                 const double c_be = std::max(0.0, c_r - occupied);
-                if (!be.empty() && c_be > 0.0) {
-                    ws.caps.clear();
-                    ws.weights.clear();
-                    for (AppId m : be) {
-                        const auto &d =
-                            demands[static_cast<std::size_t>(m)];
-                        const double cap =
-                            std::max(0.0,
-                                     static_cast<double>(d.threads) -
-                                         st[static_cast<std::size_t>(m)]
-                                             .beCores);
-                        ws.caps.push_back(cap);
-                        ws.weights.push_back(
-                            static_cast<double>(d.threads));
+                if (reg.mid < reg.end && c_be > 0.0) {
+                    for (std::size_t k = reg.mid; k < reg.end; ++k) {
+                        const std::size_t i = core_of[k];
+                        ws.caps[k] =
+                            std::max(0.0, ws.threads[i] - ws.beCores[i]);
                     }
-                    waterFillInto(c_be, ws.caps, ws.weights,
-                                  ws.grants, ws.frozen);
-                    for (std::size_t k = 0; k < be.size(); ++k) {
-                        st[static_cast<std::size_t>(be[k])].beCores +=
-                            ws.grants[k];
-                    }
+                    waterFill(c_be, reg.end - reg.mid, &ws.caps[reg.mid],
+                              &ws.memberThreads[reg.mid],
+                              &ws.grants[reg.mid], &ws.frozen[reg.mid]);
+                    for (std::size_t k = reg.mid; k < reg.end; ++k)
+                        ws.beCores[core_of[k]] += ws.grants[k];
                 }
             } else {
                 // FairShare (CFS). Each LC app keeps roughly its
@@ -356,68 +363,50 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
                 // every request's service stretches by the runnable/
                 // cores ratio (timeslicing + wake-up latency).
                 double active_total = 0.0;
-                ws.activeLc.assign(lc.size(), 0.0);
-                for (std::size_t k = 0; k < lc.size(); ++k) {
-                    if (ws.resid[k] > 0.0) {
-                        ws.activeLc[k] = std::min(
-                            ws.burstCap[k], 1.2 * ws.resid[k] + 0.5);
-                    }
-                    active_total += ws.activeLc[k];
+                for (std::size_t k = reg.begin; k < reg.mid; ++k) {
+                    const std::size_t i = core_of[k];
+                    const double r = resid(i);
+                    ws.own[k] = r > 0.0
+                        ? std::min(ws.burstCap[i], 1.2 * r + 0.5)
+                        : 0.0;
+                    active_total += ws.own[k];
                 }
-                for (AppId m : be) {
-                    active_total += static_cast<double>(
-                        demands[static_cast<std::size_t>(m)].threads);
-                }
+                for (std::size_t k = reg.mid; k < reg.end; ++k)
+                    active_total += ws.memberThreads[k];
                 if (active_total <= c_r) {
                     // Enough cores: everyone can burst into the
                     // average idle capacity of the others.
-                    for (std::size_t k = 0; k < lc.size(); ++k) {
-                        const double avail =
-                            c_r - (active_total - ws.activeLc[k]);
-                        st[static_cast<std::size_t>(lc[k])]
-                            .sharedGrant += std::min(ws.burstCap[k],
-                                                     avail);
+                    for (std::size_t k = reg.begin; k < reg.mid; ++k) {
+                        const std::size_t i = core_of[k];
+                        ws.sharedGrant[i] += std::min(
+                            ws.burstCap[i],
+                            c_r - (active_total - ws.own[k]));
                     }
-                    for (AppId m : be) {
-                        const auto i = static_cast<std::size_t>(m);
-                        st[i].beCores += static_cast<double>(
-                            demands[i].threads);
-                    }
+                    for (std::size_t k = reg.mid; k < reg.end; ++k)
+                        ws.beCores[core_of[k]] += ws.memberThreads[k];
                 } else {
                     const double region_stretch = active_total / c_r;
                     // Thread-weighted fair sharing, capped at what
                     // each member's runnable threads can occupy.
-                    ws.caps.clear();
-                    ws.weights.clear();
-                    for (std::size_t k = 0; k < lc.size(); ++k) {
-                        ws.caps.push_back(
-                            std::min(ws.burstCap[k],
-                                     1.3 * ws.activeLc[k]));
-                        ws.weights.push_back(static_cast<double>(
-                            demands[static_cast<std::size_t>(lc[k])]
-                                .threads));
+                    for (std::size_t k = reg.begin; k < reg.mid; ++k) {
+                        ws.caps[k] = std::min(ws.burstCap[core_of[k]],
+                                              1.3 * ws.own[k]);
                     }
-                    for (AppId m : be) {
-                        const auto i = static_cast<std::size_t>(m);
-                        ws.caps.push_back(static_cast<double>(
-                            demands[i].threads));
-                        ws.weights.push_back(static_cast<double>(
-                            demands[i].threads));
+                    for (std::size_t k = reg.mid; k < reg.end; ++k)
+                        ws.caps[k] = ws.memberThreads[k];
+                    waterFill(c_r, reg.end - reg.begin,
+                              &ws.caps[reg.begin],
+                              &ws.memberThreads[reg.begin],
+                              &ws.grants[reg.begin],
+                              &ws.frozen[reg.begin]);
+                    for (std::size_t k = reg.begin; k < reg.mid; ++k) {
+                        const std::size_t i = core_of[k];
+                        ws.sharedGrant[i] += ws.grants[k];
+                        ws.stretch[i] =
+                            std::max(ws.stretch[i], region_stretch);
                     }
-                    waterFillInto(c_r, ws.caps, ws.weights,
-                                  ws.grants, ws.frozen);
-                    for (std::size_t k = 0; k < lc.size(); ++k) {
-                        const auto i =
-                            static_cast<std::size_t>(lc[k]);
-                        st[i].sharedGrant += ws.grants[k];
-                        st[i].stretch =
-                            std::max(st[i].stretch, region_stretch);
-                    }
-                    for (std::size_t k = 0; k < be.size(); ++k) {
-                        const auto i =
-                            static_cast<std::size_t>(be[k]);
-                        st[i].beCores += ws.grants[lc.size() + k];
-                    }
+                    for (std::size_t k = reg.mid; k < reg.end; ++k)
+                        ws.beCores[core_of[k]] += ws.grants[k];
                 }
             }
         }
@@ -426,109 +415,91 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
         // cores; stretched servers provide proportionally less
         // capacity, which the per-server rate accounts for below.
         for (std::size_t i = 0; i < n; ++i) {
-            const auto &d = demands[i];
-            if (d.latencyCritical) {
+            if (ws.lc[i]) {
                 const double kappa = std::min(
-                    static_cast<double>(d.threads),
-                    st[i].isoCores + st[i].sharedGrant);
-                const double util =
-                    ws.lambda[i] / std::max(1e-9, st[i].speed);
-                st[i].busyCores = std::min(util, kappa);
+                    ws.threads[i], ws.isoLc[i] + ws.sharedGrant[i]);
+                ws.busy[i] = std::min(ws.load[i], kappa);
             } else {
-                st[i].beCores = std::min(
-                    st[i].beCores, static_cast<double>(d.threads));
-                st[i].busyCores = st[i].beCores;
+                ws.beCores[i] = std::min(ws.beCores[i], ws.threads[i]);
+                ws.busy[i] = ws.beCores[i];
             }
         }
 
         // ---- LLC way sharing -------------------------------------
-        ws.newWays.assign(n, 0.0);
-        for (RegionId r = 0; r < layout.numRegions(); ++r) {
-            const Region &reg = layout.region(r);
-            if (reg.members.empty() || reg.res.llcWays == 0)
-                continue;
+        // Way stealing weighs each member by its access intensity at
+        // its current ways, whose mpki the previous iterate (or, for
+        // iteration 0, the plan) already computed.
+        std::fill(ws.newWays.begin(), ws.newWays.end(), 0.0);
+        for (const Workspace::WayRegion &reg : ws.wayRegions) {
             if (!reg.shared) {
-                const double per =
-                    static_cast<double>(reg.res.llcWays) /
-                    static_cast<double>(reg.members.size());
-                for (AppId m : reg.members)
-                    ws.newWays[static_cast<std::size_t>(m)] += per;
+                for (std::size_t k = reg.begin; k < reg.end; ++k)
+                    ws.newWays[way_of[k]] += reg.share;
                 continue;
             }
             double intensity_sum = 0.0;
-            ws.intensity.assign(reg.members.size(), 0.0);
-            for (std::size_t k = 0; k < reg.members.size(); ++k) {
-                const auto i =
-                    static_cast<std::size_t>(reg.members[k]);
-                const double occ = std::max(0.02, st[i].busyCores);
+            for (std::size_t k = reg.begin; k < reg.end; ++k) {
+                const std::size_t i = way_of[k];
+                const double occ = std::max(0.02, ws.busy[i]);
                 ws.intensity[k] =
-                    demands[i].cpi.mrc().accessIntensity(st[i].ways) *
+                    demands[i].cpi.mrc().intensityWithMpki(ws.mpki[i]) *
                     occ;
                 intensity_sum += ws.intensity[k];
             }
             if (intensity_sum <= 0.0)
                 continue;
-            for (std::size_t k = 0; k < reg.members.size(); ++k) {
-                const auto i =
-                    static_cast<std::size_t>(reg.members[k]);
-                ws.newWays[i] +=
-                    static_cast<double>(reg.res.llcWays) *
-                    ws.intensity[k] / intensity_sum;
+            for (std::size_t k = reg.begin; k < reg.end; ++k) {
+                ws.newWays[way_of[k]] +=
+                    reg.ways * ws.intensity[k] / intensity_sum;
             }
         }
+        // The bandwidth and speed updates below share the miss rate
+        // and miss term at this iterate's (just damped) ways.
         for (std::size_t i = 0; i < n; ++i) {
             const double next_ways = damp(
-                st[i].ways, std::max(0.25, ws.newWays[i]), alpha);
-            changed = changed || next_ways != st[i].ways;
-            st[i].ways = next_ways;
+                ws.ways[i], std::max(0.25, ws.newWays[i]), alpha);
+            changed = changed || next_ways != ws.ways[i];
+            ws.ways[i] = next_ways;
+            ws.mpki[i] = demands[i].cpi.mrc().mpki(next_ways);
+            ws.missTerm[i] = CpiModel::missTerm(ws.mpki[i], ws.penalty[i]);
         }
-
-        // The bandwidth and speed updates below both evaluate the
-        // miss rate at this iterate's (just damped) way allocation;
-        // one evaluation serves both bitwise-identically.
-        ws.mpki.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            ws.mpki[i] = demands[i].cpi.mrc().mpki(st[i].ways);
 
         // ---- memory bandwidth ------------------------------------
         // Machine pressure counts MBA-throttled traffic: a capped
         // consumer stops pressuring the bus beyond its partition.
         double total_demand = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-            st[i].bwDemand = st[i].busyCores *
-                demands[i].cpi.bwDemandPerCoreWithMpki(
-                    ws.mpki[i], st[i].dilation);
-            total_demand += st[i].bwDemand * st[i].mbaScale;
+            const CpiModel &cpi = demands[i].cpi;
+            ws.bwDemand[i] = ws.busy[i] *
+                cpi.bwDemandPerCoreAtCpi(
+                    cpi.cpiWithMissTerm(ws.missTerm[i], ws.dilation[i]),
+                    ws.mpki[i]);
+            total_demand += ws.bwDemand[i] * ws.mbaScale[i];
         }
         const double rho_machine = total_demand / machine_bw_cap;
 
+        // ---- dilation, MBA throttle and speed update -------------
         const double new_dilation = bwModel.dilation(rho_machine);
         for (std::size_t i = 0; i < n; ++i) {
-            const double new_scale = bwModel.throughputScale(
-                st[i].bwDemand, ws.capGibps[i]);
-            const double next_scale =
-                damp(st[i].mbaScale, new_scale, alpha);
+            const double next_scale = damp(
+                ws.mbaScale[i],
+                bwModel.throughputScale(ws.bwDemand[i], ws.capGibps[i]),
+                alpha);
             const double next_dilation =
-                damp(st[i].dilation, new_dilation, alpha);
-            changed = changed || next_scale != st[i].mbaScale ||
-                next_dilation != st[i].dilation;
-            st[i].mbaScale = next_scale;
-            st[i].dilation = next_dilation;
-        }
-
-        // ---- speed update ----------------------------------------
-        for (std::size_t i = 0; i < n; ++i) {
-            const double raw =
-                ws.cpiIdeal[i] /
-                demands[i].cpi.cpiWithMpki(ws.mpki[i],
-                                           st[i].dilation) *
-                st[i].mbaScale;
-            const double next_speed = damp(st[i].speed, raw, alpha);
-            changed = changed || next_speed != st[i].speed;
-            st[i].speed = next_speed;
+                damp(ws.dilation[i], new_dilation, alpha);
+            const double raw = ws.cpiIdeal[i] /
+                demands[i].cpi.cpiWithMissTerm(ws.missTerm[i],
+                                               next_dilation) *
+                next_scale;
+            const double next_speed = damp(ws.speed[i], raw, alpha);
+            changed = changed || next_scale != ws.mbaScale[i] ||
+                next_dilation != ws.dilation[i] ||
+                next_speed != ws.speed[i];
+            ws.mbaScale[i] = next_scale;
+            ws.dilation[i] = next_dilation;
+            ws.speed[i] = next_speed;
         }
         for (std::size_t i = 0; i < n && !changed; ++i)
-            changed = st[i].stretch != ws.prevStretch[i];
+            changed = ws.stretch[i] != ws.prevStretch[i];
         if (!changed)
             break;
     }
@@ -538,38 +509,34 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
     for (std::size_t i = 0; i < n; ++i) {
         const auto &d = demands[i];
         PerfOutcome &o = out[i];
-        o.effectiveWays = st[i].ways;
-        o.bwDilation = st[i].dilation;
-        o.speed = st[i].speed;
-        o.serviceStretch = st[i].stretch;
-        o.bwDemandGibps = st[i].bwDemand;
+        o.effectiveWays = ws.ways[i];
+        o.bwDilation = ws.dilation[i];
+        o.speed = ws.speed[i];
+        o.serviceStretch = ws.stretch[i];
+        o.bwDemandGibps = ws.bwDemand[i];
         if (d.latencyCritical) {
             const double kappa = std::min(
-                static_cast<double>(d.threads),
-                st[i].isoCores + st[i].sharedGrant);
+                ws.threads[i], ws.isoLc[i] + ws.sharedGrant[i]);
             o.coreEquivalents = std::max(kappa, 1e-6);
             // Base per-core rate, requests/s.
-            const double mu0 =
-                1000.0 * st[i].speed / d.serviceTimeMs;
+            const double mu0 = 1000.0 * ws.speed[i] / d.serviceTimeMs;
             // Timeslicing stretches latency, not throughput: the
             // granted cores deliver their full service rate, and the
             // stretch is surfaced separately for the latency model.
             // Shared-region cores pay the context-switch/pollution
             // penalty; the app's own thread count bounds capacity.
             const double capacity = std::min(
-                static_cast<double>(d.threads) * mu0,
-                (st[i].isoCores +
-                 st[i].sharedGrant /
-                     traits_.sharedServicePenalty) * mu0);
+                ws.threads[i] * mu0,
+                (ws.isoLc[i] +
+                 ws.sharedGrant[i] / traits_.sharedServicePenalty) * mu0);
             o.serviceRate = std::max(capacity, 1e-9);
             o.perServerRate = o.serviceRate / o.coreEquivalents;
             o.utilization = d.arrivalRate / o.serviceRate;
             o.ipc = 0.0;
         } else {
-            o.coreEquivalents = st[i].beCores;
-            o.ipc = d.ipcSolo * st[i].speed *
-                std::min(1.0, st[i].beCores /
-                    std::max(1.0, static_cast<double>(d.threads)));
+            o.coreEquivalents = ws.beCores[i];
+            o.ipc = d.ipcSolo * ws.speed[i] *
+                std::min(1.0, ws.beCores[i] / std::max(1.0, ws.threads[i]));
             o.serviceRate = 0.0;
             o.perServerRate = 0.0;
             o.utilization = 0.0;

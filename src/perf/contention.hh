@@ -27,7 +27,9 @@
  *
  * These interact, so evaluate() runs a damped fixed-point iteration
  * (the quantities are smooth and contractive in practice; tests check
- * convergence).
+ * convergence). A memo miss compiles its inputs into flat arrays
+ * once and iterates over them; the reuse rules that keep that bitwise
+ * identical are in contention.cc.
  */
 
 #ifndef AHQ_PERF_CONTENTION_HH
@@ -189,45 +191,56 @@ class ContentionModel
     std::size_t memoMisses() const { return memo_.misses(); }
 
   private:
-    /** Mutable per-app state threaded through the fixed point. */
-    struct AppState
-    {
-        double speed = 1.0;       // cache+memory speed factor
-        double ways = 1.0;        // effective LLC ways
-        double dilation = 1.0;    // memory latency dilation
-        double isoCores = 0.0;    // cores from isolated regions
-        double sharedGrant = 0.0; // core-equivalents, shared regions
-        double stretch = 1.0;     // PS service-time stretch
-        double beCores = 0.0;     // BE: granted cores (iso + shared)
-        double busyCores = 0.0;   // cores actively executing
-        double bwDemand = 0.0;    // GiB/s
-        double mbaScale = 1.0;    // throttle past the MBA cap
-    };
-
     /**
-     * Scratch buffers reused across evaluate() calls, plus the
-     * iteration-invariant per-app quantities hoisted out of the
-     * fixed-point loop (iso-core grants, offered load, MBA caps,
-     * shared-region member splits). Once warm, an evaluation
-     * allocates only its result vector.
+     * Flat scratch reused across evaluate() calls. A memo miss
+     * compiles the layout and the demands' static fields into these
+     * arrays once, then runs every fixed-point iteration over them
+     * without resizing anything; once the model has seen a call of
+     * each size, a miss allocates nothing. Per-app columns are
+     * indexed by AppId, member columns by position in coreMembers
+     * or wayMembers.
      */
     struct Workspace
     {
-        std::vector<AppState> st;
-        std::vector<double> prevStretch;
-        std::vector<double> isoLc;    // iso cores granted to LC apps
-        std::vector<double> isoBe;    // iso cores granted to BE apps
-        std::vector<double> lambda;   // LC offered load, core-seconds/s
-        std::vector<double> capGibps; // per-app MBA bandwidth cap
-        std::vector<std::vector<machine::AppId>> lcOf; // shared regions
-        std::vector<std::vector<machine::AppId>> beOf; // shared regions
-        std::vector<double> resid, burstCap, activeLc;
-        std::vector<double> caps, weights, grants; // water-fill scratch
-        std::vector<char> frozen;                  // water-fill scratch
-        std::vector<double> intensity, newWays;
-        std::vector<double> cpiIdeal; // hoisted per-app ideal CPI
-        std::vector<double> mpki;     // per-iteration mpki(ways)
-        std::vector<double> memoKey;  // canonicalised memo key
+        /** A shared region: LC members [begin, mid), BE [mid, end). */
+        struct CoreRegion
+        {
+            double cores;
+            std::size_t begin, mid, end;
+        };
+
+        /** A region with members and ways, in region order. */
+        struct WayRegion
+        {
+            bool shared;
+            double ways;
+            double share; // non-shared: each member's ways
+            std::size_t begin, end;
+        };
+
+        // Per app, fixed for the call: lambda is the LC offered load
+        // in core-seconds per second, penalty the overlapped miss
+        // penalty, capGibps the MBA cap.
+        std::vector<char> lc;
+        std::vector<double> threads, lambda, cpiIdeal, penalty;
+        std::vector<double> isoLc, isoBe, burstCap, capGibps;
+        // Per app, the fixed point's state; load is lambda / speed.
+        std::vector<double> speed, ways, dilation, mbaScale, stretch;
+        std::vector<double> prevStretch, sharedGrant, beCores, busy;
+        std::vector<double> bwDemand, load, mpki, missTerm, newWays;
+
+        // Shared-region members; own is an LC member's occupancy
+        // (LcPriority) or runnable threads (FairShare).
+        std::vector<CoreRegion> coreRegions;
+        std::vector<std::size_t> coreMembers;
+        std::vector<double> memberThreads, own, caps, grants;
+        std::vector<char> frozen;
+
+        std::vector<WayRegion> wayRegions;
+        std::vector<std::size_t> wayMembers;
+        std::vector<double> intensity;
+
+        std::vector<double> memoKey; // canonicalised memo key
     };
 
     machine::MachineConfig config_;

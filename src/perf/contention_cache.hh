@@ -100,18 +100,23 @@ class EvaluationMemo
     static std::uint64_t
     hashKey(const std::vector<double> &key)
     {
-        // FNV-1a over the key, one 64-bit word per double (the hit
-        // path hashes every lookup, so byte-granularity would cost
-        // 8x). The compare is exact, the hash only short-circuits
-        // mismatches.
-        std::uint64_t h = 1469598103934665603ULL;
-        for (const double v : key) {
+        // FNV-1a over the key, one 64-bit word per double, in four
+        // independent lanes (word j feeds lane j % 4) folded at the
+        // end: a miss hashes the whole key before it can store, and
+        // one serial multiply chain would bound it by latency. The
+        // compare is exact, the hash only short-circuits mismatches.
+        constexpr std::uint64_t kBasis = 1469598103934665603ULL;
+        constexpr std::uint64_t kPrime = 1099511628211ULL;
+        std::uint64_t lane[4] = {kBasis, kBasis, kBasis, kBasis};
+        for (std::size_t j = 0; j < key.size(); ++j) {
             std::uint64_t bits;
-            static_assert(sizeof(bits) == sizeof(v));
-            std::memcpy(&bits, &v, sizeof(bits));
-            h ^= bits;
-            h *= 1099511628211ULL;
+            static_assert(sizeof(bits) == sizeof(double));
+            std::memcpy(&bits, &key[j], sizeof(bits));
+            lane[j % 4] = (lane[j % 4] ^ bits) * kPrime;
         }
+        std::uint64_t h = kBasis;
+        for (const std::uint64_t v : lane)
+            h = (h ^ v) * kPrime;
         return h;
     }
 

@@ -61,22 +61,36 @@ class CpiModel
     double
     cpi(double ways, double dilation) const
     {
-        return cpiWithMpki(mrc_.mpki(ways), dilation);
+        return cpiWithMissTerm(
+            missTerm(mrc_.mpki(ways), overlappedPenalty()), dilation);
+    }
+
+    /** Cycles one miss costs once overlapped: penalty / mlp. */
+    double
+    overlappedPenalty() const
+    {
+        return traits_.missPenaltyCycles / traits_.mlp;
     }
 
     /**
-     * As cpi(), but with the miss rate already evaluated. The
-     * contention fixed point needs CPI and bandwidth demand at the
-     * same way allocation every iteration; evaluating mpki once and
-     * passing it to both is bitwise identical to recomputing it.
+     * The undilated memory term of CPI, mpki/1000 * penalty, where
+     * penalty is overlappedPenalty(). The contention fixed point
+     * hoists the penalty out of its iterations and shares one miss
+     * term between its bandwidth and speed updates; both are bitwise
+     * identical to recomputing them.
      */
+    static double
+    missTerm(double mpki, double penalty)
+    {
+        return mpki / 1000.0 * penalty;
+    }
+
+    /** CPI from an already evaluated missTerm(). */
     double
-    cpiWithMpki(double mpki, double dilation) const
+    cpiWithMissTerm(double miss_term, double dilation) const
     {
         assert(dilation >= 1.0);
-        return traits_.cpiBase +
-            mpki / 1000.0 *
-            (traits_.missPenaltyCycles / traits_.mlp) * dilation;
+        return traits_.cpiBase + miss_term * dilation;
     }
 
     /** CPI under ideal conditions (full cache, no dilation). */
@@ -98,17 +112,16 @@ class CpiModel
     double
     bwDemandPerCore(double ways, double dilation) const
     {
-        return bwDemandPerCoreWithMpki(mrc_.mpki(ways), dilation);
+        return bwDemandPerCoreAtCpi(cpi(ways, dilation), mrc_.mpki(ways));
     }
 
-    /** As bwDemandPerCore() with the miss rate already evaluated. */
+    /** As bwDemandPerCore() with the CPI and miss rate evaluated. */
     double
-    bwDemandPerCoreWithMpki(double mpki, double dilation) const
+    bwDemandPerCoreAtCpi(double cpi_now, double mpki) const
     {
         // instructions/s = freq / CPI;
         // bytes/s = inst/s * mpki/1000 * 64B.
-        const double inst_per_ns =
-            traits_.coreFreqGhz / cpiWithMpki(mpki, dilation);
+        const double inst_per_ns = traits_.coreFreqGhz / cpi_now;
         const double bytes_per_ns =
             inst_per_ns * mpki / 1000.0 * traits_.bytesPerMiss;
         // bytes/ns == GB/s; convert to GiB/s.

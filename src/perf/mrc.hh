@@ -53,12 +53,19 @@ class MissRateCurve
     double
     accessIntensity(double ways) const
     {
+        return intensityWithMpki(mpki(ways));
+    }
+
+    /** As accessIntensity() with mpki(ways) already evaluated. */
+    double
+    intensityWithMpki(double mpki_at_ways) const
+    {
         // Reducible miss mass remaining at this allocation: lines a
         // workload would actually re-reference if kept. Streaming
         // apps with flat MRCs touch many lines but evict their own
         // data and retain almost no occupancy under LRU, so only the
         // reducible part competes, with a floor for residual churn.
-        const double reducible = mpki(ways) - mpkiMin_;
+        const double reducible = mpki_at_ways - mpkiMin_;
         return reducible > 0.05 ? reducible : 0.05;
     }
 

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "apps/catalog.hh"
 
@@ -14,6 +17,14 @@ namespace
 {
 
 using namespace ahq::apps;
+
+std::uint64_t
+bits(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+}
 
 TEST(Catalog, TableIvThresholds)
 {
@@ -104,6 +115,57 @@ TEST(Catalog, UnknownNameThrows)
     EXPECT_THROW((void)byName("redis"), std::invalid_argument);
     EXPECT_THROW((void)byName(""), std::invalid_argument);
     EXPECT_THROW((void)byName("Xapian"), std::invalid_argument);
+}
+
+/**
+ * Each LC profile is calibrated once per process and returned by
+ * copy. The bit patterns of the calibrated queueing parameters are
+ * pinned, so caching the profile cannot change a single bit of what
+ * calibration produces, and every way of asking for a profile
+ * returns the same one.
+ */
+TEST(Catalog, LcProfilesKeepTheirCalibratedBits)
+{
+    struct Pin
+    {
+        const char *name;
+        AppProfile (*maker)();
+        std::uint64_t serviceTimeMs, svcP95Mult, baseLatencyMs;
+    };
+    static const Pin kPins[] = {
+        {"xapian", xapian, 0x3fea413cf106d694ULL, 0x4006f52f3152de44ULL,
+         0x3fda978d4fdf3b64ULL},
+        {"moses", moses, 0x3ffdf3fa3268d0f0ULL, 0x3ff45757572c987fULL,
+         0x3fdae147ae147ae1ULL},
+        {"img-dnn", imgDnn, 0x3fe44915298c9a2aULL, 0x3ffe3ff3e6fd2f05ULL,
+         0x3fcb126e978d4fdfULL},
+        {"masstree", masstree, 0x3fdfe40b543d444eULL,
+         0x3ff131d66a981369ULL, 0x3fb83126e978d4feULL},
+        {"sphinx", sphinx, 0x4082e41c052bd8f4ULL, 0x40004f858e8f54d4ULL,
+         0x406b300000000000ULL},
+        {"silo", silo, 0x4019cab72cf702a0ULL, 0x3fb79f7a4225bf52ULL,
+         0x3fbae147ae147ae1ULL},
+    };
+    for (const Pin &pin : kPins) {
+        const AppProfile first = pin.maker();
+        EXPECT_EQ(first.name, pin.name);
+        EXPECT_EQ(bits(first.serviceTimeMs), pin.serviceTimeMs)
+            << pin.name;
+        EXPECT_EQ(bits(first.svcP95Mult), pin.svcP95Mult) << pin.name;
+        EXPECT_EQ(bits(first.baseLatencyMs), pin.baseLatencyMs)
+            << pin.name;
+        for (const AppProfile &again : {pin.maker(), byName(pin.name)}) {
+            EXPECT_EQ(again.name, first.name);
+            EXPECT_EQ(again.threads, first.threads) << pin.name;
+            for (const auto &[a, b] :
+                 {std::pair{again.serviceTimeMs, first.serviceTimeMs},
+                  {again.svcP95Mult, first.svcP95Mult},
+                  {again.baseLatencyMs, first.baseLatencyMs},
+                  {again.tailThresholdMs, first.tailThresholdMs},
+                  {again.maxLoadQps, first.maxLoadQps}})
+                EXPECT_EQ(bits(a), bits(b)) << pin.name;
+        }
+    }
 }
 
 } // namespace

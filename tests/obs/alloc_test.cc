@@ -18,6 +18,7 @@
 #include "obs/alloc.hh"
 #include "obs/span.hh"
 #include "obs/trace_sink.hh"
+#include "perf/contention.hh"
 #include "sched/arq.hh"
 #include "sched/registry.hh"
 #include "trace/fleet_load.hh"
@@ -180,6 +181,63 @@ TEST(AllocCount, EpochLoopIsAllocFreeWithoutObservers)
         EXPECT_EQ(allocs(400), allocs(800))
             << c.strategy << " on " << c.node->describe();
     }
+}
+
+/**
+ * The contention model's memo-miss path under both policies: a warm
+ * model evaluates 200 distinct diurnal demand vectors of a
+ * fleet-shaped node on ARQ's initial layout and on one shared
+ * region. The 800 inputs cycle through the memo's 64 entries, so
+ * every call misses; once two passes have warmed the workspace and
+ * every memo slot, a third allocates nothing.
+ */
+TEST(AllocCount, ContentionMissPathIsAllocFree)
+{
+    if (!allocCountingEnabled())
+        GTEST_SKIP() << "sanitizer build: counting compiled out";
+    using namespace ahq::cluster;
+    using ahq::machine::RegionLayout;
+    namespace perf = ahq::perf;
+
+    const auto mc = ahq::machine::MachineConfig::xeonE52630v4();
+    ahq::trace::FleetLoadConfig load;
+    load.numNodes = 4;
+    const Node node(
+        mc, fleetNodeApps(ahq::trace::FleetLoadGenerator(load), 0));
+    std::vector<std::vector<perf::AppDemand>> inputs(200);
+    for (std::size_t k = 0; k < inputs.size(); ++k)
+        node.demandsAt(0.5 * static_cast<double>(k), inputs[k]);
+    std::vector<ahq::machine::AppId> lc, be, all;
+    for (int i = 0; i < node.numApps(); ++i) {
+        const bool is_lc =
+            node.apps()[static_cast<std::size_t>(i)].profile.latencyCritical;
+        (is_lc ? lc : be).push_back(i);
+        all.push_back(i);
+    }
+    const RegionLayout layouts[] = {
+        RegionLayout::arqInitial(mc.availableResources(), lc, be),
+        RegionLayout::fullyShared(mc.availableResources(), all)};
+
+    const perf::ContentionModel model(mc);
+    std::vector<perf::PerfOutcome> out;
+    auto pass = [&] {
+        for (const auto policy : {perf::CoreSharePolicy::FairShare,
+                                  perf::CoreSharePolicy::LcPriority}) {
+            for (const RegionLayout &layout : layouts) {
+                for (const auto &demands : inputs)
+                    model.evaluateInto(layout, demands, policy, out);
+            }
+        }
+    };
+    pass();
+    pass();
+    const auto misses = model.memoMisses();
+    const auto before = threadAllocCount();
+    pass();
+    EXPECT_EQ(threadAllocCount(), before)
+        << "contention memo-miss path allocated once warm";
+    EXPECT_EQ(model.memoMisses() - misses, 4 * inputs.size());
+    EXPECT_EQ(model.memoHits(), 0u);
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "apps/catalog.hh"
@@ -16,6 +18,7 @@
 #include "obs/slo.hh"
 #include "obs/trace_reader.hh"
 #include "sched/registry.hh"
+#include "stats/rng.hh"
 
 namespace
 {
@@ -128,6 +131,50 @@ TEST(SloMonitor, PerAppStateIsIndependent)
     EXPECT_TRUE(mon.active(0));
     EXPECT_FALSE(mon.active(1));
     EXPECT_EQ(mon.summary().raises, 1);
+}
+
+/**
+ * Every burn rate and transition of long seeded violation streams,
+ * over six window shapes, folded word by word into one FNV-1a-64
+ * digest. The windows wrap thousands of times, so a slip in the ring
+ * indices or in the full-window burn tables moves the digest.
+ */
+TEST(SloMonitor, BurnRateBitsArePinned)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    auto fold = [&h](double v) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        h = (h ^ bits) * 1099511628211ULL;
+    };
+    for (int shape = 0; shape < 6; ++shape) {
+        obs::SloTraits t;
+        t.fastWindowEpochs = 3 + shape * 5;
+        t.slowWindowEpochs = t.fastWindowEpochs + 1 + shape * 17;
+        t.targetAvailability = 0.9 + 0.015 * shape;
+        stats::Rng rng(7 + static_cast<std::uint64_t>(shape));
+        obs::SloMonitor m(3, t);
+        for (int e = 0; e < 20000; ++e) {
+            for (int a = 0; a < 3; ++a) {
+                // Each app takes turns at a bursty violation rate.
+                const double p = 0.02 + 0.3 * ((e / 997) % 3 == a);
+                const auto tr = m.observe(a, e, rng.bernoulli(p));
+                fold(tr.burnFast);
+                fold(tr.burnSlow);
+                fold(static_cast<double>(tr.kind));
+                fold(tr.durationEpochs);
+            }
+        }
+        const obs::SloSummary s = m.summary();
+        for (const double v :
+             {s.worstBurn, static_cast<double>(s.raises),
+              static_cast<double>(s.clears),
+              static_cast<double>(s.alertEpochs),
+              static_cast<double>(s.activeAtEnd)})
+            fold(v);
+    }
+    EXPECT_EQ(h, 0xd67bf0725ba3e6c2ULL)
+        << "SLO digest is now 0x" << std::hex << h;
 }
 
 TEST(SloSummary, MergeSumsAndKeepsWorstBurn)

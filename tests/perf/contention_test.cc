@@ -6,9 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <iomanip>
+#include <iterator>
+#include <string>
+#include <utility>
+
 #include "machine/config.hh"
 #include "machine/layout.hh"
 #include "perf/contention.hh"
+#include "stats/rng.hh"
 
 namespace
 {
@@ -18,6 +27,7 @@ using ahq::machine::MachineConfig;
 using ahq::machine::Region;
 using ahq::machine::RegionLayout;
 using ahq::machine::ResourceKind;
+using ahq::machine::ResourceVector;
 
 AppDemand
 lcDemand(double lambda, double svc_ms = 1.0)
@@ -284,6 +294,221 @@ TEST(Contention, OverloadedLcRationedInSharedRegion)
     EXPECT_GT(out[0].utilization, 1.0); // overloaded
     EXPECT_LE(out[0].coreEquivalents + out[1].coreEquivalents,
               4.0 + 1e-6);
+}
+
+// ---- random corpus ---------------------------------------------------
+
+/** A random demand; LC loads reach 1.2x what its threads serve. */
+AppDemand
+randomDemand(ahq::stats::Rng &rng, bool lc)
+{
+    AppDemand d;
+    d.latencyCritical = lc;
+    d.threads = 1 + static_cast<int>(rng.uniformInt(10));
+    CpiTraits t;
+    t.cpiBase = rng.uniform(0.3, 1.2);
+    t.missPenaltyCycles = rng.uniform(100.0, 250.0);
+    t.mlp = rng.uniform(1.0, 8.0);
+    const double mpki_max = rng.uniform(1.0, 60.0);
+    const double mpki_min = rng.uniform(0.0, mpki_max);
+    d.cpi = CpiModel(
+        MissRateCurve(mpki_max, mpki_min, rng.uniform(0.5, 10.0)), t);
+    if (lc) {
+        d.serviceTimeMs = rng.uniform(0.2, 5.0);
+        d.arrivalRate = rng.uniform(0.0, 1.2) * d.threads * 1000.0 /
+            d.serviceTimeMs;
+    } else {
+        d.ipcSolo = rng.uniform(0.5, 3.0);
+    }
+    return d;
+}
+
+/**
+ * A random valid layout of n apps over @p avail: 1-5 regions, each
+ * shared or not, with members in random order. Resources are dealt
+ * out region by region, so later regions often get zero cores or
+ * zero ways; layouts an app cannot run in are redrawn.
+ */
+RegionLayout
+randomLayout(ahq::stats::Rng &rng, ResourceVector avail, int n)
+{
+    for (;;) {
+        RegionLayout layout(avail);
+        ResourceVector left = avail;
+        const int regions = 1 + static_cast<int>(rng.uniformInt(5));
+        for (int r = 0; r < regions; ++r) {
+            Region reg;
+            reg.name = "r" + std::to_string(r);
+            reg.shared = rng.bernoulli(0.5);
+            for (const ResourceKind k :
+                 {ResourceKind::Cores, ResourceKind::LlcWays,
+                  ResourceKind::MemBw}) {
+                const int units = static_cast<int>(rng.uniformInt(
+                    static_cast<std::uint64_t>(left.get(k)) + 1));
+                reg.res.set(k, units);
+                left.ref(k) -= units;
+            }
+            std::vector<int> order(static_cast<std::size_t>(n));
+            for (int i = 0; i < n; ++i)
+                order[static_cast<std::size_t>(i)] = i;
+            for (int i = n - 1; i > 0; --i) {
+                std::swap(order[static_cast<std::size_t>(i)],
+                          order[rng.uniformInt(
+                              static_cast<std::uint64_t>(i) + 1)]);
+            }
+            // Isolated regions mostly hold one app; shared ones any.
+            const double p = reg.shared ? 0.6 : 0.15;
+            for (const int i : order) {
+                if (reg.members.empty() && !reg.shared)
+                    reg.members.push_back(i);
+                else if (rng.bernoulli(p))
+                    reg.members.push_back(i);
+            }
+            layout.addRegion(std::move(reg));
+        }
+        for (int i = 0; i < n; ++i) {
+            if (layout.regionsOf(i).empty()) {
+                layout
+                    .region(static_cast<int>(rng.uniformInt(
+                        static_cast<std::uint64_t>(regions))))
+                    .members.push_back(i);
+            }
+        }
+        if (layout.valid())
+            return layout;
+    }
+}
+
+/** Which corner cases one corpus case reaches. */
+struct CorpusCoverage
+{
+    int fairShare = 0, lcPriority = 0, oneApp = 0, eightApps = 0;
+    int multiMemberIsolated = 0, appInTwoShared = 0;
+    int lcOnlyShared = 0, beOnlyShared = 0;
+    int zeroCoreRegion = 0, zeroWayRegion = 0, overloaded = 0;
+
+    void add(const RegionLayout &layout,
+             const std::vector<AppDemand> &demands,
+             CoreSharePolicy policy)
+    {
+        ++(policy == CoreSharePolicy::FairShare ? fairShare : lcPriority);
+        oneApp += demands.size() == 1;
+        eightApps += demands.size() == 8;
+        bool multi_iso = false, lc_only = false, be_only = false;
+        bool zero_cores = false, zero_ways = false;
+        std::vector<int> shared_of(demands.size(), 0);
+        for (ahq::machine::RegionId r = 0; r < layout.numRegions(); ++r) {
+            const Region &reg = layout.region(r);
+            if (reg.members.empty())
+                continue;
+            zero_cores = zero_cores || reg.res.cores == 0;
+            zero_ways = zero_ways || reg.res.llcWays == 0;
+            if (!reg.shared) {
+                multi_iso = multi_iso || reg.members.size() > 1;
+                continue;
+            }
+            int lc = 0;
+            for (const auto m : reg.members) {
+                ++shared_of[static_cast<std::size_t>(m)];
+                lc += demands[static_cast<std::size_t>(m)].latencyCritical;
+            }
+            lc_only = lc_only || lc == static_cast<int>(reg.members.size());
+            be_only = be_only || lc == 0;
+        }
+        multiMemberIsolated += multi_iso;
+        lcOnlyShared += lc_only;
+        beOnlyShared += be_only;
+        zeroCoreRegion += zero_cores;
+        zeroWayRegion += zero_ways;
+        appInTwoShared +=
+            *std::max_element(shared_of.begin(), shared_of.end()) >= 2;
+        bool over = false;
+        for (const AppDemand &d : demands) {
+            over = over ||
+                (d.latencyCritical &&
+                 d.arrivalRate * d.serviceTimeMs / 1000.0 > d.threads);
+        }
+        overloaded += over;
+    }
+};
+
+/**
+ * Every PerfOutcome bit of a seeded corpus of valid cases, folded
+ * into one FNV-1a-64 digest. The golden digests reach only layouts
+ * that schedulers build; this corpus also reaches multi-member
+ * isolated regions, apps in two shared regions, LC-only and BE-only
+ * shared regions, zero-core and zero-way regions and overload, so an
+ * order slip in a sum over several regions moves the digest. One
+ * model per machine evaluates every case in turn, so the workspace
+ * is reused across app counts and layouts. A model change
+ * re-records the digest; a speed-only change must not.
+ */
+TEST(Contention, RandomCorpusDigestIsPinned)
+{
+    const MachineConfig machines[] = {
+        MachineConfig::xeonE52630v4(),
+        MachineConfig::xeonE52630v4().withAvailable(6, 12, 6),
+        MachineConfig::xeonGold6248()};
+    std::vector<ContentionModel> models;
+    for (const MachineConfig &mc : machines)
+        models.emplace_back(mc);
+
+    ahq::stats::Rng rng(20240918);
+    std::uint64_t h = 14695981039346656037ULL;
+    auto fold = [&h](double v) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        for (int b = 0; b < 8; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 1099511628211ULL;
+        }
+    };
+    CorpusCoverage cov;
+    std::vector<PerfOutcome> out;
+    constexpr int kCases = 2400;
+    for (int c = 0; c < kCases; ++c) {
+        const auto m = rng.uniformInt(std::size(machines));
+        const int n = 1 + static_cast<int>(rng.uniformInt(8));
+        std::vector<AppDemand> demands;
+        for (int i = 0; i < n; ++i)
+            demands.push_back(randomDemand(rng, rng.bernoulli(0.5)));
+        const RegionLayout layout =
+            randomLayout(rng, machines[m].availableResources(), n);
+        const CoreSharePolicy policy = rng.bernoulli(0.5)
+            ? CoreSharePolicy::FairShare
+            : CoreSharePolicy::LcPriority;
+        cov.add(layout, demands, policy);
+        models[m].evaluateInto(layout, demands, policy, out);
+        ASSERT_EQ(out.size(), demands.size());
+        for (const PerfOutcome &o : out) {
+            for (const double v :
+                 {o.coreEquivalents, o.effectiveWays, o.bwDilation,
+                  o.speed, o.serviceStretch, o.perServerRate,
+                  o.serviceRate, o.utilization, o.ipc, o.bwDemandGibps})
+                fold(v);
+        }
+    }
+    std::size_t misses = 0;
+    for (const ContentionModel &model : models)
+        misses += model.memoMisses();
+    EXPECT_EQ(misses, static_cast<std::size_t>(kCases));
+
+    for (const auto &[name, count] :
+         {std::pair{"FairShare", cov.fairShare},
+          {"LcPriority", cov.lcPriority},
+          {"one app", cov.oneApp},
+          {"eight apps", cov.eightApps},
+          {"multi-member isolated region", cov.multiMemberIsolated},
+          {"app in two shared regions", cov.appInTwoShared},
+          {"LC-only shared region", cov.lcOnlyShared},
+          {"BE-only shared region", cov.beOnlyShared},
+          {"zero-core region", cov.zeroCoreRegion},
+          {"zero-way region", cov.zeroWayRegion},
+          {"LC load past saturation", cov.overloaded}})
+        EXPECT_GE(count, 50) << name;
+    EXPECT_EQ(h, 0x0735fc17643d17f3ULL)
+        << "corpus digest is now 0x" << std::hex << std::setw(16)
+        << std::setfill('0') << h;
 }
 
 } // namespace
