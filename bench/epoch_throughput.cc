@@ -2,8 +2,10 @@
  * @file
  * Fast perf-trajectory anchor (not a paper figure): epoch-loop
  * throughput of the canonical 4-app colocation under every
- * registered strategy, with each observability seam on (profiler,
- * trace sink + metrics, audit log, fault injection), larger-node
+ * registered strategy (and CLITE over 3600 epochs, where a decision
+ * cost that grows with run length would show), with each
+ * observability seam on (profiler, trace sink + metrics, audit
+ * log, fault injection), larger-node
  * variants (8 and 32 colocated apps — where the GP window cap and
  * the O(n²) incremental Cholesky keep CLITE's decision cost flat),
  * a small Fleet run, and the online hot paths a controller runs
@@ -122,6 +124,13 @@ main(int argc, char **argv)
     // order), not just the headline five.
     for (const auto &strategy : sched::allStrategyNames())
         sim(strategy, node, cfg, strategy, "epochs=60 " + strategy);
+
+    // CLITE over a long run: a decision whose cost grows with the
+    // run's length (a sample history rescanned every interval)
+    // shows here, not in the 60-epoch row.
+    cluster::SimulationConfig clite_cfg = cfg;
+    clite_cfg.durationSeconds = 1800.0;
+    sim("CLITE@3600", node, clite_cfg, "CLITE", "epochs=3600 CLITE");
 
     // Each observability seam switched on, on the same workload:
     // the span profiler (epoch phases + scheduler steps), a live

@@ -71,8 +71,10 @@ InvariantAuditor::report(const char *check, std::string detail,
     ++total_;
     if (violations_.size() < kMaxRecorded)
         violations_.push_back({check, detail, epoch, now_s});
-    obs_.count("check.violations");
-    obs_.count(std::string("check.violations.") + check);
+    if (obs_.metrics != nullptr) {
+        obs_.count("check.violations");
+        obs_.count(std::string("check.violations.") + check);
+    }
     if (obs_.tracing()) {
         obs::Event ev("violation");
         ev.str("check", check).str("detail", detail).num("t", now_s);

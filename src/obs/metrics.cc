@@ -20,34 +20,57 @@ MetricsRegistry::defaultBounds()
     return bounds;
 }
 
+namespace
+{
+
+/** The entry for `name`, value-initialised on first use. */
+template <typename Map>
+typename Map::mapped_type &
+entry(Map &map, std::string_view name)
+{
+    auto it = map.find(name);
+    if (it == map.end())
+        it = map.emplace(std::string(name), typename Map::mapped_type{})
+                 .first;
+    return it->second;
+}
+
+} // namespace
+
 void
-MetricsRegistry::add(const std::string &name, double delta)
+MetricsRegistry::add(std::string_view name, double delta)
 {
     std::lock_guard<std::mutex> lk(m);
-    counters_[name] += delta;
+    entry(counters_, name) += delta;
 }
 
 void
-MetricsRegistry::set(const std::string &name, double value)
+MetricsRegistry::set(std::string_view name, double value)
 {
     std::lock_guard<std::mutex> lk(m);
-    gauges_[name] = value;
+    entry(gauges_, name) = value;
 }
 
-void
-MetricsRegistry::observe(const std::string &name, double value,
-                         const std::vector<double> &bounds)
+MetricsRegistry::Histogram &
+MetricsRegistry::histogramFor(std::string_view name,
+                              const std::vector<double> &bounds)
 {
-    std::lock_guard<std::mutex> lk(m);
-    auto it = hists_.find(name);
-    if (it == hists_.end()) {
-        Histogram h;
+    Histogram &h = entry(hists_, name);
+    if (h.counts.empty()) {
+        // First use: the bucket layout is fixed from here on.
         h.bounds = bounds;
         std::sort(h.bounds.begin(), h.bounds.end());
         h.counts.assign(h.bounds.size() + 1, 0);
-        it = hists_.emplace(name, std::move(h)).first;
     }
-    Histogram &h = it->second;
+    return h;
+}
+
+void
+MetricsRegistry::observe(std::string_view name, double value,
+                         const std::vector<double> &bounds)
+{
+    std::lock_guard<std::mutex> lk(m);
+    Histogram &h = histogramFor(name, bounds);
     const auto bucket = static_cast<std::size_t>(
         std::lower_bound(h.bounds.begin(), h.bounds.end(), value) -
         h.bounds.begin());
@@ -64,15 +87,7 @@ MetricsRegistry::observeBucketed(
     double sum, const std::vector<double> &bounds)
 {
     std::lock_guard<std::mutex> lk(m);
-    auto it = hists_.find(name);
-    if (it == hists_.end()) {
-        Histogram h;
-        h.bounds = bounds;
-        std::sort(h.bounds.begin(), h.bounds.end());
-        h.counts.assign(h.bounds.size() + 1, 0);
-        it = hists_.emplace(name, std::move(h)).first;
-    }
-    Histogram &h = it->second;
+    Histogram &h = histogramFor(name, bounds);
     for (const auto &[value, n] : valueCounts) {
         const auto bucket = static_cast<std::size_t>(
             std::lower_bound(h.bounds.begin(), h.bounds.end(),
@@ -115,8 +130,8 @@ void
 MetricsRegistry::merge(const MetricsRegistry &other)
 {
     // Copy out first so self-merge and lock ordering are non-issues.
-    std::map<std::string, double> counters, gauges;
-    std::map<std::string, Histogram> hists;
+    std::map<std::string, double, std::less<>> counters, gauges;
+    std::map<std::string, Histogram, std::less<>> hists;
     {
         std::lock_guard<std::mutex> lk(other.m);
         counters = other.counters_;

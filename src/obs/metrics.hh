@@ -23,6 +23,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,17 +57,17 @@ class MetricsRegistry
     static const std::vector<double> &defaultBounds();
 
     /** Add delta to a counter (created at 0 on first use). */
-    void add(const std::string &name, double delta = 1.0);
+    void add(std::string_view name, double delta = 1.0);
 
     /** Set a gauge to the given value. */
-    void set(const std::string &name, double value);
+    void set(std::string_view name, double value);
 
     /**
      * Record a value into a histogram. The bucket layout is fixed
      * by the first observation for the name; later calls reuse it
      * regardless of the bounds they pass.
      */
-    void observe(const std::string &name, double value,
+    void observe(std::string_view name, double value,
                  const std::vector<double> &bounds = defaultBounds());
 
     /**
@@ -119,10 +120,16 @@ class MetricsRegistry
         double sum = 0.0;
     };
 
+    /** The histogram for `name` (caller holds `m`). */
+    Histogram &histogramFor(std::string_view name,
+                            const std::vector<double> &bounds);
+
+    // Transparent comparators: lookups take a string_view, and a
+    // name is copied only when it is first inserted.
     mutable std::mutex m;
-    std::map<std::string, double> counters_;
-    std::map<std::string, double> gauges_;
-    std::map<std::string, Histogram> hists_;
+    std::map<std::string, double, std::less<>> counters_;
+    std::map<std::string, double, std::less<>> gauges_;
+    std::map<std::string, Histogram, std::less<>> hists_;
 };
 
 /** The process-wide registry (what `ahq --metrics` dumps). */

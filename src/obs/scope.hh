@@ -133,21 +133,21 @@ struct Scope
     }
 
     /** Counter shortcut (no-op without a registry). */
-    void count(const std::string &name, double delta = 1.0) const
+    void count(std::string_view name, double delta = 1.0) const
     {
         if (metrics != nullptr)
             metrics->add(name, delta);
     }
 
     /** Gauge shortcut (no-op without a registry). */
-    void gauge(const std::string &name, double value) const
+    void gauge(std::string_view name, double value) const
     {
         if (metrics != nullptr)
             metrics->set(name, value);
     }
 
     /** Histogram shortcut (no-op without a registry). */
-    void observe(const std::string &name, double value) const
+    void observe(std::string_view name, double value) const
     {
         if (metrics != nullptr)
             metrics->observe(name, value);

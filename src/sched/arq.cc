@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "obs/span.hh"
 
@@ -70,6 +71,11 @@ Arq::initialLayout(const machine::MachineConfig &config,
 {
     std::vector<AppId> lc, be;
     splitKinds(apps, lc, be);
+    // Either layout holds one shared region plus one isolated
+    // region per LC app.
+    banUntil.assign(lc.size() + 1,
+                    -std::numeric_limits<double>::infinity());
+    fsmIndex.assign(lc.size() + 1, 0);
     if (cfg.sharedRegionEnabled) {
         return RegionLayout::arqInitial(config.availableResources(),
                                         lc, be);
@@ -142,14 +148,18 @@ Arq::findVictimRegion(const RegionLayout &layout,
     }
     std::sort(orderBuf.rbegin(), orderBuf.rend());
 
+    // ReT above which an LC app may donate isolated resources.
+    constexpr double kVictimRetThreshold = 0.10;
+    auto banned = [&](RegionId r) {
+        return now_s < banUntil[static_cast<std::size_t>(r)];
+    };
     for (const auto &[r, app] : orderBuf) {
-        if (r <= cfg.victimRetThreshold)
+        if (r <= kVictimRetThreshold)
             break;
         const RegionId iso = layout.isolatedRegionOf(app);
         if (iso == kNoRegion)
             continue;
-        const auto ban = banUntil.find(iso);
-        if (ban != banUntil.end() && now_s < ban->second)
+        if (banned(iso))
             continue; // region is penalty-banned
         if (layout.region(iso).res.empty())
             continue; // nothing to donate
@@ -158,11 +168,8 @@ Arq::findVictimRegion(const RegionLayout &layout,
     // The shared region is the fallback donor, but it too can be
     // penalty-banned after a rolled-back adjustment.
     const RegionId shared = layout.sharedRegion();
-    if (shared != kNoRegion) {
-        const auto ban = banUntil.find(shared);
-        if (ban != banUntil.end() && now_s < ban->second)
-            return kNoRegion;
-    }
+    if (shared != kNoRegion && banned(shared))
+        return kNoRegion;
     return shared;
 }
 
@@ -188,8 +195,13 @@ Arq::findBeneficiaryRegion(const RegionLayout &layout,
             poorest = static_cast<AppId>(i);
         }
     }
+    // ReT below which an LC app's isolated region is grown. A bit
+    // above the paper's 0.05 wording so the controller leaves the
+    // app measurable headroom against monitoring noise instead of
+    // parking its tail latency exactly on the QoS threshold.
+    constexpr double kBeneficiaryRetThreshold = 0.08;
     if (poorest != machine::kNoApp &&
-        worst.ret < cfg.beneficiaryRetThreshold) {
+        worst.ret < kBeneficiaryRetThreshold) {
         const RegionId iso = layout.isolatedRegionOf(poorest);
         if (iso != kNoRegion)
             return iso;
@@ -209,20 +221,16 @@ Arq::adjustResource(RegionLayout &layout,
         return false; // equilibrium: nobody needs or donates
 
     // FINDVICTIMRESOURCE: a PARTIES-style FSM over resource types,
-    // advancing when the current type cannot be penalised.
-    int &fsm = fsmIndex[victim];
-    for (int attempt = 0; attempt < kNumResourceKinds; ++attempt) {
-        const ResourceKind kind =
-            kAllResourceKinds[static_cast<std::size_t>(
-                (fsm + attempt) % kNumResourceKinds)];
-        if (layout.moveResource(kind, victim, beneficiary)) {
-            fsm = (fsm + attempt) % kNumResourceKinds;
-            lastMove = {kind, victim, beneficiary};
-            return true;
-        }
-    }
-    fsm = (fsm + 1) % kNumResourceKinds;
-    return false;
+    // staying on the type that moved and advancing when none could.
+    int &fsm = fsmIndex[static_cast<std::size_t>(victim)];
+    const int attempt = tryKindsInRotation(fsm, [&](ResourceKind kind) {
+        if (!layout.moveResource(kind, victim, beneficiary))
+            return false;
+        lastMove = {kind, victim, beneficiary};
+        return true;
+    });
+    fsm = (fsm + (attempt >= 0 ? attempt : 1)) % kNumResourceKinds;
+    return attempt >= 0;
 }
 
 void
@@ -288,7 +296,7 @@ Arq::adjust(RegionLayout &layout,
         layout.moveResource(lastMove.kind, lastMove.to,
                             lastMove.from);
         ban_until = now_s + cfg.banSeconds;
-        banUntil[lastMove.from] = ban_until;
+        banUntil[static_cast<std::size_t>(lastMove.from)] = ban_until;
         isAdjust = false;
         action = "rollback";
         prevEs = es;
@@ -307,7 +315,8 @@ Arq::adjust(RegionLayout &layout,
     }
     lastAction_ = action;
 
-    scope.count(std::string("arq.") + action);
+    if (scope.metrics != nullptr)
+        scope.count(std::string("arq.") + action);
     if (scope.tracing()) {
         // One decision event per interval: the entropy inputs, the
         // full ReT/Q arrays and what Algorithm 1 did about them.
@@ -334,9 +343,8 @@ Arq::adjust(RegionLayout &layout,
             ev.str("kind", machine::toString(lastMove.kind))
                 .integer("victim", lastMove.from)
                 .integer("beneficiary", lastMove.to);
-            const auto fsm = fsmIndex.find(lastMove.from);
-            ev.integer("fsm", fsm != fsmIndex.end() ?
-                                  fsm->second : 0);
+            ev.integer("fsm", fsmIndex[static_cast<std::size_t>(
+                                  lastMove.from)]);
         }
         if (ban_until >= 0.0) {
             ev.integer("ban_region", lastMove.from)

@@ -24,7 +24,6 @@
 #ifndef AHQ_SCHED_ARQ_HH
 #define AHQ_SCHED_ARQ_HH
 
-#include <map>
 #include <vector>
 
 #include "core/entropy.hh"
@@ -33,22 +32,14 @@
 namespace ahq::sched
 {
 
-/** Tunables of the ARQ controller (defaults are the paper's). */
+/**
+ * The ARQ settings some caller varies (defaults are the paper's):
+ * the ablation switches, and the timing knobs tests shorten.
+ */
 struct ArqConfig
 {
     /** Relative importance of LC over BE in E_S. */
     double relativeImportance = core::kDefaultRelativeImportance;
-
-    /** ReT above which an LC app may donate isolated resources. */
-    double victimRetThreshold = 0.10;
-
-    /**
-     * ReT below which an LC app's isolated region is grown. A bit
-     * above the paper's 0.05 wording so the controller leaves the
-     * app measurable headroom against monitoring noise instead of
-     * parking its tail latency exactly on the QoS threshold.
-     */
-    double beneficiaryRetThreshold = 0.08;
 
     /** How long a cancelled victim region is banned, seconds. */
     double banSeconds = 60.0;
@@ -138,11 +129,15 @@ class Arq : public Scheduler
     };
     Move lastMove;
 
-    /** Region id -> time until which it may not be penalised. */
-    std::map<machine::RegionId, double> banUntil;
+    /**
+     * Time until which each region may not be penalised
+     * (RegionId-indexed, sized by initialLayout(); -inf = never
+     * banned).
+     */
+    std::vector<double> banUntil;
 
     /** Per-region FSM position for findVictimResource. */
-    std::map<machine::RegionId, int> fsmIndex;
+    std::vector<int> fsmIndex;
 
     core::EntropyReport report;
 

@@ -25,22 +25,44 @@ using machine::kNumResourceKinds;
 using machine::RegionLayout;
 using machine::ResourceKind;
 
-Clite::Clite(CliteConfig config)
-    : cfg(config), rng(config.seed),
-      gp(config.gpLengthScale, config.gpSignalVar, config.gpNoiseVar)
+namespace
 {
-    gp.setWindowCap(cfg.gpWindowCap > 0
-                        ? static_cast<std::size_t>(cfg.gpWindowCap)
-                        : 0);
+
+/** RNG seed for sampling. */
+constexpr std::uint64_t kSeed = 0xc11e;
+
+/**
+ * The GP surrogate's hyperparameters (inputs normalised to [0,1]):
+ * kernel length scale, signal variance, observation noise variance.
+ */
+constexpr double kGpLengthScale = 0.35;
+constexpr double kGpSignalVar = 1.0;
+constexpr double kGpNoiseVar = 0.01;
+
+/**
+ * Sliding-window cap on the GP's training samples. The surrogate's
+ * Cholesky factor is maintained incrementally, so this bounds the
+ * per-decision cost at O(window^2) no matter how long the run
+ * accumulates samples (exploit-phase scores stream in every
+ * interval).
+ */
+constexpr std::size_t kGpWindowCap = 10;
+
+} // namespace
+
+Clite::Clite(CliteConfig config)
+    : cfg(config), rng(kSeed),
+      gp(kGpLengthScale, kGpSignalVar, kGpNoiseVar)
+{
+    gp.setWindowCap(kGpWindowCap);
 }
 
 void
 Clite::reset()
 {
-    rng = stats::Rng(cfg.seed);
+    rng = stats::Rng(kSeed);
     gp.clear();
-    ys.clear();
-    rawAllocs.clear();
+    samples = 0;
     currentAlloc.clear();
     lastLoads.clear();
     exploiting = false;
@@ -109,6 +131,11 @@ Clite::initialLayout(const machine::MachineConfig &config,
 double
 Clite::objective(const std::vector<AppObservation> &obs) const
 {
+    // QoS guard band: a sample only counts as meeting QoS when its
+    // p95 stays below kGuardBand * threshold, so the pinned optimum
+    // keeps headroom against measurement noise.
+    constexpr double kGuardBand = 0.90;
+
     int lc_total = 0, lc_met = 0;
     double be_sum = 0.0;
     int be_total = 0;
@@ -117,7 +144,7 @@ Clite::objective(const std::vector<AppObservation> &obs) const
     for (const auto &o : obs) {
         if (o.latencyCritical) {
             ++lc_total;
-            if (o.p95Ms <= cfg.guardBand * o.thresholdMs)
+            if (o.p95Ms <= kGuardBand * o.thresholdMs)
                 ++lc_met;
             slack_sum += std::clamp(o.slack(), 0.0, 1.0);
             // Log-scaled deficit keeps a gradient even when the
@@ -308,17 +335,17 @@ Clite::applyAlloc(machine::RegionLayout &layout,
     assert(layout.valid());
 }
 
-std::vector<int>
-Clite::readAlloc(const machine::RegionLayout &layout)
+void
+Clite::readAllocInto(const machine::RegionLayout &layout,
+                     std::vector<int> &alloc)
 {
-    std::vector<int> alloc;
+    alloc.clear();
     for (int g = 0; g < layout.numRegions(); ++g) {
         for (int k = 0; k < kNumResourceKinds; ++k) {
             alloc.push_back(layout.region(g).res.get(
                 kAllResourceKinds[static_cast<std::size_t>(k)]));
         }
     }
-    return alloc;
 }
 
 void
@@ -326,7 +353,7 @@ Clite::adjust(machine::RegionLayout &layout,
               const std::vector<AppObservation> &obs, double)
 {
     if (currentAlloc.empty())
-        currentAlloc = readAlloc(layout);
+        readAllocInto(layout, currentAlloc);
 
     // Degraded inputs: scoring a stale measurement repeat would
     // poison the surrogate with a wrong (x, y) pair (and stale
@@ -339,6 +366,7 @@ Clite::adjust(machine::RegionLayout &layout,
     }
 
     // Detect load shifts: the pinned optimum is stale, re-explore.
+    constexpr double kLoadShiftThreshold = 0.05;
     loadsBuf.clear();
     for (const auto &o : obs) {
         if (o.latencyCritical)
@@ -347,10 +375,9 @@ Clite::adjust(machine::RegionLayout &layout,
     if (!lastLoads.empty() && loadsBuf.size() == lastLoads.size()) {
         for (std::size_t i = 0; i < loadsBuf.size(); ++i) {
             if (std::abs(loadsBuf[i] - lastLoads[i]) >
-                cfg.loadShiftThreshold) {
+                kLoadShiftThreshold) {
                 gp.clear();
-                ys.clear();
-                rawAllocs.clear();
+                samples = 0;
                 exploiting = false;
                 exploreCount = 0;
                 violationStreak = 0;
@@ -383,20 +410,22 @@ Clite::adjust(machine::RegionLayout &layout,
     const double score = objective(obs);
     normaliseInto(currentAlloc, xBuf);
     gp.addSample(xBuf, score);
-    ys.push_back(score);
-    rawAllocs.push_back(currentAlloc);
+    if (samples == 0 || bestY < score) {
+        bestY = score;
+        bestAlloc = currentAlloc;
+    }
+    ++samples;
 
     if (exploiting) {
         // A pinned optimum that keeps violating QoS even though a
         // feasible configuration was seen is stale: resume the
         // search. When nothing feasible was ever found, churning
         // through more live samples only hurts, so stay pinned on
-        // the least-bad configuration.
-        const double best_seen =
-            *std::max_element(ys.begin(), ys.end());
+        // the least-bad configuration. kViolationPatience violated
+        // intervals in a row unpin it.
+        constexpr int kViolationPatience = 4;
         violationStreak = score < 0.0 ? violationStreak + 1 : 0;
-        if (violationStreak >= cfg.violationPatience &&
-            best_seen >= 0.0) {
+        if (violationStreak >= kViolationPatience && bestY >= 0.0) {
             exploiting = false;
             exploreCount = cfg.totalBudget / 2;
             violationStreak = 0;
@@ -407,43 +436,45 @@ Clite::adjust(machine::RegionLayout &layout,
             exploiting = true;
     }
 
-    const auto best_it = std::max_element(ys.begin(), ys.end());
-    const std::size_t best_idx =
-        static_cast<std::size_t>(best_it - ys.begin());
-
+    // Random (quasi-LHS) samples before the GP drives proposals.
+    constexpr int kInitialSamples = 6;
     if (exploiting) {
-        nextBuf = rawAllocs[best_idx];
+        nextBuf = bestAlloc;
     } else if (score < 0.0 && rng.bernoulli(0.6)) {
         // The live config violated QoS: usually hill-climb from the
         // best configuration seen so far instead of waiting for the
         // surrogate to learn the constraint boundary, but keep some
         // probability mass on the global search for diversity.
-        rebalanceAllocInto(rawAllocs[best_idx], obs, nextBuf);
-    } else if (exploreCount < cfg.initialSamples) {
+        rebalanceAllocInto(bestAlloc, obs, nextBuf);
+    } else if (exploreCount < kInitialSamples) {
         randomAllocInto(nextBuf);
     } else {
         obs::Span span(obsScope(), "clite.gp");
         assert(gp.fitted());
-        const double best_y = *best_it;
-
+        // Candidate pool for the EI maximisation, sized so a GP
+        // decision (pool x O(window^2) posterior evaluations) fits
+        // the monitoring interval's compute budget; the pool mixes
+        // local perturbations, demand-directed rebalances and global
+        // draws, so coverage degrades gracefully as it shrinks.
+        constexpr int kCandidatePool = 64;
         double best_ei = -1.0;
         bool found = false;
-        for (int cand = 0; cand < cfg.candidatePool; ++cand) {
+        for (int cand = 0; cand < kCandidatePool; ++cand) {
             // Mix global random draws with local refinements of the
             // incumbent and demand-directed rebalances, CLITE-style.
             switch (cand % 4) {
               case 0:
-                perturbAllocInto(rawAllocs[best_idx], candBuf);
+                perturbAllocInto(bestAlloc, candBuf);
                 break;
               case 1:
-                rebalanceAllocInto(rawAllocs[best_idx], obs, candBuf);
+                rebalanceAllocInto(bestAlloc, obs, candBuf);
                 break;
               default:
                 randomAllocInto(candBuf);
                 break;
             }
             normaliseInto(candBuf, xBuf);
-            const double ei = gp.expectedImprovement(xBuf, best_y);
+            const double ei = gp.expectedImprovement(xBuf, bestY);
             if (ei > best_ei) {
                 best_ei = ei;
                 std::swap(nextBuf, candBuf);
@@ -465,10 +496,8 @@ Clite::adjust(machine::RegionLayout &layout,
         obs::Event ev("clite_decision");
         ev.str("action", exploiting ? "exploit" : "sample")
             .num("score", score)
-            .num("best",
-                 *std::max_element(ys.begin(), ys.end()))
-            .integer("samples",
-                     static_cast<long long>(ys.size()));
+            .num("best", bestY)
+            .integer("samples", samples);
         scope.emit(ev);
     }
 }

@@ -28,12 +28,9 @@
 namespace ahq::sched
 {
 
-/** Tunables of the CLITE controller. */
+/** The CLITE settings some caller varies. */
 struct CliteConfig
 {
-    /** Random (quasi-LHS) samples before the GP drives proposals. */
-    int initialSamples = 6;
-
     /** Total sampling budget before pinning the best config. */
     int totalBudget = 24;
 
@@ -44,50 +41,6 @@ struct CliteConfig
      * drain can take more than one 500 ms interval).
      */
     int settleEpochs = 2;
-
-    /** Consecutive violated intervals that unpin a stale optimum. */
-    int violationPatience = 4;
-
-    /**
-     * QoS guard band: a sample only counts as meeting QoS when its
-     * p95 stays below guardBand * threshold, so the pinned optimum
-     * keeps headroom against measurement noise.
-     */
-    double guardBand = 0.90;
-
-    /**
-     * Candidate pool size for the EI maximisation. Sized so a GP
-     * decision (pool x O(window^2) posterior evaluations) fits the
-     * monitoring interval's compute budget; the pool mixes local
-     * perturbations, demand-directed rebalances and global draws,
-     * so coverage degrades gracefully as it shrinks.
-     */
-    int candidatePool = 64;
-
-    /**
-     * Sliding-window cap on the GP's training samples (0 =
-     * unbounded). The surrogate's Cholesky factor is maintained
-     * incrementally, so this bounds the per-decision cost at
-     * O(window^2) no matter how long the run accumulates samples
-     * (exploit-phase scores stream in every interval). The best
-     * score / allocation history is kept in full regardless.
-     */
-    int gpWindowCap = 10;
-
-    /** Load-fraction change that triggers re-exploration. */
-    double loadShiftThreshold = 0.05;
-
-    /** GP kernel length scale (inputs normalised to [0,1]). */
-    double gpLengthScale = 0.35;
-
-    /** GP signal variance. */
-    double gpSignalVar = 1.0;
-
-    /** GP observation noise variance. */
-    double gpNoiseVar = 0.01;
-
-    /** RNG seed for sampling. */
-    std::uint64_t seed = 0xc11e;
 };
 
 /**
@@ -127,10 +80,7 @@ class Clite : public Scheduler
     void onActuation(bool applied) override;
 
     /** Number of objective samples collected so far (for tests). */
-    int samplesCollected() const
-    {
-        return static_cast<int>(ys.size());
-    }
+    int samplesCollected() const { return samples; }
 
   private:
     CliteConfig cfg;
@@ -147,11 +97,15 @@ class Clite : public Scheduler
     int numGroups = 0; // LC apps + 1 BE pool
     machine::ResourceVector available;
 
-    /** Measured objective scores, in sample order. */
-    std::vector<double> ys;
-
-    /** Raw unit allocations matching ys entries. */
-    std::vector<std::vector<int>> rawAllocs;
+    /**
+     * Samples scored since the last (re-)exploration began, and the
+     * best of them: its score and its raw unit allocation. Only a
+     * strictly better score replaces the best, so the first of
+     * equal maxima wins (std::max_element's rule, NaNs included).
+     */
+    int samples = 0;
+    double bestY = 0.0;
+    std::vector<int> bestAlloc;
 
     /** The configuration currently deployed (awaiting its score). */
     std::vector<int> currentAlloc; // groups x kinds, units
@@ -201,8 +155,8 @@ class Clite : public Scheduler
                            const std::vector<int> &alloc);
 
     /** Read the layout's regions into an allocation vector. */
-    static std::vector<int>
-    readAlloc(const machine::RegionLayout &layout);
+    static void readAllocInto(const machine::RegionLayout &layout,
+                              std::vector<int> &alloc);
 };
 
 } // namespace ahq::sched

@@ -12,16 +12,10 @@ namespace ahq::sched
 {
 
 using machine::AppId;
-using machine::kAllResourceKinds;
 using machine::kNumResourceKinds;
 using machine::RegionId;
 using machine::RegionLayout;
 using machine::ResourceKind;
-
-CoPart::CoPart(CoPartConfig config)
-    : cfg(config)
-{
-}
 
 void
 CoPart::reset()
@@ -49,6 +43,7 @@ CoPart::initialLayout(const machine::MachineConfig &config,
     std::vector<AppId> everyone;
     for (const auto &a : apps)
         everyone.push_back(a.id);
+    fsmIndex.assign(apps.size(), 0);
     return RegionLayout::evenlyIsolated(config.availableResources(),
                                         everyone);
 }
@@ -72,28 +67,24 @@ CoPart::adjust(RegionLayout &layout,
     assert(worst && best);
     if (worst->id == best->id)
         return;
-    if (slowdownOf(*worst) <
-        cfg.imbalanceThreshold * slowdownOf(*best)) {
+    // Minimum slowdown ratio between the most- and least-slowed
+    // apps before a transfer happens (hysteresis).
+    constexpr double kImbalanceThreshold = 1.10;
+    if (slowdownOf(*worst) < kImbalanceThreshold * slowdownOf(*best))
         return; // fair enough already
-    }
 
     const RegionId to = layout.isolatedRegionOf(worst->id);
     const RegionId from = layout.isolatedRegionOf(best->id);
     if (to == machine::kNoRegion || from == machine::kNoRegion)
         return;
 
-    int &fsm = fsmIndex[worst->id];
-    for (int attempt = 0; attempt < kNumResourceKinds; ++attempt) {
-        const ResourceKind kind =
-            kAllResourceKinds[static_cast<std::size_t>(
-                (fsm + attempt) % kNumResourceKinds)];
-        if (layout.moveResource(kind, from, to)) {
-            // Rotate so successive transfers spread across kinds.
-            fsm = (fsm + attempt + 1) % kNumResourceKinds;
-            return;
-        }
-    }
-    fsm = (fsm + 1) % kNumResourceKinds;
+    // Step past the kind that moved, so successive transfers spread
+    // across kinds.
+    int &fsm = fsmIndex[static_cast<std::size_t>(worst->id)];
+    const int attempt = tryKindsInRotation(fsm, [&](ResourceKind kind) {
+        return layout.moveResource(kind, from, to);
+    });
+    fsm = (fsm + (attempt >= 0 ? attempt + 1 : 1)) % kNumResourceKinds;
 }
 
 } // namespace ahq::sched

@@ -22,22 +22,12 @@
 #ifndef AHQ_SCHED_COPART_HH
 #define AHQ_SCHED_COPART_HH
 
-#include <map>
+#include <vector>
 
 #include "sched/scheduler.hh"
 
 namespace ahq::sched
 {
-
-/** Tunables of the CoPart-style controller. */
-struct CoPartConfig
-{
-    /**
-     * Minimum slowdown ratio between the most- and least-slowed
-     * apps before a transfer happens (hysteresis).
-     */
-    double imbalanceThreshold = 1.10;
-};
 
 /**
  * Fairness-driven strict partitioner.
@@ -45,8 +35,6 @@ struct CoPartConfig
 class CoPart : public Scheduler
 {
   public:
-    explicit CoPart(CoPartConfig config = {});
-
     std::string name() const override { return "CoPart"; }
 
     machine::RegionLayout
@@ -69,10 +57,11 @@ class CoPart : public Scheduler
     static double slowdownOf(const AppObservation &o);
 
   private:
-    CoPartConfig cfg;
-
-    /** Per-app FSM over resource kinds, PARTIES-style. */
-    std::map<machine::AppId, int> fsmIndex;
+    /**
+     * Per-app FSM over resource kinds, PARTIES-style (AppId-indexed,
+     * sized by initialLayout()).
+     */
+    std::vector<int> fsmIndex;
 };
 
 } // namespace ahq::sched

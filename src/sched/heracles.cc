@@ -16,11 +16,6 @@ using machine::kNumResourceKinds;
 using machine::RegionLayout;
 using machine::ResourceKind;
 
-Heracles::Heracles(HeraclesConfig config)
-    : cfg(config)
-{
-}
-
 void
 Heracles::reset()
 {
@@ -87,25 +82,26 @@ Heracles::adjust(RegionLayout &layout,
     if (!any_lc)
         return;
 
-    const bool shrink = min_slack < cfg.shrinkSlack;
-    const bool may_grow = min_slack > cfg.growSlack &&
-        max_load < cfg.loadFreeze;
+    // Slack below which BE work is shrunk ("disabled" region), and
+    // above which it may grow.
+    constexpr double kShrinkSlack = 0.10;
+    constexpr double kGrowSlack = 0.25;
+    // LC load fraction above which BE growth is frozen regardless of
+    // slack (Heracles disallows BE growth near peak load).
+    constexpr double kLoadFreeze = 0.85;
+    const bool shrink = min_slack < kShrinkSlack;
+    const bool may_grow = min_slack > kGrowSlack && max_load < kLoadFreeze;
 
     if (!shrink && !may_grow)
         return; // hold region: do nothing
 
     const machine::RegionId from = shrink ? kBePool : kLcPool;
     const machine::RegionId to = shrink ? kLcPool : kBePool;
-    for (int attempt = 0; attempt < kNumResourceKinds; ++attempt) {
-        const ResourceKind kind =
-            kAllResourceKinds[static_cast<std::size_t>(
-                (fsm + attempt) % kNumResourceKinds)];
-        if (layout.moveResource(kind, from, to)) {
-            fsm = (fsm + attempt + 1) % kNumResourceKinds;
-            return;
-        }
-    }
-    fsm = (fsm + 1) % kNumResourceKinds;
+    // Step past the kind that moved.
+    const int attempt = tryKindsInRotation(fsm, [&](ResourceKind kind) {
+        return layout.moveResource(kind, from, to);
+    });
+    fsm = (fsm + (attempt >= 0 ? attempt + 1 : 1)) % kNumResourceKinds;
 }
 
 } // namespace ahq::sched

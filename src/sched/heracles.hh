@@ -21,22 +21,6 @@
 namespace ahq::sched
 {
 
-/** Tunables of the Heracles-style controller. */
-struct HeraclesConfig
-{
-    /** Slack below which BE work is shrunk ("disabled" region). */
-    double shrinkSlack = 0.10;
-
-    /** Slack above which BE work may grow. */
-    double growSlack = 0.25;
-
-    /**
-     * LC load fraction above which BE growth is frozen regardless
-     * of slack (Heracles disallows BE growth near peak load).
-     */
-    double loadFreeze = 0.85;
-};
-
 /**
  * Threshold controller: one LC pool, one BE pool, BE pool grows or
  * shrinks one resource unit per interval based on the binding LC
@@ -45,8 +29,6 @@ struct HeraclesConfig
 class Heracles : public Scheduler
 {
   public:
-    explicit Heracles(HeraclesConfig config = {});
-
     std::string name() const override { return "Heracles"; }
 
     machine::RegionLayout
@@ -68,7 +50,6 @@ class Heracles : public Scheduler
     void reset() override;
 
   private:
-    HeraclesConfig cfg;
     int fsm = 0; // resource rotation for grow/shrink steps
 
     /** The LC pool (region 0) and BE pool (region 1) ids. */

@@ -20,11 +20,6 @@ using machine::RegionId;
 using machine::RegionLayout;
 using machine::ResourceKind;
 
-Parties::Parties(PartiesConfig config)
-    : cfg(config)
-{
-}
-
 void
 Parties::reset()
 {
@@ -100,6 +95,11 @@ Parties::initialLayout(const machine::MachineConfig &config,
         layout.addRegion(std::move(pool));
     }
     assert(layout.valid());
+
+    fsmIndex.assign(apps.size(), 0);
+    cooldown.assign(apps.size(), 0);
+    comfort.assign(apps.size(), 0);
+    violatedBuf.reserve(apps.size());
     return layout;
 }
 
@@ -121,6 +121,13 @@ donorFloor(ResourceKind kind)
     return 1;
 }
 
+/**
+ * An LC app donates to a violated one only when its slack exceeds
+ * both kDonorMinSlack and the victim's slack plus kDonorSlackMargin.
+ */
+constexpr double kDonorMinSlack = 0.10;
+constexpr double kDonorSlackMargin = 0.15;
+
 } // namespace
 
 bool
@@ -137,17 +144,12 @@ Parties::upsizeApp(RegionLayout &layout,
             victim_slack = o.slack();
     }
 
-    int &fsm = fsmIndex[app];
-    for (int attempt = 0; attempt < kNumResourceKinds; ++attempt) {
-        const ResourceKind kind =
-            kAllResourceKinds[static_cast<std::size_t>(
-                (fsm + attempt) % kNumResourceKinds)];
-
+    int &fsm = fsmIndex[static_cast<std::size_t>(app)];
+    const int attempt = tryKindsInRotation(fsm, [&](ResourceKind kind) {
         // Preferred donor: the BE pool.
         const RegionId pool = bePool(layout);
         if (pool != machine::kNoRegion &&
             layout.moveResource(kind, pool, target)) {
-            fsm = (fsm + attempt) % kNumResourceKinds;
             recordMove("upsize", app, kind, pool, target);
             return true;
         }
@@ -156,7 +158,8 @@ Parties::upsizeApp(RegionLayout &layout,
         // it is clearly better off than the victim and would stay
         // safely provisioned after donating.
         AppId donor = machine::kNoApp;
-        double best_slack = std::max(0.10, victim_slack + 0.15);
+        double best_slack =
+            std::max(kDonorMinSlack, victim_slack + kDonorSlackMargin);
         for (const auto &o : obs) {
             if (!o.latencyCritical || o.id == app || !o.sampleValid)
                 continue;
@@ -170,20 +173,18 @@ Parties::upsizeApp(RegionLayout &layout,
                 donor = o.id;
             }
         }
-        if (donor != machine::kNoApp) {
-            const RegionId donor_region =
-                layout.isolatedRegionOf(donor);
-            if (layout.moveResource(kind, donor_region, target)) {
-                fsm = (fsm + attempt) % kNumResourceKinds;
-                recordMove("upsize", app, kind, donor_region,
-                           target);
-                return true;
-            }
-        }
-    }
-    // Nothing movable this interval; rotate the FSM for next time.
-    fsm = (fsm + 1) % kNumResourceKinds;
-    return false;
+        if (donor == machine::kNoApp)
+            return false;
+        const RegionId donor_region = layout.isolatedRegionOf(donor);
+        if (!layout.moveResource(kind, donor_region, target))
+            return false;
+        recordMove("upsize", app, kind, donor_region, target);
+        return true;
+    });
+    // Stay on the kind that moved; when nothing was movable this
+    // interval, rotate the FSM for next time.
+    fsm = (fsm + (attempt >= 0 ? attempt : 1)) % kNumResourceKinds;
+    return attempt >= 0;
 }
 
 void
@@ -192,7 +193,8 @@ Parties::recordMove(const char *action, AppId app,
                     RegionId to) const
 {
     const obs::Scope &scope = obsScope();
-    scope.count(std::string("parties.") + action);
+    if (scope.metrics != nullptr)
+        scope.count(std::string("parties.") + action);
     if (!scope.tracing())
         return;
     obs::Event ev("parties_decision");
@@ -208,22 +210,34 @@ void
 Parties::adjust(RegionLayout &layout,
                 const std::vector<AppObservation> &obs, double)
 {
+    // Slack below which an app is upsized. PARTIES reacts to actual
+    // QoS violations, so the trigger sits just above zero slack.
+    constexpr double kUpsizeSlack = 0.02;
+    // Slack above which an app may be tentatively downsized.
+    constexpr double kDownsizeSlack = 0.25;
+    // Comfortable intervals required before a downsize trial.
+    constexpr int kComfortStreak = 6;
+    // Intervals a trial downsize is watched for a violation.
+    constexpr int kTrialWatch = 4;
+    // Cooldowns after a reverted (failed) and a committed
+    // (successful) downsize.
+    constexpr int kRevertCooldown = 40;
+    constexpr int kCommitCooldown = 8;
+
     trialJustStarted = false;
 
     // Age the downsize cooldowns and track comfort streaks. A stale
     // sample (dropped measurement repeat) neither extends nor
     // resets a streak — it says nothing new about the app.
-    for (auto &[app, c] : cooldown) {
+    for (int &c : cooldown) {
         if (c > 0)
             --c;
     }
     for (const auto &o : obs) {
         if (!o.latencyCritical || !o.sampleValid)
             continue;
-        if (o.slack() >= cfg.upsizeSlack)
-            ++comfort[o.id];
-        else
-            comfort[o.id] = 0;
+        int &streak = comfort[static_cast<std::size_t>(o.id)];
+        streak = o.slack() >= kUpsizeSlack ? streak + 1 : 0;
     }
 
     // 1) Watch the in-flight downsize trial: revert on violation,
@@ -242,7 +256,7 @@ Parties::adjust(RegionLayout &layout,
         if (!trial_stale) {
             for (const auto &o : obs) {
                 if (o.id == trial.app && o.latencyCritical &&
-                    o.slack() < cfg.upsizeSlack) {
+                    o.slack() < kUpsizeSlack) {
                     // Revert from the pool; if the pool unit was
                     // taken by someone else in the meantime,
                     // reclaim through the ordinary upsize path so
@@ -257,7 +271,8 @@ Parties::adjust(RegionLayout &layout,
                                             region);
                     if (!undone)
                         upsizeApp(layout, obs, trial.app);
-                    cooldown[trial.app] = cfg.revertCooldown;
+                    cooldown[static_cast<std::size_t>(trial.app)] =
+                        kRevertCooldown;
                     trial.active = false;
                     reverted = true;
                     recordMove("revert", trial.app, trial.kind,
@@ -267,7 +282,8 @@ Parties::adjust(RegionLayout &layout,
                 }
             }
             if (!reverted && --trial.watchLeft <= 0) {
-                cooldown[trial.app] = cfg.commitCooldown;
+                cooldown[static_cast<std::size_t>(trial.app)] =
+                    kCommitCooldown;
                 trial.active = false;
                 recordMove("commit", trial.app, trial.kind,
                            layout.isolatedRegionOf(trial.app),
@@ -280,20 +296,19 @@ Parties::adjust(RegionLayout &layout,
     bool any_violation = false;
     {
         obs::Span span(obsScope(), "parties.upsize");
-        std::vector<const AppObservation *> violated;
+        violatedBuf.clear();
         for (const auto &o : obs) {
             if (o.latencyCritical && o.sampleValid &&
-                o.slack() < cfg.upsizeSlack) {
-                violated.push_back(&o);
-                any_violation = true;
-            }
+                o.slack() < kUpsizeSlack)
+                violatedBuf.push_back(&o);
         }
+        any_violation = !violatedBuf.empty();
         std::sort(
-            violated.begin(), violated.end(),
+            violatedBuf.begin(), violatedBuf.end(),
             [](const AppObservation *a, const AppObservation *b) {
                 return a->slack() < b->slack();
             });
-        for (const AppObservation *o : violated)
+        for (const AppObservation *o : violatedBuf)
             upsizeApp(layout, obs, o->id);
     }
 
@@ -305,10 +320,10 @@ Parties::adjust(RegionLayout &layout,
         const AppObservation *richest = nullptr;
         for (const auto &o : obs) {
             if (!o.latencyCritical || !o.sampleValid ||
-                o.slack() < cfg.downsizeSlack)
+                o.slack() < kDownsizeSlack)
                 continue;
-            if (cooldown[o.id] > 0 ||
-                comfort[o.id] < cfg.comfortStreak)
+            const auto id = static_cast<std::size_t>(o.id);
+            if (cooldown[id] > 0 || comfort[id] < kComfortStreak)
                 continue;
             if (!richest || o.slack() > richest->slack())
                 richest = &o;
@@ -319,21 +334,19 @@ Parties::adjust(RegionLayout &layout,
             const RegionId pool = bePool(layout);
             if (region != machine::kNoRegion &&
                 pool != machine::kNoRegion) {
-                int &fsm = fsmIndex[richest->id];
-                for (int attempt = 0; attempt < kNumResourceKinds;
-                     ++attempt) {
-                    const ResourceKind kind = kAllResourceKinds[
-                        static_cast<std::size_t>(
-                            (fsm + attempt) % kNumResourceKinds)];
-                    if (layout.moveResource(kind, region, pool)) {
-                        trial = {true, richest->id, kind,
-                                 cfg.trialWatch};
+                // The trial tries kinds from the app's FSM position
+                // but leaves the position where it was.
+                tryKindsInRotation(
+                    fsmIndex[static_cast<std::size_t>(richest->id)],
+                    [&](ResourceKind kind) {
+                        if (!layout.moveResource(kind, region, pool))
+                            return false;
+                        trial = {true, richest->id, kind, kTrialWatch};
                         trialJustStarted = true;
-                        recordMove("downsize_trial", richest->id,
-                                   kind, region, pool);
-                        break;
-                    }
-                }
+                        recordMove("downsize_trial", richest->id, kind,
+                                   region, pool);
+                        return true;
+                    });
             }
         }
     }

@@ -19,7 +19,6 @@
 #ifndef AHQ_SCHED_PARTIES_HH
 #define AHQ_SCHED_PARTIES_HH
 
-#include <map>
 #include <vector>
 
 #include "sched/scheduler.hh"
@@ -27,42 +26,12 @@
 namespace ahq::sched
 {
 
-/** Tunables of the PARTIES controller. */
-struct PartiesConfig
-{
-    /**
-     * Slack below which an app is upsized. PARTIES reacts to actual
-     * QoS violations, so the trigger sits just above zero slack.
-     */
-    double upsizeSlack = 0.02;
-
-    /** Slack above which an app may be tentatively downsized. */
-    double downsizeSlack = 0.25;
-
-    /** Minimum slack for an LC app to donate to a violated one. */
-    double donorSlack = 0.35;
-
-    /** Comfortable intervals required before a downsize trial. */
-    int comfortStreak = 6;
-
-    /** Intervals a trial downsize is watched for a violation. */
-    int trialWatch = 4;
-
-    /** Cooldown after a reverted (failed) downsize. */
-    int revertCooldown = 40;
-
-    /** Cooldown after a committed (successful) downsize. */
-    int commitCooldown = 8;
-};
-
 /**
  * The PARTIES strict-partitioning controller.
  */
 class Parties : public Scheduler
 {
   public:
-    explicit Parties(PartiesConfig config = {});
-
     std::string name() const override { return "PARTIES"; }
 
     machine::RegionLayout
@@ -93,16 +62,19 @@ class Parties : public Scheduler
     void onActuation(bool applied) override;
 
   private:
-    PartiesConfig cfg;
+    // Per-app state, AppId-indexed and sized by initialLayout().
 
-    /** Per-app FSM position in the resource rotation. */
-    std::map<machine::AppId, int> fsmIndex;
+    /** FSM position in the resource rotation. */
+    std::vector<int> fsmIndex;
 
-    /** Cooldown until the next tentative downsize per app. */
-    std::map<machine::AppId, int> cooldown;
+    /** Intervals until the next tentative downsize. */
+    std::vector<int> cooldown;
 
-    /** Consecutive comfortable intervals per app. */
-    std::map<machine::AppId, int> comfort;
+    /** Consecutive comfortable intervals. */
+    std::vector<int> comfort;
+
+    /** Upsize scratch: this interval's violated apps. */
+    std::vector<const AppObservation *> violatedBuf;
 
     /** An in-flight tentative downsize being watched. */
     struct Trial

@@ -130,6 +130,26 @@ class Scheduler
                            std::vector<machine::AppId> &lc,
                            std::vector<machine::AppId> &be);
 
+    /**
+     * PARTIES' resource-kind rotation: try kind
+     * (start + attempt) % kNumResourceKinds for attempt 0, 1, ...
+     * until `move(kind)` reports that a unit moved. How the
+     * position advances afterwards is the caller's algorithm.
+     *
+     * @return The attempt that moved, or -1 when no kind could.
+     */
+    template <typename Move>
+    static int tryKindsInRotation(int start, Move &&move)
+    {
+        for (int attempt = 0; attempt < machine::kNumResourceKinds;
+             ++attempt) {
+            if (move(machine::kAllResourceKinds[static_cast<std::size_t>(
+                    (start + attempt) % machine::kNumResourceKinds)]))
+                return attempt;
+        }
+        return -1;
+    }
+
   private:
     obs::Scope obs_;
 };

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "obs/trace_sink.hh"
 #include "sched/registry.hh"
 #include "trace/fleet_load.hh"
+#include "trace/load_trace.hh"
 
 namespace
 {
@@ -278,6 +280,77 @@ TEST(GoldenDigest, EverySchedulerOnTheCanonicalNode)
         addOutputs(h, sink);
         expectDigest("canonical/" + name, h, digest);
     }
+}
+
+/**
+ * Every scheduler over 2,400 epochs on two nodes whose load moves:
+ * fleet-shaped node 0 (diurnal and flash load) and the canonical
+ * node with Xapian on Fig. 13's step trace. The 120-epoch canonical
+ * case never makes CLITE re-explore; here the trace proves that
+ * CLITE's load-shift reset and PARTIES' trial revert both ran, so
+ * the digests cover those paths and the long-run controller state.
+ */
+TEST(GoldenDigest, EverySchedulerOverLongLoadShiftingRuns)
+{
+    const Node fleet = fleetShapedNode();
+    const Node fig13(
+        machine::MachineConfig::xeonE52630v4(),
+        {lcWith(apps::xapian(), std::shared_ptr<trace::LoadTrace>(
+                                    trace::fig13XapianTrace())),
+         lcAt(apps::moses(), 0.2), lcAt(apps::imgDnn(), 0.2),
+         be(apps::stream())});
+    struct Case
+    {
+        std::string name;
+        const Node *node;
+        std::vector<std::pair<std::string, std::uint64_t>> golden;
+    };
+    const std::vector<Case> cases{
+        {"fleet-node",
+         &fleet,
+         {{"Unmanaged", 0xb069d600b1d19447ULL},
+          {"LC-first", 0x1ba8c12584df4f15ULL},
+          {"PARTIES", 0xa5e09274e8233d7fULL},
+          {"CLITE", 0x77ee40305e043ad1ULL},
+          {"ARQ", 0x8a1c269a5d28e4f4ULL},
+          {"Heracles", 0x468eafe97651e942ULL},
+          {"CoPart", 0x9bbde0729beb9e47ULL}}},
+        {"fig13-node",
+         &fig13,
+         {{"Unmanaged", 0x5a648c3bd5b9cee3ULL},
+          {"LC-first", 0x6d41275396a917f3ULL},
+          {"PARTIES", 0x3b0ccc07c01cdfb8ULL},
+          {"CLITE", 0x1be1c0d11481055bULL},
+          {"ARQ", 0xd2f31efafb748bb9ULL},
+          {"Heracles", 0xf6f55639b71732f7ULL},
+          {"CoPart", 0x35cc5bddb110e76bULL}}}};
+
+    bool re_explored = false, reverted = false;
+    for (const Case &c : cases) {
+        ASSERT_EQ(c.golden.size(), sched::allStrategyNames().size());
+        for (const auto &[name, digest] : c.golden) {
+            obs::BufferTraceSink sink;
+            SimulationConfig cfg = baseConfig();
+            cfg.durationSeconds = 1200.0;
+            cfg.obs.sink = &sink;
+            auto s = sched::makeScheduler(name);
+            const auto res = EpochSimulator(*c.node, cfg).run(*s);
+            ASSERT_EQ(res.epochs.size(), 2400u);
+            const std::string bytes = sink.str();
+            if (name == "CLITE")
+                re_explored |= bytes.find("\"action\":\"re_explore\"") !=
+                    std::string::npos;
+            if (name == "PARTIES")
+                reverted |= bytes.find("\"action\":\"revert\"") !=
+                    std::string::npos;
+            Fnv h;
+            add(h, res);
+            addOutputs(h, sink);
+            expectDigest(c.name + "@2400/" + name, h, digest);
+        }
+    }
+    EXPECT_TRUE(re_explored) << "no CLITE load-shift re-exploration";
+    EXPECT_TRUE(reverted) << "no PARTIES trial revert";
 }
 
 TEST(GoldenDigest, FleetShapedArqSampledTraceWithSeries)

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/catalog.hh"
@@ -181,6 +183,129 @@ TEST(AllocCount, EpochLoopIsAllocFreeWithoutObservers)
         EXPECT_EQ(allocs(400), allocs(800))
             << c.strategy << " on " << c.node->describe();
     }
+}
+
+/**
+ * Forwards every call to a registered strategy and counts the heap
+ * allocations made inside each adjust(), by interval.
+ */
+class AllocCountingScheduler : public ahq::sched::Scheduler
+{
+  public:
+    explicit AllocCountingScheduler(const std::string &strategy)
+        : inner_(ahq::sched::makeScheduler(strategy))
+    {
+    }
+
+    std::string name() const override { return inner_->name(); }
+
+    ahq::machine::RegionLayout
+    initialLayout(const ahq::machine::MachineConfig &config,
+                  const std::vector<ahq::sched::AppObservation> &apps)
+        override
+    {
+        return inner_->initialLayout(config, apps);
+    }
+
+    ahq::perf::CoreSharePolicy corePolicy() const override
+    {
+        return inner_->corePolicy();
+    }
+
+    void adjust(ahq::machine::RegionLayout &layout,
+                const std::vector<ahq::sched::AppObservation> &obs,
+                double now_s) override
+    {
+        const auto before = threadAllocCount();
+        inner_->adjust(layout, obs, now_s);
+        allocs.push_back(threadAllocCount() - before);
+    }
+
+    void reset() override { inner_->reset(); }
+
+    void onActuation(bool applied) override
+    {
+        inner_->onActuation(applied);
+    }
+
+    /** Allocations inside the i-th adjust() call. */
+    std::vector<std::uint64_t> allocs;
+
+  private:
+    std::unique_ptr<ahq::sched::Scheduler> inner_;
+};
+
+/**
+ * Every registered strategy decides without allocating once warm:
+ * over 3,600 epochs with no observer attached, no adjust() after
+ * epoch 400 allocates — on the canonical node and on a fleet-shaped
+ * node under diurnal and flash load. A controller whose state grows
+ * with run length (a sample history, a map that gains keys late)
+ * fails here.
+ */
+TEST(AllocCount, EverySchedulerDecidesWithoutAllocating)
+{
+    if (!allocCountingEnabled())
+        GTEST_SKIP() << "sanitizer build: counting compiled out";
+    using namespace ahq::cluster;
+    namespace apps = ahq::apps;
+
+    const auto mc = ahq::machine::MachineConfig::xeonE52630v4();
+    const Node canonical(mc, {lcAt(apps::xapian(), 0.5),
+                              lcAt(apps::moses(), 0.2),
+                              lcAt(apps::imgDnn(), 0.2),
+                              be(apps::stream())});
+    ahq::trace::FleetLoadConfig load;
+    load.numNodes = 4;
+    const Node fleet_node(
+        mc, fleetNodeApps(ahq::trace::FleetLoadGenerator(load), 0));
+
+    constexpr std::size_t kWarmEpochs = 400;
+    SimulationConfig cfg;
+    cfg.durationSeconds = 3600 * cfg.epochSeconds;
+    cfg.keepEpochs = false;
+    cfg.checkMode = ahq::check::Mode::Off;
+    for (const auto &strategy : ahq::sched::allStrategyNames()) {
+        for (const Node *node : {&canonical, &fleet_node}) {
+            AllocCountingScheduler sched(strategy);
+            EpochSimulator(*node, cfg).run(sched);
+            // adjust() runs once per epoch from epoch 1 on, so call
+            // i decides epoch i + 1.
+            ASSERT_EQ(sched.allocs.size(), 3599u);
+            std::uint64_t late = 0;
+            std::size_t first = 0;
+            for (std::size_t i = kWarmEpochs; i < sched.allocs.size();
+                 ++i) {
+                if (sched.allocs[i] > 0 && late == 0)
+                    first = i + 1;
+                late += sched.allocs[i];
+            }
+            EXPECT_EQ(late, 0u)
+                << strategy << " on " << node->describe()
+                << " allocated in adjust() after epoch " << kWarmEpochs
+                << " (first at epoch " << first << ")";
+        }
+    }
+}
+
+/**
+ * A metric call with no registry attached is one branch: a name too
+ * long for the small-string buffer must not be copied to the heap
+ * before the null check.
+ */
+TEST(AllocCount, MetricCallsWithoutRegistryDoNotAllocate)
+{
+    if (!allocCountingEnabled())
+        GTEST_SKIP() << "sanitizer build: counting compiled out";
+    const ahq::obs::Scope scope;
+    const auto before = threadAllocCount();
+    for (int i = 0; i < 100; ++i) {
+        scope.count("parties.downsize_trial");
+        scope.gauge("contention.memo_hit_ratio", 0.5);
+        scope.observe("exec.scenario_wall_ms", 1.0);
+    }
+    EXPECT_EQ(threadAllocCount() - before, 0u)
+        << "allocations in 300 metric calls with no registry attached";
 }
 
 /**
