@@ -10,7 +10,8 @@
  * the O(n²) incremental Cholesky keep CLITE's decision cost flat),
  * a small Fleet run, and the online hot paths a controller runs
  * inside one epoch (entropy, M/M/c percentiles, the contention
- * model on a memo hit and on a miss, GP fit + EI, the P² quantile).
+ * model on a memo hit and on a miss, attribution's counterfactuals,
+ * GP fit + EI, the P² quantile).
  * Every row is timed in one interleaved sampleInterleaved() run.
  * With --json it writes BENCH_epoch_throughput.json — the file the
  * repo commits as the baseline `ahq bench-diff` compares future
@@ -25,6 +26,7 @@
 #include "common.hh"
 #include "core/entropy.hh"
 #include "fault/plan.hh"
+#include "obs/attribution.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "obs/timeseries.hh"
@@ -299,6 +301,33 @@ main(int argc, char **argv)
                             miss_out);
                         next_input = (next_input + 1) % diurnal.size();
                         keep(miss_out[0].serviceRate);
+                    }});
+
+    // Attribution on the same inputs: every victim suffers, so each
+    // call solves all n counterfactuals, and they miss the memo too.
+    std::vector<std::vector<perf::PerfOutcome>> diurnal_base(diurnal.size());
+    for (std::size_t k = 0; k < diurnal.size(); ++k) {
+        miss_model.evaluateInto(fleet_layout, diurnal[k],
+                                perf::CoreSharePolicy::LcPriority,
+                                diurnal_base[k]);
+    }
+    std::vector<core::LcBreakdown> suffering(fleet_lc.size());
+    for (core::LcBreakdown &b : suffering)
+        b.interference = 0.3;
+    obs::InterferenceAttributor attributor(mc);
+    std::vector<obs::AttributionShare> shares;
+    std::size_t next_attr = 0;
+    rows.push_back({"attribute_miss", 1.0, "calls/s",
+                    "attribute() on the miss row's inputs, every "
+                    "victim R_i > 0 (all counterfactuals miss)",
+                    [&] {
+                        attributor.attribute(
+                            fleet_layout, diurnal[next_attr],
+                            perf::CoreSharePolicy::LcPriority,
+                            diurnal_base[next_attr], fleet_lc, suffering,
+                            shares);
+                        next_attr = (next_attr + 1) % diurnal.size();
+                        keep(shares.empty() ? 0.0 : shares[0].share);
                     }});
 
     for (const std::size_t n : {8u, 24u, 64u}) {

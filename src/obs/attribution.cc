@@ -62,22 +62,27 @@ InterferenceAttributor::attribute(
     raw_.assign(nv * n * 3, 0.0);
 
     // One counterfactual per co-runner: zero its demand (threads
-    // and arrival rate — a vacated slot), keep the layout, re-run
-    // the model, and read how much of each victim's ways /
-    // bandwidth headroom / core grant comes back. Recoveries are
-    // relative, so they compare across resource channels.
+    // and arrival rate — a vacated slot) and keep the layout. The n
+    // sets share the layout and the policy, so one batched call
+    // solves them in lock-step. Then read how much of each victim's
+    // ways / bandwidth headroom / core grant comes back. Recoveries
+    // are relative, so they compare across resource channels.
+    cfDemands_.resize(n);
+    cfOut_.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
-        cfDemands_ = demands;
-        cfDemands_[j].threads = 0;
-        cfDemands_[j].arrivalRate = 0.0;
-        model_.evaluateInto(layout, cfDemands_, policy, cfOut_);
-        ++evals_;
+        cfDemands_[j] = demands;
+        cfDemands_[j][j].threads = 0;
+        cfDemands_[j][j].arrivalRate = 0.0;
+    }
+    model_.evaluateBatchInto(layout, cfDemands_, policy, cfOut_);
+    evals_ += static_cast<long long>(n);
+    for (std::size_t j = 0; j < n; ++j) {
         for (std::size_t v = 0; v < nv; ++v) {
             const auto i = static_cast<std::size_t>(lc_ids[v]);
             if (i == j || lc_detail[v].interference <= 0.0)
                 continue;
             const perf::PerfOutcome &b = base[i];
-            const perf::PerfOutcome &c = cfOut_[i];
+            const perf::PerfOutcome &c = cfOut_[j][i];
             double *r = &raw_[(v * n + j) * 3];
             r[0] = std::max(
                 0.0, (c.effectiveWays - b.effectiveWays) /

@@ -87,8 +87,10 @@ struct AttributionShare
  * Owns its own ContentionModel (the model keeps mutable scratch, so
  * sharing the simulator's instance would be a data race waiting to
  * happen); construct one attributor per run, like the auditor and
- * the fault injector. attribute() reuses internal buffers, so a
- * warm epoch allocates nothing beyond the model's memo.
+ * the fault injector. An epoch's n counterfactuals share the layout
+ * and the policy, so attribute() solves them in one lock-step
+ * evaluateBatchInto() call, each bit for bit the sequential result.
+ * It reuses internal buffers, so a warm epoch allocates nothing.
  */
 class InterferenceAttributor
 {
@@ -125,8 +127,9 @@ class InterferenceAttributor
 
   private:
     perf::ContentionModel model_;
-    std::vector<perf::AppDemand> cfDemands_;
-    std::vector<perf::PerfOutcome> cfOut_;
+    /** Counterfactual j: the epoch's demands with app j vacated. */
+    std::vector<std::vector<perf::AppDemand>> cfDemands_;
+    std::vector<std::vector<perf::PerfOutcome>> cfOut_;
     std::vector<double> raw_;
     long long evals_ = 0;
 };

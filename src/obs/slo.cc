@@ -42,18 +42,21 @@ SloMonitor::observe(int app, int epoch, bool violated)
 
     // Ring update: retire the bits leaving each window before the
     // new one lands. fast < slow guarantees the fast retiree, at
-    // (seen - fast) % slow, has not been overwritten yet.
+    // (seen - fast) % slow, has not been overwritten yet. The counts
+    // are read and written once: in-place updates of the two
+    // adjacent ints stalled the paired load GCC merged them into.
     const auto pos = static_cast<std::size_t>(s.pos);
+    const int bit = violated ? 1 : 0;
+    int fast_count = s.fastCount + bit, slow_count = s.slowCount + bit;
     if (s.seen >= slow)
-        s.slowCount -= s.bits[pos];
+        slow_count -= s.bits[pos];
     if (s.seen >= fast) {
-        s.fastCount -= s.bits[static_cast<std::size_t>(
+        fast_count -= s.bits[static_cast<std::size_t>(
             s.pos >= fast ? s.pos - fast : s.pos + slow - fast)];
     }
-    const unsigned char bit = violated ? 1 : 0;
-    s.bits[pos] = bit;
-    s.fastCount += bit;
-    s.slowCount += bit;
+    s.bits[pos] = static_cast<unsigned char>(bit);
+    s.fastCount = fast_count;
+    s.slowCount = slow_count;
     ++s.seen;
     s.pos = s.pos + 1 == slow ? 0 : s.pos + 1;
 

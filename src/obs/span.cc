@@ -81,7 +81,10 @@ SpanProfiler::record(std::string_view path, std::uint64_t ns,
                      std::uint64_t allocs)
 {
     std::lock_guard<std::mutex> lock(m_);
-    auto &s = spans_[std::string(path)];
+    auto it = spans_.find(path);
+    if (it == spans_.end())
+        it = spans_.emplace(std::string(path), Stats{}).first;
+    Stats &s = it->second;
     s.count += 1;
     s.totalNs += ns;
     if (ns > s.maxNs)
@@ -107,7 +110,7 @@ SpanProfiler::merge(const SpanProfiler &other)
     }
 }
 
-std::map<std::string, SpanProfiler::Stats>
+std::map<std::string, SpanProfiler::Stats, std::less<>>
 SpanProfiler::snapshot() const
 {
     std::lock_guard<std::mutex> lock(m_);

@@ -86,7 +86,7 @@ class SpanProfiler
     void merge(const SpanProfiler &other);
 
     /** Copy of the per-path aggregates, sorted by path. */
-    std::map<std::string, Stats> snapshot() const;
+    std::map<std::string, Stats, std::less<>> snapshot() const;
 
     /** True when nothing has been recorded. */
     bool empty() const;
@@ -106,7 +106,8 @@ class SpanProfiler
 
   private:
     mutable std::mutex m_;
-    std::map<std::string, Stats> spans_;
+    /** Looked up by string_view: a path is copied on first insert. */
+    std::map<std::string, Stats, std::less<>> spans_;
 };
 
 /**

@@ -16,6 +16,9 @@
 #ifndef AHQ_PERF_BANDWIDTH_HH
 #define AHQ_PERF_BANDWIDTH_HH
 
+#include <algorithm>
+#include <cassert>
+
 namespace ahq::perf
 {
 
@@ -33,24 +36,45 @@ struct BandwidthTraits
 };
 
 /**
- * Memory bandwidth dilation model.
+ * Memory bandwidth dilation model. Header-only: the contention fixed
+ * point calls it for every app in every iteration.
  */
 class BandwidthModel
 {
   public:
-    explicit BandwidthModel(BandwidthTraits traits = {});
+    explicit BandwidthModel(BandwidthTraits traits = {}) : traits_(traits)
+    {
+        assert(traits.contentionK >= 0.0);
+        assert(traits.rhoCap > 0.0 && traits.rhoCap < 1.0);
+        assert(traits.maxDilation >= 1.0);
+    }
 
     /**
      * Latency dilation (>= 1) at the given utilisation.
      * @param rho Demand / capacity; values above rhoCap are clamped.
      */
-    double dilation(double rho) const;
+    double
+    dilation(double rho) const
+    {
+        if (rho <= 0.0)
+            return 1.0;
+        const double r = std::min(rho, traits_.rhoCap);
+        const double d = 1.0 + traits_.contentionK * r * r / (1.0 - r);
+        return std::min(d, traits_.maxDilation);
+    }
 
     /**
      * Throughput scale factor in (0, 1]: when demand exceeds
      * capacity, consumers are collectively throttled to fit.
      */
-    double throughputScale(double demand, double capacity) const;
+    double
+    throughputScale(double demand, double capacity) const
+    {
+        assert(capacity > 0.0);
+        if (demand <= capacity)
+            return 1.0;
+        return capacity / demand;
+    }
 
     const BandwidthTraits &traits() const { return traits_; }
 

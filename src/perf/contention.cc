@@ -15,7 +15,8 @@
  * offer once per round. Every reuse is bitwise identical to
  * recomputation, because every expression keeps its operands and
  * order and every sum over regions stays in region order; the golden
- * digests and the random-corpus digest pin that (DESIGN.md §12).
+ * digests and the random-corpus digest pin that (DESIGN.md §12). A
+ * batch's misses run the same sequence per lane, lanes interleaved.
  */
 
 #include "perf/contention.hh"
@@ -54,14 +55,17 @@ damp(double old_v, double new_v, double alpha)
 /**
  * Weighted max-min water-filling: distribute capacity among n
  * consumers with the given weights, never exceeding a consumer's
- * cap. Writes the grants into @p grant; @p frozen is scratch.
+ * cap. Consumer i's values sit at [i * S] of each array (one lane
+ * of a lane column). Writes the grants into @p grant; @p frozen is
+ * scratch.
  */
+template <std::size_t S>
 void
 waterFill(double capacity, std::size_t n, const double *caps,
           const double *weights, double *grant, char *frozen)
 {
     double weight_sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n * S; i += S) {
         grant[i] = 0.0;
         frozen[i] = 0;
         weight_sum += weights[i];
@@ -77,7 +81,7 @@ waterFill(double capacity, std::size_t n, const double *caps,
         bool saturated = false;
         double consumed = 0.0;
         double next_sum = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t i = 0; i < n * S; i += S) {
             if (frozen[i])
                 continue;
             const double offer = remaining * weights[i] / weight_sum;
@@ -169,34 +173,66 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
                               CoreSharePolicy policy,
                               std::vector<PerfOutcome> &out) const
 {
+    evaluateBatchInto(layout, {&demands, 1}, policy, {&out, 1});
+}
+
+void
+ContentionModel::evaluateBatchInto(
+    const RegionLayout &layout,
+    std::span<const std::vector<AppDemand>> batch, CoreSharePolicy policy,
+    std::span<std::vector<PerfOutcome>> outs) const
+{
     assert(layout.valid());
-    const std::size_t n = demands.size();
-    // "Ideal" conditions use the machine's full physical cache, as the
-    // paper measures TL_i0 / IPC_solo with ample resources.
-    const double ideal_ways = static_cast<double>(config_.totalLlcWays);
-    const double bw_per_unit = config_.gibpsPerBwUnit();
-    const double machine_bw_cap =
-        config_.availableMemBwUnits * bw_per_unit;
-    const double alpha = traits_.damping;
-
+    assert(outs.size() == batch.size());
     Workspace &ws = ws_;
+    if (ws.memoKeys.size() < batch.size())
+        ws.memoKeys.resize(batch.size());
+    ws.hashes.resize(batch.size());
+    ws.misses.clear();
 
-    // Exact-key memo: an epoch whose layout and demands repeat a
+    // Exact-key memo: a set whose layout and demands repeat a
     // previous evaluation gets the stored outcomes back — bitwise
-    // what recomputation would produce.
-    buildMemoKey(layout, demands, policy, ws.memoKey);
-    if (const auto *cached = memo_.find(ws.memoKey)) {
-        out = *cached;
-        return;
+    // what recomputation would produce. Every set is looked up
+    // before any miss is stored, so hits are copied at once.
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+        assert(std::ranges::equal(batch[b], batch[0], {},
+                                  &AppDemand::latencyCritical,
+                                  &AppDemand::latencyCritical));
+        buildMemoKey(layout, batch[b], policy, ws.memoKeys[b]);
+        if (const auto *cached = memo_.find(ws.memoKeys[b], ws.hashes[b]))
+            outs[b] = *cached;
+        else
+            ws.misses.push_back(b);
     }
+    if (ws.misses.empty())
+        return;
 
-    // ---- plan: compile the call's static inputs once -------------
-    for (auto *col : {&ws.threads, &ws.lambda, &ws.cpiIdeal, &ws.penalty,
-                      &ws.isoLc, &ws.isoBe, &ws.burstCap, &ws.capGibps,
-                      &ws.speed, &ws.ways, &ws.dilation, &ws.mbaScale,
-                      &ws.stretch, &ws.prevStretch, &ws.sharedGrant,
-                      &ws.beCores, &ws.busy, &ws.bwDemand, &ws.load,
-                      &ws.mpki, &ws.missTerm, &ws.newWays})
+    // The misses share the layout columns and run in lock-step passes
+    // of at most four lanes. The lane count is a compile-time
+    // constant, so a one-lane pass is the scalar kernel.
+    using Solve = void (ContentionModel::*)(
+        std::span<const std::vector<AppDemand>>, const std::size_t *,
+        CoreSharePolicy, std::span<std::vector<PerfOutcome>>) const;
+    static constexpr Solve kSolve[] = {
+        &ContentionModel::solveLanes<1>, &ContentionModel::solveLanes<2>,
+        &ContentionModel::solveLanes<3>, &ContentionModel::solveLanes<4>};
+    compileLayout(layout, batch[0]);
+    for (std::size_t k = 0; k < ws.misses.size(); k += 4) {
+        const std::size_t left = ws.misses.size() - k;
+        (this->*kSolve[std::min(left, std::size_t{4}) - 1])(
+            batch, &ws.misses[k], policy, outs);
+    }
+    for (const std::size_t b : ws.misses)
+        memo_.store(ws.hashes[b], ws.memoKeys[b], outs[b]);
+}
+
+void
+ContentionModel::compileLayout(const RegionLayout &layout,
+                               const std::vector<AppDemand> &demands) const
+{
+    Workspace &ws = ws_;
+    const std::size_t n = demands.size();
+    for (auto *col : {&ws.isoLc, &ws.isoBe, &ws.capGibps, &ws.ways0})
         col->resize(n);
     ws.lc.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -252,36 +288,73 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
                 ws.wayMembers.push_back(static_cast<std::size_t>(m));
         }
     }
-    const std::size_t core_members = ws.coreMembers.size();
-    ws.memberThreads.resize(core_members);
-    for (std::size_t k = 0; k < core_members; ++k) {
-        ws.memberThreads[k] = static_cast<double>(
-            demands[ws.coreMembers[k]].threads);
-    }
-    for (auto *col : {&ws.own, &ws.caps, &ws.grants})
-        col->resize(core_members);
-    ws.frozen.resize(core_members);
-    ws.intensity.resize(ws.wayMembers.size());
-
+    const double bw_per_unit = config_.gibpsPerBwUnit();
     for (std::size_t i = 0; i < n; ++i) {
-        const AppDemand &d = demands[i];
-        ws.threads[i] = static_cast<double>(d.threads);
-        // LC offered load in core-seconds per second (at speed 1).
-        ws.lambda[i] = d.arrivalRate * d.serviceTimeMs / 1000.0;
-        ws.cpiIdeal[i] = d.cpi.cpiIdeal(ideal_ways);
-        ws.penalty[i] = d.cpi.overlappedPenalty();
-        // isoCores is reset to isoLc every iteration, so the LC
-        // burst cap threads - isoCores never changes.
-        ws.burstCap[i] = std::max(0.0, ws.threads[i] - ws.isoLc[i]);
         ws.capGibps[i] = std::max(0.25, ws.capGibps[i]) * bw_per_unit;
-        ws.ways[i] = std::max(
+        ws.ways0[i] = std::max(
             1.0, static_cast<double>(layout.reachable(
                      static_cast<AppId>(i), ResourceKind::LlcWays)));
-        ws.mpki[i] = d.cpi.mrc().mpki(ws.ways[i]);
-        ws.speed[i] = ws.cpiIdeal[i] / d.cpi.cpi(ws.ways[i], 1.0);
-        ws.dilation[i] = 1.0;
-        ws.mbaScale[i] = 1.0;
-        ws.stretch[i] = 1.0;
+    }
+}
+
+template <std::size_t L>
+void
+ContentionModel::solveLanes(std::span<const std::vector<AppDemand>> batch,
+                            const std::size_t *lanes,
+                            CoreSharePolicy policy,
+                            std::span<std::vector<PerfOutcome>> outs) const
+{
+    Workspace &ws = ws_;
+    const std::size_t n = ws.lc.size();
+    // "Ideal" conditions use the machine's full physical cache, as the
+    // paper measures TL_i0 / IPC_solo with ample resources.
+    const double ideal_ways = static_cast<double>(config_.totalLlcWays);
+    const double machine_bw_cap =
+        config_.availableMemBwUnits * config_.gibpsPerBwUnit();
+    const double alpha = traits_.damping;
+    const AppDemand *dem[L];
+    for (std::size_t l = 0; l < L; ++l)
+        dem[l] = batch[lanes[l]].data();
+
+    // ---- plan: compile the lanes' static inputs once -------------
+    // Lane columns hold app (or member) i of lane l at i * L + l. The
+    // iteration's app and member loops unroll their lanes, so each
+    // phase issues the lanes' copies of an operation back to back and
+    // per-lane sums stay in registers; each lane still sums in app
+    // (or member) order. Water-filling runs lane by lane.
+    for (auto *col : {&ws.threads, &ws.lambda, &ws.cpiIdeal, &ws.penalty,
+                      &ws.burstCap, &ws.speed, &ws.ways, &ws.dilation,
+                      &ws.mbaScale, &ws.stretch, &ws.prevStretch,
+                      &ws.sharedGrant, &ws.beCores, &ws.busy,
+                      &ws.bwDemand, &ws.load, &ws.mpki, &ws.missTerm,
+                      &ws.newWays})
+        col->resize(n * L);
+    const std::size_t core_members = ws.coreMembers.size();
+    for (auto *col : {&ws.memberThreads, &ws.own, &ws.caps, &ws.grants})
+        col->resize(core_members * L);
+    ws.frozen.resize(core_members * L);
+    ws.intensity.resize(ws.wayMembers.size() * L);
+    for (std::size_t y = 0; y < core_members * L; ++y) {
+        ws.memberThreads[y] = static_cast<double>(
+            dem[y % L][ws.coreMembers[y / L]].threads);
+    }
+    for (std::size_t x = 0; x < n * L; ++x) {
+        const std::size_t i = x / L;
+        const AppDemand &d = dem[x % L][i];
+        ws.threads[x] = static_cast<double>(d.threads);
+        // LC offered load in core-seconds per second (at speed 1).
+        ws.lambda[x] = d.arrivalRate * d.serviceTimeMs / 1000.0;
+        ws.cpiIdeal[x] = d.cpi.cpiIdeal(ideal_ways);
+        ws.penalty[x] = d.cpi.overlappedPenalty();
+        // isoCores is reset to isoLc every iteration, so the LC
+        // burst cap threads - isoCores never changes.
+        ws.burstCap[x] = std::max(0.0, ws.threads[x] - ws.isoLc[i]);
+        ws.ways[x] = ws.ways0[i];
+        ws.mpki[x] = d.cpi.mrc().mpki(ws.ways[x]);
+        ws.speed[x] = ws.cpiIdeal[x] / d.cpi.cpi(ws.ways[x], 1.0);
+        ws.dilation[x] = 1.0;
+        ws.mbaScale[x] = 1.0;
+        ws.stretch[x] = 1.0;
     }
 
     const std::size_t *const core_of = ws.coreMembers.data();
@@ -290,20 +363,26 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
         // Bitwise convergence detector: the next iteration's inputs
         // are exactly this iterate's {ways, mbaScale, dilation,
         // speed, stretch}. When an iteration leaves all five bitwise
-        // unchanged, every remaining iteration reproduces the same
-        // state, so breaking early is output-identical (NaNs compare
-        // unequal to themselves and simply disable the exit).
+        // unchanged in every lane, every remaining iteration
+        // reproduces the same state, so breaking early is
+        // output-identical (NaNs compare unequal to themselves and
+        // simply disable the exit). A lane that converges first
+        // reproduces itself until the pass ends.
         bool changed = false;
 
         // ---- core grant reset (iso grants are precomputed) ------
         for (std::size_t i = 0; i < n; ++i) {
-            ws.prevStretch[i] = ws.stretch[i];
-            ws.stretch[i] = 1.0;
-            ws.sharedGrant[i] = 0.0;
-            ws.beCores[i] = ws.isoBe[i];
-            // LC busy cores at this iterate's speed, before stretch.
-            if (ws.lc[i])
-                ws.load[i] = ws.lambda[i] / std::max(1e-9, ws.speed[i]);
+#pragma GCC unroll 4
+            for (std::size_t x = i * L; x < i * L + L; ++x) {
+                ws.prevStretch[x] = ws.stretch[x];
+                ws.stretch[x] = 1.0;
+                ws.sharedGrant[x] = 0.0;
+                ws.beCores[x] = ws.isoBe[i];
+                // LC busy cores at this iterate's speed, before
+                // stretch.
+                if (ws.lc[i])
+                    ws.load[x] = ws.lambda[x] / std::max(1e-9, ws.speed[x]);
+            }
         }
 
         // ---- shared region core sharing -------------------------
@@ -314,45 +393,62 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
             // occupancy, which feeds back into the stretch — the
             // compounding that makes heavy oversubscription
             // catastrophic on real CFS nodes.
-            auto resid = [&](std::size_t i) {
-                return std::max(0.0, ws.load[i] * ws.prevStretch[i] -
+            auto resid = [&](std::size_t i, std::size_t x) {
+                return std::max(0.0, ws.load[x] * ws.prevStretch[x] -
                                          ws.isoLc[i]);
             };
+            // Water-fill lane l of members [from, to) by their caps.
+            auto fill = [&](double capacity, std::size_t from,
+                            std::size_t to, std::size_t l) {
+                const std::size_t y = from * L + l;
+                waterFill<L>(capacity, to - from, &ws.caps[y],
+                             &ws.memberThreads[y], &ws.grants[y],
+                             &ws.frozen[y]);
+            };
             if (policy == CoreSharePolicy::LcPriority) {
-                double occupied = 0.0;
+                double occupied[L] = {};
                 for (std::size_t k = reg.begin; k < reg.mid; ++k) {
                     const std::size_t i = core_of[k];
-                    ws.own[k] = std::min(resid(i), ws.burstCap[i]);
-                    occupied += ws.own[k];
-                }
-                if (occupied <= c_r) {
-                    // Stable: each LC app can burst into whatever the
-                    // other LC apps leave idle on average.
-                    for (std::size_t k = reg.begin; k < reg.mid; ++k) {
-                        const std::size_t i = core_of[k];
-                        ws.sharedGrant[i] += std::min(
-                            ws.burstCap[i], c_r - (occupied - ws.own[k]));
+#pragma GCC unroll 4
+                    for (std::size_t l = 0; l < L; ++l) {
+                        const std::size_t x = i * L + l;
+                        ws.own[k * L + l] =
+                            std::min(resid(i, x), ws.burstCap[x]);
+                        occupied[l] += ws.own[k * L + l];
                     }
-                } else if (occupied > 0.0) {
-                    // Overload: ration proportionally to demand.
-                    for (std::size_t k = reg.begin; k < reg.mid; ++k) {
-                        ws.sharedGrant[core_of[k]] +=
-                            c_r * ws.own[k] / occupied;
+                }
+                for (std::size_t k = reg.begin; k < reg.mid; ++k) {
+#pragma GCC unroll 4
+                    for (std::size_t l = 0; l < L; ++l) {
+                        const std::size_t x = core_of[k] * L + l;
+                        if (occupied[l] <= c_r) {
+                            // Stable: each LC app can burst into
+                            // whatever the other LC apps leave idle
+                            // on average.
+                            ws.sharedGrant[x] += std::min(
+                                ws.burstCap[x],
+                                c_r - (occupied[l] - ws.own[k * L + l]));
+                        } else if (occupied[l] > 0.0) {
+                            // Overload: ration proportionally to
+                            // demand.
+                            ws.sharedGrant[x] +=
+                                c_r * ws.own[k * L + l] / occupied[l];
+                        }
                     }
                 }
                 // BE apps get the leftover, water-filled by threads.
-                const double c_be = std::max(0.0, c_r - occupied);
-                if (reg.mid < reg.end && c_be > 0.0) {
+                for (std::size_t l = 0; l < L; ++l) {
+                    const double c_be = std::max(0.0, c_r - occupied[l]);
+                    if (reg.mid == reg.end || c_be <= 0.0)
+                        continue;
                     for (std::size_t k = reg.mid; k < reg.end; ++k) {
-                        const std::size_t i = core_of[k];
-                        ws.caps[k] =
-                            std::max(0.0, ws.threads[i] - ws.beCores[i]);
+                        const std::size_t x = core_of[k] * L + l;
+                        ws.caps[k * L + l] =
+                            std::max(0.0, ws.threads[x] - ws.beCores[x]);
                     }
-                    waterFill(c_be, reg.end - reg.mid, &ws.caps[reg.mid],
-                              &ws.memberThreads[reg.mid],
-                              &ws.grants[reg.mid], &ws.frozen[reg.mid]);
+                    fill(c_be, reg.mid, reg.end, l);
                     for (std::size_t k = reg.mid; k < reg.end; ++k)
-                        ws.beCores[core_of[k]] += ws.grants[k];
+                        ws.beCores[core_of[k] * L + l] += ws.grants[k * L + l];
                 }
             } else {
                 // FairShare (CFS). Each LC app keeps roughly its
@@ -362,51 +458,56 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
                 // thread-weighted water-filling (the CFS weight) and
                 // every request's service stretches by the runnable/
                 // cores ratio (timeslicing + wake-up latency).
-                double active_total = 0.0;
+                double active_total[L] = {};
                 for (std::size_t k = reg.begin; k < reg.mid; ++k) {
                     const std::size_t i = core_of[k];
-                    const double r = resid(i);
-                    ws.own[k] = r > 0.0
-                        ? std::min(ws.burstCap[i], 1.2 * r + 0.5)
-                        : 0.0;
-                    active_total += ws.own[k];
-                }
-                for (std::size_t k = reg.mid; k < reg.end; ++k)
-                    active_total += ws.memberThreads[k];
-                if (active_total <= c_r) {
-                    // Enough cores: everyone can burst into the
-                    // average idle capacity of the others.
-                    for (std::size_t k = reg.begin; k < reg.mid; ++k) {
-                        const std::size_t i = core_of[k];
-                        ws.sharedGrant[i] += std::min(
-                            ws.burstCap[i],
-                            c_r - (active_total - ws.own[k]));
+#pragma GCC unroll 4
+                    for (std::size_t l = 0; l < L; ++l) {
+                        const std::size_t x = i * L + l;
+                        const double r = resid(i, x);
+                        ws.own[k * L + l] = r > 0.0
+                            ? std::min(ws.burstCap[x], 1.2 * r + 0.5)
+                            : 0.0;
+                        active_total[l] += ws.own[k * L + l];
                     }
-                    for (std::size_t k = reg.mid; k < reg.end; ++k)
-                        ws.beCores[core_of[k]] += ws.memberThreads[k];
-                } else {
-                    const double region_stretch = active_total / c_r;
+                }
+                for (std::size_t k = reg.mid; k < reg.end; ++k) {
+#pragma GCC unroll 4
+                    for (std::size_t l = 0; l < L; ++l)
+                        active_total[l] += ws.memberThreads[k * L + l];
+                }
+                for (std::size_t l = 0; l < L; ++l) {
+                    if (active_total[l] <= c_r) {
+                        // Enough cores: everyone can burst into the
+                        // average idle capacity of the others.
+                        for (std::size_t k = reg.begin; k < reg.mid; ++k) {
+                            const std::size_t x = core_of[k] * L + l;
+                            ws.sharedGrant[x] += std::min(
+                                ws.burstCap[x],
+                                c_r - (active_total[l] - ws.own[k * L + l]));
+                        }
+                        for (std::size_t k = reg.mid; k < reg.end; ++k)
+                            ws.beCores[core_of[k] * L + l] +=
+                                ws.memberThreads[k * L + l];
+                        continue;
+                    }
+                    const double region_stretch = active_total[l] / c_r;
                     // Thread-weighted fair sharing, capped at what
                     // each member's runnable threads can occupy.
+                    for (std::size_t k = reg.begin; k < reg.end; ++k) {
+                        ws.caps[k * L + l] = k < reg.mid
+                            ? std::min(ws.burstCap[core_of[k] * L + l],
+                                       1.3 * ws.own[k * L + l])
+                            : ws.memberThreads[k * L + l];
+                    }
+                    fill(c_r, reg.begin, reg.end, l);
                     for (std::size_t k = reg.begin; k < reg.mid; ++k) {
-                        ws.caps[k] = std::min(ws.burstCap[core_of[k]],
-                                              1.3 * ws.own[k]);
+                        const std::size_t x = core_of[k] * L + l;
+                        ws.sharedGrant[x] += ws.grants[k * L + l];
+                        ws.stretch[x] = std::max(ws.stretch[x], region_stretch);
                     }
                     for (std::size_t k = reg.mid; k < reg.end; ++k)
-                        ws.caps[k] = ws.memberThreads[k];
-                    waterFill(c_r, reg.end - reg.begin,
-                              &ws.caps[reg.begin],
-                              &ws.memberThreads[reg.begin],
-                              &ws.grants[reg.begin],
-                              &ws.frozen[reg.begin]);
-                    for (std::size_t k = reg.begin; k < reg.mid; ++k) {
-                        const std::size_t i = core_of[k];
-                        ws.sharedGrant[i] += ws.grants[k];
-                        ws.stretch[i] =
-                            std::max(ws.stretch[i], region_stretch);
-                    }
-                    for (std::size_t k = reg.mid; k < reg.end; ++k)
-                        ws.beCores[core_of[k]] += ws.grants[k];
+                        ws.beCores[core_of[k] * L + l] += ws.grants[k * L + l];
                 }
             }
         }
@@ -415,13 +516,16 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
         // cores; stretched servers provide proportionally less
         // capacity, which the per-server rate accounts for below.
         for (std::size_t i = 0; i < n; ++i) {
-            if (ws.lc[i]) {
-                const double kappa = std::min(
-                    ws.threads[i], ws.isoLc[i] + ws.sharedGrant[i]);
-                ws.busy[i] = std::min(ws.load[i], kappa);
-            } else {
-                ws.beCores[i] = std::min(ws.beCores[i], ws.threads[i]);
-                ws.busy[i] = ws.beCores[i];
+#pragma GCC unroll 4
+            for (std::size_t x = i * L; x < i * L + L; ++x) {
+                if (ws.lc[i]) {
+                    const double kappa = std::min(
+                        ws.threads[x], ws.isoLc[i] + ws.sharedGrant[x]);
+                    ws.busy[x] = std::min(ws.load[x], kappa);
+                } else {
+                    ws.beCores[x] = std::min(ws.beCores[x], ws.threads[x]);
+                    ws.busy[x] = ws.beCores[x];
+                }
             }
         }
 
@@ -432,117 +536,132 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
         std::fill(ws.newWays.begin(), ws.newWays.end(), 0.0);
         for (const Workspace::WayRegion &reg : ws.wayRegions) {
             if (!reg.shared) {
-                for (std::size_t k = reg.begin; k < reg.end; ++k)
-                    ws.newWays[way_of[k]] += reg.share;
+                for (std::size_t y = reg.begin * L; y < reg.end * L; ++y)
+                    ws.newWays[way_of[y / L] * L + y % L] += reg.share;
                 continue;
             }
-            double intensity_sum = 0.0;
+            double intensity_sum[L] = {};
             for (std::size_t k = reg.begin; k < reg.end; ++k) {
                 const std::size_t i = way_of[k];
-                const double occ = std::max(0.02, ws.busy[i]);
-                ws.intensity[k] =
-                    demands[i].cpi.mrc().intensityWithMpki(ws.mpki[i]) *
-                    occ;
-                intensity_sum += ws.intensity[k];
+#pragma GCC unroll 4
+                for (std::size_t l = 0; l < L; ++l) {
+                    const std::size_t x = i * L + l;
+                    const double occ = std::max(0.02, ws.busy[x]);
+                    ws.intensity[k * L + l] =
+                        dem[l][i].cpi.mrc().intensityWithMpki(ws.mpki[x]) *
+                        occ;
+                    intensity_sum[l] += ws.intensity[k * L + l];
+                }
             }
-            if (intensity_sum <= 0.0)
-                continue;
             for (std::size_t k = reg.begin; k < reg.end; ++k) {
-                ws.newWays[way_of[k]] +=
-                    reg.ways * ws.intensity[k] / intensity_sum;
+#pragma GCC unroll 4
+                for (std::size_t l = 0; l < L; ++l) {
+                    if (!(intensity_sum[l] <= 0.0))
+                        ws.newWays[way_of[k] * L + l] += reg.ways *
+                            ws.intensity[k * L + l] / intensity_sum[l];
+                }
             }
-        }
-        // The bandwidth and speed updates below share the miss rate
-        // and miss term at this iterate's (just damped) ways.
-        for (std::size_t i = 0; i < n; ++i) {
-            const double next_ways = damp(
-                ws.ways[i], std::max(0.25, ws.newWays[i]), alpha);
-            changed = changed || next_ways != ws.ways[i];
-            ws.ways[i] = next_ways;
-            ws.mpki[i] = demands[i].cpi.mrc().mpki(next_ways);
-            ws.missTerm[i] = CpiModel::missTerm(ws.mpki[i], ws.penalty[i]);
         }
 
-        // ---- memory bandwidth ------------------------------------
-        // Machine pressure counts MBA-throttled traffic: a capped
-        // consumer stops pressuring the bus beyond its partition.
-        double total_demand = 0.0;
+        // ---- damped ways and memory bandwidth --------------------
+        // The bandwidth and speed updates share the miss rate and
+        // miss term at this iterate's (just damped) ways. Machine
+        // pressure counts MBA-throttled traffic: a capped consumer
+        // stops pressuring the bus beyond its partition.
+        double total_demand[L] = {};
         for (std::size_t i = 0; i < n; ++i) {
-            const CpiModel &cpi = demands[i].cpi;
-            ws.bwDemand[i] = ws.busy[i] *
-                cpi.bwDemandPerCoreAtCpi(
-                    cpi.cpiWithMissTerm(ws.missTerm[i], ws.dilation[i]),
-                    ws.mpki[i]);
-            total_demand += ws.bwDemand[i] * ws.mbaScale[i];
+#pragma GCC unroll 4
+            for (std::size_t l = 0; l < L; ++l) {
+                const std::size_t x = i * L + l;
+                const CpiModel &cpi = dem[l][i].cpi;
+                const double next_ways =
+                    damp(ws.ways[x], std::max(0.25, ws.newWays[x]), alpha);
+                changed |= next_ways != ws.ways[x];
+                ws.ways[x] = next_ways;
+                ws.mpki[x] = cpi.mrc().mpki(next_ways);
+                ws.missTerm[x] = CpiModel::missTerm(ws.mpki[x], ws.penalty[x]);
+                ws.bwDemand[x] = ws.busy[x] *
+                    cpi.bwDemandPerCoreAtCpi(
+                        cpi.cpiWithMissTerm(ws.missTerm[x], ws.dilation[x]),
+                        ws.mpki[x]);
+                total_demand[l] += ws.bwDemand[x] * ws.mbaScale[x];
+            }
         }
-        const double rho_machine = total_demand / machine_bw_cap;
 
         // ---- dilation, MBA throttle and speed update -------------
-        const double new_dilation = bwModel.dilation(rho_machine);
+        double new_dilation[L];
+#pragma GCC unroll 4
+        for (std::size_t l = 0; l < L; ++l)
+            new_dilation[l] =
+                bwModel.dilation(total_demand[l] / machine_bw_cap);
         for (std::size_t i = 0; i < n; ++i) {
-            const double next_scale = damp(
-                ws.mbaScale[i],
-                bwModel.throughputScale(ws.bwDemand[i], ws.capGibps[i]),
-                alpha);
-            const double next_dilation =
-                damp(ws.dilation[i], new_dilation, alpha);
-            const double raw = ws.cpiIdeal[i] /
-                demands[i].cpi.cpiWithMissTerm(ws.missTerm[i],
-                                               next_dilation) *
-                next_scale;
-            const double next_speed = damp(ws.speed[i], raw, alpha);
-            changed = changed || next_scale != ws.mbaScale[i] ||
-                next_dilation != ws.dilation[i] ||
-                next_speed != ws.speed[i];
-            ws.mbaScale[i] = next_scale;
-            ws.dilation[i] = next_dilation;
-            ws.speed[i] = next_speed;
+#pragma GCC unroll 4
+            for (std::size_t l = 0; l < L; ++l) {
+                const std::size_t x = i * L + l;
+                const double next_scale = damp(
+                    ws.mbaScale[x],
+                    bwModel.throughputScale(ws.bwDemand[x], ws.capGibps[i]),
+                    alpha);
+                const double next_dilation =
+                    damp(ws.dilation[x], new_dilation[l], alpha);
+                const double raw = ws.cpiIdeal[x] /
+                    dem[l][i].cpi.cpiWithMissTerm(ws.missTerm[x],
+                                                  next_dilation) *
+                    next_scale;
+                const double next_speed = damp(ws.speed[x], raw, alpha);
+                changed |= next_scale != ws.mbaScale[x] ||
+                    next_dilation != ws.dilation[x] ||
+                    next_speed != ws.speed[x] ||
+                    ws.stretch[x] != ws.prevStretch[x];
+                ws.mbaScale[x] = next_scale;
+                ws.dilation[x] = next_dilation;
+                ws.speed[x] = next_speed;
+            }
         }
-        for (std::size_t i = 0; i < n && !changed; ++i)
-            changed = ws.stretch[i] != ws.prevStretch[i];
         if (!changed)
             break;
     }
 
     // ---- produce outcomes ---------------------------------------
-    out.assign(n, PerfOutcome{});
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto &d = demands[i];
-        PerfOutcome &o = out[i];
-        o.effectiveWays = ws.ways[i];
-        o.bwDilation = ws.dilation[i];
-        o.speed = ws.speed[i];
-        o.serviceStretch = ws.stretch[i];
-        o.bwDemandGibps = ws.bwDemand[i];
+    for (std::size_t l = 0; l < L; ++l)
+        outs[lanes[l]].assign(n, PerfOutcome{});
+    for (std::size_t x = 0; x < n * L; ++x) {
+        const std::size_t i = x / L;
+        const AppDemand &d = dem[x % L][i];
+        PerfOutcome &o = outs[lanes[x % L]][i];
+        o.effectiveWays = ws.ways[x];
+        o.bwDilation = ws.dilation[x];
+        o.speed = ws.speed[x];
+        o.serviceStretch = ws.stretch[x];
+        o.bwDemandGibps = ws.bwDemand[x];
         if (d.latencyCritical) {
-            const double kappa = std::min(
-                ws.threads[i], ws.isoLc[i] + ws.sharedGrant[i]);
+            const double kappa =
+                std::min(ws.threads[x], ws.isoLc[i] + ws.sharedGrant[x]);
             o.coreEquivalents = std::max(kappa, 1e-6);
             // Base per-core rate, requests/s.
-            const double mu0 = 1000.0 * ws.speed[i] / d.serviceTimeMs;
+            const double mu0 = 1000.0 * ws.speed[x] / d.serviceTimeMs;
             // Timeslicing stretches latency, not throughput: the
             // granted cores deliver their full service rate, and the
             // stretch is surfaced separately for the latency model.
             // Shared-region cores pay the context-switch/pollution
             // penalty; the app's own thread count bounds capacity.
             const double capacity = std::min(
-                ws.threads[i] * mu0,
+                ws.threads[x] * mu0,
                 (ws.isoLc[i] +
-                 ws.sharedGrant[i] / traits_.sharedServicePenalty) * mu0);
+                 ws.sharedGrant[x] / traits_.sharedServicePenalty) * mu0);
             o.serviceRate = std::max(capacity, 1e-9);
             o.perServerRate = o.serviceRate / o.coreEquivalents;
             o.utilization = d.arrivalRate / o.serviceRate;
             o.ipc = 0.0;
         } else {
-            o.coreEquivalents = ws.beCores[i];
-            o.ipc = d.ipcSolo * ws.speed[i] *
-                std::min(1.0, ws.beCores[i] / std::max(1.0, ws.threads[i]));
+            o.coreEquivalents = ws.beCores[x];
+            o.ipc = d.ipcSolo * ws.speed[x] *
+                std::min(1.0, ws.beCores[x] / std::max(1.0, ws.threads[x]));
             o.serviceRate = 0.0;
             o.perServerRate = 0.0;
             o.utilization = 0.0;
         }
     }
-    memo_.store(ws.memoKey, out);
 }
 
 } // namespace ahq::perf

@@ -28,13 +28,16 @@
  * These interact, so evaluate() runs a damped fixed-point iteration
  * (the quantities are smooth and contractive in practice; tests check
  * convergence). A memo miss compiles its inputs into flat arrays
- * once and iterates over them; the reuse rules that keep that bitwise
- * identical are in contention.cc.
+ * once and iterates over them; evaluateBatchInto() solves several
+ * demand sets over one layout in lock-step. The reuse rules that
+ * keep both bitwise identical are in contention.cc.
  */
 
 #ifndef AHQ_PERF_CONTENTION_HH
 #define AHQ_PERF_CONTENTION_HH
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "machine/config.hh"
@@ -183,6 +186,17 @@ class ContentionModel
                       CoreSharePolicy policy,
                       std::vector<PerfOutcome> &out) const;
 
+    /**
+     * Evaluate demand sets that share the layout, the policy, the
+     * app count and each app's kind: outs[b] gets, bit for bit, what
+     * evaluateInto() of batch[b] would. The memo misses among them
+     * are solved together in lock-step, then stored.
+     */
+    void evaluateBatchInto(const machine::RegionLayout &layout,
+                           std::span<const std::vector<AppDemand>> batch,
+                           CoreSharePolicy policy,
+                           std::span<std::vector<PerfOutcome>> outs) const;
+
     const machine::MachineConfig &config() const { return config_; }
     const ContentionTraits &traits() const { return traits_; }
 
@@ -192,13 +206,12 @@ class ContentionModel
 
   private:
     /**
-     * Flat scratch reused across evaluate() calls. A memo miss
-     * compiles the layout and the demands' static fields into these
-     * arrays once, then runs every fixed-point iteration over them
-     * without resizing anything; once the model has seen a call of
-     * each size, a miss allocates nothing. Per-app columns are
-     * indexed by AppId, member columns by position in coreMembers
-     * or wayMembers.
+     * Flat scratch reused across calls. A call with misses compiles
+     * the layout into columns every lane shares (indexed by AppId or
+     * member position); each pass of L lanes compiles its demands
+     * into lane columns, one value per (app or member, lane) with
+     * lanes innermost, so every phase issues L independent copies of
+     * the same operations. Once warm, a miss allocates nothing.
      */
     struct Workspace
     {
@@ -218,30 +231,44 @@ class ContentionModel
             std::size_t begin, end;
         };
 
-        // Per app, fixed for the call: lambda is the LC offered load
-        // in core-seconds per second, penalty the overlapped miss
-        // penalty, capGibps the MBA cap.
+        // Layout columns: kind, iso grants, MBA cap, initial ways.
         std::vector<char> lc;
-        std::vector<double> threads, lambda, cpiIdeal, penalty;
-        std::vector<double> isoLc, isoBe, burstCap, capGibps;
-        // Per app, the fixed point's state; load is lambda / speed.
+        std::vector<double> isoLc, isoBe, capGibps, ways0;
+        std::vector<CoreRegion> coreRegions;
+        std::vector<std::size_t> coreMembers;
+        std::vector<WayRegion> wayRegions;
+        std::vector<std::size_t> wayMembers;
+
+        // Per app and lane, fixed for the pass: lambda is the LC
+        // offered load in core-seconds per second, penalty the
+        // overlapped miss penalty.
+        std::vector<double> threads, lambda, cpiIdeal, penalty, burstCap;
+        // Per app and lane, the fixed point's state; load is lambda / speed.
         std::vector<double> speed, ways, dilation, mbaScale, stretch;
         std::vector<double> prevStretch, sharedGrant, beCores, busy;
         std::vector<double> bwDemand, load, mpki, missTerm, newWays;
 
-        // Shared-region members; own is an LC member's occupancy
-        // (LcPriority) or runnable threads (FairShare).
-        std::vector<CoreRegion> coreRegions;
-        std::vector<std::size_t> coreMembers;
+        // Per shared-region member and lane; own is an LC member's
+        // occupancy (LcPriority) or runnable threads (FairShare).
         std::vector<double> memberThreads, own, caps, grants;
         std::vector<char> frozen;
+        std::vector<double> intensity; // per way-region member and lane
 
-        std::vector<WayRegion> wayRegions;
-        std::vector<std::size_t> wayMembers;
-        std::vector<double> intensity;
-
-        std::vector<double> memoKey; // canonicalised memo key
+        // Per set of the batch: its memo key and hash; the misses.
+        std::vector<std::vector<double>> memoKeys;
+        std::vector<std::uint64_t> hashes;
+        std::vector<std::size_t> misses;
     };
+
+    /** Compile the layout columns every lane of a call shares. */
+    void compileLayout(const machine::RegionLayout &layout,
+                       const std::vector<AppDemand> &demands) const;
+
+    /** Solve batch[lanes[0..L)] in lock-step; lanes never mix. */
+    template <std::size_t L>
+    void solveLanes(std::span<const std::vector<AppDemand>> batch,
+                    const std::size_t *lanes, CoreSharePolicy policy,
+                    std::span<std::vector<PerfOutcome>> outs) const;
 
     machine::MachineConfig config_;
     ContentionTraits traits_;

@@ -48,32 +48,33 @@ class EvaluationMemo
     }
 
     /**
-     * Look up the outcomes for the key currently staged in @p key.
-     * On a miss returns nullptr and remembers the key for the next
-     * store(). The returned pointer is invalidated by store().
+     * Look up the outcomes for @p key, writing its hash into @p hash
+     * for a later store() of the same key. Several lookups may
+     * precede their stores: the memo keeps no state between the two
+     * calls. Returns nullptr on a miss; the returned pointer is
+     * invalidated by store().
      */
     const std::vector<Outcome> *
-    find(const std::vector<double> &key)
+    find(const std::vector<double> &key, std::uint64_t &hash)
     {
-        const std::uint64_t h = hashKey(key);
+        hash = hashKey(key);
         for (std::size_t k = 0; k < size_; ++k) {
             const Entry &e = entries_[k];
-            if (e.hash == h && e.key == key) {
+            if (e.hash == hash && e.key == key) {
                 ++hits_;
                 return &e.outcomes;
             }
         }
         ++misses_;
-        pendingHash_ = h;
         return nullptr;
     }
 
     /**
-     * Store outcomes under the key of the last missed find(). A full
+     * Store outcomes under @p key, whose hash find() computed. A full
      * store is cleared first, bounding memory and scan cost.
      */
     void
-    store(const std::vector<double> &key,
+    store(std::uint64_t hash, const std::vector<double> &key,
           const std::vector<Outcome> &outcomes)
     {
         if (size_ >= capacity_)
@@ -81,7 +82,7 @@ class EvaluationMemo
         if (size_ == entries_.size())
             entries_.emplace_back();
         Entry &e = entries_[size_++];
-        e.hash = pendingHash_;
+        e.hash = hash;
         e.key = key;
         e.outcomes = outcomes;
     }
@@ -132,7 +133,6 @@ class EvaluationMemo
     /** Slots; the first size_ hold live entries. */
     std::vector<Entry> entries_;
     std::size_t size_ = 0;
-    std::uint64_t pendingHash_ = 0;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;
 };

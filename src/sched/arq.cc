@@ -320,14 +320,15 @@ Arq::adjust(RegionLayout &layout,
     if (scope.tracing()) {
         // One decision event per interval: the entropy inputs, the
         // full ReT/Q arrays and what Algorithm 1 did about them.
-        std::vector<int> app_ids;
-        std::vector<double> ret_arr, q_arr;
+        traceApps.clear();
+        traceRet.clear();
+        traceQ.clear();
         for (std::size_t i = 0; i < ret.size(); ++i) {
             if (!ret[i].lc)
                 continue;
-            app_ids.push_back(static_cast<int>(i));
-            ret_arr.push_back(ret[i].ret);
-            q_arr.push_back(ret[i].q);
+            traceApps.push_back(static_cast<int>(i));
+            traceRet.push_back(ret[i].ret);
+            traceQ.push_back(ret[i].q);
         }
         obs::Event ev("arq_decision");
         ev.num("t", now_s)
@@ -335,9 +336,9 @@ Arq::adjust(RegionLayout &layout,
             .num("e_lc", report.eLc)
             .num("e_be", report.eBe)
             .num("e_s", es)
-            .ints("apps", app_ids)
-            .nums("ret", ret_arr)
-            .nums("q", q_arr);
+            .ints("apps", traceApps)
+            .nums("ret", traceRet)
+            .nums("q", traceQ);
         if (action == std::string("move") ||
             action == std::string("rollback")) {
             ev.str("kind", machine::toString(lastMove.kind))

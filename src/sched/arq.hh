@@ -162,6 +162,10 @@ class Arq : public Scheduler
     std::vector<core::LcObservation> lcBuf;
     std::vector<core::BeObservation> beBuf;
 
+    /** `arq_decision` array scratch: LC ids, their ReT and Q. */
+    std::vector<int> traceApps;
+    std::vector<double> traceRet, traceQ;
+
     /**
      * Last ReT computed from a *delivered* measurement per app
      * (AppId-indexed; `lc` doubles as the presence flag). When an

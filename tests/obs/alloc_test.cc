@@ -18,6 +18,7 @@
 #include "cluster/epoch_sim.hh"
 #include "machine/config.hh"
 #include "obs/alloc.hh"
+#include "obs/attribution.hh"
 #include "obs/span.hh"
 #include "obs/trace_sink.hh"
 #include "perf/contention.hh"
@@ -216,6 +217,7 @@ class AllocCountingScheduler : public ahq::sched::Scheduler
                 const std::vector<ahq::sched::AppObservation> &obs,
                 double now_s) override
     {
+        inner_->setObsScope(obsScope());
         const auto before = threadAllocCount();
         inner_->adjust(layout, obs, now_s);
         allocs.push_back(threadAllocCount() - before);
@@ -235,13 +237,23 @@ class AllocCountingScheduler : public ahq::sched::Scheduler
     std::unique_ptr<ahq::sched::Scheduler> inner_;
 };
 
+/** A trace sink that keeps nothing, so its buffer is not measured. */
+class CountingTraceSink : public ahq::obs::TraceSink
+{
+  public:
+    void write(std::string_view) override { ++lines; }
+
+    std::size_t lines = 0;
+};
+
 /**
  * Every registered strategy decides without allocating once warm:
  * over 3,600 epochs with no observer attached, no adjust() after
  * epoch 400 allocates — on the canonical node and on a fleet-shaped
  * node under diurnal and flash load. A controller whose state grows
  * with run length (a sample history, a map that gains keys late)
- * fails here.
+ * fails here. ARQ runs once more with every epoch traced: building
+ * its `arq_decision` event allocates nothing either.
  */
 TEST(AllocCount, EverySchedulerDecidesWithoutAllocating)
 {
@@ -265,10 +277,19 @@ TEST(AllocCount, EverySchedulerDecidesWithoutAllocating)
     cfg.durationSeconds = 3600 * cfg.epochSeconds;
     cfg.keepEpochs = false;
     cfg.checkMode = ahq::check::Mode::Off;
-    for (const auto &strategy : ahq::sched::allStrategyNames()) {
+    CountingTraceSink sink;
+    std::vector<std::pair<std::string, bool>> cases;
+    for (const auto &strategy : ahq::sched::allStrategyNames())
+        cases.emplace_back(strategy, false);
+    cases.emplace_back("ARQ", true);
+    for (const auto &[strategy, traced] : cases) {
         for (const Node *node : {&canonical, &fleet_node}) {
             AllocCountingScheduler sched(strategy);
-            EpochSimulator(*node, cfg).run(sched);
+            SimulationConfig run_cfg = cfg;
+            run_cfg.obs.sink = traced ? &sink : nullptr;
+            const std::size_t lines = sink.lines;
+            EpochSimulator(*node, run_cfg).run(sched);
+            EXPECT_EQ(sink.lines > lines, traced);
             // adjust() runs once per epoch from epoch 1 on, so call
             // i decides epoch i + 1.
             ASSERT_EQ(sched.allocs.size(), 3599u);
@@ -281,11 +302,49 @@ TEST(AllocCount, EverySchedulerDecidesWithoutAllocating)
                 late += sched.allocs[i];
             }
             EXPECT_EQ(late, 0u)
-                << strategy << " on " << node->describe()
+                << strategy << (traced ? " (traced)" : "") << " on "
+                << node->describe()
                 << " allocated in adjust() after epoch " << kWarmEpochs
                 << " (first at epoch " << first << ")";
         }
     }
+}
+
+/**
+ * A profiled run allocates nothing per epoch once warm: closing a
+ * span looks its path up without copying it, so a profiled ARQ run
+ * on the canonical node records as many allocations under
+ * `run/epoch` over 800 epochs as over 400.
+ */
+TEST(AllocCount, WarmProfiledEpochIsAllocFree)
+{
+    if (!allocCountingEnabled())
+        GTEST_SKIP() << "sanitizer build: counting compiled out";
+    using namespace ahq::cluster;
+    namespace apps = ahq::apps;
+
+    const Node canonical(ahq::machine::MachineConfig::xeonE52630v4(),
+                         {lcAt(apps::xapian(), 0.5),
+                          lcAt(apps::moses(), 0.2),
+                          lcAt(apps::imgDnn(), 0.2),
+                          be(apps::stream())});
+    auto epoch_allocs = [&](int epochs) {
+        ahq::obs::SpanProfiler prof;
+        SimulationConfig cfg;
+        cfg.durationSeconds = epochs * cfg.epochSeconds;
+        cfg.keepEpochs = false;
+        cfg.checkMode = ahq::check::Mode::Off;
+        cfg.obs.prof = &prof;
+        auto sched = ahq::sched::makeScheduler("ARQ");
+        EpochSimulator(canonical, cfg).run(*sched);
+        const auto snap = prof.snapshot();
+        EXPECT_EQ(snap.at("run/epoch").count,
+                  static_cast<std::uint64_t>(epochs));
+        return snap.at("run/epoch").allocs;
+    };
+    // The first run also grows this thread's span path buffer.
+    epoch_allocs(400);
+    EXPECT_EQ(epoch_allocs(400), epoch_allocs(800));
 }
 
 /**
@@ -363,6 +422,66 @@ TEST(AllocCount, ContentionMissPathIsAllocFree)
         << "contention memo-miss path allocated once warm";
     EXPECT_EQ(model.memoMisses() - misses, 4 * inputs.size());
     EXPECT_EQ(model.memoHits(), 0u);
+}
+
+/**
+ * Attribution's batched counterfactuals once warm: every LC victim
+ * of a fleet-shaped node suffers, so each attribute() call solves
+ * all n counterfactuals, and 200 diurnal inputs cycle through the
+ * memo's 64 entries, so every one misses. After two passes have
+ * warmed the attributor's buffers, its model's workspace and every
+ * memo slot, a third allocates nothing.
+ */
+TEST(AllocCount, WarmAttributionIsAllocFree)
+{
+    if (!allocCountingEnabled())
+        GTEST_SKIP() << "sanitizer build: counting compiled out";
+    using namespace ahq::cluster;
+    namespace perf = ahq::perf;
+
+    const auto mc = ahq::machine::MachineConfig::xeonE52630v4();
+    ahq::trace::FleetLoadConfig load;
+    load.numNodes = 4;
+    const Node node(
+        mc, fleetNodeApps(ahq::trace::FleetLoadGenerator(load), 0));
+    std::vector<ahq::machine::AppId> lc, be;
+    for (int i = 0; i < node.numApps(); ++i) {
+        (node.apps()[static_cast<std::size_t>(i)].profile.latencyCritical
+             ? lc
+             : be)
+            .push_back(i);
+    }
+    const auto layout = ahq::machine::RegionLayout::arqInitial(
+        mc.availableResources(), lc, be);
+    constexpr auto kPolicy = perf::CoreSharePolicy::LcPriority;
+    std::vector<std::vector<perf::AppDemand>> inputs(200);
+    std::vector<std::vector<perf::PerfOutcome>> base(inputs.size());
+    const perf::ContentionModel model(mc);
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+        node.demandsAt(0.5 * static_cast<double>(k), inputs[k]);
+        model.evaluateInto(layout, inputs[k], kPolicy, base[k]);
+    }
+    std::vector<ahq::core::LcBreakdown> detail(lc.size());
+    for (ahq::core::LcBreakdown &d : detail)
+        d.interference = 0.3;
+
+    ahq::obs::InterferenceAttributor attributor(mc);
+    std::vector<ahq::obs::AttributionShare> shares;
+    auto pass = [&] {
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+            attributor.attribute(layout, inputs[k], kPolicy, base[k], lc,
+                                 detail, shares);
+        }
+    };
+    pass();
+    pass();
+    const auto evals = attributor.evaluations();
+    const auto before = threadAllocCount();
+    pass();
+    EXPECT_EQ(threadAllocCount(), before)
+        << "attribute() allocated once warm";
+    EXPECT_EQ(attributor.evaluations() - evals,
+              static_cast<long long>(inputs.size()) * node.numApps());
 }
 
 } // namespace

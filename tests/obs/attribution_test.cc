@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iomanip>
 #include <map>
 #include <random>
 #include <sstream>
 
 #include "apps/catalog.hh"
 #include "check/check.hh"
+#include "cluster/cluster_sched.hh"
 #include "cluster/epoch_sim.hh"
 #include "exec/scenario_runner.hh"
 #include "exec/thread_pool.hh"
@@ -23,6 +26,8 @@
 #include "obs/scope.hh"
 #include "obs/trace_reader.hh"
 #include "sched/registry.hh"
+#include "stats/rng.hh"
+#include "trace/fleet_load.hh"
 
 namespace
 {
@@ -218,6 +223,112 @@ TEST(Attribution, StreamBeBlamedForXapianInterference)
             bandwidth_row = true;
     }
     EXPECT_TRUE(bandwidth_row);
+}
+
+/**
+ * Every share of seeded attribute() calls — victim, culprit,
+ * resource and the share's bits — folded into one FNV-1a-64 digest:
+ * four fleet-shaped nodes under diurnal load, the canonical node and
+ * a lone LC app, each on ARQ's initial layout and on one shared
+ * region, under both policies, with each victim's R_i drawn positive
+ * or zero. Some calls repeat, so the attributor's memo serves their
+ * counterfactuals. A speed-only change to the counterfactual path
+ * must leave the digest unchanged.
+ */
+TEST(Attribution, ShareDigestIsPinned)
+{
+    const auto mc = machine::MachineConfig::xeonE52630v4();
+    trace::FleetLoadConfig load;
+    load.numNodes = 4;
+    const trace::FleetLoadGenerator gen(load);
+    std::vector<cluster::Node> nodes;
+    for (int k = 0; k < load.numNodes; ++k)
+        nodes.emplace_back(mc, cluster::fleetNodeApps(gen, k));
+    nodes.emplace_back(mc, std::vector<cluster::ColocatedApp>{
+                               cluster::lcAt(apps::xapian(), 0.5),
+                               cluster::lcAt(apps::moses(), 0.2),
+                               cluster::lcAt(apps::imgDnn(), 0.2),
+                               cluster::be(apps::stream())});
+    // Alone on the node, a victim has no co-runner to blame: every
+    // R_i > 0 lands on the residual row.
+    nodes.emplace_back(mc, std::vector<cluster::ColocatedApp>{
+                               cluster::lcAt(apps::xapian(), 0.5)});
+
+    std::uint64_t h = 14695981039346656037ULL;
+    auto fold = [&h](std::uint64_t bits) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 1099511628211ULL;
+        }
+    };
+    stats::Rng rng(20261019);
+    const perf::ContentionModel model(mc);
+    obs::InterferenceAttributor attributor(mc);
+    std::vector<perf::AppDemand> demands;
+    std::vector<perf::PerfOutcome> base;
+    std::vector<core::LcBreakdown> detail;
+    std::vector<obs::AttributionShare> shares;
+    std::size_t rows = 0, noise = 0, calls = 0;
+    long long expected_evals = 0;
+    for (const cluster::Node &node : nodes) {
+        std::vector<machine::AppId> lc, be, all;
+        for (int i = 0; i < node.numApps(); ++i) {
+            (node.apps()[static_cast<std::size_t>(i)]
+                     .profile.latencyCritical
+                 ? lc
+                 : be)
+                .push_back(i);
+            all.push_back(i);
+        }
+        const machine::RegionLayout layouts[] = {
+            machine::RegionLayout::arqInitial(mc.availableResources(),
+                                              lc, be),
+            machine::RegionLayout::fullyShared(mc.availableResources(),
+                                               all)};
+        for (const auto policy : {perf::CoreSharePolicy::FairShare,
+                                  perf::CoreSharePolicy::LcPriority}) {
+            for (const machine::RegionLayout &layout : layouts) {
+                for (int e = 0; e < 24; ++e) {
+                    node.demandsAt(10.0 * e, demands);
+                    for (perf::AppDemand &d : demands)
+                        d.arrivalRate *= rng.uniform(0.6, 1.2);
+                    model.evaluateInto(layout, demands, policy, base);
+                    detail.assign(lc.size(), core::LcBreakdown{});
+                    bool any = false;
+                    for (core::LcBreakdown &b : detail) {
+                        if (rng.bernoulli(0.7))
+                            b.interference = rng.uniform(0.01, 0.9);
+                        any = any || b.interference > 0.0;
+                    }
+                    const int repeats = rng.bernoulli(0.25) ? 2 : 1;
+                    for (int r = 0; r < repeats; ++r) {
+                        attributor.attribute(layout, demands, policy,
+                                             base, lc, detail, shares);
+                        ++calls;
+                        if (any)
+                            expected_evals += node.numApps();
+                        for (const obs::AttributionShare &s : shares) {
+                            fold(static_cast<std::uint64_t>(s.victim));
+                            fold(static_cast<std::uint64_t>(s.culprit));
+                            fold(static_cast<std::uint64_t>(s.resource));
+                            std::uint64_t bits;
+                            std::memcpy(&bits, &s.share, sizeof(bits));
+                            fold(bits);
+                            ++rows;
+                            noise += s.culprit == obs::kNoiseCulprit;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(attributor.evaluations(), expected_evals);
+    // The corpus reaches real culprits and the residual row.
+    EXPECT_GT(rows, 4 * calls);
+    EXPECT_GT(noise, 0u);
+    EXPECT_EQ(h, 0x58e0008af53b893cULL)
+        << "share digest is now 0x" << std::hex << std::setw(16)
+        << std::setfill('0') << h;
 }
 
 /** Attribution must observe, never perturb the simulation. */

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "perf/contention_cache.hh"
@@ -21,9 +23,10 @@ TEST(EvaluationMemo, HitReturnsStoredOutcomesExactly)
     const std::vector<double> key{1.0, 2.5, -0.0, 3e18};
     const std::vector<double> out{0.25, 0.75, 1.0};
 
-    EXPECT_EQ(memo.find(key), nullptr);
-    memo.store(key, out);
-    const std::vector<double> *hit = memo.find(key);
+    std::uint64_t h = 0;
+    EXPECT_EQ(memo.find(key, h), nullptr);
+    memo.store(h, key, out);
+    const std::vector<double> *hit = memo.find(key, h);
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(*hit, out);
     EXPECT_EQ(memo.hits(), 1u);
@@ -37,38 +40,64 @@ TEST(EvaluationMemo, PerturbedKeysMiss)
 {
     EvaluationMemo<double> memo(8);
     const std::vector<double> key{4.0, 8.0, 15.0, 16.0};
-    ASSERT_EQ(memo.find(key), nullptr); // stage the key's hash
-    memo.store(key, {1.0});
-    ASSERT_NE(memo.find(key), nullptr);
+    std::uint64_t h = 0;
+    ASSERT_EQ(memo.find(key, h), nullptr);
+    memo.store(h, key, {1.0});
+    ASSERT_NE(memo.find(key, h), nullptr);
 
     for (std::size_t i = 0; i < key.size(); ++i) {
         std::vector<double> tweaked = key;
         tweaked[i] += 1e-9;
-        EXPECT_EQ(memo.find(tweaked), nullptr) << i;
+        EXPECT_EQ(memo.find(tweaked, h), nullptr) << i;
     }
     std::vector<double> swapped{8.0, 4.0, 15.0, 16.0};
-    EXPECT_EQ(memo.find(swapped), nullptr);
+    EXPECT_EQ(memo.find(swapped, h), nullptr);
     std::vector<double> shorter{4.0, 8.0, 15.0};
-    EXPECT_EQ(memo.find(shorter), nullptr);
+    EXPECT_EQ(memo.find(shorter, h), nullptr);
+}
+
+// Lookups may run ahead of their stores (a batch looks up every set
+// before it solves the misses): each key is filed under its own hash
+// and hits again.
+TEST(EvaluationMemo, StoresEachKeyUnderItsOwnHash)
+{
+    EvaluationMemo<int> memo(8);
+    const std::vector<double> a{1.0}, b{2.0}, c{3.0};
+    std::uint64_t ha = 0, hb = 0, hc = 0;
+    ASSERT_EQ(memo.find(a, ha), nullptr);
+    ASSERT_EQ(memo.find(b, hb), nullptr);
+    ASSERT_EQ(memo.find(c, hc), nullptr);
+    memo.store(ha, a, {1});
+    memo.store(hb, b, {2});
+    memo.store(hc, c, {3});
+    std::uint64_t h = 0;
+    for (const auto &[key, v] :
+         {std::pair{a, 1}, std::pair{b, 2}, std::pair{c, 3}}) {
+        const std::vector<int> *hit = memo.find(key, h);
+        ASSERT_NE(hit, nullptr) << v;
+        EXPECT_EQ(*hit, std::vector<int>{v});
+    }
+    EXPECT_EQ(memo.hits(), 3u);
 }
 
 TEST(EvaluationMemo, ClearsWhenFullInsteadOfGrowing)
 {
     EvaluationMemo<int> memo(2);
-    ASSERT_EQ(memo.find({1.0}), nullptr);
-    memo.store({1.0}, {1});
-    ASSERT_EQ(memo.find({2.0}), nullptr);
-    memo.store({2.0}, {2});
-    ASSERT_NE(memo.find({1.0}), nullptr);
-    ASSERT_NE(memo.find({2.0}), nullptr);
+    std::uint64_t h = 0;
+    ASSERT_EQ(memo.find({1.0}, h), nullptr);
+    memo.store(h, {1.0}, {1});
+    ASSERT_EQ(memo.find({2.0}, h), nullptr);
+    memo.store(h, {2.0}, {2});
+    ASSERT_NE(memo.find({1.0}, h), nullptr);
+    ASSERT_NE(memo.find({2.0}, h), nullptr);
 
     // The third store clears the full table first: the old keys are
     // gone, the new one is present.
-    ASSERT_EQ(memo.find({3.0}), nullptr);
-    memo.store({3.0}, {3});
-    EXPECT_EQ(memo.find({1.0}), nullptr);
-    EXPECT_EQ(memo.find({2.0}), nullptr);
-    EXPECT_NE(memo.find({3.0}), nullptr);
+    ASSERT_EQ(memo.find({3.0}, h), nullptr);
+    memo.store(h, {3.0}, {3});
+    EXPECT_EQ(memo.find({1.0}, h), nullptr);
+    EXPECT_EQ(memo.find({2.0}, h), nullptr);
+    EXPECT_NE(memo.find({3.0}, h), nullptr);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "machine/config.hh"
 #include "machine/layout.hh"
@@ -509,6 +510,128 @@ TEST(Contention, RandomCorpusDigestIsPinned)
     EXPECT_EQ(h, 0x0735fc17643d17f3ULL)
         << "corpus digest is now 0x" << std::hex << std::setw(16)
         << std::setfill('0') << h;
+}
+
+/** Every PerfOutcome field's bits, so NaNs compare exactly too. */
+std::vector<std::uint64_t>
+outcomeBits(const std::vector<PerfOutcome> &outs)
+{
+    std::vector<std::uint64_t> bits;
+    for (const PerfOutcome &o : outs) {
+        for (const double v :
+             {o.coreEquivalents, o.effectiveWays, o.bwDilation, o.speed,
+              o.serviceStretch, o.perServerRate, o.serviceRate,
+              o.utilization, o.ipc, o.bwDemandGibps}) {
+            std::uint64_t b;
+            std::memcpy(&b, &v, sizeof(b));
+            bits.push_back(b);
+        }
+    }
+    return bits;
+}
+
+/**
+ * A batch is the sequential result, bit for bit: over seeded random
+ * corpus cases of K = 1..9 sets (lock-step passes 1..4, 4+1, 4+2,
+ * 4+3, 4+4 and 4+4+1) under both policies, every outcome of
+ * evaluateBatchInto() equals one evaluateInto() per set on a fresh
+ * model. Set 0 is a random case; each further set either vacates
+ * one app of it (a counterfactual) or redraws every app's load,
+ * threads, service time and curves with the same kinds. On the same
+ * model, repeating the batch hits the memo for every set, and a
+ * batch whose sets were partly evaluated before mixes hits and
+ * misses. Last, a pass ends only when no lane changed: an idle app
+ * holding the whole machine is stable from the first iteration, and
+ * a loaded set beside it must still run every iteration.
+ */
+TEST(Contention, BatchMatchesOneCallPerSet)
+{
+    const MachineConfig machines[] = {
+        MachineConfig::xeonE52630v4(),
+        MachineConfig::xeonE52630v4().withAvailable(6, 12, 6),
+        MachineConfig::xeonGold6248()};
+    ahq::stats::Rng rng(20261019);
+    std::vector<std::vector<PerfOutcome>> outs, again;
+    std::vector<PerfOutcome> one;
+    for (int c = 0; c < 360; ++c) {
+        const MachineConfig &mc =
+            machines[rng.uniformInt(std::size(machines))];
+        const std::size_t n = 1 + rng.uniformInt(8);
+        const std::size_t k_sets = 1 + static_cast<std::size_t>(c % 9);
+        std::vector<std::vector<AppDemand>> batch(1);
+        for (std::size_t i = 0; i < n; ++i)
+            batch[0].push_back(randomDemand(rng, rng.bernoulli(0.5)));
+        for (std::size_t k = 1; k < k_sets; ++k) {
+            std::vector<AppDemand> set = batch[0];
+            if (k - 1 < n && rng.bernoulli(0.5)) {
+                set[k - 1].threads = 0;
+                set[k - 1].arrivalRate = 0.0;
+            } else {
+                for (AppDemand &d : set)
+                    d = randomDemand(rng, d.latencyCritical);
+            }
+            batch.push_back(std::move(set));
+        }
+        const RegionLayout layout =
+            randomLayout(rng, mc.availableResources(), static_cast<int>(n));
+        const CoreSharePolicy policy = c % 2 == 0
+            ? CoreSharePolicy::FairShare
+            : CoreSharePolicy::LcPriority;
+
+        std::vector<std::vector<std::uint64_t>> want;
+        const ContentionModel sequential(mc);
+        for (const auto &set : batch) {
+            sequential.evaluateInto(layout, set, policy, one);
+            want.push_back(outcomeBits(one));
+        }
+
+        const ContentionModel model(mc);
+        outs.assign(k_sets, {});
+        model.evaluateBatchInto(layout, batch, policy, outs);
+        EXPECT_EQ(model.memoMisses(), k_sets);
+        for (std::size_t k = 0; k < k_sets; ++k)
+            EXPECT_EQ(outcomeBits(outs[k]), want[k])
+                << "case " << c << " set " << k;
+
+        // Every set was filed under its own key: all hit again.
+        again.assign(k_sets, {});
+        model.evaluateBatchInto(layout, batch, policy, again);
+        EXPECT_EQ(model.memoHits(), k_sets) << "case " << c;
+        for (std::size_t k = 0; k < k_sets; ++k)
+            EXPECT_EQ(outcomeBits(again[k]), want[k])
+                << "case " << c << " set " << k << " (memo hit)";
+
+        // Odd sets evaluated beforehand hit; the rest are solved.
+        const ContentionModel mixed(mc);
+        for (std::size_t k = 1; k < k_sets; k += 2)
+            mixed.evaluateInto(layout, batch[k], policy, one);
+        outs.assign(k_sets, {});
+        mixed.evaluateBatchInto(layout, batch, policy, outs);
+        EXPECT_EQ(mixed.memoHits(), k_sets / 2) << "case " << c;
+        EXPECT_EQ(mixed.memoMisses(), k_sets) << "case " << c;
+        for (std::size_t k = 0; k < k_sets; ++k)
+            EXPECT_EQ(outcomeBits(outs[k]), want[k])
+                << "case " << c << " set " << k << " (mixed)";
+    }
+
+    const MachineConfig mc = MachineConfig::xeonE52630v4();
+    RegionLayout whole(mc.availableResources());
+    Region all;
+    all.name = "all";
+    all.res = mc.availableResources();
+    all.members = {0};
+    whole.addRegion(std::move(all));
+    const std::vector<std::vector<AppDemand>> idle_and_busy = {
+        {lcDemand(0.0)}, {lcDemand(3000.0)}};
+    const ContentionModel model(mc), sequential(mc);
+    outs.assign(2, {});
+    model.evaluateBatchInto(whole, idle_and_busy,
+                            CoreSharePolicy::LcPriority, outs);
+    for (std::size_t k = 0; k < 2; ++k) {
+        sequential.evaluateInto(whole, idle_and_busy[k],
+                                CoreSharePolicy::LcPriority, one);
+        EXPECT_EQ(outcomeBits(outs[k]), outcomeBits(one)) << "set " << k;
+    }
 }
 
 } // namespace
