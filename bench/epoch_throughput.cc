@@ -11,7 +11,7 @@
  * a small Fleet run, and the online hot paths a controller runs
  * inside one epoch (entropy, M/M/c percentiles, the contention
  * model on a memo hit and on a miss, attribution's counterfactuals,
- * GP fit + EI, the P² quantile).
+ * GP fit + EI).
  * Every row is timed in one interleaved sampleInterleaved() run.
  * With --json it writes BENCH_epoch_throughput.json — the file the
  * repo commits as the baseline `ahq bench-diff` compares future
@@ -35,7 +35,6 @@
 #include "perf/queueing.hh"
 #include "sched/gp.hh"
 #include "sched/registry.hh"
-#include "stats/percentile.hh"
 #include "stats/rng.hh"
 #include "trace/fleet_load.hh"
 
@@ -347,12 +346,6 @@ main(int argc, char **argv)
                                                         0.0));
                         }});
     }
-
-    stats::Rng p2_rng(2);
-    stats::P2Quantile p2(0.95);
-    rows.push_back({"p2_quantile_add", 1.0, "adds/s", "q=0.95", [&] {
-                        p2.add(p2_rng.exponential(1.0));
-                    }});
 
     const std::vector<double> best = timeRows(rows, json);
     report::TextTable t({"workload", "per call (us)", "throughput"});

@@ -360,33 +360,4 @@ InvariantAuditor::afterEpoch(const core::EntropyReport &report_in,
     checkEntropy(report_in, ri, has_lc, has_be, epoch, now_s);
 }
 
-void
-InvariantAuditor::checkP2(const stats::P2Quantile &estimator,
-                          int epoch, double now_s)
-{
-    if (mode_ == Mode::Off)
-        return;
-
-    const auto heights = estimator.markerHeights();
-    for (std::size_t i = 1; i < heights.size(); ++i) {
-        if (!(heights[i] >= heights[i - 1])) { // NaN-proof compare
-            std::ostringstream os;
-            os << "marker heights not monotone: h[" << i - 1
-               << "] = " << heights[i - 1] << ", h[" << i
-               << "] = " << heights[i];
-            report("p2.markers_monotone", os.str(), epoch, now_s);
-        }
-    }
-    const auto positions = estimator.markerPositions();
-    for (std::size_t i = 1; i < positions.size(); ++i) {
-        if (!(positions[i] > positions[i - 1])) {
-            std::ostringstream os;
-            os << "marker positions not strictly increasing: n["
-               << i - 1 << "] = " << positions[i - 1] << ", n["
-               << i << "] = " << positions[i];
-            report("p2.positions_ordered", os.str(), epoch, now_s);
-        }
-    }
-}
-
 } // namespace ahq::check

@@ -8,7 +8,7 @@
  * afterDecision() after every scheduler adjustment and afterEpoch()
  * after every entropy computation; the randomized sweep driver in
  * tests/check/ additionally aims the component checks (checkLayout,
- * checkEntropy, checkP2) at adversarial inputs.
+ * checkEntropy) at adversarial inputs.
  *
  * With Mode::Off every hook is one branch; in Mode::Log violations
  * are recorded, counted (`check.violations`) and emitted as
@@ -28,7 +28,6 @@
 #include "core/entropy.hh"
 #include "machine/layout.hh"
 #include "obs/scope.hh"
-#include "stats/percentile.hh"
 
 namespace ahq::sched
 {
@@ -114,10 +113,6 @@ class InvariantAuditor
     void checkEntropy(const core::EntropyReport &report, double ri,
                       bool has_lc, bool has_be, int epoch,
                       double now_s);
-
-    /** P-square marker sanity of one streaming estimator. */
-    void checkP2(const stats::P2Quantile &estimator, int epoch = -1,
-                 double now_s = 0.0);
 
     /**
      * Violations recorded so far (capped at 256 entries; the

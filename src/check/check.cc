@@ -96,10 +96,6 @@ registeredChecks()
         {"arq.ban_honored", "Alg. 1",
          "a penalty-banned victim region donates nothing for the "
          "full ban window (60 s by default)"},
-        {"p2.markers_monotone", "§V (P-square)",
-         "the five P2 marker heights are non-decreasing"},
-        {"p2.positions_ordered", "§V (P-square)",
-         "the five P2 marker positions are strictly increasing"},
         {"fault.no_stale_decision", "fault injection",
          "no ARQ move/rollback consumes a dropped (stale-repeat) "
          "sample; degraded intervals must skip"},

@@ -79,6 +79,8 @@ trialConfig(const SimulationConfig &base, double seconds,
     trial.obs = {};
     trial.checkMode = check::Mode::Off;
     trial.faults = nullptr;
+    trial.attribute = false;
+    trial.slo = false;
     trial.durationSeconds = seconds;
     trial.warmupEpochs = warmup_epochs;
     trial.keepEpochs = false;
@@ -147,9 +149,9 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
     // Fleet-level fault handling: node_crash directives coalesce to
     // the earliest crash epoch; every crashed node stops there and
     // its apps fail over to the survivors. Without valid crashes
-    // (or without survivors to fail over to) the run takes the
-    // exact single-phase path below, byte-identical to pre-fault
-    // builds.
+    // (or without survivors to fail over to) phase A covers the
+    // whole run and there is no placement and no phase B, so the
+    // run is byte-identical to an unfaulted one.
     const int total_epochs = static_cast<int>(
         std::round(config.durationSeconds / config.epochSeconds));
     std::vector<int> crashed;
@@ -173,190 +175,142 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
     const bool crashing = !crashed.empty() &&
         static_cast<int>(crashed.size()) < numNodes();
 
-    if (!crashing) {
-        // Node buffers flush in node order below, interleaved with
-        // the fleet_node events.
-        exec::NodeFanOut fan(scope);
-        std::vector<FleetAccumulator> accums;
-        runEntries(nodes_, config, fan, 0, "", nullptr, out.nodes,
-                   accums, p);
-        for (const auto &res : out.nodes) {
-            out.violations += res.violations;
-            out.attribution.merge(res.attribution);
-            out.slo.merge(res.slo);
-        }
-
-        // Streaming reduce: the per-node accumulators built on the
-        // pool merge in node order, so the pooled observation
-        // sequence — and therefore the E_S bits — match the old
-        // collect-then-reduce path at any thread count, without
-        // the per-epoch records ever being required.
-        const auto rep = [&] {
-            obs::Span span(scope, "fleet.entropy");
-            FleetAccumulator pooled;
-            for (const auto &acc : accums)
-                pooled.merge(acc);
-            return pooled.entropy(config.ri);
-        }();
-        out.eLc = rep.eLc;
-        out.eBe = rep.eBe;
-        out.eS = rep.eS;
-        out.yieldValue = rep.yieldValue;
-
-        if (tracing) {
-            for (std::size_t n = 0; n < nodes_.size(); ++n) {
-                fan.flush(n);
-                obs::Event ev("fleet_node");
-                ev.integer("node", static_cast<long long>(n))
-                    .str("colocation", nodes_[n].node.describe())
-                    .str("scheduler", nodes_[n].scheduler->name())
-                    .num("mean_e_s", out.nodes[n].meanES)
-                    .integer("violations",
-                             out.nodes[n].violations);
+    // ---- phase A: every node runs to the crash instant (or to the
+    // end of a run without one) -----------------------------------
+    const double ta = crashing ? crash_epoch * config.epochSeconds
+                               : config.durationSeconds;
+    if (crashing) {
+        out.crashedNodes = crashed;
+        for (int n : crashed) {
+            scope.count("fault.node_crash");
+            if (tracing) {
+                obs::Event ev("fault");
+                ev.str("fault", "node_crash")
+                    .integer("node", n)
+                    .num("t", ta);
                 scope.emit(ev);
             }
-            obs::Event ev("fleet_end");
-            ev.num("e_lc", out.eLc)
-                .num("e_be", out.eBe)
-                .num("e_s", out.eS)
-                .num("yield", out.yieldValue)
-                .integer("violations", out.violations);
-            scope.emit(ev);
-        }
-        scope.count("fleet.runs");
-        return out;
-    }
-
-    // ---- phase A: every node runs up to the crash instant --------
-    const double ta = crash_epoch * config.epochSeconds;
-    out.crashedNodes = crashed;
-    for (int n : crashed) {
-        scope.count("fault.node_crash");
-        if (tracing) {
-            obs::Event ev("fault");
-            ev.str("fault", "node_crash")
-                .integer("node", n)
-                .num("t", ta);
-            scope.emit(ev);
         }
     }
 
+    // Node buffers flush in node order below, interleaved with the
+    // fleet_node events. Crashed slots keep their phase A result.
     SimulationConfig cfg_a = config;
     cfg_a.durationSeconds = ta;
     exec::NodeFanOut fan_a(scope);
-    std::vector<SimulationResult> res_a;
     std::vector<FleetAccumulator> acc_a;
-    runEntries(nodes_, cfg_a, fan_a, 0, "", nullptr, res_a, acc_a, p);
+    runEntries(nodes_, cfg_a, fan_a, 0, "", nullptr, out.nodes, acc_a,
+               p);
 
-    // ---- failover: re-place crashed apps onto the survivors ------
     std::vector<int> survivors;
-    for (int n = 0; n < numNodes(); ++n) {
-        if (!std::binary_search(crashed.begin(), crashed.end(), n))
-            survivors.push_back(n);
-    }
-    std::vector<ColocatedApp> refugees;
-    for (int n : crashed) {
-        for (const auto &a :
-             nodes_[static_cast<std::size_t>(n)].node.apps())
-            refugees.push_back(a);
-    }
-    std::vector<std::vector<ColocatedApp>> initial;
-    for (int n : survivors) {
-        initial.push_back(
-            nodes_[static_cast<std::size_t>(n)].node.apps());
-    }
-
-    // Short, unfaulted, unaudited trial runs drive the placement;
-    // the advisor itself is deterministic per (apps, config).
-    const SimulationConfig trial =
-        trialConfig(config, 8.0 * config.epochSeconds, 2);
-
-    const auto &first =
-        nodes_[static_cast<std::size_t>(survivors.front())];
-    const std::string strategy = first.scheduler->name();
-    PlacementAdvisor advisor(
-        first.node.config(), static_cast<int>(survivors.size()),
-        [strategy] { return sched::makeScheduler(strategy); });
-    // The trial scope is stripped (trial.obs = {}), so no trial
-    // simulation records spans — the placement search appears as
-    // one caller-side span and the node bodies stay span-free,
-    // keeping paths independent of which thread ran which trial.
-    const auto placement = [&] {
-        obs::Span span(scope, "fleet.place");
-        return advisor.place(refugees, trial, &p, &initial);
-    }();
-
-    for (std::size_t r = 0; r < refugees.size(); ++r)
-        scope.count("recovery.failover");
-    out.failovers = static_cast<int>(refugees.size());
-    if (tracing) {
-        obs::Event ev("recovery");
-        ev.str("what", "failover")
-            .integer("apps", out.failovers)
-            .num("t", ta);
-        scope.emit(ev);
-    }
-
-    // ---- phase B: survivors finish the run with the refugees -----
     std::vector<Entry> phase_b;
-    for (std::size_t s = 0; s < survivors.size(); ++s) {
-        auto apps = initial[s];
-        for (std::size_t r = 0; r < refugees.size(); ++r) {
-            if (placement.assignment[r] == static_cast<int>(s))
-                apps.push_back(refugees[r]);
-        }
-        auto &entry =
-            nodes_[static_cast<std::size_t>(survivors[s])];
-        phase_b.push_back({Node(entry.node.config(),
-                                std::move(apps)),
-                           std::move(entry.scheduler)});
-    }
-
-    SimulationConfig cfg_b = config;
-    cfg_b.durationSeconds = config.durationSeconds - ta;
-    cfg_b.warmupEpochs =
-        std::max(0, config.warmupEpochs - crash_epoch);
     exec::NodeFanOut fan_b(scope);
-    std::vector<SimulationResult> res_b;
     std::vector<FleetAccumulator> acc_b;
-    runEntries(phase_b, cfg_b, fan_b, kRecoverySeedSalt, "/recovered",
-               &survivors, res_b, acc_b, p);
+    if (crashing) {
+        // ---- failover: re-place crashed apps onto the survivors --
+        for (int n = 0; n < numNodes(); ++n) {
+            if (!std::binary_search(crashed.begin(), crashed.end(), n))
+                survivors.push_back(n);
+        }
+        std::vector<ColocatedApp> refugees;
+        for (int n : crashed) {
+            for (const auto &a :
+                 nodes_[static_cast<std::size_t>(n)].node.apps())
+                refugees.push_back(a);
+        }
+        std::vector<std::vector<ColocatedApp>> initial;
+        for (int n : survivors) {
+            initial.push_back(
+                nodes_[static_cast<std::size_t>(n)].node.apps());
+        }
 
-    // Crashed slots report their phase A segment; survivors report
-    // the recovered segment they finished with — but their QoS
-    // violations cover the whole run: a violation a survivor
-    // incurred *before* the crash happened and must not vanish
-    // from the fleet totals just because its slot was overwritten
-    // with the phase B segment.
-    out.nodes.resize(nodes_.size());
-    for (int n : crashed)
-        out.nodes[static_cast<std::size_t>(n)] = std::move(
-            res_a[static_cast<std::size_t>(n)]);
-    for (std::size_t s = 0; s < survivors.size(); ++s) {
-        auto &slot =
-            out.nodes[static_cast<std::size_t>(survivors[s])];
-        slot = std::move(res_b[s]);
-        const auto &before =
-            res_a[static_cast<std::size_t>(survivors[s])];
-        slot.violations += before.violations;
-        // Same whole-run accounting for the blame ledger and the
-        // alert tallies: attribution a survivor accumulated before
-        // the crash stays in the fleet totals.
-        slot.attribution.merge(before.attribution);
-        slot.slo.merge(before.slo);
+        // Short, unfaulted, unaudited trial runs drive the
+        // placement; the advisor itself is deterministic per (apps,
+        // config).
+        const SimulationConfig trial =
+            trialConfig(config, 8.0 * config.epochSeconds, 2);
+
+        const auto &first =
+            nodes_[static_cast<std::size_t>(survivors.front())];
+        const std::string strategy = first.scheduler->name();
+        PlacementAdvisor advisor(
+            first.node.config(), static_cast<int>(survivors.size()),
+            [strategy] { return sched::makeScheduler(strategy); });
+        // The trial scope is stripped (trial.obs = {}), so no trial
+        // simulation records spans — the placement search appears as
+        // one caller-side span and the node bodies stay span-free,
+        // keeping paths independent of which thread ran which trial.
+        const auto placement = [&] {
+            obs::Span span(scope, "fleet.place");
+            return advisor.place(refugees, trial, &p, &initial);
+        }();
+
+        for (std::size_t r = 0; r < refugees.size(); ++r)
+            scope.count("recovery.failover");
+        out.failovers = static_cast<int>(refugees.size());
+        if (tracing) {
+            obs::Event ev("recovery");
+            ev.str("what", "failover")
+                .integer("apps", out.failovers)
+                .num("t", ta);
+            scope.emit(ev);
+        }
+
+        // ---- phase B: survivors finish the run with the refugees -
+        for (std::size_t s = 0; s < survivors.size(); ++s) {
+            auto apps = initial[s];
+            for (std::size_t r = 0; r < refugees.size(); ++r) {
+                if (placement.assignment[r] == static_cast<int>(s))
+                    apps.push_back(refugees[r]);
+            }
+            auto &entry =
+                nodes_[static_cast<std::size_t>(survivors[s])];
+            phase_b.push_back({Node(entry.node.config(),
+                                    std::move(apps)),
+                               std::move(entry.scheduler)});
+        }
+
+        SimulationConfig cfg_b = config;
+        cfg_b.durationSeconds = config.durationSeconds - ta;
+        cfg_b.warmupEpochs =
+            std::max(0, config.warmupEpochs - crash_epoch);
+        std::vector<SimulationResult> res_b;
+        runEntries(phase_b, cfg_b, fan_b, kRecoverySeedSalt,
+                   "/recovered", &survivors, res_b, acc_b, p);
+
+        // Survivors report the recovered segment they finished with
+        // — but their QoS violations cover the whole run: a
+        // violation a survivor incurred *before* the crash happened
+        // and must not vanish from the fleet totals just because its
+        // slot now holds the phase B segment. Same whole-run
+        // accounting for the blame ledger and the alert tallies.
+        for (std::size_t s = 0; s < survivors.size(); ++s) {
+            auto &slot =
+                out.nodes[static_cast<std::size_t>(survivors[s])];
+            std::swap(slot, res_b[s]);
+            const SimulationResult &before = res_b[s];
+            slot.violations += before.violations;
+            slot.attribution.merge(before.attribution);
+            slot.slo.merge(before.slo);
+        }
     }
+
     for (const auto &res : out.nodes) {
         out.violations += res.violations;
         out.attribution.merge(res.attribution);
         out.slo.merge(res.slo);
     }
 
-    // The datacenter entropy describes the post-recovery fleet:
-    // merge the phase B accumulators in node order.
+    // Streaming reduce: the per-node accumulators built on the pool
+    // merge in node order, so the pooled observation sequence — and
+    // therefore the E_S bits — are the same at any thread count,
+    // without the per-epoch records ever being required. After a
+    // crash the datacenter entropy describes the post-recovery
+    // fleet: the phase B accumulators.
     const auto rep = [&] {
         obs::Span span(scope, "fleet.entropy");
         FleetAccumulator pooled;
-        for (const auto &acc : acc_b)
+        for (const auto &acc : crashing ? acc_b : acc_a)
             pooled.merge(acc);
         return pooled.entropy(config.ri);
     }();
@@ -369,22 +323,20 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
         std::size_t s = 0;
         for (std::size_t n = 0; n < nodes_.size(); ++n) {
             fan_a.flush(n);
-            const bool survived = !std::binary_search(
-                crashed.begin(), crashed.end(),
-                static_cast<int>(n));
+            const bool survived = crashing &&
+                !std::binary_search(crashed.begin(), crashed.end(),
+                                    static_cast<int>(n));
             if (survived)
                 fan_b.flush(s);
+            const Entry &entry = survived ? phase_b[s] : nodes_[n];
             obs::Event ev("fleet_node");
             ev.integer("node", static_cast<long long>(n))
-                .str("colocation",
-                     survived ? phase_b[s].node.describe()
-                              : nodes_[n].node.describe())
-                .str("scheduler",
-                     survived ? phase_b[s].scheduler->name()
-                              : nodes_[n].scheduler->name())
+                .str("colocation", entry.node.describe())
+                .str("scheduler", entry.scheduler->name())
                 .num("mean_e_s", out.nodes[n].meanES)
-                .integer("violations", out.nodes[n].violations)
-                .str("status", survived ? "recovered" : "crashed");
+                .integer("violations", out.nodes[n].violations);
+            if (crashing)
+                ev.str("status", survived ? "recovered" : "crashed");
             scope.emit(ev);
             if (survived)
                 ++s;
@@ -394,8 +346,9 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
             .num("e_be", out.eBe)
             .num("e_s", out.eS)
             .num("yield", out.yieldValue)
-            .integer("violations", out.violations)
-            .integer("failovers", out.failovers);
+            .integer("violations", out.violations);
+        if (crashing)
+            ev.integer("failovers", out.failovers);
         scope.emit(ev);
     }
 

@@ -141,7 +141,10 @@ class Fleet
      * entropy-driven PlacementAdvisor and the survivors finish the
      * run with the refugees colocated ("nodeN/recovered" trace
      * tags). Crashed slots report their phase A result; failovers
-     * and crashedNodes record the recovery.
+     * and crashedNodes record the recovery. A plan whose crashes
+     * all name nodes outside the fleet, land at or after the end of
+     * the run, or take down every node fails nothing over: phase A
+     * then covers the whole run, byte-identical to an unfaulted one.
      *
      * @param pool Pool to fan out on; nullptr = globalPool().
      */
@@ -179,8 +182,10 @@ class Fleet
 
 /**
  * Settings for short placement trial runs (failover placement,
- * migration search): `base` without telemetry, audits, faults or
- * per-epoch records, cut to `seconds` with `warmup_epochs` warmup.
+ * migration search): `base` without telemetry, audits, faults,
+ * attribution, SLO monitoring or per-epoch records, cut to `seconds`
+ * with `warmup_epochs` warmup. A search keeps only each trial's mean
+ * E_S, which no observer changes.
  */
 SimulationConfig trialConfig(const SimulationConfig &base,
                              double seconds, int warmup_epochs);

@@ -81,10 +81,4 @@ ScenarioRunner::run(const std::vector<ScenarioJob> &jobs) const
     return results;
 }
 
-std::vector<cluster::SimulationResult>
-runScenarios(const std::vector<ScenarioJob> &jobs)
-{
-    return ScenarioRunner().run(jobs);
-}
-
 } // namespace ahq::exec

@@ -85,10 +85,6 @@ class ScenarioRunner
     obs::Scope obs_;
 };
 
-/** Convenience: one batch on the global pool, registry factory. */
-std::vector<cluster::SimulationResult>
-runScenarios(const std::vector<ScenarioJob> &jobs);
-
 } // namespace ahq::exec
 
 #endif // AHQ_EXEC_SCENARIO_RUNNER_HH

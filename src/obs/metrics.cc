@@ -44,13 +44,6 @@ MetricsRegistry::add(std::string_view name, double delta)
     entry(counters_, name) += delta;
 }
 
-void
-MetricsRegistry::set(std::string_view name, double value)
-{
-    std::lock_guard<std::mutex> lk(m);
-    entry(gauges_, name) = value;
-}
-
 MetricsRegistry::Histogram &
 MetricsRegistry::histogramFor(std::string_view name,
                               const std::vector<double> &bounds)
@@ -107,14 +100,6 @@ MetricsRegistry::counter(const std::string &name) const
     return it == counters_.end() ? 0.0 : it->second;
 }
 
-double
-MetricsRegistry::gauge(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lk(m);
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0.0 : it->second;
-}
-
 HistogramSnapshot
 MetricsRegistry::histogram(const std::string &name) const
 {
@@ -130,19 +115,16 @@ void
 MetricsRegistry::merge(const MetricsRegistry &other)
 {
     // Copy out first so self-merge and lock ordering are non-issues.
-    std::map<std::string, double, std::less<>> counters, gauges;
+    std::map<std::string, double, std::less<>> counters;
     std::map<std::string, Histogram, std::less<>> hists;
     {
         std::lock_guard<std::mutex> lk(other.m);
         counters = other.counters_;
-        gauges = other.gauges_;
         hists = other.hists_;
     }
     std::lock_guard<std::mutex> lk(m);
     for (const auto &[name, v] : counters)
         counters_[name] += v;
-    for (const auto &[name, v] : gauges)
-        gauges_[name] = v;
     for (const auto &[name, h] : hists) {
         auto it = hists_.find(name);
         if (it == hists_.end()) {
@@ -168,7 +150,6 @@ MetricsRegistry::clear()
 {
     std::lock_guard<std::mutex> lk(m);
     counters_.clear();
-    gauges_.clear();
     hists_.clear();
 }
 
@@ -176,7 +157,7 @@ bool
 MetricsRegistry::empty() const
 {
     std::lock_guard<std::mutex> lk(m);
-    return counters_.empty() && gauges_.empty() && hists_.empty();
+    return counters_.empty() && hists_.empty();
 }
 
 void
@@ -185,8 +166,6 @@ MetricsRegistry::print(std::ostream &os) const
     std::lock_guard<std::mutex> lk(m);
     for (const auto &[name, v] : counters_)
         os << "counter " << name << " = " << v << "\n";
-    for (const auto &[name, v] : gauges_)
-        os << "gauge " << name << " = " << v << "\n";
     for (const auto &[name, h] : hists_) {
         os << "histogram " << name << " count = " << h.total
            << " sum = " << h.sum << "\n";

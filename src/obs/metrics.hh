@@ -1,7 +1,7 @@
 /**
  * @file
- * MetricsRegistry: named counters, gauges and fixed-bucket
- * histograms for the telemetry layer.
+ * MetricsRegistry: named counters and fixed-bucket histograms for
+ * the telemetry layer.
  *
  * Design constraints (see DESIGN.md §8):
  *  - cheap enough for the epoch hot path: one mutex-protected map
@@ -59,9 +59,6 @@ class MetricsRegistry
     /** Add delta to a counter (created at 0 on first use). */
     void add(std::string_view name, double delta = 1.0);
 
-    /** Set a gauge to the given value. */
-    void set(std::string_view name, double value);
-
     /**
      * Record a value into a histogram. The bucket layout is fixed
      * by the first observation for the name; later calls reuse it
@@ -88,17 +85,13 @@ class MetricsRegistry
     /** Counter value (0 when absent). */
     double counter(const std::string &name) const;
 
-    /** Gauge value (0 when absent). */
-    double gauge(const std::string &name) const;
-
     /** Histogram snapshot (empty when absent). */
     HistogramSnapshot histogram(const std::string &name) const;
 
     /**
      * Fold another registry into this one: counters and histogram
-     * buckets add, gauges take the other registry's value. Merging
-     * per-worker registries in job order yields the same totals as
-     * a serial run.
+     * buckets add. Merging per-worker registries in job order yields
+     * the same totals as a serial run.
      */
     void merge(const MetricsRegistry &other);
 
@@ -128,7 +121,6 @@ class MetricsRegistry
     // name is copied only when it is first inserted.
     mutable std::mutex m;
     std::map<std::string, double, std::less<>> counters_;
-    std::map<std::string, double, std::less<>> gauges_;
     std::map<std::string, Histogram, std::less<>> hists_;
 };
 

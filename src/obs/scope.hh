@@ -139,13 +139,6 @@ struct Scope
             metrics->add(name, delta);
     }
 
-    /** Gauge shortcut (no-op without a registry). */
-    void gauge(std::string_view name, double value) const
-    {
-        if (metrics != nullptr)
-            metrics->set(name, value);
-    }
-
     /** Histogram shortcut (no-op without a registry). */
     void observe(std::string_view name, double value) const
     {
@@ -174,14 +167,6 @@ struct Scope
     {
         Scope out = *this;
         out.sink = s;
-        return out;
-    }
-
-    /** Copy of this scope recording spans into a profiler. */
-    Scope withProf(SpanProfiler *p) const
-    {
-        Scope out = *this;
-        out.prof = p;
         return out;
     }
 };

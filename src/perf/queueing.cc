@@ -205,16 +205,4 @@ mmcSojournTail(double t, double c, double lambda, double mu)
     return sojournTail(t, c, lambda, mu, erlangC(c, lambda, mu));
 }
 
-double
-mmcSojournPercentileWithBacklog(double c, double lambda, double mu,
-                                double backlog, double p)
-{
-    assert(backlog >= 0.0);
-    const double base = mmcSojournPercentile(c, lambda, mu, p);
-    if (base == kInf)
-        return kInf;
-    const double drain = backlog / (c * mu);
-    return base + drain;
-}
-
 } // namespace ahq::perf

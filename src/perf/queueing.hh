@@ -69,17 +69,6 @@ double mmcSojournPercentile(double c, double lambda, double mu, double p);
 double mmcSojournTail(double t, double c, double lambda, double mu);
 
 /**
- * Percentile of the sojourn time with an additional queue backlog of
- * b requests already waiting at epoch start. The backlog adds a
- * deterministic drain delay of b / (c*mu) experienced by every request
- * of the epoch, which is how overload in one epoch degrades the next
- * (the paper notes PARTIES' core re-allocations can need more than
- * one 500 ms interval to take effect because of built-up queues).
- */
-double mmcSojournPercentileWithBacklog(double c, double lambda, double mu,
-                                       double backlog, double p);
-
-/**
  * Approximate sojourn percentile for an M/G/c queue whose service
  * distribution has percentile-p value svc_pmult / mu:
  *

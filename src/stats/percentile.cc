@@ -1,6 +1,6 @@
 /**
  * @file
- * Percentile estimator implementations.
+ * Exact percentile implementation.
  */
 
 #include "stats/percentile.hh"
@@ -45,143 +45,6 @@ exactPercentile(std::vector<double> samples, double p)
         static_cast<std::size_t>(std::ceil(rank)), last);
     const double frac = rank - static_cast<double>(lo);
     return samples[lo] + frac * (samples[hi] - samples[lo]);
-}
-
-P2Quantile::P2Quantile(double quantile)
-    : q(quantile), n(0)
-{
-    assert(quantile > 0.0 && quantile < 1.0);
-    reset();
-}
-
-void
-P2Quantile::reset()
-{
-    n = 0;
-    for (int i = 0; i < 5; ++i) {
-        heights[i] = 0.0;
-        positions[i] = i + 1;
-    }
-    desired[0] = 1.0;
-    desired[1] = 1.0 + 2.0 * q;
-    desired[2] = 1.0 + 4.0 * q;
-    desired[3] = 3.0 + 2.0 * q;
-    desired[4] = 5.0;
-    increments[0] = 0.0;
-    increments[1] = q / 2.0;
-    increments[2] = q;
-    increments[3] = (1.0 + q) / 2.0;
-    increments[4] = 1.0;
-}
-
-void
-P2Quantile::initialise()
-{
-    std::sort(heights, heights + 5);
-}
-
-double
-P2Quantile::parabolic(const double *hts, const double *pos, int i, double d)
-{
-    // Degenerate streams (long constant runs) can collapse adjacent
-    // marker positions; every position difference below is then a
-    // zero denominator. Returning the current height makes the
-    // caller fall through to its in-range test and keep the marker
-    // where it is instead of propagating an inf/NaN.
-    if (pos[i + 1] - pos[i - 1] == 0.0 ||
-        pos[i + 1] - pos[i] == 0.0 || pos[i] - pos[i - 1] == 0.0)
-        return hts[i];
-    return hts[i] + d / (pos[i + 1] - pos[i - 1]) *
-        ((pos[i] - pos[i - 1] + d) * (hts[i + 1] - hts[i]) /
-             (pos[i + 1] - pos[i]) +
-         (pos[i + 1] - pos[i] - d) * (hts[i] - hts[i - 1]) /
-             (pos[i] - pos[i - 1]));
-}
-
-void
-P2Quantile::add(double x)
-{
-    if (n < 5) {
-        heights[n++] = x;
-        if (n == 5)
-            initialise();
-        return;
-    }
-
-    int k;
-    if (x < heights[0]) {
-        heights[0] = x;
-        k = 0;
-    } else if (x >= heights[4]) {
-        heights[4] = x;
-        k = 3;
-    } else {
-        k = 0;
-        while (k < 3 && x >= heights[k + 1])
-            ++k;
-    }
-
-    for (int i = k + 1; i < 5; ++i)
-        positions[i] += 1.0;
-    for (int i = 0; i < 5; ++i)
-        desired[i] += increments[i];
-
-    for (int i = 1; i <= 3; ++i) {
-        const double d = desired[i] - positions[i];
-        const bool move_right = d >= 1.0 &&
-            positions[i + 1] - positions[i] > 1.0;
-        const bool move_left = d <= -1.0 &&
-            positions[i - 1] - positions[i] < -1.0;
-        if (move_right || move_left) {
-            const double dir = d >= 1.0 ? 1.0 : -1.0;
-            double candidate = parabolic(heights, positions, i, dir);
-            if (heights[i - 1] < candidate && candidate < heights[i + 1]) {
-                heights[i] = candidate;
-            } else {
-                // Linear fallback when the parabolic step overshoots
-                // (or when duplicate heights made the candidate sit
-                // on a neighbour). Guarded against collapsed marker
-                // positions: a zero gap would divide by zero.
-                const int j = static_cast<int>(dir);
-                const double gap =
-                    positions[i + j] - positions[i];
-                if (gap != 0.0) {
-                    heights[i] += dir *
-                        (heights[i + j] - heights[i]) / gap;
-                }
-            }
-            positions[i] += dir;
-        }
-    }
-    ++n;
-}
-
-std::vector<double>
-P2Quantile::markerHeights() const
-{
-    if (n < 5)
-        return {};
-    return {heights, heights + 5};
-}
-
-std::vector<double>
-P2Quantile::markerPositions() const
-{
-    if (n < 5)
-        return {};
-    return {positions, positions + 5};
-}
-
-double
-P2Quantile::value() const
-{
-    if (n == 0)
-        return 0.0;
-    if (n < 5) {
-        std::vector<double> seen(heights, heights + n);
-        return exactPercentile(std::move(seen), q * 100.0);
-    }
-    return heights[2];
 }
 
 } // namespace ahq::stats

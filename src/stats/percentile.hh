@@ -1,18 +1,14 @@
 /**
  * @file
- * Percentile computation: an exact batch estimator and the streaming
- * P-square estimator used by the per-epoch latency monitors.
- *
- * The paper reports 95th-percentile tail latency over 500 ms windows;
- * within a window the number of completed requests can be large, so
- * the monitor uses the constant-space P-square estimator and the tests
- * validate it against the exact batch computation.
+ * Exact batch percentiles of a sample set: the bootstrap's interval
+ * ends and the request-level DES's measured tails (validation_model).
+ * The epoch simulator's per-interval p95 is analytic, not sampled
+ * (perf::lcTailSeconds).
  */
 
 #ifndef AHQ_STATS_PERCENTILE_HH
 #define AHQ_STATS_PERCENTILE_HH
 
-#include <cstddef>
 #include <vector>
 
 namespace ahq::stats
@@ -23,10 +19,10 @@ namespace ahq::stats
  * closest ranks (the "linear" / type-7 rule used by numpy).
  *
  * Edge cases are pinned down by the test suite: an empty sample set
- * returns 0.0 by definition (the monitors treat "no completed
- * requests this window" as zero latency rather than an error);
- * `p == 100` returns the maximum without reading past the last
- * rank; single-element inputs return that element for every p.
+ * returns 0.0 by definition (no completed requests reads as zero
+ * latency rather than an error); `p == 100` returns the maximum
+ * without reading past the last rank; single-element inputs return
+ * that element for every p.
  *
  * @param samples The sample values; the vector is copied and sorted.
  * @param p Percentile in [0, 100].
@@ -36,61 +32,6 @@ namespace ahq::stats
  *         strict weak ordering and silently corrupt the result).
  */
 double exactPercentile(std::vector<double> samples, double p);
-
-/**
- * Streaming quantile estimator (Jain & Chlamtac's P-square algorithm).
- *
- * Tracks a single quantile with five markers in O(1) space and O(1)
- * amortised time per observation.
- */
-class P2Quantile
-{
-  public:
-    /** @param quantile Target quantile in (0, 1), e.g. 0.95. */
-    explicit P2Quantile(double quantile);
-
-    /** Observe one sample. */
-    void add(double x);
-
-    /**
-     * Current estimate of the quantile.
-     *
-     * Before five samples have been observed this falls back to the
-     * exact value over the seen samples.
-     */
-    double value() const;
-
-    /** Number of samples observed so far. */
-    std::size_t count() const { return n; }
-
-    /** Reset to the empty state, keeping the target quantile. */
-    void reset();
-
-    /**
-     * The five marker heights, non-decreasing by construction.
-     * Empty before five samples have been observed (markers are
-     * only meaningful once initialised).
-     */
-    std::vector<double> markerHeights() const;
-
-    /**
-     * The five marker positions, strictly increasing by
-     * construction. Empty before five samples have been observed.
-     */
-    std::vector<double> markerPositions() const;
-
-  private:
-    double q;
-    std::size_t n;
-    double heights[5];
-    double positions[5];
-    double desired[5];
-    double increments[5];
-
-    void initialise();
-    static double parabolic(const double *hts, const double *pos, int i,
-                            double d);
-};
 
 } // namespace ahq::stats
 

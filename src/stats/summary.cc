@@ -5,46 +5,8 @@
 
 #include "stats/summary.hh"
 
-#include <cassert>
-#include <cmath>
-#include <cstdio>
-
-#include "stats/percentile.hh"
-#include "stats/running.hh"
-
 namespace ahq::stats
 {
-
-SampleSummary
-summarize(const std::vector<double> &samples)
-{
-    SampleSummary s;
-    s.count = samples.size();
-    if (samples.empty())
-        return s;
-    RunningStats rs;
-    for (double v : samples)
-        rs.add(v);
-    s.mean = rs.mean();
-    s.stddev = rs.stddev();
-    s.min = rs.min();
-    s.max = rs.max();
-    s.p50 = exactPercentile(samples, 50.0);
-    s.p95 = exactPercentile(samples, 95.0);
-    s.p99 = exactPercentile(samples, 99.0);
-    return s;
-}
-
-std::string
-SampleSummary::toString() const
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "n=%zu mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g "
-                  "p99=%.4g max=%.4g",
-                  count, mean, stddev, min, p50, p95, p99, max);
-    return buf;
-}
 
 double
 mean(const std::vector<double> &samples)
@@ -55,32 +17,6 @@ mean(const std::vector<double> &samples)
     for (double v : samples)
         acc += v;
     return acc / static_cast<double>(samples.size());
-}
-
-double
-harmonicMean(const std::vector<double> &samples)
-{
-    if (samples.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (double v : samples) {
-        assert(v > 0.0);
-        acc += 1.0 / v;
-    }
-    return static_cast<double>(samples.size()) / acc;
-}
-
-double
-geometricMean(const std::vector<double> &samples)
-{
-    if (samples.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (double v : samples) {
-        assert(v > 0.0);
-        acc += std::log(v);
-    }
-    return std::exp(acc / static_cast<double>(samples.size()));
 }
 
 } // namespace ahq::stats

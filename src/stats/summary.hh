@@ -1,49 +1,19 @@
 /**
  * @file
- * Batch summaries of sample vectors: the SampleSummary aggregate used
- * by benches and reports.
+ * Batch summaries of sample vectors: the arithmetic mean the
+ * bootstrap's mean interval resamples.
  */
 
 #ifndef AHQ_STATS_SUMMARY_HH
 #define AHQ_STATS_SUMMARY_HH
 
-#include <cstddef>
-#include <string>
 #include <vector>
 
 namespace ahq::stats
 {
 
-/** Aggregate statistics over a batch of samples. */
-struct SampleSummary
-{
-    std::size_t count = 0;
-    double mean = 0.0;
-    double stddev = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-
-    /** Render as a compact single-line string for reports. */
-    std::string toString() const;
-};
-
-/** Compute a SampleSummary over the given samples. */
-SampleSummary summarize(const std::vector<double> &samples);
-
 /** Arithmetic mean (0 when empty). */
 double mean(const std::vector<double> &samples);
-
-/**
- * Harmonic mean (0 when empty).
- * @pre All samples strictly positive.
- */
-double harmonicMean(const std::vector<double> &samples);
-
-/** Geometric mean (0 when empty). @pre All samples strictly positive. */
-double geometricMean(const std::vector<double> &samples);
 
 } // namespace ahq::stats
 

@@ -5,11 +5,8 @@
 
 #include "trace/load_trace.hh"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <fstream>
-#include <stdexcept>
 
 namespace ahq::trace
 {
@@ -59,116 +56,6 @@ DiurnalTrace::at(double time_s) const
     const double phase = 2.0 * M_PI * time_s / period;
     // Trough at t = 0 ("night"), peak at half period ("day").
     return low_ + (high_ - low_) * 0.5 * (1.0 - std::cos(phase));
-}
-
-BurstTrace::BurstTrace(double base, double amplitude,
-                       double period_s, double burst_s)
-    : base_(base), amplitude_(amplitude), period(period_s),
-      burst(burst_s)
-{
-    assert(base >= 0.0 && amplitude >= 0.0);
-    assert(period_s > 0.0);
-    assert(burst_s >= 0.0 && burst_s <= period_s);
-}
-
-double
-BurstTrace::at(double time_s) const
-{
-    const double phase = std::fmod(time_s, period);
-    return phase < burst ? base_ + amplitude_ : base_;
-}
-
-namespace
-{
-
-std::string
-trim(const std::string &s)
-{
-    const auto b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    const auto e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-/**
- * Parses one field as a finite, non-negative double. The whole
- * field must be consumed — "1.5x" is malformed, not 1.5.
- */
-bool
-parseField(const std::string &field, double &out)
-{
-    const std::string tok = trim(field);
-    if (tok.empty())
-        return false;
-    try {
-        std::size_t pos = 0;
-        out = std::stod(tok, &pos);
-        return pos == tok.size() && std::isfinite(out) &&
-               out >= 0.0;
-    } catch (const std::exception &) {
-        return false;
-    }
-}
-
-[[noreturn]] void
-malformed(const std::string &path, int line_no,
-          const std::string &line, const std::string &why)
-{
-    throw std::runtime_error(
-        path + ":" + std::to_string(line_no) +
-        ": malformed trace row (" + why + "): \"" + line + "\"");
-}
-
-} // namespace
-
-FileTrace::FileTrace(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in.is_open())
-        throw std::runtime_error("cannot open trace file: " + path);
-    std::string line;
-    int line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (trim(line).empty())
-            continue; // blank lines are fine anywhere
-        const auto comma = line.find(',');
-        if (comma == std::string::npos) {
-            malformed(path, line_no, line,
-                      "expected \"time_s,load\"");
-        }
-        double t = 0.0, load = 0.0;
-        const bool t_ok = parseField(line.substr(0, comma), t);
-        const bool load_ok = parseField(line.substr(comma + 1), load);
-        if (!t_ok || !load_ok) {
-            // A single non-numeric header row is the one exception.
-            if (line_no == 1 && !t_ok && !load_ok)
-                continue;
-            malformed(path, line_no, line,
-                      std::string(!t_ok ? "time" : "load") +
-                          " is not a finite non-negative number");
-        }
-        steps_.emplace_back(t, load);
-    }
-    std::sort(steps_.begin(), steps_.end());
-    if (steps_.empty()) {
-        throw std::runtime_error("trace file has no usable rows: " +
-                                 path);
-    }
-}
-
-double
-FileTrace::at(double time_s) const
-{
-    double load = steps_.front().second;
-    for (const auto &[start, value] : steps_) {
-        if (time_s >= start)
-            load = value;
-        else
-            break;
-    }
-    return load;
 }
 
 std::unique_ptr<LoadTrace>

@@ -9,9 +9,7 @@
 #ifndef AHQ_TRACE_LOAD_TRACE_HH
 #define AHQ_TRACE_LOAD_TRACE_HH
 
-#include <cstddef>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -74,57 +72,6 @@ class DiurnalTrace : public LoadTrace
 
   private:
     double low_, high_, period;
-};
-
-/**
- * Baseline load with periodic rectangular bursts, modelling flash
- * crowds: load = base outside bursts, base + amplitude inside.
- */
-class BurstTrace : public LoadTrace
-{
-  public:
-    /**
-     * @param base Baseline load fraction.
-     * @param amplitude Additional load during a burst.
-     * @param period_s Time between burst starts.
-     * @param burst_s Burst duration; must be <= period_s.
-     */
-    BurstTrace(double base, double amplitude, double period_s,
-               double burst_s);
-
-    double at(double time_s) const override;
-
-  private:
-    double base_, amplitude_, period, burst;
-};
-
-/**
- * A trace loaded from a CSV of "time_s,load" rows, interpreted as a
- * step function like StepTrace. Parsing is strict: a non-numeric
- * header is tolerated on the first line only, blank lines are
- * skipped, and any other malformed row (missing comma, trailing
- * garbage, negative / NaN / infinite values) raises with the file
- * path and 1-based line number. Silently dropping rows would shift
- * every later load step in time and corrupt the experiment.
- */
-class FileTrace : public LoadTrace
-{
-  public:
-    /**
-     * @param path CSV file path.
-     * @throws std::runtime_error when the file cannot be opened,
-     *         contains a malformed row (message carries
-     *         "path:line"), or contains no usable rows.
-     */
-    explicit FileTrace(const std::string &path);
-
-    double at(double time_s) const override;
-
-    /** Number of loaded steps. */
-    std::size_t size() const { return steps_.size(); }
-
-  private:
-    std::vector<std::pair<double, double>> steps_;
 };
 
 /**

@@ -19,7 +19,6 @@
 #include "obs/scope.hh"
 #include "sched/arq.hh"
 #include "sched/registry.hh"
-#include "stats/percentile.hh"
 
 namespace
 {
@@ -221,24 +220,6 @@ TEST(Auditor, DegenerateClassWeightingIsEnforced)
     bad.checkEntropy(rep, 0.8, true, false, 0, 0.0);
     ASSERT_EQ(bad.violationCount(), 1u);
     EXPECT_EQ(bad.violations().front().check, "entropy.weighting");
-}
-
-TEST(Auditor, HealthyP2EstimatorPasses)
-{
-    stats::P2Quantile p2(0.95);
-    InvariantAuditor auditor(Mode::Strict);
-    auditor.checkP2(p2); // uninitialised: nothing to check
-    for (int i = 0; i < 1000; ++i) {
-        p2.add((i * 7919) % 1000);
-        auditor.checkP2(p2);
-    }
-    // Degenerate constant stream: duplicate heights stay legal.
-    stats::P2Quantile flat(0.9);
-    for (int i = 0; i < 500; ++i) {
-        flat.add(1.0);
-        auditor.checkP2(flat);
-    }
-    EXPECT_EQ(auditor.violationCount(), 0u);
 }
 
 TEST(Auditor, RecordCapBoundsMemoryNotTheCount)

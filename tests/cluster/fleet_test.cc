@@ -7,6 +7,8 @@
 
 #include "apps/catalog.hh"
 #include "cluster/fleet.hh"
+#include "fault/plan.hh"
+#include "obs/trace_sink.hh"
 #include "sched/arq.hh"
 #include "sched/unmanaged.hh"
 
@@ -163,6 +165,47 @@ TEST(Placement, SpreadsHungryAppsAcrossNodes)
         << "both STREAM instances on one node";
     EXPECT_GE(placement.meanEntropy, 0.0);
     EXPECT_LE(placement.meanEntropy, 1.0);
+}
+
+TEST(Placement, TrialConfigAttachesNoObserver)
+{
+    // A placement search keeps only each trial's mean E_S, so a trial
+    // run carries none of the base run's seams: no telemetry, audit,
+    // faults, attribution, SLO monitor or per-epoch records.
+    obs::BufferTraceSink sink;
+    fault::FaultPlan plan;
+    SimulationConfig base;
+    base.obs.sink = &sink;
+    base.checkMode = check::Mode::Log;
+    base.faults = &plan;
+    base.attribute = true;
+    base.slo = true;
+    base.seed = 7;
+
+    const SimulationConfig trial = trialConfig(base, 8.0, 2);
+    EXPECT_FALSE(trial.obs.tracing());
+    EXPECT_EQ(trial.checkMode, check::Mode::Off);
+    EXPECT_EQ(trial.faults, nullptr);
+    EXPECT_FALSE(trial.keepEpochs);
+    EXPECT_FALSE(trial.attribute);
+    EXPECT_FALSE(trial.slo);
+    EXPECT_EQ(trial.durationSeconds, 8.0);
+    EXPECT_EQ(trial.warmupEpochs, 2);
+    EXPECT_EQ(trial.seed, 7u);
+
+    // An overloaded trial node: with the seams on it would fill a
+    // blame ledger and read a burn rate.
+    sched::Arq arq;
+    const auto res =
+        EpochSimulator(Node(machine::MachineConfig::xeonE52630v4(),
+                            {lcAt(apps::xapian(), 0.9),
+                             lcAt(apps::moses(), 0.8),
+                             be(apps::stream())}),
+                       trial)
+            .run(arq);
+    EXPECT_TRUE(res.attribution.empty());
+    EXPECT_EQ(res.slo.worstBurn, 0.0);
+    EXPECT_TRUE(sink.str().empty());
 }
 
 TEST(Placement, SingleNodeTakesEverything)

@@ -619,4 +619,113 @@ TEST(FleetFaults, NoCrashPlanLeavesFleetPathUntouched)
     EXPECT_TRUE(res.crashedNodes.empty());
 }
 
+/**
+ * Crash plans that fail nothing over: every crash names a node
+ * outside the fleet, lands at or after the end of the run, or every
+ * node crashes. Each runs phase A over the whole run with no
+ * placement and no phase B, so its results and trace bytes are the
+ * unfaulted run's.
+ */
+TEST(FleetFaults, CrashPlansThatFailNothingOverMatchTheUnfaultedRun)
+{
+    struct Run
+    {
+        cluster::Fleet::FleetResult res;
+        std::string trace;
+        double crashCount = 0.0;
+    };
+    const auto run = [](const fault::FaultPlan *plan) {
+        cluster::Fleet fleet;
+        fleet.addNode(
+            cluster::Node(machine::MachineConfig::xeonE52630v4(),
+                          {cluster::lcAt(apps::xapian(), 0.4),
+                           cluster::be(apps::fluidanimate())}),
+            std::make_unique<sched::Arq>());
+        fleet.addNode(
+            cluster::Node(machine::MachineConfig::xeonE52630v4(),
+                          {cluster::lcAt(apps::moses(), 0.3),
+                           cluster::be(apps::stream())}),
+            std::make_unique<sched::Arq>());
+        fleet.addNode(
+            cluster::Node(machine::MachineConfig::xeonE52630v4(),
+                          {cluster::lcAt(apps::imgDnn(), 0.3),
+                           cluster::lcAt(apps::xapian(), 0.2)}),
+            std::make_unique<sched::Arq>());
+
+        obs::BufferTraceSink sink;
+        obs::MetricsRegistry metrics;
+        cluster::SimulationConfig cfg;
+        cfg.durationSeconds = 20.0;
+        cfg.warmupEpochs = 5;
+        cfg.attribute = true;
+        cfg.slo = true;
+        cfg.faults = plan;
+        cfg.obs.sink = &sink;
+        cfg.obs.metrics = &metrics;
+        exec::ThreadPool pool(2);
+        Run out;
+        out.res = fleet.run(cfg, &pool);
+        out.trace = sink.str();
+        out.crashCount = metrics.counter("fault.node_crash");
+        return out;
+    };
+
+    const Run plain = run(nullptr);
+    ASSERT_FALSE(plain.trace.empty());
+
+    const auto plan_of = [](std::vector<fault::NodeCrash> crashes) {
+        fault::FaultPlan plan;
+        for (const auto &c : crashes)
+            plan.addCrash(c);
+        return plan;
+    };
+    const std::vector<std::pair<std::string, fault::FaultPlan>> plans{
+        {"outside the fleet", plan_of({{3, 5.0}, {-1, 5.0}})},
+        {"at or after the end", plan_of({{1, 20.0}, {0, 25.0}})},
+        {"every node", plan_of({{0, 5.0}, {1, 8.0}, {2, 5.0}})},
+    };
+    for (const auto &[what, plan] : plans) {
+        SCOPED_TRACE(what);
+        const Run faulted = run(&plan);
+        EXPECT_TRUE(faulted.res.crashedNodes.empty());
+        EXPECT_EQ(faulted.res.failovers, 0);
+        EXPECT_EQ(faulted.crashCount, 0.0);
+        EXPECT_EQ(faulted.trace, plain.trace);
+
+        const auto &a = faulted.res;
+        const auto &b = plain.res;
+        EXPECT_EQ(a.eLc, b.eLc);
+        EXPECT_EQ(a.eBe, b.eBe);
+        EXPECT_EQ(a.eS, b.eS);
+        EXPECT_EQ(a.yieldValue, b.yieldValue);
+        EXPECT_EQ(a.violations, b.violations);
+        const auto rows_a = a.attribution.rows();
+        const auto rows_b = b.attribution.rows();
+        ASSERT_FALSE(rows_b.empty());
+        ASSERT_EQ(rows_a.size(), rows_b.size());
+        for (std::size_t r = 0; r < rows_a.size(); ++r) {
+            EXPECT_EQ(rows_a[r].victim + rows_a[r].culprit +
+                          rows_a[r].resource,
+                      rows_b[r].victim + rows_b[r].culprit +
+                          rows_b[r].resource);
+            EXPECT_EQ(rows_a[r].share, rows_b[r].share);
+            EXPECT_EQ(rows_a[r].epochs, rows_b[r].epochs);
+        }
+        EXPECT_EQ(a.slo.raises, b.slo.raises);
+        EXPECT_EQ(a.slo.worstBurn, b.slo.worstBurn);
+        ASSERT_EQ(a.nodes.size(), b.nodes.size());
+        for (std::size_t n = 0; n < a.nodes.size(); ++n) {
+            const auto &x = a.nodes[n];
+            const auto &y = b.nodes[n];
+            EXPECT_EQ(x.meanES, y.meanES) << "node " << n;
+            EXPECT_EQ(x.violations, y.violations) << "node " << n;
+            EXPECT_EQ(x.meanP95Ms, y.meanP95Ms) << "node " << n;
+            EXPECT_EQ(x.meanIpc, y.meanIpc) << "node " << n;
+            ASSERT_EQ(x.epochs.size(), y.epochs.size());
+            for (std::size_t e = 0; e < x.epochs.size(); ++e)
+                EXPECT_EQ(x.epochs[e].entropy.eS, y.epochs[e].entropy.eS);
+        }
+    }
+}
+
 } // namespace

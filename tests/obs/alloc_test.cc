@@ -360,11 +360,10 @@ TEST(AllocCount, MetricCallsWithoutRegistryDoNotAllocate)
     const auto before = threadAllocCount();
     for (int i = 0; i < 100; ++i) {
         scope.count("parties.downsize_trial");
-        scope.gauge("contention.memo_hit_ratio", 0.5);
         scope.observe("exec.scenario_wall_ms", 1.0);
     }
     EXPECT_EQ(threadAllocCount() - before, 0u)
-        << "allocations in 300 metric calls with no registry attached";
+        << "allocations in 200 metric calls with no registry attached";
 }
 
 /**

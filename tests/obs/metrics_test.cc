@@ -1,6 +1,6 @@
 /**
  * @file
- * MetricsRegistry: counter/gauge semantics, histogram bucketing
+ * MetricsRegistry: counter semantics, histogram bucketing
  * (inclusive upper bounds, overflow bucket), and the merge rules
  * that make per-worker registries equivalent to a serial run.
  */
@@ -29,15 +29,6 @@ TEST(Metrics, CountersAccumulateAndDefaultToZero)
     m.add("arq.move", 2.5);
     EXPECT_DOUBLE_EQ(m.counter("arq.move"), 4.5);
     EXPECT_FALSE(m.empty());
-}
-
-TEST(Metrics, GaugesAreLastWriteWins)
-{
-    MetricsRegistry m;
-    EXPECT_DOUBLE_EQ(m.gauge("missing"), 0.0);
-    m.set("fsm.state", 1.0);
-    m.set("fsm.state", 3.0);
-    EXPECT_DOUBLE_EQ(m.gauge("fsm.state"), 3.0);
 }
 
 TEST(Metrics, HistogramBucketingUsesInclusiveUpperBounds)
@@ -86,15 +77,13 @@ TEST(Metrics, MissingHistogramSnapshotIsEmpty)
     EXPECT_EQ(h.total, 0u);
 }
 
-TEST(Metrics, MergeAddsCountersAndHistogramsTakesGauges)
+TEST(Metrics, MergeAddsCountersAndHistograms)
 {
     MetricsRegistry a;
     MetricsRegistry b;
     a.add("c", 2.0);
     b.add("c", 3.0);
     b.add("only_b", 1.0);
-    a.set("g", 1.0);
-    b.set("g", 9.0);
     a.observe("h", 0.5, {1.0, 2.0});
     b.observe("h", 1.5, {1.0, 2.0});
     b.observe("h", 99.0, {1.0, 2.0});
@@ -102,7 +91,6 @@ TEST(Metrics, MergeAddsCountersAndHistogramsTakesGauges)
     a.merge(b);
     EXPECT_DOUBLE_EQ(a.counter("c"), 5.0);
     EXPECT_DOUBLE_EQ(a.counter("only_b"), 1.0);
-    EXPECT_DOUBLE_EQ(a.gauge("g"), 9.0);
 
     const auto h = a.histogram("h");
     EXPECT_EQ(h.total, 3u);
@@ -226,7 +214,6 @@ TEST(Metrics, ClearDropsEverything)
 {
     MetricsRegistry m;
     m.add("c");
-    m.set("g", 1.0);
     m.observe("h", 1.0);
     m.clear();
     EXPECT_TRUE(m.empty());
@@ -253,13 +240,11 @@ TEST(Metrics, PrintNamesEveryMetricWithKind)
 {
     MetricsRegistry m;
     m.add("zeta.count", 2.0);
-    m.set("alpha.gauge", 1.5);
     m.observe("mid.hist", 0.5, {1.0});
     std::ostringstream os;
     m.print(os);
     const std::string out = os.str();
     EXPECT_NE(out.find("counter zeta.count"), std::string::npos);
-    EXPECT_NE(out.find("gauge alpha.gauge"), std::string::npos);
     EXPECT_NE(out.find("histogram mid.hist"), std::string::npos);
 }
 

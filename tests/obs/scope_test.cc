@@ -33,7 +33,6 @@ TEST(Scope, DisabledScopeIsANoOp)
     // None of these may crash or record anything.
     off.emit(Event("epoch").num("t", 1.0));
     off.count("x");
-    off.gauge("g", 2.0);
     off.observe("h", 3.0);
 }
 

@@ -204,19 +204,47 @@ TEST(SojournPercentile, MoreServersSameUtilHelps)
     EXPECT_LT(t8, t2);
 }
 
+// The LC tail rule (lcTailSeconds): what the epoch simulator
+// measures and the oracle minimises.
+
 TEST(Backlog, AddsDrainDelay)
 {
-    const double base = mmcSojournPercentile(2.0, 1.0, 1.0, 0.95);
-    const double with = mmcSojournPercentileWithBacklog(
-        2.0, 1.0, 1.0, 10.0, 0.95);
-    EXPECT_NEAR(with, base + 10.0 / 2.0, 1e-9);
+    // 2 servers of 1 req/s, capacity 2 req/s, 1 req/s offered: a
+    // backlog of 10 requests adds 10 / 2 s of drain to the
+    // percentile at rate 1, service tail 3 x 1.5.
+    const double base = sojournPercentileApprox(2.0, 1.0, 1.0, 4.5, 0.95);
+    EXPECT_EQ(lcTailSeconds(2.0, 1.0, 2.0, 1.0, 3.0, 1.5, 0.0, 0.95), base);
+    EXPECT_EQ(lcTailSeconds(2.0, 1.0, 2.0, 1.0, 3.0, 1.5, 10.0, 0.95),
+              base + 5.0);
 }
 
-TEST(Backlog, UnstableStaysInfinite)
+TEST(Backlog, UnstableFallsBackToOneServiceTail)
 {
-    EXPECT_EQ(mmcSojournPercentileWithBacklog(1.0, 2.0, 1.0, 5.0,
-                                              0.95),
-              kInf);
+    // One 1 req/s server against a 2 req/s capacity: even held at
+    // 0.98 x 2 the queue is past saturation and the percentile is
+    // not finite, so the rule charges one service tail (3 x 1.5 /
+    // 1 s) plus the drain of 4 requests over the capacity.
+    ASSERT_EQ(sojournPercentileApprox(1.0, 1.96, 1.0, 4.5, 0.95), kInf);
+    EXPECT_EQ(lcTailSeconds(1.0, 1.0, 2.0, 5.0, 3.0, 1.5, 4.0, 0.95),
+              4.5 + 2.0);
+}
+
+TEST(Backlog, ArrivalsHeldAtNinetyEightPercentOfCapacity)
+{
+    // 4 servers of 10 req/s: any offered rate at or above 0.98 x 40
+    // reads the tail at 39.2 req/s, so overload stays finite; below
+    // it the offered rate stands.
+    const double held = sojournPercentileApprox(4.0, 0.98 * 40.0, 10.0,
+                                                2.0, 0.95);
+    ASSERT_TRUE(std::isfinite(held));
+    for (double lambda : {0.98 * 40.0, 40.0, 1e6}) {
+        EXPECT_EQ(lcTailSeconds(4.0, 10.0, 40.0, lambda, 2.0, 1.0, 0.0,
+                                0.95),
+                  held)
+            << "lambda=" << lambda;
+    }
+    EXPECT_EQ(lcTailSeconds(4.0, 10.0, 40.0, 20.0, 2.0, 1.0, 0.0, 0.95),
+              sojournPercentileApprox(4.0, 20.0, 10.0, 2.0, 0.95));
 }
 
 TEST(ApproxSojourn, MatchesExactForExponentialService)

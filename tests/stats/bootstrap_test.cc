@@ -74,7 +74,10 @@ TEST(Bootstrap, CustomStatistic)
     const auto ci = bootstrapCi(
         s,
         [](const std::vector<double> &v) {
-            return ahq::stats::harmonicMean(v);
+            double inverse_sum = 0.0;
+            for (const double x : v)
+                inverse_sum += 1.0 / x;
+            return static_cast<double>(v.size()) / inverse_sum;
         },
         rng);
     // HM of U(0,1) samples is below the arithmetic mean.

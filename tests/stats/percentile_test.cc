@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for percentile estimators: the exact batch routine and the
- * streaming P-square estimator, validated against each other.
+ * Tests for the exact batch percentile.
  */
 
 #include <gtest/gtest.h>
@@ -11,14 +10,11 @@
 #include <vector>
 
 #include "stats/percentile.hh"
-#include "stats/rng.hh"
 
 namespace
 {
 
 using ahq::stats::exactPercentile;
-using ahq::stats::P2Quantile;
-using ahq::stats::Rng;
 
 TEST(ExactPercentile, EmptyIsZero)
 {
@@ -81,124 +77,6 @@ TEST(ExactPercentile, P100NeverIndexesPastEnd)
         v.push_back(static_cast<double>(i));
     EXPECT_EQ(exactPercentile(v, 100.0), 999.0);
     EXPECT_NEAR(exactPercentile(v, 99.999999999999), 999.0, 1e-6);
-}
-
-class P2QuantileParam : public ::testing::TestWithParam<double>
-{
-};
-
-TEST_P(P2QuantileParam, TracksExactOnUniformData)
-{
-    const double q = GetParam();
-    P2Quantile p2(q);
-    Rng rng(123);
-    std::vector<double> all;
-    for (int i = 0; i < 20000; ++i) {
-        const double x = rng.uniform();
-        p2.add(x);
-        all.push_back(x);
-    }
-    const double exact = exactPercentile(all, q * 100.0);
-    EXPECT_NEAR(p2.value(), exact, 0.02);
-}
-
-TEST_P(P2QuantileParam, TracksExactOnHeavyTailData)
-{
-    const double q = GetParam();
-    P2Quantile p2(q);
-    Rng rng(321);
-    std::vector<double> all;
-    for (int i = 0; i < 20000; ++i) {
-        const double x = rng.exponential(0.5);
-        p2.add(x);
-        all.push_back(x);
-    }
-    const double exact = exactPercentile(all, q * 100.0);
-    EXPECT_NEAR(p2.value(), exact, 0.12 * exact + 0.05);
-}
-
-INSTANTIATE_TEST_SUITE_P(Quantiles, P2QuantileParam,
-                         ::testing::Values(0.5, 0.9, 0.95, 0.99));
-
-TEST(P2Quantile, FewSamplesFallBackToExact)
-{
-    P2Quantile p2(0.95);
-    p2.add(3.0);
-    p2.add(1.0);
-    EXPECT_NEAR(p2.value(), exactPercentile({3.0, 1.0}, 95.0), 1e-12);
-    EXPECT_EQ(p2.count(), 2u);
-}
-
-TEST(P2Quantile, EmptyIsZero)
-{
-    P2Quantile p2(0.95);
-    EXPECT_EQ(p2.value(), 0.0);
-    EXPECT_EQ(p2.count(), 0u);
-}
-
-TEST(P2Quantile, ResetClears)
-{
-    P2Quantile p2(0.9);
-    for (int i = 0; i < 100; ++i)
-        p2.add(i);
-    p2.reset();
-    EXPECT_EQ(p2.count(), 0u);
-    EXPECT_EQ(p2.value(), 0.0);
-}
-
-TEST(P2Quantile, ConstantStreamStaysFinite)
-{
-    // Regression: a constant stream collapses adjacent marker
-    // positions, which used to divide by zero inside the parabolic
-    // and linear adjustment steps and poison the estimate with NaN.
-    P2Quantile p2(0.95);
-    for (int i = 0; i < 10000; ++i)
-        p2.add(7.5);
-    EXPECT_TRUE(std::isfinite(p2.value()));
-    EXPECT_NEAR(p2.value(), 7.5, 1e-12);
-    for (const double h : p2.markerHeights())
-        EXPECT_EQ(h, 7.5);
-}
-
-TEST(P2Quantile, NearConstantStreamStaysFinite)
-{
-    // Long constant runs broken by rare outliers exercise the
-    // duplicate-height paths without fully degenerate positions.
-    P2Quantile p2(0.9);
-    for (int i = 0; i < 5000; ++i)
-        p2.add(i % 500 == 0 ? 100.0 : 1.0);
-    EXPECT_TRUE(std::isfinite(p2.value()));
-    EXPECT_GE(p2.value(), 1.0);
-    EXPECT_LE(p2.value(), 100.0);
-    const auto heights = p2.markerHeights();
-    ASSERT_EQ(heights.size(), 5u);
-    for (std::size_t i = 1; i < heights.size(); ++i)
-        EXPECT_GE(heights[i], heights[i - 1]);
-}
-
-TEST(P2Quantile, MarkersHiddenBeforeInitialisation)
-{
-    // The first five samples sit unsorted in the height array, so
-    // exposing them would fake monotonicity violations.
-    P2Quantile p2(0.5);
-    p2.add(3.0);
-    p2.add(1.0);
-    EXPECT_TRUE(p2.markerHeights().empty());
-    EXPECT_TRUE(p2.markerPositions().empty());
-}
-
-TEST(P2Quantile, MonotoneUnderShiftedData)
-{
-    // Estimate on data shifted upward must not decrease.
-    P2Quantile lo(0.95), hi(0.95);
-    Rng rng(77);
-    for (int i = 0; i < 5000; ++i) {
-        const double x = rng.uniform();
-        lo.add(x);
-        hi.add(x + 10.0);
-    }
-    EXPECT_GT(hi.value(), lo.value());
-    EXPECT_NEAR(hi.value() - 10.0, lo.value(), 0.05);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for batch sample summaries and mean variants.
+ * Tests for batch sample summaries.
  */
 
 #include <gtest/gtest.h>
@@ -10,68 +10,12 @@
 namespace
 {
 
-using ahq::stats::geometricMean;
-using ahq::stats::harmonicMean;
 using ahq::stats::mean;
-using ahq::stats::SampleSummary;
-using ahq::stats::summarize;
-
-TEST(Summary, EmptyBatch)
-{
-    const SampleSummary s = summarize({});
-    EXPECT_EQ(s.count, 0u);
-    EXPECT_EQ(s.mean, 0.0);
-    EXPECT_EQ(s.p95, 0.0);
-}
-
-TEST(Summary, BasicBatch)
-{
-    std::vector<double> v;
-    for (int i = 1; i <= 100; ++i)
-        v.push_back(i);
-    const SampleSummary s = summarize(v);
-    EXPECT_EQ(s.count, 100u);
-    EXPECT_NEAR(s.mean, 50.5, 1e-9);
-    EXPECT_EQ(s.min, 1.0);
-    EXPECT_EQ(s.max, 100.0);
-    EXPECT_NEAR(s.p50, 50.5, 1e-9);
-    EXPECT_NEAR(s.p95, 95.05, 1e-9);
-    EXPECT_NEAR(s.p99, 99.01, 1e-9);
-}
-
-TEST(Summary, ToStringContainsFields)
-{
-    const SampleSummary s = summarize({1.0, 2.0, 3.0});
-    const std::string str = s.toString();
-    EXPECT_NE(str.find("n=3"), std::string::npos);
-    EXPECT_NE(str.find("mean=2"), std::string::npos);
-}
 
 TEST(Means, Arithmetic)
 {
     EXPECT_EQ(mean({}), 0.0);
     EXPECT_NEAR(mean({1.0, 2.0, 3.0}), 2.0, 1e-12);
-}
-
-TEST(Means, Harmonic)
-{
-    EXPECT_EQ(harmonicMean({}), 0.0);
-    // HM of {1, 2, 4} = 3 / (1 + 0.5 + 0.25) = 12/7.
-    EXPECT_NEAR(harmonicMean({1.0, 2.0, 4.0}), 12.0 / 7.0, 1e-12);
-}
-
-TEST(Means, Geometric)
-{
-    EXPECT_EQ(geometricMean({}), 0.0);
-    EXPECT_NEAR(geometricMean({2.0, 8.0}), 4.0, 1e-12);
-}
-
-TEST(Means, InequalityChain)
-{
-    // HM <= GM <= AM for positive data.
-    const std::vector<double> v{0.5, 1.5, 2.5, 4.0};
-    EXPECT_LE(harmonicMean(v), geometricMean(v) + 1e-12);
-    EXPECT_LE(geometricMean(v), mean(v) + 1e-12);
 }
 
 } // namespace

@@ -5,10 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <stdexcept>
-
 #include "trace/load_trace.hh"
 
 namespace
@@ -50,124 +46,6 @@ TEST(DiurnalTrace, OscillatesBetweenBounds)
         EXPECT_GE(t.at(time), 0.1 - 1e-9);
         EXPECT_LE(t.at(time), 0.9 + 1e-9);
     }
-}
-
-TEST(BurstTrace, RectangularBursts)
-{
-    BurstTrace t(0.2, 0.6, 10.0, 2.0);
-    EXPECT_NEAR(t.at(0.5), 0.8, 1e-12);   // in burst
-    EXPECT_NEAR(t.at(1.99), 0.8, 1e-12);
-    EXPECT_NEAR(t.at(2.01), 0.2, 1e-12);  // after burst
-    EXPECT_NEAR(t.at(10.5), 0.8, 1e-12);  // next period
-    EXPECT_NEAR(t.at(19.0), 0.2, 1e-12);
-}
-
-/** Writes content to a temp CSV and returns its path. */
-std::string
-writeTrace(const std::string &name, const std::string &content)
-{
-    const std::string path = "/tmp/" + name;
-    std::ofstream out(path);
-    out << content;
-    return path;
-}
-
-TEST(FileTrace, LoadsCsvWithHeader)
-{
-    const std::string path = writeTrace(
-        "ahq_trace_test.csv",
-        "time_s,load\n0,0.1\n10,0.5\n\n20,0.9\n");
-    FileTrace t(path);
-    EXPECT_EQ(t.size(), 3u);
-    EXPECT_NEAR(t.at(5.0), 0.1, 1e-12);
-    EXPECT_NEAR(t.at(15.0), 0.5, 1e-12);
-    EXPECT_NEAR(t.at(25.0), 0.9, 1e-12);
-    std::remove(path.c_str());
-}
-
-/** Expects FileTrace(path) to throw mentioning "path:line". */
-void
-expectMalformedAt(const std::string &path, int line)
-{
-    try {
-        FileTrace t(path);
-        FAIL() << "expected a malformed-row error";
-    } catch (const std::runtime_error &e) {
-        const std::string what = e.what();
-        const std::string anchor =
-            path + ":" + std::to_string(line);
-        EXPECT_NE(what.find(anchor), std::string::npos)
-            << "error '" << what << "' does not point at "
-            << anchor;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(FileTrace, MalformedRowRaisesWithLineNumber)
-{
-    // Silently skipping "badline" used to shift every later step.
-    expectMalformedAt(
-        writeTrace("ahq_bad1.csv",
-                   "time_s,load\n0,0.1\n10,0.5\nbadline\n20,0.9\n"),
-        4);
-}
-
-TEST(FileTrace, TrailingGarbageIsMalformed)
-{
-    expectMalformedAt(
-        writeTrace("ahq_bad2.csv", "0,0.1\n10,0.5x\n"), 2);
-}
-
-TEST(FileTrace, NegativeValuesAreMalformed)
-{
-    expectMalformedAt(
-        writeTrace("ahq_bad3.csv", "0,0.1\n-10,0.5\n"), 2);
-}
-
-TEST(FileTrace, NonFiniteLoadIsMalformed)
-{
-    expectMalformedAt(
-        writeTrace("ahq_bad4.csv", "0,0.1\n10,nan\n"), 2);
-}
-
-TEST(FileTrace, MissingCommaIsMalformed)
-{
-    expectMalformedAt(
-        writeTrace("ahq_bad5.csv", "0,0.1\n10 0.5\n"), 2);
-}
-
-TEST(FileTrace, HeaderOnlyOnFirstLine)
-{
-    // A header-looking row past line 1 is data and must fail.
-    expectMalformedAt(
-        writeTrace("ahq_bad6.csv", "0,0.1\ntime_s,load\n"), 2);
-}
-
-TEST(FileTrace, UnsortedRowsAreSorted)
-{
-    const std::string path = "/tmp/ahq_trace_test2.csv";
-    {
-        std::ofstream out(path);
-        out << "20,0.9\n0,0.1\n10,0.5\n";
-    }
-    FileTrace t(path);
-    EXPECT_NEAR(t.at(15.0), 0.5, 1e-12);
-    std::remove(path.c_str());
-}
-
-TEST(FileTrace, MissingFileThrows)
-{
-    EXPECT_THROW((void)FileTrace("/nonexistent/trace.csv"),
-                 std::runtime_error);
-}
-
-TEST(FileTrace, EmptyFileThrows)
-{
-    const std::string path = "/tmp/ahq_trace_empty.csv";
-    { std::ofstream out(path); out << "no,usable rows here\n"; }
-    EXPECT_THROW((void)FileTrace(std::string(path)),
-                 std::runtime_error);
-    std::remove(path.c_str());
 }
 
 TEST(Fig13Trace, MatchesPaperTimeline)
