@@ -34,7 +34,6 @@ makeCpi(double mpki_max, double mpki_min, double ways_half,
     t.cpiBase = cpi_base;
     t.missPenaltyCycles = penalty;
     t.mlp = mlp;
-    t.coreFreqGhz = 2.2; // Table III
     return CpiModel(MissRateCurve(mpki_max, mpki_min, ways_half), t);
 }
 

@@ -244,8 +244,7 @@ InvariantAuditor::afterDecision(const sched::Scheduler &scheduler,
             havePreMove_ = false;
         }
         if (gainer != machine::kNoRegion) {
-            banUntil_[gainer] =
-                now_s + arq->config().banSeconds;
+            banUntil_[gainer] = now_s + sched::kArqBanSeconds;
         }
     }
 }

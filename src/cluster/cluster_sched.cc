@@ -25,6 +25,38 @@ namespace
 /** Seed salt decorrelating the RNG streams of rebalance rounds. */
 constexpr std::uint64_t kRoundSeedSalt = 0xc1a5;
 
+/** Migration budget per inter-round rebalance. */
+constexpr int kMaxMigrationsPerRound = 1;
+
+/**
+ * Hysteresis margin: apply a candidate migration only when the
+ * trial-projected spread improves by at least this much. Two
+ * near-equal nodes otherwise ping-pong an app between them every
+ * rebalance (the trial noise alone flips which node looks hotter).
+ */
+constexpr double kMigrationEpsilon = 0.01;
+
+/**
+ * Per-app cooldown: an app migrated after round r is not eligible to
+ * migrate again before round r + kMigrationCooldownRounds. Breaks
+ * the remaining oscillation mode (A→B this round, B→A the next)
+ * that a spread margin alone cannot, because the spread genuinely
+ * alternates sign.
+ */
+constexpr int kMigrationCooldownRounds = 2;
+
+/**
+ * Cold-start window charged to every migration: the moved app runs
+ * its first kMigrationCostEpochs epochs on the new node with service
+ * degraded by kMigrationPenalty (decaying linearly), in both the
+ * destination trial and the next live round — a real migration
+ * drains the app and re-warms caches, so a move is never free.
+ */
+constexpr int kMigrationCostEpochs = 4;
+
+/** Peak fractional service degradation of the cold window. */
+constexpr double kMigrationPenalty = 0.25;
+
 } // namespace
 
 ClusterScheduler::ClusterScheduler(ClusterConfig config,
@@ -67,8 +99,8 @@ ClusterScheduler::run(const SimulationConfig &base,
     // Short, unaudited, untraced trial runs drive every migration
     // decision; one fixed seed keeps candidates comparable and the
     // whole search deterministic per (nodes, config, seed).
-    const SimulationConfig trial =
-        trialConfig(base, cfg.trialSeconds, cfg.trialWarmupEpochs);
+    const SimulationConfig trial = trialConfig(
+        base, ClusterConfig::trialSeconds, ClusterConfig::trialWarmupEpochs);
 
     const std::function<std::unique_ptr<sched::Scheduler>()>
         make_scheduler = [this] { return sched::makeScheduler(strategy_); };
@@ -168,7 +200,7 @@ ClusterScheduler::run(const SimulationConfig &base,
             break;
         int done = 0;
         while (spread_of() > cfg.spreadThreshold &&
-               done < cfg.maxMigrationsPerRound) {
+               done < kMaxMigrationsPerRound) {
             // Hottest node that can give an app up (>= 2 apps, so
             // a migration rebalances instead of just relocating a
             // whole node's workload).
@@ -192,8 +224,7 @@ ClusterScheduler::run(const SimulationConfig &base,
             std::vector<double> residual(apps_[uh].size(), kInf);
             exec::parallelFor(
                 p, apps_[uh].size(), [&](std::size_t i) {
-                    if (r - last_moved[uh][i] <
-                        cfg.migrationCooldownRounds)
+                    if (r - last_moved[uh][i] < kMigrationCooldownRounds)
                         return;
                     auto rest = apps_[uh];
                     rest.erase(rest.begin() +
@@ -222,8 +253,8 @@ ClusterScheduler::run(const SimulationConfig &base,
                     return;
                 auto set = apps_[d];
                 set.push_back(apps_[uh][victim]);
-                set.back().coldEpochs = cfg.migrationCostEpochs;
-                set.back().coldPenalty = cfg.migrationPenalty;
+                set.back().coldEpochs = kMigrationCostEpochs;
+                set.back().coldPenalty = kMigrationPenalty;
                 dest_es[d] =
                     trialEntropy(configs_[d], set, trial, make_scheduler);
             });
@@ -240,25 +271,24 @@ ClusterScheduler::run(const SimulationConfig &base,
             const auto ud = static_cast<std::size_t>(dest);
 
             // Hysteresis: apply only if the trial-projected spread
-            // improves by at least the configured margin. Without
-            // it, two near-equal nodes trade the same app forever
-            // on trial noise alone.
+            // improves by at least kMigrationEpsilon. Without it,
+            // two near-equal nodes trade the same app forever on
+            // trial noise alone.
             const double spread_now = spread_of();
             const double mean_h = node_mean[uh];
             const double mean_d = node_mean[ud];
             node_mean[uh] = victim_es;
             node_mean[ud] = dest_es[ud];
             const double spread_next = spread_of();
-            if (cfg.migrationEpsilon > 0.0 &&
-                spread_now - spread_next < cfg.migrationEpsilon) {
+            if (spread_now - spread_next < kMigrationEpsilon) {
                 node_mean[uh] = mean_h;
                 node_mean[ud] = mean_d;
                 break; // best available move is not worth taking
             }
 
             ColocatedApp moved = apps_[uh][victim];
-            moved.coldEpochs = cfg.migrationCostEpochs;
-            moved.coldPenalty = cfg.migrationPenalty;
+            moved.coldEpochs = kMigrationCostEpochs;
+            moved.coldPenalty = kMigrationPenalty;
             apps_[uh].erase(apps_[uh].begin() +
                             static_cast<std::ptrdiff_t>(victim));
             last_moved[uh].erase(
@@ -270,14 +300,14 @@ ClusterScheduler::run(const SimulationConfig &base,
                 {r, hot, dest, apps_[ud].back().profile.name});
             scope.count("cluster.migrations");
             scope.count("cluster.migration_cost_epochs",
-                        cfg.migrationCostEpochs);
+                        kMigrationCostEpochs);
             if (tracing) {
                 obs::Event ev("cluster_migrate");
                 ev.integer("round", r)
                     .str("app", apps_[ud].back().profile.name)
                     .integer("from", hot)
                     .integer("to", dest)
-                    .integer("cost_epochs", cfg.migrationCostEpochs);
+                    .integer("cost_epochs", kMigrationCostEpochs);
                 // With attribution on, the migration cites who was
                 // hurting the moved app on the node it is leaving
                 // ("" for BE apps — the ledger only has LC victims).

@@ -39,46 +39,11 @@ struct ClusterConfig
      */
     double spreadThreshold = 0.10;
 
-    /** Migration budget per inter-round rebalance. */
-    int maxMigrationsPerRound = 1;
-
     /** Duration of each trial simulation, seconds. */
-    double trialSeconds = 4.0;
+    static constexpr double trialSeconds = 4.0;
 
     /** Warmup epochs of each trial simulation. */
-    int trialWarmupEpochs = 2;
-
-    /**
-     * Hysteresis margin: apply a candidate migration only when the
-     * trial-projected spread improves by at least this much. Two
-     * near-equal nodes otherwise ping-pong an app between them
-     * every rebalance (the trial noise alone flips which node
-     * looks hotter). 0 restores the greedy pre-hysteresis
-     * behaviour.
-     */
-    double migrationEpsilon = 0.01;
-
-    /**
-     * Per-app cooldown: an app migrated after round r is not
-     * eligible to migrate again before round r + cooldown. Breaks
-     * the remaining oscillation mode (A→B this round, B→A the
-     * next) that a spread margin alone cannot, because the spread
-     * genuinely alternates sign. 0 disables.
-     */
-    int migrationCooldownRounds = 2;
-
-    /**
-     * Cold-start window charged to every migration: the moved app
-     * runs its first migrationCostEpochs epochs on the new node
-     * with service degraded by migrationPenalty (decaying
-     * linearly), in both the destination trial and the next live
-     * round — a real migration drains the app and re-warms caches,
-     * so a move is never free. 0 epochs restores free migrations.
-     */
-    int migrationCostEpochs = 4;
-
-    /** Peak fractional service degradation of the cold window. */
-    double migrationPenalty = 0.25;
+    static constexpr int trialWarmupEpochs = 2;
 };
 
 /** One migration decision. */

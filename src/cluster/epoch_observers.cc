@@ -279,7 +279,7 @@ class Slo final : public EpochObserver
     }
 
   private:
-    obs::SloMonitor monitor_{node_.numApps(), cfg_.sloTraits};
+    obs::SloMonitor monitor_{node_.numApps()};
 };
 
 /** Per-epoch records (cfg.keepEpochs) in SimulationResult::epochs. */

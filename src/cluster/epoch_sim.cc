@@ -74,7 +74,7 @@ class Run : public detail::EpochState
             o->start(*this);
         // Fault draws use their own stream split off the run seed, so
         // they never perturb the measurement noise.
-        if (cfg_.faults != nullptr && cfg_.faults->active())
+        if (cfg_.faults != nullptr && cfg_.faults->perturbsNodes())
             injector_.emplace(*cfg_.faults, cfg_.seed, cfg_.obs);
     }
 

@@ -70,7 +70,10 @@ struct SimulationConfig
     /**
      * Queue backlog cap in seconds of offered work (Tailbench-style
      * generators bound outstanding requests, so overloaded tails
-     * saturate instead of diverging).
+     * saturate instead of diverging). Every caller runs the default;
+     * the experiment harness's chaos test deepens it so a load
+     * spike's backlog outlives its block (tests/unset_knobs.cmake
+     * lists it).
      */
     double queueCapSeconds = perf::kDefaultQueueCapSeconds;
 
@@ -105,9 +108,10 @@ struct SimulationConfig
     check::Mode checkMode = check::modeFromEnv();
 
     /**
-     * Optional fault plan (src/fault/), outliving the run. Null or
-     * inactive keeps the exact unfaulted path; an active plan drives
-     * a per-run FaultInjector on a stream split off the run seed, so
+     * Optional fault plan (src/fault/), outliving the run. Null, or
+     * a plan with no per-node directive (FaultPlan::perturbsNodes()),
+     * keeps the exact unfaulted path; otherwise the plan drives a
+     * per-run FaultInjector on a stream split off the run seed, so
      * faulted runs stay deterministic per (seed, plan).
      */
     const fault::FaultPlan *faults = nullptr;
@@ -139,9 +143,6 @@ struct SimulationConfig
      * SimulationResult::slo. Off: no observer.
      */
     bool slo = false;
-
-    /** Burn-rate windows/thresholds when slo is on. */
-    obs::SloTraits sloTraits;
 };
 
 /**

@@ -23,6 +23,9 @@ using machine::RegionLayout;
 namespace
 {
 
+/** Cores move one unit at a time in the search. */
+constexpr int kCoreStep = 1;
+
 /**
  * Enumerate compositions: parts[i] = mins[i] + step * k_i with the
  * total exactly `total` when reachable; the remainder that cannot
@@ -77,38 +80,6 @@ allCompositions(int total, const std::vector<int> &mins, int step)
     return out;
 }
 
-/**
- * Best layout within one core split. The sentinel es (infinity
- * when the split admitted no way composition) keeps empty splits
- * out of the merge.
- */
-struct SplitBest
-{
-    OracleResult result;
-    double es = std::numeric_limits<double>::infinity();
-};
-
-/**
- * Merge per-split bests in enumeration order with the same
- * strict-< rule the serial scan applied, so the first global
- * minimum in (core split, way split) order wins either way.
- */
-OracleResult
-mergeSplitBests(const std::vector<SplitBest> &locals)
-{
-    OracleResult best;
-    double best_es = std::numeric_limits<double>::infinity();
-    for (const auto &l : locals) {
-        best.evaluated += l.result.evaluated;
-        if (l.es < best_es) {
-            best_es = l.es;
-            best.layout = l.result.layout;
-            best.report = l.result.report;
-        }
-    }
-    return best;
-}
-
 /** Distribute bandwidth units proportionally to cores. */
 std::vector<int>
 bwProportionalToCores(const std::vector<int> &cores, int total_bw)
@@ -127,6 +98,64 @@ bwProportionalToCores(const std::vector<int> &cores, int total_bw)
     return bw;
 }
 
+/**
+ * The search both families share. Cores split one unit at a time
+ * and ways in cfg.wayStep steps, each group getting at least its
+ * entry of `mins` of both; bandwidth follows the cores. `build`
+ * turns one (cores, ways, bandwidth) split into a layout, scored
+ * under `policy`. The core splits fan out across the pool, and
+ * their bests merge in enumeration order with the strict-< rule of
+ * the scan inside each, so the first global minimum in (core split,
+ * way split) order wins at any thread count.
+ */
+template <typename Build>
+OracleResult
+searchPartitions(const Node &node, const OracleConfig &cfg,
+                 const std::vector<int> &mins,
+                 perf::CoreSharePolicy policy, const Build &build)
+{
+    // Best layout within one core split; es stays infinite when the
+    // split admits no way composition, which keeps it out of the
+    // merge.
+    struct SplitBest
+    {
+        OracleResult result;
+        double es = std::numeric_limits<double>::infinity();
+    };
+    const auto avail = node.config().availableResources();
+    auto eval_split = [&](const std::vector<int> &cores) {
+        SplitBest local;
+        const auto bw = bwProportionalToCores(cores, avail.memBw);
+        forEachComposition(avail.llcWays, mins, cfg.wayStep,
+                           [&](const std::vector<int> &ways) {
+            RegionLayout layout = build(cores, ways, bw);
+            const auto rep = steadyStateEntropy(node, layout, policy, cfg);
+            ++local.result.evaluated;
+            if (rep.eS < local.es) {
+                local.es = rep.eS;
+                local.result.layout = std::move(layout);
+                local.result.report = rep;
+            }
+        });
+        return local;
+    };
+    exec::ThreadPool &pool = cfg.pool ? *cfg.pool : exec::globalPool();
+    const auto locals = exec::parallelMap(
+        pool, allCompositions(avail.cores, mins, kCoreStep), eval_split);
+
+    OracleResult best;
+    double best_es = std::numeric_limits<double>::infinity();
+    for (const auto &l : locals) {
+        best.evaluated += l.result.evaluated;
+        if (l.es < best_es) {
+            best_es = l.es;
+            best.layout = l.result.layout;
+            best.report = l.result.report;
+        }
+    }
+    return best;
+}
+
 } // namespace
 
 core::EntropyReport
@@ -134,7 +163,7 @@ steadyStateEntropy(const Node &node, const RegionLayout &layout,
                    perf::CoreSharePolicy policy,
                    const OracleConfig &cfg)
 {
-    perf::ContentionModel model(node.config(), cfg.contention);
+    perf::ContentionModel model(node.config());
     const auto demands = node.demandsAt(0.0);
     const auto out = model.evaluate(layout, demands, policy);
 
@@ -173,22 +202,14 @@ bestIsolatedPartition(const Node &node, const OracleConfig &cfg)
     const auto avail = node.config().availableResources();
     const auto &lc = node.lcApps();
     const bool has_be = !node.beApps().empty();
-    const int groups =
-        static_cast<int>(lc.size()) + (has_be ? 1 : 0);
+    const auto groups = lc.size() + (has_be ? 1 : 0);
     assert(groups >= 1);
 
-    const std::vector<int> core_mins(
-        static_cast<std::size_t>(groups), 1);
-    const std::vector<int> way_mins(
-        static_cast<std::size_t>(groups), 1);
-
-    const auto splits =
-        allCompositions(avail.cores, core_mins, cfg.coreStep);
-    auto eval_split = [&](const std::vector<int> &cores) {
-        SplitBest local;
-        const auto bw = bwProportionalToCores(cores, avail.memBw);
-        forEachComposition(avail.llcWays, way_mins, cfg.wayStep,
-                           [&](const std::vector<int> &ways) {
+    return searchPartitions(
+        node, cfg, std::vector<int>(groups, 1),
+        perf::CoreSharePolicy::FairShare,
+        [&](const std::vector<int> &cores, const std::vector<int> &ways,
+            const std::vector<int> &bw) {
             RegionLayout layout(avail);
             for (std::size_t g = 0; g < lc.size(); ++g) {
                 Region r;
@@ -207,22 +228,8 @@ bestIsolatedPartition(const Node &node, const OracleConfig &cfg)
                 pool.res = {cores[g], ways[g], bw[g]};
                 layout.addRegion(std::move(pool));
             }
-            const auto rep = steadyStateEntropy(
-                node, layout, perf::CoreSharePolicy::FairShare,
-                cfg);
-            ++local.result.evaluated;
-            if (rep.eS < local.es) {
-                local.es = rep.eS;
-                local.result.layout = layout;
-                local.result.report = rep;
-            }
+            return layout;
         });
-        return local;
-    };
-    exec::ThreadPool &pool =
-        cfg.pool ? *cfg.pool : exec::globalPool();
-    return mergeSplitBests(
-        exec::parallelMap(pool, splits, eval_split));
 }
 
 OracleResult
@@ -230,26 +237,20 @@ bestHybridPartition(const Node &node, const OracleConfig &cfg)
 {
     const auto avail = node.config().availableResources();
     const auto &lc = node.lcApps();
-    const int groups = static_cast<int>(lc.size()) + 1;
 
     // Group 0 is the shared region (min 1 core / 1 way so that BE
     // members stay viable); iso regions may be empty.
-    std::vector<int> core_mins(static_cast<std::size_t>(groups), 0);
-    std::vector<int> way_mins(static_cast<std::size_t>(groups), 0);
-    core_mins[0] = 1;
-    way_mins[0] = 1;
+    std::vector<int> mins(lc.size() + 1, 0);
+    mins[0] = 1;
 
     std::vector<AppId> everyone = lc;
     everyone.insert(everyone.end(), node.beApps().begin(),
                     node.beApps().end());
 
-    const auto splits =
-        allCompositions(avail.cores, core_mins, cfg.coreStep);
-    auto eval_split = [&](const std::vector<int> &cores) {
-        SplitBest local;
-        const auto bw = bwProportionalToCores(cores, avail.memBw);
-        forEachComposition(avail.llcWays, way_mins, cfg.wayStep,
-                           [&](const std::vector<int> &ways) {
+    return searchPartitions(
+        node, cfg, mins, perf::CoreSharePolicy::LcPriority,
+        [&](const std::vector<int> &cores, const std::vector<int> &ways,
+            const std::vector<int> &bw) {
             RegionLayout layout(avail);
             Region shared;
             shared.name = "shared";
@@ -265,22 +266,8 @@ bestHybridPartition(const Node &node, const OracleConfig &cfg)
                 r.res = {cores[g + 1], ways[g + 1], bw[g + 1]};
                 layout.addRegion(std::move(r));
             }
-            const auto rep = steadyStateEntropy(
-                node, layout, perf::CoreSharePolicy::LcPriority,
-                cfg);
-            ++local.result.evaluated;
-            if (rep.eS < local.es) {
-                local.es = rep.eS;
-                local.result.layout = layout;
-                local.result.report = rep;
-            }
+            return layout;
         });
-        return local;
-    };
-    exec::ThreadPool &pool =
-        cfg.pool ? *cfg.pool : exec::globalPool();
-    return mergeSplitBests(
-        exec::parallelMap(pool, splits, eval_split));
 }
 
 } // namespace ahq::cluster

@@ -38,20 +38,17 @@ namespace ahq::cluster
 /** Search configuration. */
 struct OracleConfig
 {
-    /** Granularity of way enumeration (ways move in these steps). */
+    /**
+     * Granularity of way enumeration (ways move in these steps);
+     * cores move one at a time.
+     */
     int wayStep = 2;
-
-    /** Granularity of core enumeration. */
-    int coreStep = 1;
 
     /** Relative importance for the entropy objective. */
     double ri = core::kDefaultRelativeImportance;
 
     /** Tail percentile of the latency model. */
     double tailPercentile = 0.95;
-
-    /** Contention model tunables. */
-    perf::ContentionTraits contention;
 
     /**
      * Pool the search fans out on (the outer core-split loop);
@@ -77,7 +74,8 @@ struct OracleResult
  * Steady-state entropy of one candidate layout (no noise, no
  * repartition overhead, and a backlog only when saturated, held at
  * the generator's cap) — the objective the oracle minimises, under
- * the epoch simulator's LC tail rule (perf::lcTailSeconds).
+ * the epoch simulator's LC tail rule (perf::lcTailSeconds) and the
+ * default contention model.
  *
  * @param node The colocation.
  * @param layout Candidate layout.

@@ -5,9 +5,12 @@
 
 #include "exec/jobs.hh"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -26,15 +29,8 @@ std::unique_ptr<ThreadPool> g_pool;
 int
 resolveJobs()
 {
-    if (const char *env = std::getenv("AHQ_JOBS")) {
-        try {
-            const int v = std::stoi(env);
-            if (v >= 1)
-                return v;
-        } catch (const std::exception &) {
-            // fall through to the hardware default
-        }
-    }
+    if (const int env = envJobs())
+        return env;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -42,12 +38,21 @@ resolveJobs()
 } // namespace
 
 int
-defaultJobs()
+envJobs()
 {
-    std::lock_guard<std::mutex> lk(g_mutex);
-    if (g_jobs < 1)
-        g_jobs = resolveJobs();
-    return g_jobs;
+    const char *env = std::getenv("AHQ_JOBS");
+    if (env == nullptr)
+        return 0;
+    // Only a whole number >= 1: no sign, space or suffix.
+    const char *end = env + std::strlen(env);
+    int v = 0;
+    const auto [stop, ec] = std::from_chars(env, end, v);
+    if (ec != std::errc{} || stop != end || v < 1) {
+        throw std::invalid_argument(
+            std::string("AHQ_JOBS must be a whole number >= 1 (got '") +
+            env + "')");
+    }
+    return v;
 }
 
 void

@@ -15,13 +15,7 @@
 namespace ahq::exec
 {
 
-ScenarioRunner::ScenarioRunner(ThreadPool *pool,
-                               SchedulerFactory factory)
-    : pool_(pool),
-      factory_(factory ? std::move(factory)
-                       : SchedulerFactory(&sched::makeScheduler))
-{
-}
+ScenarioRunner::ScenarioRunner(ThreadPool *pool) : pool_(pool) {}
 
 std::vector<cluster::SimulationResult>
 ScenarioRunner::run(const std::vector<ScenarioJob> &jobs) const
@@ -50,7 +44,7 @@ ScenarioRunner::run(const std::vector<ScenarioJob> &jobs) const
                 scope.emit(ev);
             }
 
-            const auto sched = factory_(job.strategy);
+            const auto sched = sched::makeScheduler(job.strategy);
             cluster::SimulationConfig cfg = job.config;
             cfg.obs = scope;
             {

@@ -13,8 +13,6 @@
 #ifndef AHQ_EXEC_SCENARIO_RUNNER_HH
 #define AHQ_EXEC_SCENARIO_RUNNER_HH
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,18 +52,12 @@ struct ScenarioJob
 class ScenarioRunner
 {
   public:
-    /** Name -> fresh scheduler; must be callable concurrently. */
-    using SchedulerFactory =
-        std::function<std::unique_ptr<sched::Scheduler>(
-            const std::string &)>;
-
     /**
-     * @param pool Pool to fan out on; nullptr = globalPool().
-     * @param factory Strategy factory; default is the sched
-     *        registry (sched::makeScheduler).
+     * @param pool Pool to fan out on; nullptr = globalPool(). Each
+     *        job's strategy resolves through the sched registry
+     *        (sched::makeScheduler).
      */
-    explicit ScenarioRunner(ThreadPool *pool = nullptr,
-                            SchedulerFactory factory = {});
+    explicit ScenarioRunner(ThreadPool *pool = nullptr);
 
     /**
      * Attach telemetry for subsequent batches. Each job runs as one
@@ -81,7 +73,6 @@ class ScenarioRunner
 
   private:
     ThreadPool *pool_;
-    SchedulerFactory factory_;
     obs::Scope obs_;
 };
 

@@ -18,11 +18,8 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace ahq::exec
@@ -57,8 +54,8 @@ class ThreadPool
      * Enqueue fire-and-forget work. Never blocks, so it is safe to
      * call from inside a pool task (nested submission enqueues; the
      * caller must not block waiting on the nested task from a pool
-     * thread). The task must not throw — use submit() for work
-     * whose exceptions matter.
+     * thread). The task must not throw: parallelFor() and
+     * parallelMap() carry a task's exception back to the caller.
      *
      * @throws std::runtime_error once shutdown() has begun — the
      *         task would otherwise be dropped on the floor. The
@@ -74,22 +71,6 @@ class ThreadPool
      * a pool thread (a worker cannot join itself).
      */
     void shutdown();
-
-    /**
-     * Enqueue work and observe its result — or its exception — via
-     * the returned future.
-     */
-    template <typename F>
-    auto submit(F &&fn)
-        -> std::future<std::invoke_result_t<std::decay_t<F>>>
-    {
-        using R = std::invoke_result_t<std::decay_t<F>>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        auto fut = task->get_future();
-        post([task] { (*task)(); });
-        return fut;
-    }
 
     /**
      * True when the calling thread is a pool worker (of any pool in

@@ -63,10 +63,10 @@ MeasurementFault::appliesTo(int app) const
 }
 
 bool
-FaultPlan::active() const
+FaultPlan::perturbsNodes() const
 {
     return measurement_.has_value() || actuation_.has_value() ||
-        !spikes_.empty() || !crashes_.empty();
+        !spikes_.empty();
 }
 
 FaultPlan

@@ -117,8 +117,13 @@ class FaultPlan
      */
     static FaultPlan builtinChaos();
 
-    /** Whether any directive is present. */
-    bool active() const;
+    /**
+     * Whether a measurement, actuation or load-spike directive is
+     * present: what a node's FaultInjector acts on. Crashes are
+     * Fleet::run's alone, so a crash-only plan leaves every node's
+     * run on the unfaulted path.
+     */
+    bool perturbsNodes() const;
 
     const std::optional<MeasurementFault> &measurement() const
     {
@@ -130,14 +135,6 @@ class FaultPlan
     }
     const std::vector<LoadSpike> &spikes() const { return spikes_; }
     const std::vector<NodeCrash> &crashes() const { return crashes_; }
-
-    void setMeasurement(MeasurementFault m)
-    {
-        measurement_ = std::move(m);
-    }
-    void setActuation(ActuationFault a) { actuation_ = a; }
-    void addSpike(LoadSpike s) { spikes_.push_back(s); }
-    void addCrash(NodeCrash c) { crashes_.push_back(c); }
 
   private:
     std::optional<MeasurementFault> measurement_;

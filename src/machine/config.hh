@@ -49,9 +49,6 @@ struct MachineConfig
     /** Bandwidth units offered to the colocation. */
     int availableMemBwUnits = 10;
 
-    /** LLC capacity of one way in MiB. */
-    double mibPerWay() const { return llcSizeMib / totalLlcWays; }
-
     /** Bandwidth of one MBA unit in GiB/s. */
     double gibpsPerBwUnit() const
     {

@@ -101,12 +101,6 @@ RegionLayout::allocated() const
     return sum;
 }
 
-ResourceVector
-RegionLayout::unallocated() const
-{
-    return available_ - allocated();
-}
-
 int
 RegionLayout::reachable(AppId app, ResourceKind kind) const
 {

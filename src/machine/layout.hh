@@ -97,9 +97,6 @@ class RegionLayout
     /** Sum of resources across regions. */
     ResourceVector allocated() const;
 
-    /** Resources not assigned to any region. */
-    ResourceVector unallocated() const;
-
     /** Total of the given resource the app can reach via its regions. */
     int reachable(AppId app, ResourceKind kind) const;
 

@@ -44,13 +44,6 @@ CoreMask::add(int core)
     bits_ |= (1ull << core);
 }
 
-void
-CoreMask::remove(int core)
-{
-    assert(core >= 0 && core < 64);
-    bits_ &= ~(1ull << core);
-}
-
 int
 CoreMask::lowest() const
 {
@@ -91,16 +84,6 @@ bool
 WayMask::contains(int way) const
 {
     return way >= firstWay && way < firstWay + numWays;
-}
-
-int
-WayMask::overlapWays(const WayMask &o) const
-{
-    if (empty() || o.empty())
-        return 0;
-    const int lo = std::max(firstWay, o.firstWay);
-    const int hi = std::min(firstWay + numWays, o.firstWay + o.numWays);
-    return std::max(0, hi - lo);
 }
 
 std::uint64_t

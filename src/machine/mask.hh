@@ -42,9 +42,6 @@ class CoreMask
     /** Add one core. */
     void add(int core);
 
-    /** Remove one core; no-op when absent. */
-    void remove(int core);
-
     /** Lowest set core, or -1 when empty. */
     int lowest() const;
 
@@ -101,9 +98,6 @@ class WayMask
 
     /** Whether the given way is covered. */
     bool contains(int way) const;
-
-    /** Number of ways shared with another mask. */
-    int overlapWays(const WayMask &o) const;
 
     /** Raw CBM bits as the hardware would see them. */
     std::uint64_t bits() const;

@@ -41,9 +41,8 @@ coreList(const CoreMask &mask)
     return out;
 }
 
-PqosProgrammer::PqosProgrammer(MachineConfig config,
-                               std::map<AppId, int> pids)
-    : config_(std::move(config)), pids_(std::move(pids))
+PqosProgrammer::PqosProgrammer(MachineConfig config)
+    : config_(std::move(config))
 {
 }
 
@@ -99,15 +98,8 @@ PqosProgrammer::program(const RegionLayout &layout) const
         const std::string cores = coreListOf(layout, masks, app);
         if (cores.empty())
             continue;
-        const auto pid = pids_.find(app);
-        if (pid != pids_.end()) {
-            std::snprintf(buf, sizeof(buf), "taskset -cp %s %d",
-                          cores.c_str(), pid->second);
-        } else {
-            std::snprintf(buf, sizeof(buf),
-                          "taskset -cp %s $PID_APP%d",
-                          cores.c_str(), app);
-        }
+        std::snprintf(buf, sizeof(buf), "taskset -cp %s $PID_APP%d",
+                      cores.c_str(), app);
         cmds.push_back({HwCommand::Kind::Affinity, buf});
     }
     return cmds;

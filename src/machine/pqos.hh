@@ -10,16 +10,15 @@
  * on a real node they can be piped straight to a shell. The command
  * dialect follows pqos(8) from intel-cmt-cat:
  *
- *   pqos -e "llc:<cos>=<cbm>"       define a CAT class of service
- *   pqos -e "mba:<cos>=<percent>"   define an MBA throttle
- *   pqos -a "llc:<cos>=<cores>"     bind cores to the class
- *   taskset -cp <cores> <pid>       pin an app's threads
+ *   pqos -e "llc:<cos>=<cbm>"         define a CAT class of service
+ *   pqos -e "mba:<cos>=<percent>"     define an MBA throttle
+ *   pqos -a "llc:<cos>=<cores>"       bind cores to the class
+ *   taskset -cp <cores> $PID_APP<id>  pin an app's threads
  */
 
 #ifndef AHQ_MACHINE_PQOS_HH
 #define AHQ_MACHINE_PQOS_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -52,12 +51,10 @@ class PqosProgrammer
   public:
     /**
      * @param config The node (for totals and the MBA percentage
-     *               granularity).
-     * @param pids Application id -> process id, used by taskset
-     *             lines; apps without a pid get a placeholder.
+     *               granularity). Taskset lines name each app's
+     *               process as the shell variable $PID_APP<id>.
      */
-    PqosProgrammer(MachineConfig config,
-                   std::map<AppId, int> pids = {});
+    explicit PqosProgrammer(MachineConfig config);
 
     /**
      * Full (re)programming sequence for a layout: one CAT class of
@@ -84,7 +81,6 @@ class PqosProgrammer
 
   private:
     MachineConfig config_;
-    std::map<AppId, int> pids_;
 
     std::string coreListOf(const RegionLayout &layout,
                            const ConcreteMasks &masks,

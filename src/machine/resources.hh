@@ -74,9 +74,6 @@ struct ResourceVector
     /** True when every component is <= the other's. */
     bool fitsWithin(const ResourceVector &o) const;
 
-    /** Total units across all kinds (used as a crude size measure). */
-    int totalUnits() const { return cores + llcWays + memBw; }
-
     /** Render as "{cores=c, ways=w, bw=b}". */
     std::string toString() const;
 };

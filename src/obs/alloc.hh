@@ -67,11 +67,6 @@ class Arena
         std::size_t offset = 0;
     };
 
-    explicit Arena(std::size_t first_block_bytes = 4096)
-        : firstBlockBytes_(first_block_bytes)
-    {
-    }
-
     /** Bump-allocate n bytes (a fresh block when none has room). */
     char *alloc(std::size_t n)
     {
@@ -116,15 +111,6 @@ class Arena
         off_ = m.offset;
     }
 
-    /** Bytes of block capacity held (warm-up telemetry). */
-    std::size_t capacity() const
-    {
-        std::size_t total = 0;
-        for (const auto &b : blocks_)
-            total += b.size;
-        return total;
-    }
-
   private:
     struct Block
     {
@@ -134,16 +120,18 @@ class Arena
 
     void addBlock(std::size_t need)
     {
+        // The first block holds kFirstBlockBytes (or the request);
+        // each later one doubles the last.
         const std::size_t last =
-            blocks_.empty() ? firstBlockBytes_ / 2
-                            : blocks_.back().size;
+            blocks_.empty() ? kFirstBlockBytes / 2 : blocks_.back().size;
         const std::size_t size = need > last * 2 ? need : last * 2;
         blocks_.push_back({std::make_unique<char[]>(size), size});
         block_ = blocks_.size() - 1;
         off_ = 0;
     }
 
-    std::size_t firstBlockBytes_;
+    static constexpr std::size_t kFirstBlockBytes = 4096;
+
     std::vector<Block> blocks_;
     std::size_t block_ = 0;
     std::size_t off_ = 0;

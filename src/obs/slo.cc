@@ -6,39 +6,66 @@
 #include "obs/slo.hh"
 
 #include <algorithm>
-#include <cassert>
 
 namespace ahq::obs
 {
 
-SloMonitor::SloMonitor(int num_apps, SloTraits traits)
-    : traits_(traits),
-      budget_(std::max(1e-9, 1.0 - traits.targetAvailability)),
-      apps_(static_cast<std::size_t>(std::max(0, num_apps)))
+namespace
 {
-    assert(traits_.fastWindowEpochs > 0);
-    assert(traits_.slowWindowEpochs > traits_.fastWindowEpochs);
-    assert(traits_.burnThreshold > 0.0);
-    assert(traits_.clearRatio > 0.0 && traits_.clearRatio <= 1.0);
-    for (AppState &s : apps_) {
-        s.bits.assign(
-            static_cast<std::size_t>(traits_.slowWindowEpochs), 0);
-    }
+
+/** Target fraction of epochs meeting QoS. */
+constexpr double kTargetAvailability = 0.99;
+
+/** The error budget: the fraction of epochs allowed to violate. */
+constexpr double kBudget = 1.0 - kTargetAvailability;
+
+/** Fast (responsive) window, epochs. */
+constexpr int kFastWindowEpochs = 12;
+
+/** Slow (confirming) window, epochs. */
+constexpr int kSlowWindowEpochs = 96;
+static_assert(kSlowWindowEpochs > kFastWindowEpochs,
+              "the fast retiree must still be in the slow ring");
+
+/** Raise when both windows burn at or above this rate. */
+constexpr double kBurnThreshold = 2.0;
+
+/**
+ * Hysteresis: clear only when both windows burn below
+ * kBurnThreshold * kClearRatio, so an alert never flaps across a
+ * single boundary epoch.
+ */
+constexpr double kClearRatio = 0.5;
+
+/** Burn rate of @p count violations in a window of @p epochs. */
+double
+burn(int count, int epochs)
+{
+    return (static_cast<double>(count) / epochs) / kBudget;
+}
+
+} // namespace
+
+SloMonitor::SloMonitor(int num_apps)
+    : apps_(static_cast<std::size_t>(std::max(0, num_apps)))
+{
+    for (AppState &s : apps_)
+        s.bits.assign(static_cast<std::size_t>(kSlowWindowEpochs), 0);
     // Every epoch after the first window folds one burn rate per
     // window, so full windows read them from tables of the same
     // expression instead of dividing.
-    for (int k = 0; k <= traits_.fastWindowEpochs; ++k)
-        fullFastBurn_.push_back(burn(k, traits_.fastWindowEpochs));
-    for (int k = 0; k <= traits_.slowWindowEpochs; ++k)
-        fullSlowBurn_.push_back(burn(k, traits_.slowWindowEpochs));
+    for (int k = 0; k <= kFastWindowEpochs; ++k)
+        fullFastBurn_.push_back(burn(k, kFastWindowEpochs));
+    for (int k = 0; k <= kSlowWindowEpochs; ++k)
+        fullSlowBurn_.push_back(burn(k, kSlowWindowEpochs));
 }
 
 SloAlertTransition
 SloMonitor::observe(int app, int epoch, bool violated)
 {
     AppState &s = apps_[static_cast<std::size_t>(app)];
-    const int fast = traits_.fastWindowEpochs;
-    const int slow = traits_.slowWindowEpochs;
+    constexpr int fast = kFastWindowEpochs;
+    constexpr int slow = kSlowWindowEpochs;
 
     // Ring update: retire the bits leaving each window before the
     // new one lands. fast < slow guarantees the fast retiree, at
@@ -72,8 +99,8 @@ SloMonitor::observe(int app, int epoch, bool violated)
     if (!s.active) {
         // Raising needs a full fast window of evidence; both
         // windows must agree the budget is burning too fast.
-        if (s.seen >= fast && tr.burnFast >= traits_.burnThreshold &&
-            tr.burnSlow >= traits_.burnThreshold) {
+        if (s.seen >= fast && tr.burnFast >= kBurnThreshold &&
+            tr.burnSlow >= kBurnThreshold) {
             s.active = true;
             s.raisedEpoch = epoch;
             ++summary_.raises;
@@ -82,8 +109,7 @@ SloMonitor::observe(int app, int epoch, bool violated)
             tr.kind = SloAlertTransition::Kind::Raise;
         }
     } else {
-        const double clear_at =
-            traits_.burnThreshold * traits_.clearRatio;
+        constexpr double clear_at = kBurnThreshold * kClearRatio;
         if (tr.burnFast < clear_at && tr.burnSlow < clear_at) {
             s.active = false;
             ++summary_.clears;

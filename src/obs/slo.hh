@@ -7,13 +7,14 @@
  * (the same predicate the violation counters use). The monitor
  * tracks each app's violation bits over two sliding windows and
  * computes the *burn rate* — the rate the error budget
- * (1 - targetAvailability) is being consumed, so burn 1.0 means
- * "exactly on budget" and burn 2.0 means "burning twice as fast as
- * the SLO allows". An alert raises when BOTH windows burn above the
- * threshold (the fast window gives responsiveness, the slow window
- * suppresses blips) and clears with hysteresis only when both fall
- * below threshold * clearRatio — the standard multi-window
- * burn-rate policy, sized in epochs rather than wall time.
+ * (1 - the 0.99 availability target) is being consumed, so burn
+ * 1.0 means "exactly on budget" and burn 2.0 means "burning twice as
+ * fast as the SLO allows". An alert raises when BOTH windows (12 and
+ * 96 epochs) burn at or above 2.0 (the fast window gives
+ * responsiveness, the slow window suppresses blips) and clears with
+ * hysteresis only when both fall below half that — the standard
+ * multi-window burn-rate policy, sized in epochs rather than wall
+ * time. The policy's numbers are constants of slo.cc.
  *
  * Pure and deterministic: the monitor consumes only (app, epoch,
  * violated) and keeps integer window counts, so alert transitions
@@ -28,29 +29,6 @@
 
 namespace ahq::obs
 {
-
-/** Burn-rate policy knobs. */
-struct SloTraits
-{
-    /** Target fraction of epochs meeting QoS; budget = 1 - this. */
-    double targetAvailability = 0.99;
-
-    /** Fast (responsive) window, epochs. */
-    int fastWindowEpochs = 12;
-
-    /** Slow (confirming) window, epochs; must exceed the fast. */
-    int slowWindowEpochs = 96;
-
-    /** Raise when both windows burn at or above this rate. */
-    double burnThreshold = 2.0;
-
-    /**
-     * Hysteresis: clear only when both windows burn below
-     * burnThreshold * clearRatio, so an alert never flaps across
-     * a single boundary epoch.
-     */
-    double clearRatio = 0.5;
-};
 
 /** What one observe() call did to the app's alert state. */
 struct SloAlertTransition
@@ -108,7 +86,7 @@ struct SloSummary
 class SloMonitor
 {
   public:
-    explicit SloMonitor(int num_apps, SloTraits traits = {});
+    explicit SloMonitor(int num_apps);
 
     /**
      * Fold one epoch's violation bit for one app and report the
@@ -122,29 +100,18 @@ class SloMonitor
     /** Aggregated accounting over all apps so far. */
     SloSummary summary() const;
 
-    const SloTraits &traits() const { return traits_; }
-
   private:
     struct AppState
     {
         std::vector<unsigned char> bits;
         int seen = 0;
-        int pos = 0; // seen % slowWindowEpochs: the ring's next slot
+        int pos = 0; // seen % the slow window: the ring's next slot
         int fastCount = 0;
         int slowCount = 0;
         bool active = false;
         int raisedEpoch = -1;
     };
 
-    /** Burn rate of @p count violations in a window of @p epochs. */
-    double
-    burn(int count, int epochs) const
-    {
-        return (static_cast<double>(count) / epochs) / budget_;
-    }
-
-    SloTraits traits_;
-    double budget_;
     std::vector<AppState> apps_;
     SloSummary summary_;
 

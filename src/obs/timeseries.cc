@@ -12,11 +12,7 @@
 namespace ahq::obs
 {
 
-TimeSeries::TimeSeries(int capacity)
-    : buckets_(static_cast<std::size_t>(std::max(capacity, 1)))
-{
-    foldLimit_ = static_cast<long long>(buckets_.size());
-}
+TimeSeries::TimeSeries() : buckets_(kCapacity) {}
 
 void
 TimeSeries::foldTo(int epoch)
@@ -40,7 +36,7 @@ TimeSeries::foldOnce()
         buckets_[i] = Bucket{};
     stride_ *= 2;
     ++shift_;
-    foldLimit_ = static_cast<long long>(stride_) * capacity();
+    foldLimit_ = static_cast<long long>(stride_) * kCapacity;
 }
 
 void
@@ -54,17 +50,15 @@ TimeSeries::merge(const TimeSeries &other)
     // A.merge(B) and B.merge(A) land on identical buckets.
     TimeSeries src = other;
     const int mx = std::max(maxEpoch_, other.maxEpoch_);
-    while (static_cast<long long>(stride_) * capacity() <= mx)
+    while (static_cast<long long>(stride_) * kCapacity <= mx)
         foldOnce();
-    while (static_cast<long long>(src.stride_) * src.capacity() <=
-           mx)
+    while (static_cast<long long>(src.stride_) * kCapacity <= mx)
         src.foldOnce();
     while (stride_ < src.stride_)
         foldOnce();
     while (src.stride_ < stride_)
         src.foldOnce();
-    const int n = std::min(capacity(), src.capacity());
-    for (int i = 0; i < n; ++i)
+    for (int i = 0; i < kCapacity; ++i)
         buckets_[static_cast<std::size_t>(i)].combine(
             src.buckets_[static_cast<std::size_t>(i)]);
     if (mx > maxEpoch_)
@@ -82,7 +76,7 @@ TimeSeriesRegistry::handle(std::string_view scenario,
     auto it = series_.find(key);
     if (it == series_.end())
         it = series_
-                 .emplace(std::move(key), TimeSeries(capacity_))
+                 .emplace(std::move(key), TimeSeries())
                  .first;
     return it->second;
 }
@@ -96,7 +90,7 @@ TimeSeriesRegistry::merge(const TimeSeriesRegistry &other)
     for (const auto &[key, ts] : other.series_) {
         auto it = series_.find(key);
         if (it == series_.end())
-            it = series_.emplace(key, TimeSeries(capacity_))
+            it = series_.emplace(key, TimeSeries())
                      .first;
         it->second.merge(ts);
     }
@@ -152,7 +146,7 @@ TimeSeriesRegistry::flush(const Scope &scope) const
             .integer("stride", ts.stride())
             .integer("epochs",
                      static_cast<long long>(ts.maxEpoch()) + 1)
-            .integer("capacity", ts.capacity())
+            .integer("capacity", TimeSeries::kCapacity)
             .integer("points",
                      static_cast<long long>(ts.points()))
             .ints("n", n)

@@ -48,7 +48,7 @@ class TimeSeries
 {
   public:
     /** Buckets per series; folding keeps memory at this bound. */
-    static constexpr int kDefaultCapacity = 128;
+    static constexpr int kCapacity = 128;
 
     struct Bucket
     {
@@ -87,7 +87,7 @@ class TimeSeries
         }
     };
 
-    explicit TimeSeries(int capacity = kDefaultCapacity);
+    TimeSeries();
 
     /** Record a value at an epoch (negative epochs are ignored).
         Zero-alloc: folding reuses the bucket array in place. The
@@ -107,17 +107,12 @@ class TimeSeries
     }
 
     /**
-     * Fold another series of the same capacity into this one.
+     * Fold another series into this one.
      * Both are first folded to the common stride that covers the
      * union of their epoch ranges, then combined bucket-wise;
      * commutative and associative because every aggregate is.
      */
     void merge(const TimeSeries &other);
-
-    int capacity() const
-    {
-        return static_cast<int>(buckets_.size());
-    }
 
     /** Epochs per bucket (power of two, grows on fold). */
     int stride() const { return stride_; }
@@ -144,7 +139,7 @@ class TimeSeries
     std::vector<Bucket> buckets_;
     int stride_ = 1;
     int shift_ = 0; ///< log2(stride_), for the record() fast path
-    long long foldLimit_ = 0; ///< stride_ * capacity(), cached
+    long long foldLimit_ = kCapacity; ///< stride_ * kCapacity, cached
     int maxEpoch_ = -1;
     std::uint64_t points_ = 0;
 };
@@ -159,12 +154,6 @@ class TimeSeries
 class TimeSeriesRegistry
 {
   public:
-    explicit TimeSeriesRegistry(
-        int capacity = TimeSeries::kDefaultCapacity)
-        : capacity_(capacity)
-    {
-    }
-
     /** Find-or-create; the reference stays valid for the registry's
         lifetime. Concurrent callers must use distinct keys. */
     TimeSeries &handle(std::string_view scenario,
@@ -196,7 +185,6 @@ class TimeSeriesRegistry
 
   private:
     mutable std::mutex mutex_;
-    int capacity_;
     std::map<std::pair<std::string, std::string>, TimeSeries>
         series_;
 };

@@ -341,25 +341,4 @@ forEachTraceFile(const std::string &path, const TraceEventFn &fn,
     }
 }
 
-std::vector<TraceEvent>
-readTrace(std::istream &in)
-{
-    std::vector<TraceEvent> events;
-    forEachTrace(in, [&events](const TraceEvent &ev, int) {
-        events.push_back(ev);
-    });
-    return events;
-}
-
-std::vector<TraceEvent>
-readTraceFile(const std::string &path)
-{
-    std::vector<TraceEvent> events;
-    forEachTraceFile(path,
-                     [&events](const TraceEvent &ev, int) {
-                         events.push_back(ev);
-                     });
-    return events;
-}
-
 } // namespace ahq::obs

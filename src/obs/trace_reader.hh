@@ -125,16 +125,6 @@ void forEachTraceFile(const std::string &path,
                       const TraceEventFn &fn,
                       TraceReadStats *stats = nullptr);
 
-/** Parse a whole stream (blank lines skipped). */
-std::vector<TraceEvent> readTrace(std::istream &in);
-
-/**
- * Parse a trace file.
- * @throws std::runtime_error when the file cannot be opened or a
- *         line is malformed.
- */
-std::vector<TraceEvent> readTraceFile(const std::string &path);
-
 } // namespace ahq::obs
 
 #endif // AHQ_OBS_TRACE_READER_HH

@@ -22,17 +22,17 @@
 namespace ahq::perf
 {
 
+/** Utilisation is clamped to this before the 1/(1-rho) pole. */
+constexpr double kRhoCap = 0.97;
+
+/** Upper bound on dilation to keep the fixed point well-behaved. */
+constexpr double kMaxDilation = 8.0;
+
 /** Parameters of the bandwidth dilation curve. */
 struct BandwidthTraits
 {
     /** Dilation curvature constant. */
     double contentionK = 0.8;
-
-    /** Utilisation is clamped to this before the 1/(1-rho) pole. */
-    double rhoCap = 0.97;
-
-    /** Upper bound on dilation to keep the fixed point well-behaved. */
-    double maxDilation = 8.0;
 };
 
 /**
@@ -45,22 +45,20 @@ class BandwidthModel
     explicit BandwidthModel(BandwidthTraits traits = {}) : traits_(traits)
     {
         assert(traits.contentionK >= 0.0);
-        assert(traits.rhoCap > 0.0 && traits.rhoCap < 1.0);
-        assert(traits.maxDilation >= 1.0);
     }
 
     /**
      * Latency dilation (>= 1) at the given utilisation.
-     * @param rho Demand / capacity; values above rhoCap are clamped.
+     * @param rho Demand / capacity; values above kRhoCap are clamped.
      */
     double
     dilation(double rho) const
     {
         if (rho <= 0.0)
             return 1.0;
-        const double r = std::min(rho, traits_.rhoCap);
+        const double r = std::min(rho, kRhoCap);
         const double d = 1.0 + traits_.contentionK * r * r / (1.0 - r);
-        return std::min(d, traits_.maxDilation);
+        return std::min(d, kMaxDilation);
     }
 
     /**
@@ -75,8 +73,6 @@ class BandwidthModel
             return 1.0;
         return capacity / demand;
     }
-
-    const BandwidthTraits &traits() const { return traits_; }
 
   private:
     BandwidthTraits traits_;

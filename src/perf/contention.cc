@@ -39,12 +39,15 @@ namespace
 {
 
 /**
- * Entries of the exact-key evaluation memo. Hits return
- * byte-identical outcomes for byte-identical inputs, so the size
- * changes no observable result — only the cost of epochs whose
- * layout and demands repeat.
+ * Fixed-point iterations. The damped iteration converges linearly at
+ * about 0.45 per step, so the 20th iterate is a truncation about 1e-7
+ * from the fixed point (ROADMAP item 2's tolerance stage would stop
+ * at a stated residual instead).
  */
-constexpr std::size_t kMemoCapacity = 64;
+constexpr int kIterations = 20;
+
+/** Damping factor of the fixed point (0 = frozen, 1 = jumpy). */
+constexpr double kDamping = 0.6;
 
 double
 damp(double old_v, double new_v, double alpha)
@@ -136,8 +139,6 @@ buildMemoKey(const RegionLayout &layout,
         key.push_back(t.cpiBase);
         key.push_back(t.missPenaltyCycles);
         key.push_back(t.mlp);
-        key.push_back(t.coreFreqGhz);
-        key.push_back(t.bytesPerMiss);
         const MissRateCurve &m = d.cpi.mrc();
         key.push_back(m.mpkiMax());
         key.push_back(m.mpkiMin());
@@ -150,11 +151,9 @@ buildMemoKey(const RegionLayout &layout,
 ContentionModel::ContentionModel(machine::MachineConfig config,
                                  ContentionTraits traits)
     : config_(std::move(config)), traits_(traits),
-      bwModel(traits.bandwidth), memo_(kMemoCapacity)
+      bwModel(traits.bandwidth)
 {
     assert(config_.valid());
-    assert(traits_.iterations > 0);
-    assert(traits_.damping > 0.0 && traits_.damping <= 1.0);
 }
 
 std::vector<PerfOutcome>
@@ -311,7 +310,7 @@ ContentionModel::solveLanes(std::span<const std::vector<AppDemand>> batch,
     const double ideal_ways = static_cast<double>(config_.totalLlcWays);
     const double machine_bw_cap =
         config_.availableMemBwUnits * config_.gibpsPerBwUnit();
-    const double alpha = traits_.damping;
+    const double alpha = kDamping;
     const AppDemand *dem[L];
     for (std::size_t l = 0; l < L; ++l)
         dem[l] = batch[lanes[l]].data();
@@ -359,7 +358,7 @@ ContentionModel::solveLanes(std::span<const std::vector<AppDemand>> batch,
 
     const std::size_t *const core_of = ws.coreMembers.data();
     const std::size_t *const way_of = ws.wayMembers.data();
-    for (int iter = 0; iter < traits_.iterations; ++iter) {
+    for (int iter = 0; iter < kIterations; ++iter) {
         // Bitwise convergence detector: the next iteration's inputs
         // are exactly this iterate's {ways, mbaScale, dilation,
         // speed, stretch}. When an iteration leaves all five bitwise

@@ -127,15 +127,13 @@ struct PerfOutcome
     double bwDemandGibps = 0.0;
 };
 
-/** Tunables of the contention model. */
+/**
+ * Tunables of the contention model that bench/sensitivity_model
+ * sweeps; the fixed point's iteration count and damping are
+ * constants of contention.cc.
+ */
 struct ContentionTraits
 {
-    /** Fixed-point iterations. */
-    int iterations = 20;
-
-    /** Damping factor for the fixed point (0 = frozen, 1 = jumpy). */
-    double damping = 0.6;
-
     /** Bandwidth dilation curve. */
     BandwidthTraits bandwidth;
 
@@ -197,12 +195,8 @@ class ContentionModel
                            CoreSharePolicy policy,
                            std::span<std::vector<PerfOutcome>> outs) const;
 
-    const machine::MachineConfig &config() const { return config_; }
-    const ContentionTraits &traits() const { return traits_; }
-
-    /** Evaluation-memo statistics (tests and telemetry). */
+    /** Evaluation-memo hits (telemetry and tests). */
     std::size_t memoHits() const { return memo_.hits(); }
-    std::size_t memoMisses() const { return memo_.misses(); }
 
   private:
     /**

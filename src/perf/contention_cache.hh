@@ -27,7 +27,7 @@
 #ifndef AHQ_PERF_CONTENTION_CACHE_HH
 #define AHQ_PERF_CONTENTION_CACHE_HH
 
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -35,18 +35,19 @@
 namespace ahq::perf
 {
 
+/**
+ * Entries of the exact-key evaluation memo. Hits return
+ * byte-identical outcomes for byte-identical inputs, so the size
+ * changes no observable result — only the cost of epochs whose
+ * layout and demands repeat.
+ */
+constexpr std::size_t kMemoCapacity = 64;
+
 /** Bounded exact-key memo of per-app outcome vectors. */
 template <typename Outcome>
 class EvaluationMemo
 {
   public:
-    /** @param capacity Entries held before the store clears (>= 1). */
-    explicit EvaluationMemo(std::size_t capacity)
-        : capacity_(capacity)
-    {
-        assert(capacity >= 1);
-    }
-
     /**
      * Look up the outcomes for @p key, writing its hash into @p hash
      * for a later store() of the same key. Several lookups may
@@ -65,7 +66,6 @@ class EvaluationMemo
                 return &e.outcomes;
             }
         }
-        ++misses_;
         return nullptr;
     }
 
@@ -77,7 +77,7 @@ class EvaluationMemo
     store(std::uint64_t hash, const std::vector<double> &key,
           const std::vector<Outcome> &outcomes)
     {
-        if (size_ >= capacity_)
+        if (size_ >= kMemoCapacity)
             size_ = 0;
         if (size_ == entries_.size())
             entries_.emplace_back();
@@ -87,15 +87,7 @@ class EvaluationMemo
         e.outcomes = outcomes;
     }
 
-    /** Forget every entry (slot storage is kept for reuse). */
-    void
-    clear()
-    {
-        size_ = 0;
-    }
-
     std::size_t hits() const { return hits_; }
-    std::size_t misses() const { return misses_; }
 
   private:
     static std::uint64_t
@@ -128,13 +120,10 @@ class EvaluationMemo
         std::vector<Outcome> outcomes;
     };
 
-    std::size_t capacity_;
-
     /** Slots; the first size_ hold live entries. */
     std::vector<Entry> entries_;
     std::size_t size_ = 0;
     std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
 };
 
 } // namespace ahq::perf

@@ -17,7 +17,6 @@ CpiModel::CpiModel(MissRateCurve mrc, CpiTraits traits)
 {
     assert(traits.cpiBase > 0.0);
     assert(traits.missPenaltyCycles >= 0.0);
-    assert(traits.coreFreqGhz > 0.0);
 }
 
 double

@@ -25,7 +25,13 @@
 namespace ahq::perf
 {
 
-/** Per-application CPI/bandwidth traits. */
+/** Core frequency in GHz (Table III: 2.2 GHz). */
+constexpr double kCoreFreqGhz = 2.2;
+
+/** Bytes transferred per LLC miss (one cache line). */
+constexpr double kBytesPerMiss = 64.0;
+
+/** Per-application CPI traits. */
 struct CpiTraits
 {
     /** Core-bound CPI component (no LLC misses). */
@@ -41,12 +47,6 @@ struct CpiTraits
      * little CPI per miss yet demand large bandwidth.
      */
     double mlp = 2.0;
-
-    /** Core frequency in GHz (Table III: 2.2 GHz). */
-    double coreFreqGhz = 2.2;
-
-    /** Bytes transferred per LLC miss (one cache line). */
-    double bytesPerMiss = 64.0;
 };
 
 /**
@@ -107,23 +107,16 @@ class CpiModel
 
     /**
      * Memory bandwidth demand in GiB/s of one core running this app
-     * flat out at the given conditions.
+     * flat out at the given CPI and miss rate.
      */
-    double
-    bwDemandPerCore(double ways, double dilation) const
-    {
-        return bwDemandPerCoreAtCpi(cpi(ways, dilation), mrc_.mpki(ways));
-    }
-
-    /** As bwDemandPerCore() with the CPI and miss rate evaluated. */
     double
     bwDemandPerCoreAtCpi(double cpi_now, double mpki) const
     {
         // instructions/s = freq / CPI;
         // bytes/s = inst/s * mpki/1000 * 64B.
-        const double inst_per_ns = traits_.coreFreqGhz / cpi_now;
+        const double inst_per_ns = kCoreFreqGhz / cpi_now;
         const double bytes_per_ns =
-            inst_per_ns * mpki / 1000.0 * traits_.bytesPerMiss;
+            inst_per_ns * mpki / 1000.0 * kBytesPerMiss;
         // bytes/ns == GB/s; convert to GiB/s.
         return bytes_per_ns * 1e9 / (1024.0 * 1024.0 * 1024.0);
     }

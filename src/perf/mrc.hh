@@ -46,17 +46,11 @@ class MissRateCurve
     }
 
     /**
-     * Access intensity used for way-stealing in shared regions:
-     * the marginal cache appetite of the application, proportional to
-     * the reducible miss mass it still has at the given allocation.
+     * Access intensity used for way-stealing in shared regions, from
+     * mpki(ways) at the app's allocation: the marginal cache appetite
+     * of the application, proportional to the reducible miss mass it
+     * still has there.
      */
-    double
-    accessIntensity(double ways) const
-    {
-        return intensityWithMpki(mpki(ways));
-    }
-
-    /** As accessIntensity() with mpki(ways) already evaluated. */
     double
     intensityWithMpki(double mpki_at_ways) const
     {

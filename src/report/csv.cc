@@ -8,16 +8,12 @@
 namespace ahq::report
 {
 
-CsvWriter::CsvWriter(const std::string &path,
-                     const std::vector<std::string> &header)
-    : out(path, std::ios::trunc)
+namespace
 {
-    if (ok())
-        addRow(header);
-}
 
+/** Escape a cell per RFC 4180. */
 std::string
-CsvWriter::escape(const std::string &cell)
+escape(const std::string &cell)
 {
     const bool needs_quotes =
         cell.find_first_of(",\"\n") != std::string::npos;
@@ -34,10 +30,21 @@ CsvWriter::escape(const std::string &cell)
     return quoted;
 }
 
+} // namespace
+
+CsvWriter::CsvWriter(const std::string &path,
+                     const std::vector<std::string> &header)
+    : out(path, std::ios::trunc)
+{
+    addRow(header);
+}
+
 void
 CsvWriter::addRow(const std::vector<std::string> &row)
 {
-    if (!ok())
+    // A file that failed to open, or a failed write, turns every
+    // later row into a no-op.
+    if (!out)
         return;
     for (std::size_t i = 0; i < row.size(); ++i) {
         if (i)

@@ -28,14 +28,8 @@ class CsvWriter
     CsvWriter(const std::string &path,
               const std::vector<std::string> &header);
 
-    /** Whether the file opened successfully. */
-    bool ok() const { return out.is_open() && out.good(); }
-
-    /** Write one row of string cells. */
+    /** Write one row of string cells, each quoted per RFC 4180. */
     void addRow(const std::vector<std::string> &row);
-
-    /** Escape a cell per RFC 4180. */
-    static std::string escape(const std::string &cell);
 
   private:
     std::ofstream out;

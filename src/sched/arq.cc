@@ -22,6 +22,20 @@ using machine::RegionId;
 using machine::RegionLayout;
 using machine::ResourceKind;
 
+namespace
+{
+
+/**
+ * Intervals to let the system settle after an adjustment before
+ * judging it by E_S: the adjustment interval itself carries the
+ * one-off repartitioning overhead (cache warm-up, migration), which
+ * would otherwise make every beneficial move look like an entropy
+ * increase and be rolled back.
+ */
+constexpr int kSettleEpochs = 1;
+
+} // namespace
+
 Arq::Arq(ArqConfig config)
     : cfg(config)
 {
@@ -292,10 +306,10 @@ Arq::adjust(RegionLayout &layout,
         action = "skip";
     } else if (cfg.rollbackEnabled && isAdjust && es > prevEs) {
         // Cancel the last adjustment and ban the victim region from
-        // being penalised again for banSeconds.
+        // being penalised again for kArqBanSeconds.
         layout.moveResource(lastMove.kind, lastMove.to,
                             lastMove.from);
-        ban_until = now_s + cfg.banSeconds;
+        ban_until = now_s + kArqBanSeconds;
         banUntil[static_cast<std::size_t>(lastMove.from)] = ban_until;
         isAdjust = false;
         action = "rollback";
@@ -308,7 +322,7 @@ Arq::adjust(RegionLayout &layout,
             isAdjust = adjustResource(layout, ret, now_s);
         }
         if (isAdjust) {
-            settleLeft = cfg.settleEpochs;
+            settleLeft = kSettleEpochs;
             action = "move";
         }
         prevEs = es;

@@ -33,28 +33,22 @@ namespace ahq::sched
 {
 
 /**
- * The ARQ settings some caller varies (defaults are the paper's):
- * the ablation switches, and the timing knobs tests shorten.
+ * How long a cancelled victim region is banned, seconds (the
+ * paper's 60 s). The invariant auditor checks the ban against it.
+ */
+constexpr double kArqBanSeconds = 60.0;
+
+/**
+ * The ARQ settings bench/ablation_arq varies (defaults are the
+ * paper's).
  */
 struct ArqConfig
 {
     /** Relative importance of LC over BE in E_S. */
     double relativeImportance = core::kDefaultRelativeImportance;
 
-    /** How long a cancelled victim region is banned, seconds. */
-    double banSeconds = 60.0;
-
     /** Ablation: disable the rollback-on-entropy-increase step. */
     bool rollbackEnabled = true;
-
-    /**
-     * Intervals to let the system settle after an adjustment before
-     * judging it by E_S: the adjustment interval itself carries the
-     * one-off repartitioning overhead (cache warm-up, migration),
-     * which would otherwise make every beneficial move look like an
-     * entropy increase and be rolled back.
-     */
-    int settleEpochs = 1;
 
     /**
      * Ablation: when false, LC apps may not use the shared region
@@ -98,12 +92,6 @@ class Arq : public Scheduler
      * live cancelled move is retried next interval.
      */
     void onActuation(bool applied) override;
-
-    /** Last computed entropy report (for introspection/tests). */
-    const core::EntropyReport &lastReport() const { return report; }
-
-    /** The controller tunables in force. */
-    const ArqConfig &config() const { return cfg; }
 
     /**
      * What the last adjust() decided: "hold", "move", "rollback",

@@ -48,11 +48,21 @@ constexpr double kGpNoiseVar = 0.01;
  */
 constexpr std::size_t kGpWindowCap = 10;
 
+/** Total sampling budget before pinning the best config. */
+constexpr int kTotalBudget = 24;
+
+/**
+ * Intervals to let the system settle after deploying a sample
+ * before scoring it (queue backlog from the previous sample would
+ * otherwise contaminate the measurement; at high load the drain can
+ * take more than one 500 ms interval).
+ */
+constexpr int kSettleEpochs = 2;
+
 } // namespace
 
-Clite::Clite(CliteConfig config)
-    : cfg(config), rng(kSeed),
-      gp(kGpLengthScale, kGpSignalVar, kGpNoiseVar)
+Clite::Clite()
+    : rng(kSeed), gp(kGpLengthScale, kGpSignalVar, kGpNoiseVar)
 {
     gp.setWindowCap(kGpWindowCap);
 }
@@ -427,12 +437,12 @@ Clite::adjust(machine::RegionLayout &layout,
         violationStreak = score < 0.0 ? violationStreak + 1 : 0;
         if (violationStreak >= kViolationPatience && bestY >= 0.0) {
             exploiting = false;
-            exploreCount = cfg.totalBudget / 2;
+            exploreCount = kTotalBudget / 2;
             violationStreak = 0;
         }
     } else {
         ++exploreCount;
-        if (exploreCount >= cfg.totalBudget)
+        if (exploreCount >= kTotalBudget)
             exploiting = true;
     }
 
@@ -488,7 +498,7 @@ Clite::adjust(machine::RegionLayout &layout,
     currentAlloc = nextBuf;
     applyAlloc(layout, nextBuf);
     if (!exploiting)
-        settleLeft = cfg.settleEpochs;
+        settleLeft = kSettleEpochs;
 
     const obs::Scope &scope = obsScope();
     scope.count(exploiting ? "clite.exploit" : "clite.sample");

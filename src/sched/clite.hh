@@ -28,28 +28,13 @@
 namespace ahq::sched
 {
 
-/** The CLITE settings some caller varies. */
-struct CliteConfig
-{
-    /** Total sampling budget before pinning the best config. */
-    int totalBudget = 24;
-
-    /**
-     * Intervals to let the system settle after deploying a sample
-     * before scoring it (queue backlog from the previous sample
-     * would otherwise contaminate the measurement; at high load the
-     * drain can take more than one 500 ms interval).
-     */
-    int settleEpochs = 2;
-};
-
 /**
  * The CLITE Bayesian-optimisation controller.
  */
 class Clite : public Scheduler
 {
   public:
-    explicit Clite(CliteConfig config = {});
+    Clite();
 
     std::string name() const override { return "CLITE"; }
 
@@ -79,11 +64,7 @@ class Clite : public Scheduler
      */
     void onActuation(bool applied) override;
 
-    /** Number of objective samples collected so far (for tests). */
-    int samplesCollected() const { return samples; }
-
   private:
-    CliteConfig cfg;
     stats::Rng rng;
 
     /**

@@ -72,9 +72,6 @@ class GaussianProcess
      */
     void setWindowCap(std::size_t cap);
 
-    /** Current window cap (0 = unbounded). */
-    std::size_t windowCap() const { return window_; }
-
     /** Whether at least one sample is held. */
     bool fitted() const { return n_ > 0; }
 

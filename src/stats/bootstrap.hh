@@ -25,13 +25,6 @@ struct ConfidenceInterval
     double lo = 0.0;
     double hi = 0.0;
 
-    /** Half-width of the interval. */
-    double
-    halfWidth() const
-    {
-        return 0.5 * (hi - lo);
-    }
-
     /** Whether the interval contains the value. */
     bool
     contains(double v) const

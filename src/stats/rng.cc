@@ -127,29 +127,6 @@ Rng::lognormalNoise(double sigma)
     return std::exp(normal(-0.5 * sigma * sigma, sigma));
 }
 
-std::uint64_t
-Rng::poisson(double mean)
-{
-    assert(mean >= 0.0);
-    if (mean == 0.0)
-        return 0;
-    if (mean < 30.0) {
-        // Knuth inversion for small means.
-        const double limit = std::exp(-mean);
-        double p = 1.0;
-        std::uint64_t k = 0;
-        do {
-            ++k;
-            p *= uniform();
-        } while (p > limit);
-        return k - 1;
-    }
-    // Normal approximation with continuity correction for large means;
-    // adequate for epoch-level arrival counts.
-    const double v = normal(mean, std::sqrt(mean));
-    return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
-}
-
 bool
 Rng::bernoulli(double p)
 {

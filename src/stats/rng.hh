@@ -60,9 +60,6 @@ class Rng
      */
     double lognormalNoise(double sigma);
 
-    /** Poisson variate with the given mean (inversion / PTRS hybrid). */
-    std::uint64_t poisson(double mean);
-
     /** Bernoulli trial with probability p of returning true. */
     bool bernoulli(double p);
 

@@ -13,7 +13,6 @@ namespace ahq::stats
 {
 
 ZipfDistribution::ZipfDistribution(std::uint64_t n, double s)
-    : n_(n), s_(s)
 {
     assert(n >= 1);
     cdf.resize(n);
@@ -29,26 +28,20 @@ ZipfDistribution::ZipfDistribution(std::uint64_t n, double s)
 }
 
 std::uint64_t
-ZipfDistribution::sample(Rng &rng) const
-{
-    return sampleAt(rng.uniform());
-}
-
-std::uint64_t
 ZipfDistribution::sampleAt(double u) const
 {
     const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
     // cdf.back() is pinned to 1.0, so only u > 1.0 can fall past
     // the table; clamp it to the last rank rather than return n+1.
     if (it == cdf.end())
-        return n_;
+        return cdf.size();
     return static_cast<std::uint64_t>(it - cdf.begin()) + 1;
 }
 
 double
 ZipfDistribution::pmf(std::uint64_t rank) const
 {
-    assert(rank >= 1 && rank <= n_);
+    assert(rank >= 1 && rank <= cdf.size());
     const double lo = rank == 1 ? 0.0 : cdf[rank - 2];
     return cdf[rank - 1] - lo;
 }

@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "stats/rng.hh"
-
 namespace ahq::stats
 {
 
@@ -32,29 +30,17 @@ class ZipfDistribution
      */
     ZipfDistribution(std::uint64_t n, double s);
 
-    /** Sample a rank in [1, n]. */
-    std::uint64_t sample(Rng &rng) const;
-
     /**
-     * Rank for a given uniform draw u in [0, 1] (the inverse-CDF
-     * step sample() performs). Exposed so tests can pin the
-     * boundary draws: u == 0.0 maps to rank 1 and u == 1.0 maps to
-     * rank n, never past the table.
+     * Rank in [1, n] for a uniform draw u in [0, 1] (the inverse-CDF
+     * step): u == 0.0 maps to rank 1 and u == 1.0 to rank n, never
+     * past the table.
      */
     std::uint64_t sampleAt(double u) const;
 
     /** Probability mass of the given rank. */
     double pmf(std::uint64_t rank) const;
 
-    /** Number of ranked items. */
-    std::uint64_t size() const { return n_; }
-
-    /** Skew exponent. */
-    double skew() const { return s_; }
-
   private:
-    std::uint64_t n_;
-    double s_;
     std::vector<double> cdf;
 };
 

@@ -23,48 +23,70 @@ constexpr std::uint64_t kTenantStream = 0x7e9a9;
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
+/** Peak load fraction of the least popular tenant. */
+constexpr double kBaseLoad = 0.15;
+
+/** Peak load fraction of the rank-1 tenant. */
+constexpr double kPeakLoad = 0.85;
+
+/** Length of one simulated "day", seconds. */
+constexpr double kDiurnalPeriodS = 240.0;
+
+/** Night-time load as a fraction of the tenant's peak. */
+constexpr double kDiurnalLowFraction = 0.35;
+
+/** Fraction of tenants that exhibit flash crowds. */
+constexpr double kFlashFraction = 0.15;
+
+/** Extra load during a flash crowd. */
+constexpr double kFlashAmplitude = 0.35;
+
+/** Time between flash-crowd starts, seconds. */
+constexpr double kFlashPeriodS = 90.0;
+
+/** Flash-crowd duration, seconds. */
+constexpr double kFlashDurationS = 10.0;
+
+/** Hard cap on any tenant's load fraction. */
+constexpr double kLoadCap = 0.95;
+
 /**
  * One tenant's load: a phase-shifted diurnal sinusoid scaled to the
  * tenant's popularity peak, plus an optional periodic flash-crowd
- * overlay, clamped to the configured cap.
+ * overlay, clamped to kLoadCap.
  */
 class TenantTrace final : public LoadTrace
 {
   public:
-    TenantTrace(double peak, double low_fraction, double period_s,
-                double phase_s, bool flashes, double flash_amp,
-                double flash_period_s, double flash_phase_s,
-                double flash_duration_s, double cap)
-        : peak_(peak), lowFraction(low_fraction), period(period_s),
-          phase(phase_s), flashes_(flashes), flashAmp(flash_amp),
-          flashPeriod(flash_period_s), flashPhase(flash_phase_s),
-          flashDuration(flash_duration_s), cap_(cap)
+    TenantTrace(double peak, double phase_s, bool flashes,
+                double flash_phase_s)
+        : peak_(peak), phase(phase_s), flashes_(flashes),
+          flashPhase(flash_phase_s)
     {
     }
 
     double at(double time_s) const override
     {
-        // Diurnal: lowFraction of peak at "night", full peak at
-        // midday, sinusoidal in between.
+        // Diurnal: kDiurnalLowFraction of peak at "night", full peak
+        // at midday, sinusoidal in between.
         const double day = 0.5 *
-            (1.0 - std::cos(kTwoPi * (time_s + phase) / period));
+            (1.0 - std::cos(kTwoPi * (time_s + phase) / kDiurnalPeriodS));
         double load = peak_ *
-            (lowFraction + (1.0 - lowFraction) * day);
+            (kDiurnalLowFraction + (1.0 - kDiurnalLowFraction) * day);
         if (flashes_) {
             const double t = time_s + flashPhase;
             const double in_period =
-                t - std::floor(t / flashPeriod) * flashPeriod;
-            if (in_period < flashDuration)
-                load += flashAmp;
+                t - std::floor(t / kFlashPeriodS) * kFlashPeriodS;
+            if (in_period < kFlashDurationS)
+                load += kFlashAmplitude;
         }
-        return std::clamp(load, 0.0, cap_);
+        return std::clamp(load, 0.0, kLoadCap);
     }
 
   private:
-    double peak_, lowFraction, period, phase;
+    double peak_, phase;
     bool flashes_;
-    double flashAmp, flashPeriod, flashPhase, flashDuration;
-    double cap_;
+    double flashPhase;
 };
 
 } // namespace
@@ -76,29 +98,23 @@ FleetLoadGenerator::FleetLoadGenerator(FleetLoadConfig config)
            config.zipfSkew)
 {
     assert(cfg.numTenants >= 1);
-    assert(cfg.peakLoad >= cfg.baseLoad);
     const auto m = static_cast<std::uint64_t>(cfg.numTenants);
     traces.reserve(m);
     peaks.reserve(m);
-    flashes.reserve(m);
     const stats::Rng root(cfg.seed);
     const double pmf1 = zipf.pmf(1);
     for (std::uint64_t r = 1; r <= m; ++r) {
         // Per-tenant stream: the draw order below is part of the
         // determinism contract (phase, flash gate, flash phase).
         stats::Rng rng = root.split(kTenantStream).split(r);
-        const double peak = cfg.baseLoad +
-            (cfg.peakLoad - cfg.baseLoad) * (zipf.pmf(r) / pmf1);
-        const double phase = rng.uniform(0.0, cfg.diurnalPeriodS);
-        const bool flash = rng.bernoulli(cfg.flashFraction);
-        const double flash_phase =
-            rng.uniform(0.0, cfg.flashPeriodS);
+        const double peak = kBaseLoad +
+            (kPeakLoad - kBaseLoad) * (zipf.pmf(r) / pmf1);
+        const double phase = rng.uniform(0.0, kDiurnalPeriodS);
+        const bool flash = rng.bernoulli(kFlashFraction);
+        const double flash_phase = rng.uniform(0.0, kFlashPeriodS);
         peaks.push_back(peak);
-        flashes.push_back(flash);
-        traces.push_back(std::make_shared<TenantTrace>(
-            peak, cfg.diurnalLowFraction, cfg.diurnalPeriodS,
-            phase, flash, cfg.flashAmplitude, cfg.flashPeriodS,
-            flash_phase, cfg.flashDurationS, cfg.loadCap));
+        traces.push_back(
+            std::make_shared<TenantTrace>(peak, phase, flash, flash_phase));
     }
 }
 
@@ -126,13 +142,6 @@ FleetLoadGenerator::tenantPeakLoad(std::uint64_t rank) const
 {
     assert(rank >= 1 && rank <= peaks.size());
     return peaks[rank - 1];
-}
-
-bool
-FleetLoadGenerator::tenantFlashes(std::uint64_t rank) const
-{
-    assert(rank >= 1 && rank <= flashes.size());
-    return flashes[rank - 1];
 }
 
 } // namespace ahq::trace

@@ -22,7 +22,11 @@
 namespace ahq::trace
 {
 
-/** Shape of the synthesized global load (defaults = small fleet). */
+/**
+ * Size and seed of the synthesized global load (defaults = small
+ * fleet). The load shape itself (peak range, day length, flash
+ * crowds, cap) is fixed in fleet_load.cc.
+ */
 struct FleetLoadConfig
 {
     /** Nodes in the fleet. */
@@ -43,33 +47,6 @@ struct FleetLoadConfig
 
     /** Zipf skew exponent over tenant popularity ranks. */
     double zipfSkew = 1.1;
-
-    /** Peak load fraction of the least popular tenant. */
-    double baseLoad = 0.15;
-
-    /** Peak load fraction of the rank-1 tenant. */
-    double peakLoad = 0.85;
-
-    /** Length of one simulated "day", seconds. */
-    double diurnalPeriodS = 240.0;
-
-    /** Night-time load as a fraction of the tenant's peak. */
-    double diurnalLowFraction = 0.35;
-
-    /** Fraction of tenants that exhibit flash crowds. */
-    double flashFraction = 0.15;
-
-    /** Extra load during a flash crowd. */
-    double flashAmplitude = 0.35;
-
-    /** Time between flash-crowd starts, seconds. */
-    double flashPeriodS = 90.0;
-
-    /** Flash-crowd duration, seconds. */
-    double flashDurationS = 10.0;
-
-    /** Hard cap on any tenant's load fraction. */
-    double loadCap = 0.95;
 
     /** Seed for tenant assignment, phases and flash gating. */
     std::uint64_t seed = 42;
@@ -114,15 +91,11 @@ class FleetLoadGenerator
     /** Peak (daytime) load fraction of the given tenant rank. */
     double tenantPeakLoad(std::uint64_t rank) const;
 
-    /** Whether the given tenant rank exhibits flash crowds. */
-    bool tenantFlashes(std::uint64_t rank) const;
-
   private:
     FleetLoadConfig cfg;
     stats::ZipfDistribution zipf;
     std::vector<std::shared_ptr<LoadTrace>> traces;
     std::vector<double> peaks;
-    std::vector<bool> flashes;
 };
 
 } // namespace ahq::trace

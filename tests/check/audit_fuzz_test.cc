@@ -139,11 +139,10 @@ TEST(AuditFuzz, ArqAblationsSurviveStrictAudit)
     stats::Rng rng(13579);
     for (const bool rollback : {true, false}) {
         for (const bool shared : {true, false}) {
-            for (const int settle : {0, 2}) {
+            for (const int draw : {0, 1}) {
                 sched::ArqConfig acfg;
                 acfg.rollbackEnabled = rollback;
                 acfg.sharedRegionEnabled = shared;
-                acfg.settleEpochs = settle;
                 sched::Arq arq(acfg);
 
                 cluster::Node node(
@@ -164,7 +163,7 @@ TEST(AuditFuzz, ArqAblationsSurviveStrictAudit)
                 EXPECT_NO_THROW(sim.run(arq))
                     << "rollback=" << rollback
                     << " shared=" << shared
-                    << " settle=" << settle;
+                    << " draw=" << draw;
             }
         }
     }

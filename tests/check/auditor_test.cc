@@ -262,13 +262,10 @@ TEST(AuditorSim, ArqRollbacksAndBansStayLegal)
 
 TEST(AuditorSim, AllBannedVictimsEpochsHold)
 {
-    // With an effectively infinite ban window every rolled-back
-    // victim stays banned for the rest of the run; ARQ must keep
-    // holding (victim == kNoRegion) instead of violating a ban.
-    sched::ArqConfig acfg;
-    acfg.banSeconds = 1e9;
-    acfg.settleEpochs = 0;
-    sched::Arq arq(acfg);
+    // The 60 s ban outlasts this 60 s run, so every rolled-back
+    // victim stays banned for the rest of it; ARQ must keep holding
+    // (victim == kNoRegion) instead of violating a ban.
+    sched::Arq arq;
 
     cluster::Node node(
         machine::MachineConfig::xeonE52630v4().withAvailable(4, 8,

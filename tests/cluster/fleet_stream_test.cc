@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
 
 #include "apps/catalog.hh"
 #include "cluster/cluster_sched.hh"
@@ -146,8 +147,9 @@ TEST(FleetStream, SurvivorViolationsIncludePreCrash)
     cfg.durationSeconds = 30.0;
     cfg.warmupEpochs = 5;
 
-    fault::FaultPlan plan;
-    plan.addCrash({1, 28.0}); // epoch 56 of 60
+    std::istringstream directives(
+        R"({"fault":"node_crash","node":1,"at_s":28})"); // epoch 56 of 60
+    const auto plan = fault::FaultPlan::fromStream(directives, "crash");
     cfg.faults = &plan;
 
     Fleet fleet;

@@ -6,17 +6,21 @@
  * move charged no cold-start cost, so marginal migrations that a
  * real drain-and-rewarm would erase looked profitable).
  *
- * Both fixes are config-driven, so each test reproduces the pre-fix
- * behaviour by zeroing the corresponding knobs and then shows the
- * defaults suppress it: these tests fail when run against the
- * pre-fix decision loop.
+ * Both fixes are constants of the rebalancer (cluster_sched.cc): a
+ * 0.01 spread margin with a two-round per-app cooldown, and a cold
+ * window of 4 epochs at up to 0.25 service degradation charged to
+ * every move. These tests fail when run against the pre-fix
+ * decision loop.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "apps/catalog.hh"
 #include "cluster/cluster_sched.hh"
 #include "cluster/epoch_sim.hh"
+#include "cluster/fleet.hh"
 #include "obs/metrics.hh"
 #include "sched/registry.hh"
 
@@ -32,17 +36,6 @@ base()
     SimulationConfig c;
     c.durationSeconds = 1.0; // overridden per round
     return c;
-}
-
-/** Pre-fix knob settings: greedy, cooldown-free, free migrations. */
-ClusterConfig
-preFix(ClusterConfig cc)
-{
-    cc.migrationEpsilon = 0.0;
-    cc.migrationCooldownRounds = 0;
-    cc.migrationCostEpochs = 0;
-    cc.migrationPenalty = 0.0;
-    return cc;
 }
 
 /**
@@ -83,26 +76,15 @@ oscillationConfig()
     ClusterConfig cc;
     cc.rounds = 6;
     cc.spreadThreshold = 0.005; // near-equal spread still trips it
-    cc.maxMigrationsPerRound = 1;
     return cc;
-}
-
-TEST(MigrationRegression, GreedyRebalancerOscillates)
-{
-    // Pre-fix semantics: the same app ping-pongs between the two
-    // near-equal nodes. This pins the bug so the fixed defaults
-    // below are shown to remove real behaviour, not a strawman.
-    auto cs = nearEqual(preFix(oscillationConfig()));
-    const auto res = cs.run(base());
-    ASSERT_GE(res.migrations.size(), 2u);
-    EXPECT_TRUE(hasReverseMigration(res.migrations));
 }
 
 TEST(MigrationRegression, HysteresisAndCooldownSettle)
 {
-    // Default epsilon + cooldown: no app retraces its own move, and
-    // the rebalancer stops churning instead of migrating every
-    // round.
+    // The spread margin and the cooldown: no app retraces its own
+    // move, and the rebalancer stops churning instead of migrating
+    // every round (the pre-fix loop handed the third LC app back
+    // and forth).
     auto cs = nearEqual(oscillationConfig());
     const auto res = cs.run(base());
     EXPECT_FALSE(hasReverseMigration(res.migrations));
@@ -122,43 +104,69 @@ marginal(ClusterConfig cc)
     ClusterScheduler cs(std::move(cc), "ARQ");
     const auto mc = machine::MachineConfig::xeonE52630v4()
                         .withAvailable(6, 10, 6);
-    cs.addNode(mc, {lcAt(apps::xapian(), 0.48),
-                    lcAt(apps::moses(), 0.42),
+    cs.addNode(mc, {lcAt(apps::xapian(), 0.30),
+                    lcAt(apps::moses(), 0.45),
                     lcAt(apps::sphinx(), 0.38)});
-    cs.addNode(mc, {lcAt(apps::imgDnn(), 0.4),
-                    lcAt(apps::sphinx(), 0.35)});
+    cs.addNode(mc, {lcAt(apps::imgDnn(), 0.34),
+                    lcAt(apps::sphinx(), 0.45)});
     return cs;
 }
 
 TEST(MigrationRegression, ColdStartCostBlocksMarginalMove)
 {
+    // Replay the first rebalance: one measurement round gives the
+    // node means it sees (a one-round run stops before rebalancing).
     ClusterConfig cc;
-    cc.rounds = 2;
     cc.spreadThreshold = 0.01;
-    // A negligible margin (epsilon = 0 disables the gate outright,
-    // so nothing could ever reject a move): any genuine projected
-    // improvement passes, only the cost knob varies between arms.
-    cc.migrationEpsilon = 1e-9;
-    cc.migrationCooldownRounds = 0;
+    cc.rounds = 1;
+    auto probe = marginal(cc);
+    const auto means = probe.run(base()).finalNodeES;
+    ASSERT_EQ(means.size(), 2u);
+    const std::size_t hot = means[0] >= means[1] ? 0 : 1;
+    const std::size_t dest = 1 - hot;
+    const double spread_now = std::abs(means[0] - means[1]);
+    ASSERT_GT(spread_now, cc.spreadThreshold);
 
-    // Free migrations: the marginal move is taken.
-    auto free_cc = cc;
-    free_cc.migrationCostEpochs = 0;
-    free_cc.migrationPenalty = 0.0;
-    auto cs_free = marginal(free_cc);
-    const auto res_free = cs_free.run(base());
-    ASSERT_FALSE(res_free.migrations.empty());
+    const auto mc = machine::MachineConfig::xeonE52630v4()
+                        .withAvailable(6, 10, 6);
+    const SimulationConfig trial =
+        trialConfig(base(), ClusterConfig::trialSeconds,
+                    ClusterConfig::trialWarmupEpochs);
+    const auto arq = [] { return sched::makeScheduler("ARQ"); };
 
-    // Charged migrations (a heavy drain: the cold window spans the
-    // whole trial): the destination trial runs the candidate
-    // through it, the projected gain disappears, and the move is
-    // rejected.
-    auto paid_cc = cc;
-    paid_cc.migrationCostEpochs = 12;
-    paid_cc.migrationPenalty = 2.0;
-    auto cs_paid = marginal(paid_cc);
-    const auto res_paid = cs_paid.run(base());
-    EXPECT_TRUE(res_paid.migrations.empty());
+    // The victim: the app whose removal leaves the hot node coolest.
+    std::size_t victim = 0;
+    double victim_es = 1e300;
+    for (std::size_t i = 0; i < probe.apps(hot).size(); ++i) {
+        auto rest = probe.apps(hot);
+        rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i));
+        const double es = trialEntropy(mc, rest, trial, arq);
+        if (es < victim_es) {
+            victim_es = es;
+            victim = i;
+        }
+    }
+
+    // Its destination trial with the victim arriving warm (a free
+    // migration) and cold (4 epochs, up to 0.25 degradation).
+    auto warm = probe.apps(dest);
+    warm.push_back(probe.apps(hot)[victim]);
+    auto cold = warm;
+    cold.back().coldEpochs = 4;
+    cold.back().coldPenalty = 0.25;
+    const double gain_free =
+        spread_now - std::abs(victim_es - trialEntropy(mc, warm, trial, arq));
+    const double gain_paid =
+        spread_now - std::abs(victim_es - trialEntropy(mc, cold, trial, arq));
+
+    // Free, the move clears the 0.01 margin; charged, it does not.
+    EXPECT_GE(gain_free, 0.01);
+    EXPECT_LT(gain_paid, 0.01);
+
+    // So the rebalancer, which charges every move, keeps the app.
+    cc.rounds = 2;
+    auto cs = marginal(cc);
+    EXPECT_TRUE(cs.run(base()).migrations.empty());
 }
 
 TEST(MigrationRegression, MigrationCostEpochsMetricSurfaced)
@@ -186,9 +194,9 @@ TEST(MigrationRegression, MigrationCostEpochsMetricSurfaced)
     ASSERT_FALSE(res.migrations.empty());
     EXPECT_EQ(metrics.counter("cluster.migrations"),
               static_cast<double>(res.migrations.size()));
+    // Each move is charged the 4-epoch cold window.
     EXPECT_EQ(metrics.counter("cluster.migration_cost_epochs"),
-              static_cast<double>(res.migrations.size() *
-                                  cc.migrationCostEpochs));
+              static_cast<double>(res.migrations.size() * 4));
 }
 
 TEST(MigrationRegression, ColdStartWindowInflatesEarlyTail)

@@ -32,7 +32,6 @@ coarse()
 {
     OracleConfig cfg;
     cfg.wayStep = 4; // keep tests fast
-    cfg.coreStep = 1;
     return cfg;
 }
 

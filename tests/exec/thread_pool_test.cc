@@ -1,13 +1,14 @@
 /**
  * @file
  * ThreadPool and parallelFor/parallelMap unit tests: startup and
- * shutdown, exception propagation, nested submission without
+ * shutdown, exception propagation, nested posting without
  * deadlock, and ordered result collection.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -98,49 +99,36 @@ TEST(ThreadPool, ConcurrentPostersVsShutdownLoseNoWork)
     }
 }
 
-TEST(ThreadPool, SubmitReturnsValue)
-{
-    exec::ThreadPool pool(2);
-    auto fut = pool.submit([] { return 6 * 7; });
-    EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesException)
-{
-    exec::ThreadPool pool(2);
-    auto fut = pool.submit([]() -> int {
-        throw std::runtime_error("task boom");
-    });
-    EXPECT_THROW((void)fut.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, NestedSubmitNoDeadlock)
+TEST(ThreadPool, NestedPostNoDeadlock)
 {
     exec::ThreadPool pool(1); // worst case: a single worker
-    std::atomic<int> inner_ran{0};
-    auto outer = pool.submit([&] {
+    std::promise<bool> outer;
+    std::promise<void> inner;
+    auto outer_done = outer.get_future();
+    auto inner_done = inner.get_future();
+    pool.post([&] {
         // Enqueue from inside a pool task; must not block.
-        pool.post([&inner_ran] { ++inner_ran; });
-        return exec::ThreadPool::onPoolThread();
+        pool.post([&inner] { inner.set_value(); });
+        outer.set_value(exec::ThreadPool::onPoolThread());
     });
-    EXPECT_TRUE(outer.get());
-    // The destructor drains the nested task.
-    auto fence = pool.submit([] { return true; });
-    EXPECT_TRUE(fence.get());
-    EXPECT_EQ(inner_ran.load(), 1);
+    EXPECT_TRUE(outer_done.get());
+    // The one worker runs the nested task next.
+    inner_done.get();
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline)
 {
     exec::ThreadPool pool(2);
-    auto fut = pool.submit([&] {
+    std::promise<int> sum;
+    auto done = sum.get_future();
+    pool.post([&] {
         std::vector<int> out(16, 0);
         exec::parallelFor(pool, out.size(), [&](std::size_t i) {
             out[i] = static_cast<int>(i);
         });
-        return std::accumulate(out.begin(), out.end(), 0);
+        sum.set_value(std::accumulate(out.begin(), out.end(), 0));
     });
-    EXPECT_EQ(fut.get(), 120);
+    EXPECT_EQ(done.get(), 120);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
@@ -191,12 +179,11 @@ TEST(ParallelMap, ResultsAreInInputOrder)
 
 TEST(Jobs, EnvAndOverrideResolution)
 {
-    EXPECT_GE(exec::defaultJobs(), 1);
+    EXPECT_GE(exec::globalPool().threads(), 1);
     exec::setDefaultJobs(3);
-    EXPECT_EQ(exec::defaultJobs(), 3);
     EXPECT_EQ(exec::globalPool().threads(), 3);
     exec::setDefaultJobs(0); // back to the environment default
-    EXPECT_GE(exec::defaultJobs(), 1);
+    EXPECT_GE(exec::globalPool().threads(), 1);
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include "fault/injector.hh"
 #include "fault/plan.hh"
 #include "obs/metrics.hh"
+#include "obs/span.hh"
 #include "obs/trace_sink.hh"
 #include "sched/arq.hh"
 #include "sched/registry.hh"
@@ -32,6 +33,14 @@ namespace
 {
 
 using namespace ahq;
+
+/** A plan from JSONL directives, the path `--faults` takes. */
+fault::FaultPlan
+planOf(const std::string &jsonl)
+{
+    std::istringstream in(jsonl);
+    return fault::FaultPlan::fromStream(in, "test");
+}
 
 cluster::Node
 canonicalNode()
@@ -71,7 +80,7 @@ TEST(FaultPlan, ParsesEveryDirectiveKind)
         "{\"fault\":\"node_crash\",\"node\":1,\"at_s\":4}\n");
     const auto plan = fault::FaultPlan::fromStream(in, "inline");
 
-    EXPECT_TRUE(plan.active());
+    EXPECT_TRUE(plan.perturbsNodes());
     ASSERT_TRUE(plan.measurement().has_value());
     EXPECT_NEAR(plan.measurement()->pDrop, 0.1, 1e-12);
     EXPECT_NEAR(plan.measurement()->extraSigma, 0.05, 1e-12);
@@ -125,15 +134,24 @@ TEST(FaultPlan, RejectsMalformedDirectives)
                  std::runtime_error);
 }
 
-TEST(FaultPlan, EmptyPlanIsInactive)
+TEST(FaultPlan, OnlyPerNodeDirectivesPerturbNodes)
 {
-    EXPECT_FALSE(fault::FaultPlan{}.active());
-    std::istringstream in("# only comments\n\n");
-    EXPECT_FALSE(
-        fault::FaultPlan::fromStream(in, "empty").active());
+    EXPECT_FALSE(fault::FaultPlan{}.perturbsNodes());
+    EXPECT_FALSE(planOf("# only comments\n\n").perturbsNodes());
     const auto chaos = fault::FaultPlan::builtinChaos();
-    EXPECT_TRUE(chaos.active());
+    EXPECT_TRUE(chaos.perturbsNodes());
     EXPECT_TRUE(chaos.crashes().empty());
+    // A crash is Fleet::run's to handle: no node's run is faulted.
+    const auto crash =
+        planOf(R"({"fault":"node_crash","node":1,"at_s":4})");
+    EXPECT_FALSE(crash.perturbsNodes());
+    EXPECT_EQ(crash.crashes().size(), 1u);
+    for (const char *one :
+         {R"({"fault":"measurement","p_drop":0.1})",
+          R"({"fault":"actuation","p_fail":0.1})",
+          R"({"fault":"load_spike","app":0,"from_s":1,"until_s":2,)"
+          R"("factor":2})"})
+        EXPECT_TRUE(planOf(one).perturbsNodes()) << one;
 }
 
 TEST(FaultInjector, DeterministicPerSeedAndPlan)
@@ -177,8 +195,9 @@ TEST(FaultInjector, DeterministicPerSeedAndPlan)
 
 TEST(FaultInjector, LoadFactorFollowsSpikes)
 {
-    fault::FaultPlan plan;
-    plan.addSpike({0, 3.0, 6.0, 1.5});
+    const auto plan = planOf(
+        R"({"fault":"load_spike","app":0,"from_s":3,"until_s":6,)"
+        R"("factor":1.5})");
     fault::FaultInjector inj(plan, 1, {});
     EXPECT_NEAR(inj.loadFactor(0, 2.9), 1.0, 1e-12);
     EXPECT_NEAR(inj.loadFactor(0, 3.0), 1.5, 1e-12);
@@ -189,10 +208,7 @@ TEST(FaultInjector, LoadFactorFollowsSpikes)
 
 TEST(EpochSimFaults, DroppedSamplesDeliverStaleObservations)
 {
-    fault::FaultPlan plan;
-    fault::MeasurementFault m;
-    m.pDrop = 0.35;
-    plan.setMeasurement(m);
+    const auto plan = planOf(R"({"fault":"measurement","p_drop":0.35})");
 
     obs::MetricsRegistry metrics;
     cluster::SimulationConfig cfg;
@@ -230,10 +246,7 @@ TEST(EpochSimFaults, DroppedSamplesDeliverStaleObservations)
 
 TEST(EpochSimFaults, AllSamplesDroppedSkipsEveryDecision)
 {
-    fault::FaultPlan plan;
-    fault::MeasurementFault m;
-    m.pDrop = 1.0;
-    plan.setMeasurement(m);
+    const auto plan = planOf(R"({"fault":"measurement","p_drop":1})");
 
     obs::MetricsRegistry metrics;
     cluster::SimulationConfig cfg;
@@ -255,12 +268,8 @@ TEST(EpochSimFaults, AllSamplesDroppedSkipsEveryDecision)
 
 TEST(EpochSimFaults, NoopActuationFreezesLayoutUnderArq)
 {
-    fault::FaultPlan plan;
-    fault::ActuationFault a;
-    a.pFail = 1.0;
-    a.mode = fault::ActuationFault::Mode::Noop;
-    a.retries = 0;
-    plan.setActuation(a);
+    const auto plan = planOf(
+        R"({"fault":"actuation","p_fail":1,"mode":"noop","retries":0})");
 
     obs::MetricsRegistry metrics;
     cluster::SimulationConfig cfg;
@@ -284,13 +293,9 @@ TEST(EpochSimFaults, NoopActuationFreezesLayoutUnderArq)
 
 TEST(EpochSimFaults, PartialActuationRetriesAndReconciles)
 {
-    fault::FaultPlan plan;
-    fault::ActuationFault a;
-    a.pFail = 0.5;
-    a.mode = fault::ActuationFault::Mode::Partial;
-    a.retries = 2;
-    a.pRetryFail = 0.5;
-    plan.setActuation(a);
+    const auto plan =
+        planOf(R"({"fault":"actuation","p_fail":0.5,"mode":"partial",)"
+               R"("retries":2,"p_retry_fail":0.5})");
 
     obs::MetricsRegistry metrics;
     cluster::SimulationConfig cfg;
@@ -312,8 +317,9 @@ TEST(EpochSimFaults, PartialActuationRetriesAndReconciles)
 
 TEST(EpochSimFaults, LoadSpikeRaisesTailLatency)
 {
-    fault::FaultPlan plan;
-    plan.addSpike({0, 15.0, 45.0, 2.0});
+    const auto plan = planOf(
+        R"({"fault":"load_spike","app":0,"from_s":15,"until_s":45,)"
+        R"("factor":2})");
 
     cluster::SimulationConfig cfg;
     cfg.durationSeconds = 60.0;
@@ -552,8 +558,7 @@ TEST(ChaosFuzz, SampledFaultedTracesByteIdenticalAtAnyThreadCount)
 
 TEST(FleetFaults, NodeCrashFailsOverToSurvivors)
 {
-    fault::FaultPlan plan;
-    plan.addCrash({1, 10.0});
+    const auto plan = planOf(R"({"fault":"node_crash","node":1,"at_s":10})");
 
     auto build = [] {
         cluster::Fleet fleet;
@@ -596,10 +601,7 @@ TEST(FleetFaults, NodeCrashFailsOverToSurvivors)
 
 TEST(FleetFaults, NoCrashPlanLeavesFleetPathUntouched)
 {
-    fault::FaultPlan plan;
-    fault::MeasurementFault m;
-    m.pDrop = 0.1;
-    plan.setMeasurement(m);
+    const auto plan = planOf(R"({"fault":"measurement","p_drop":0.1})");
 
     cluster::Fleet fleet;
     fleet.addNode(
@@ -623,8 +625,10 @@ TEST(FleetFaults, NoCrashPlanLeavesFleetPathUntouched)
  * Crash plans that fail nothing over: every crash names a node
  * outside the fleet, lands at or after the end of the run, or every
  * node crashes. Each runs phase A over the whole run with no
- * placement and no phase B, so its results and trace bytes are the
- * unfaulted run's.
+ * placement and no phase B, and no node's run builds a fault
+ * injector for a crash, so its results and trace bytes, span
+ * events of the attached profiler included, are the unfaulted
+ * run's.
  */
 TEST(FleetFaults, CrashPlansThatFailNothingOverMatchTheUnfaultedRun)
 {
@@ -654,6 +658,7 @@ TEST(FleetFaults, CrashPlansThatFailNothingOverMatchTheUnfaultedRun)
 
         obs::BufferTraceSink sink;
         obs::MetricsRegistry metrics;
+        obs::SpanProfiler prof;
         cluster::SimulationConfig cfg;
         cfg.durationSeconds = 20.0;
         cfg.warmupEpochs = 5;
@@ -662,6 +667,7 @@ TEST(FleetFaults, CrashPlansThatFailNothingOverMatchTheUnfaultedRun)
         cfg.faults = plan;
         cfg.obs.sink = &sink;
         cfg.obs.metrics = &metrics;
+        cfg.obs.prof = &prof;
         exec::ThreadPool pool(2);
         Run out;
         out.res = fleet.run(cfg, &pool);
@@ -672,15 +678,20 @@ TEST(FleetFaults, CrashPlansThatFailNothingOverMatchTheUnfaultedRun)
 
     const Run plain = run(nullptr);
     ASSERT_FALSE(plain.trace.empty());
+    ASSERT_NE(plain.trace.find("\"type\":\"span\""), std::string::npos);
 
-    const auto plan_of = [](std::vector<fault::NodeCrash> crashes) {
-        fault::FaultPlan plan;
-        for (const auto &c : crashes)
-            plan.addCrash(c);
-        return plan;
-    };
+    const auto plan_of =
+        [](std::vector<std::pair<int, double>> crashes) {
+            std::string jsonl;
+            for (const auto &[node, at] : crashes) {
+                jsonl += R"({"fault":"node_crash","node":)" +
+                    std::to_string(node) + R"(,"at_s":)" +
+                    std::to_string(at) + "}\n";
+            }
+            return planOf(jsonl);
+        };
     const std::vector<std::pair<std::string, fault::FaultPlan>> plans{
-        {"outside the fleet", plan_of({{3, 5.0}, {-1, 5.0}})},
+        {"outside the fleet", plan_of({{3, 5.0}, {99, 5.0}})},
         {"at or after the end", plan_of({{1, 20.0}, {0, 25.0}})},
         {"every node", plan_of({{0, 5.0}, {1, 8.0}, {2, 5.0}})},
     };

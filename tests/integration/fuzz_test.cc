@@ -127,12 +127,13 @@ TEST(SchedulerFuzz, ArqWithAblationsSurvives)
             sched::ArqConfig c;
             c.rollbackEnabled = rollback;
             c.sharedRegionEnabled = shared;
-            c.settleEpochs = 0;
             sched::Arq sched(c);
             const auto cfg = machine::MachineConfig::xeonE52630v4();
             auto layout = sched.initialLayout(cfg,
                                               randomObs(rng, 2, 2));
-            for (int e = 0; e < 200; ++e) {
+            // Every move is followed by a settling interval, so
+            // twice the intervals give as many decisions.
+            for (int e = 0; e < 400; ++e) {
                 sched.adjust(layout, randomObs(rng, 2, 2),
                              0.5 * e);
                 ASSERT_TRUE(layout.valid());

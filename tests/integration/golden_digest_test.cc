@@ -440,8 +440,9 @@ TEST(GoldenDigest, SwitchedArqParties)
 
 TEST(GoldenDigest, FleetWithNodeCrashAtOneAndFourThreads)
 {
-    fault::FaultPlan plan;
-    plan.addCrash({2, 25.0});
+    std::istringstream directives(
+        R"({"fault":"node_crash","node":2,"at_s":25})");
+    const auto plan = fault::FaultPlan::fromStream(directives, "crash");
     for (const int threads : {1, 4}) {
         const auto gen = fleetLoad(8);
         Fleet fleet;

@@ -26,7 +26,7 @@ TEST(RegionLayout, FullySharedFactory)
     EXPECT_EQ(l.region(0).res, (ResourceVector{10, 20, 10}));
     EXPECT_EQ(l.sharedRegion(), 0);
     EXPECT_TRUE(l.valid());
-    EXPECT_TRUE(l.unallocated().empty());
+    EXPECT_EQ(l.allocated(), l.available());
     EXPECT_EQ(l.allApps(), (std::vector<AppId>{0, 1, 2, 3}));
 }
 
@@ -150,7 +150,7 @@ TEST(RegionLayout, UnallocatedTracksLeftover)
     r.members = {0};
     r.res = {2, 4, 2};
     l.addRegion(std::move(r));
-    EXPECT_EQ(l.unallocated(), (ResourceVector{2, 4, 2}));
+    EXPECT_EQ(l.available() - l.allocated(), (ResourceVector{2, 4, 2}));
     EXPECT_TRUE(l.valid());
 }
 
@@ -165,8 +165,8 @@ TEST(RegionLayout, ConcreteMasksAreDisjointAndSized)
         EXPECT_EQ(masks.wayMasks[i].count(), l.region(i).res.llcWays);
     }
     // CAT masks must not overlap between isolated regions.
-    EXPECT_EQ(masks.wayMasks[0].overlapWays(masks.wayMasks[1]), 0);
-    EXPECT_EQ(masks.wayMasks[1].overlapWays(masks.wayMasks[2]), 0);
+    EXPECT_EQ(masks.wayMasks[0].bits() & masks.wayMasks[1].bits(), 0u);
+    EXPECT_EQ(masks.wayMasks[1].bits() & masks.wayMasks[2].bits(), 0u);
     EXPECT_EQ((masks.coreMasks[0] & masks.coreMasks[1]).count(), 0);
 }
 

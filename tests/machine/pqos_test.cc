@@ -49,8 +49,7 @@ arqLikeLayout()
 
 TEST(Pqos, ProgramEmitsCatMbaAssocAndAffinity)
 {
-    PqosProgrammer prog(MachineConfig::xeonE52630v4(),
-                        {{0, 100}, {1, 200}, {2, 300}});
+    PqosProgrammer prog(MachineConfig::xeonE52630v4());
     const auto cmds = prog.program(arqLikeLayout());
 
     int cat = 0, mba = 0, assoc = 0, aff = 0;
@@ -78,7 +77,7 @@ TEST(Pqos, ProgramEmitsCatMbaAssocAndAffinity)
 
 TEST(Pqos, CommandTextMatchesPqosDialect)
 {
-    PqosProgrammer prog(MachineConfig::xeonE52630v4(), {{0, 1234}});
+    PqosProgrammer prog(MachineConfig::xeonE52630v4());
     RegionLayout layout({10, 20, 10});
     Region only;
     only.name = "r";
@@ -92,7 +91,7 @@ TEST(Pqos, CommandTextMatchesPqosDialect)
     EXPECT_EQ(lines[0], "pqos -e \"llc:1=0xff\"");
     EXPECT_EQ(lines[1], "pqos -e \"mba:1=50\"");
     EXPECT_EQ(lines[2], "pqos -a \"llc:1=0-3\"");
-    EXPECT_EQ(lines[3], "taskset -cp 0-3 1234");
+    EXPECT_EQ(lines[3], "taskset -cp 0-3 $PID_APP0");
 }
 
 TEST(Pqos, PlaceholderPidWhenUnknown)
@@ -115,14 +114,14 @@ TEST(Pqos, PlaceholderPidWhenUnknown)
 
 TEST(Pqos, AffinityCoversAllAppRegions)
 {
-    PqosProgrammer prog(MachineConfig::xeonE52630v4(), {{0, 42}});
+    PqosProgrammer prog(MachineConfig::xeonE52630v4());
     const auto layout = arqLikeLayout();
     const auto lines = PqosProgrammer::toShell(prog.program(layout));
     // App 0 can run in the shared region (cores 0-5) and its iso
     // region (cores 6-9): the taskset must cover both.
     const bool found = std::any_of(
         lines.begin(), lines.end(), [](const std::string &l) {
-            return l == "taskset -cp 0-9 42";
+            return l == "taskset -cp 0-9 $PID_APP0";
         });
     EXPECT_TRUE(found);
 }
@@ -132,7 +131,7 @@ TEST(Pqos, GoldConfigElevenWayCat)
 {
     // The Gold 6248 part has an 11-way CAT: masks must stay within
     // 11 bits and MBA percentages follow its 10-unit granularity.
-    PqosProgrammer prog(MachineConfig::xeonGold6248(), {{0, 1}});
+    PqosProgrammer prog(MachineConfig::xeonGold6248());
     RegionLayout layout({20, 11, 10});
     Region r;
     r.name = "all";
@@ -149,8 +148,7 @@ TEST(Pqos, GoldConfigElevenWayCat)
 
 TEST(Pqos, DeltaOnlyReprogramsChanges)
 {
-    PqosProgrammer prog(MachineConfig::xeonE52630v4(),
-                        {{0, 1}, {1, 2}, {2, 3}});
+    PqosProgrammer prog(MachineConfig::xeonE52630v4());
     const auto before = arqLikeLayout();
     auto after = before;
     // Move one core shared -> iso0: both regions change, and every
@@ -169,8 +167,7 @@ TEST(Pqos, DeltaOnlyReprogramsChanges)
 
 TEST(Pqos, DeltaSkipsUnaffectedApps)
 {
-    PqosProgrammer prog(MachineConfig::xeonE52630v4(),
-                        {{0, 1}, {1, 2}, {2, 3}});
+    PqosProgrammer prog(MachineConfig::xeonE52630v4());
     const auto before = arqLikeLayout();
     auto after = before;
     // Move a bandwidth unit only: core masks unchanged, so no

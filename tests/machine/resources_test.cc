@@ -63,10 +63,9 @@ TEST(ResourceVector, Predicates)
                      .fitsWithin(ResourceVector{2, 2, 3}));
 }
 
-TEST(ResourceVector, TotalUnitsAndToString)
+TEST(ResourceVector, ToString)
 {
     const ResourceVector v{2, 5, 1};
-    EXPECT_EQ(v.totalUnits(), 8);
     EXPECT_EQ(v.toString(), "{cores=2, ways=5, bw=1}");
 }
 

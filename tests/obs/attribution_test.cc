@@ -154,7 +154,10 @@ TEST(AttributionConservation, SharesSumToRiAcrossAllStrategies)
         const auto res = sim.run(*sched);
 
         std::istringstream in(sink.str());
-        const auto events = obs::readTrace(in);
+        std::vector<obs::TraceEvent> events;
+        obs::forEachTrace(in, [&](const obs::TraceEvent &ev, int) {
+            events.push_back(ev);
+        });
         std::map<std::string, double> summed_ri;
         std::size_t attributed = 0;
         for (const auto &ev : events) {
@@ -371,10 +374,6 @@ attributedBatch(const fault::FaultPlan *faults)
              cluster::be(apps::stream())});
         cluster::SimulationConfig cfg = shortConfig(seed++);
         cfg.slo = true;
-        cfg.sloTraits.targetAvailability = 0.9;
-        cfg.sloTraits.fastWindowEpochs = 4;
-        cfg.sloTraits.slowWindowEpochs = 12;
-        cfg.sloTraits.burnThreshold = 1.0;
         cfg.faults = faults;
         jobs.push_back({strategy, node, cfg,
                         std::string("attr-") + strategy});
@@ -408,13 +407,13 @@ TEST(AttributionDeterminism, TraceBytesIdenticalAt1_4_16Threads)
     // The trace actually exercises the new event families.
     std::istringstream in(t1);
     std::size_t attributions = 0, alerts = 0;
-    for (const auto &ev : obs::readTrace(in)) {
+    obs::forEachTrace(in, [&](const obs::TraceEvent &ev, int) {
         if (ev.type() == "attribution")
             ++attributions;
         if (ev.type() == "alert_raise" ||
             ev.type() == "alert_clear")
             ++alerts;
-    }
+    });
     EXPECT_GT(attributions, 0u);
     EXPECT_GT(alerts, 0u);
 }

@@ -19,8 +19,8 @@ namespace
 
 namespace json = ahq::obs::json;
 using ahq::obs::parseTraceLine;
-using ahq::obs::readTrace;
-using ahq::obs::readTraceFile;
+using ahq::obs::forEachTrace;
+using ahq::obs::TraceEvent;
 using ahq::obs::TraceValue;
 
 TEST(Json, EscapesControlAndQuoteCharacters)
@@ -165,25 +165,20 @@ TEST(Json, ReaderRejectsMalformedLines)
 TEST(Json, StreamReaderSkipsBlankLinesAndNumbersErrors)
 {
     std::istringstream ok("{\"a\":1}\n\n{\"a\":2}\n");
-    const auto evs = readTrace(ok);
+    std::vector<TraceEvent> evs;
+    forEachTrace(ok, [&](const TraceEvent &ev, int) { evs.push_back(ev); });
     ASSERT_EQ(evs.size(), 2u);
     EXPECT_EQ(evs[1].num("a"), 2.0);
 
     std::istringstream bad("{\"a\":1}\ngarbage\n");
     try {
-        readTrace(bad);
+        forEachTrace(bad, [](const TraceEvent &, int) {});
         FAIL() << "expected parse error";
     } catch (const std::runtime_error &e) {
         // The error names the offending line number.
         EXPECT_NE(std::string(e.what()).find("2"),
                   std::string::npos);
     }
-}
-
-TEST(Json, MissingTraceFileFailsLoudly)
-{
-    EXPECT_THROW(readTraceFile("/nonexistent/dir/trace.jsonl"),
-                 std::runtime_error);
 }
 
 } // namespace

@@ -224,16 +224,14 @@ expectedTaxonomy()
 cluster::SimulationConfig
 lintConfig(std::uint64_t seed)
 {
+    // Long enough for an alert raised in the spike to clear: that
+    // takes 96 violation-free epochs (48 s).
     cluster::SimulationConfig c;
-    c.durationSeconds = 20.0;
+    c.durationSeconds = 80.0;
     c.warmupEpochs = 4;
     c.seed = seed;
     c.attribute = true;
     c.slo = true;
-    c.sloTraits.targetAvailability = 0.9;
-    c.sloTraits.fastWindowEpochs = 4;
-    c.sloTraits.slowWindowEpochs = 8;
-    c.sloTraits.burnThreshold = 1.0;
     return c;
 }
 
@@ -241,19 +239,17 @@ lintConfig(std::uint64_t seed)
 fault::FaultPlan
 spikyPlan()
 {
-    fault::FaultPlan plan;
-    fault::MeasurementFault m;
-    m.pDrop = 0.25;
-    m.extraSigma = 0.1;
-    plan.setMeasurement(m);
-    fault::ActuationFault a;
-    a.pFail = 0.4;
-    a.mode = fault::ActuationFault::Mode::Partial;
-    a.retries = 2;
-    plan.setActuation(a);
     // Spike then recover, so the SLO alert both raises and clears.
-    plan.addSpike({0, 2.0, 9.0, 3.0});
-    return plan;
+    std::istringstream directives(
+        R"({"fault":"measurement","p_drop":0.25,"extra_sigma":0.1})"
+        "\n"
+        R"({"fault":"actuation","p_fail":0.4,"mode":"partial",)"
+        R"("retries":2})"
+        "\n"
+        R"({"fault":"load_spike","app":0,"from_s":2,"until_s":9,)"
+        R"("factor":3})"
+        "\n");
+    return fault::FaultPlan::fromStream(directives, "spiky");
 }
 
 /** One simulator run per decision family, all seams on. */
@@ -316,8 +312,9 @@ scenarioTraces()
 std::string
 fleetTraces()
 {
-    fault::FaultPlan plan;
-    plan.addCrash({1, 8.0});
+    std::istringstream directives(
+        R"({"fault":"node_crash","node":1,"at_s":8})");
+    const auto plan = fault::FaultPlan::fromStream(directives, "crash");
     cluster::Fleet fleet;
     fleet.addNode(
         cluster::Node(machine::MachineConfig::xeonE52630v4(),

@@ -23,7 +23,7 @@ using ahq::obs::Event;
 using ahq::obs::FileTraceSink;
 using ahq::obs::kSchemaVersion;
 using ahq::obs::MetricsRegistry;
-using ahq::obs::readTraceFile;
+using ahq::obs::forEachTraceFile;
 using ahq::obs::Scope;
 
 TEST(Scope, DisabledScopeIsANoOp)
@@ -138,7 +138,11 @@ TEST(Scope, FileTraceSinkCreatesParentDirectories)
     }
 
     ASSERT_TRUE(fs::exists(file));
-    const auto events = readTraceFile(file.string());
+    std::vector<ahq::obs::TraceEvent> events;
+    forEachTraceFile(file.string(),
+                     [&](const ahq::obs::TraceEvent &ev, int) {
+                         events.push_back(ev);
+                     });
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].type(), "run_start");
     EXPECT_EQ(events[0].str("scheduler"), "ARQ");

@@ -25,78 +25,78 @@ namespace
 
 using namespace ahq;
 
-obs::SloTraits
-tightTraits()
-{
-    obs::SloTraits t;
-    t.targetAvailability = 0.9; // budget 0.1
-    t.fastWindowEpochs = 4;
-    t.slowWindowEpochs = 8;
-    t.burnThreshold = 1.0;
-    t.clearRatio = 0.5;
-    return t;
-}
+// The policy is fixed (slo.cc): a 0.99 availability target (budget
+// 0.01), 12- and 96-epoch windows, raise at burn 2.0 in both, clear
+// below 1.0 in both.
+constexpr double kBurnThreshold = 2.0;
+
+// The burn of a window that violates in every epoch, (n / n) /
+// (1 - 0.99), as slo.cc computes it: 6 ulp below 100, since the
+// budget 1 - 0.99 rounds above 0.01.
+constexpr double kFullBurn = 1.0 / (1.0 - 0.99);
 
 TEST(SloMonitor, RaisesAfterFullFastWindowAndClearsWithHysteresis)
 {
-    obs::SloMonitor mon(1, tightTraits());
+    obs::SloMonitor mon(1);
 
-    // Three violating epochs: burning hard, but the fast window is
+    // Eleven violating epochs: burning hard, but the fast window is
     // not full yet — no raise on partial evidence.
-    for (int e = 0; e < 3; ++e) {
+    for (int e = 0; e < 11; ++e) {
         const auto tr = mon.observe(0, e, true);
         EXPECT_EQ(tr.kind, obs::SloAlertTransition::Kind::None);
         EXPECT_FALSE(mon.active(0));
     }
 
-    // Fourth violation fills the fast window: burn = (4/4)/0.1 = 10
-    // in both windows, alert raises.
-    const auto raise = mon.observe(0, 3, true);
+    // The twelfth violation fills the fast window: burn = (12/12) /
+    // 0.01 = 100 in both windows (the slow one over the 12 epochs
+    // seen so far), alert raises.
+    const auto raise = mon.observe(0, 11, true);
     EXPECT_EQ(raise.kind, obs::SloAlertTransition::Kind::Raise);
-    EXPECT_DOUBLE_EQ(raise.burnFast, 10.0);
-    EXPECT_DOUBLE_EQ(raise.burnSlow, 10.0);
+    EXPECT_EQ(raise.burnFast, kFullBurn);
+    EXPECT_EQ(raise.burnSlow, kFullBurn);
     EXPECT_TRUE(mon.active(0));
 
     // Healthy epochs drain the windows. The fast window empties at
-    // epoch 7, but the slow window still holds the 4 violations —
-    // hysteresis keeps the alert up until BOTH drop below
-    // threshold * clearRatio.
-    for (int e = 4; e < 11; ++e) {
+    // epoch 23, but the slow window still holds violations until
+    // epoch 107 — hysteresis keeps the alert up until BOTH drop
+    // below threshold * clear ratio (one violation in 96 epochs
+    // still burns at 1.04).
+    for (int e = 12; e < 107; ++e) {
         const auto tr = mon.observe(0, e, false);
         EXPECT_EQ(tr.kind, obs::SloAlertTransition::Kind::None)
             << "epoch " << e;
         EXPECT_TRUE(mon.active(0)) << "epoch " << e;
     }
 
-    // Epoch 11: the last violation retires from the slow window,
+    // Epoch 107: the last violation retires from the slow window,
     // both burns hit 0 — clear, with the alert's full duration.
-    const auto clear = mon.observe(0, 11, false);
+    const auto clear = mon.observe(0, 107, false);
     EXPECT_EQ(clear.kind, obs::SloAlertTransition::Kind::Clear);
     EXPECT_DOUBLE_EQ(clear.burnFast, 0.0);
     EXPECT_DOUBLE_EQ(clear.burnSlow, 0.0);
-    EXPECT_EQ(clear.durationEpochs, 8);
+    EXPECT_EQ(clear.durationEpochs, 96);
     EXPECT_FALSE(mon.active(0));
 
     const auto s = mon.summary();
     EXPECT_EQ(s.raises, 1);
     EXPECT_EQ(s.clears, 1);
     EXPECT_EQ(s.activeAtEnd, 0);
-    EXPECT_EQ(s.alertEpochs, 8); // epochs 3..10 under the alert
-    EXPECT_DOUBLE_EQ(s.worstBurn, 10.0);
+    EXPECT_EQ(s.alertEpochs, 96); // epochs 11..106 under the alert
+    EXPECT_EQ(s.worstBurn, kFullBurn);
 }
 
 TEST(SloMonitor, NoAlertBelowThreshold)
 {
-    // One violation in ten epochs: the fast window peaks at burn
-    // (1/4)/0.1 = 2.5, below the threshold — and the early single-
-    // violation spike (burn 10 at one observation) is masked by the
-    // full-fast-window guard. No raise, ever.
-    obs::SloTraits t = tightTraits();
-    t.burnThreshold = 3.0;
-    obs::SloMonitor mon(1, t);
-    for (int e = 0; e < 40; ++e) {
-        const auto tr = mon.observe(0, e, e % 10 == 0);
-        EXPECT_EQ(tr.kind, obs::SloAlertTransition::Kind::None);
+    // One violation in a hundred epochs: each one lifts the fast
+    // window to burn (1/12)/0.01 = 8.3, but the slow window never
+    // reaches the threshold — (1/51)/0.01 = 1.96 for the first one
+    // (epoch 50, 51 epochs seen), (1/96)/0.01 = 1.04 once full. A
+    // blip the slow window suppresses: no raise, ever.
+    obs::SloMonitor mon(1);
+    for (int e = 0; e < 400; ++e) {
+        const auto tr = mon.observe(0, e, e % 100 == 50);
+        EXPECT_EQ(tr.kind, obs::SloAlertTransition::Kind::None)
+            << "epoch " << e;
     }
     EXPECT_EQ(mon.summary().raises, 0);
     EXPECT_EQ(mon.summary().alertEpochs, 0);
@@ -104,18 +104,18 @@ TEST(SloMonitor, NoAlertBelowThreshold)
 
 TEST(SloMonitor, BoundaryEpochDoesNotFlap)
 {
-    // Alternate violating/healthy epochs around the threshold: once
-    // raised, the alert must not clear at the first dip below the
-    // raise threshold (that is what clearRatio < 1 buys).
-    obs::SloMonitor mon(1, tightTraits());
+    // Alternate violating/healthy epochs: once raised, the alert
+    // must not clear at the first dip of the fast window (that is
+    // what the clear ratio below 1 buys).
+    obs::SloMonitor mon(1);
     int transitions = 0;
-    for (int e = 0; e < 64; ++e) {
+    for (int e = 0; e < 400; ++e) {
         const auto tr = mon.observe(0, e, e % 2 == 0);
         if (tr.kind != obs::SloAlertTransition::Kind::None)
             ++transitions;
     }
-    // Burn oscillates around 5 — far above clear_at = 0.5 — so the
-    // one raise never clears.
+    // Burn oscillates around 50 — far above the clear level of 1.0
+    // — so the one raise never clears.
     EXPECT_EQ(transitions, 1);
     EXPECT_TRUE(mon.active(0));
     EXPECT_EQ(mon.summary().activeAtEnd, 1);
@@ -123,8 +123,8 @@ TEST(SloMonitor, BoundaryEpochDoesNotFlap)
 
 TEST(SloMonitor, PerAppStateIsIndependent)
 {
-    obs::SloMonitor mon(2, tightTraits());
-    for (int e = 0; e < 8; ++e) {
+    obs::SloMonitor mon(2);
+    for (int e = 0; e < 12; ++e) {
         mon.observe(0, e, true);  // app 0 burns
         mon.observe(1, e, false); // app 1 healthy
     }
@@ -135,9 +135,11 @@ TEST(SloMonitor, PerAppStateIsIndependent)
 
 /**
  * Every burn rate and transition of long seeded violation streams,
- * over six window shapes, folded word by word into one FNV-1a-64
- * digest. The windows wrap thousands of times, so a slip in the ring
- * indices or in the full-window burn tables moves the digest.
+ * at six quiet violation rates from a twentieth of the budget to
+ * twice it with bursts on top, folded word by word into one
+ * FNV-1a-64 digest. The windows wrap thousands of times and alerts
+ * raise and clear over a hundred times per stream, so a slip in the
+ * ring indices or in the full-window burn tables moves the digest.
  */
 TEST(SloMonitor, BurnRateBitsArePinned)
 {
@@ -147,17 +149,16 @@ TEST(SloMonitor, BurnRateBitsArePinned)
         std::memcpy(&bits, &v, sizeof(bits));
         h = (h ^ bits) * 1099511628211ULL;
     };
-    for (int shape = 0; shape < 6; ++shape) {
-        obs::SloTraits t;
-        t.fastWindowEpochs = 3 + shape * 5;
-        t.slowWindowEpochs = t.fastWindowEpochs + 1 + shape * 17;
-        t.targetAvailability = 0.9 + 0.015 * shape;
-        stats::Rng rng(7 + static_cast<std::uint64_t>(shape));
-        obs::SloMonitor m(3, t);
+    constexpr double kQuietRates[] = {0.0005, 0.001, 0.002,
+                                      0.005,  0.01,  0.02};
+    for (int stream = 0; stream < 6; ++stream) {
+        stats::Rng rng(7 + static_cast<std::uint64_t>(stream));
+        obs::SloMonitor m(3);
         for (int e = 0; e < 20000; ++e) {
             for (int a = 0; a < 3; ++a) {
                 // Each app takes turns at a bursty violation rate.
-                const double p = 0.02 + 0.3 * ((e / 997) % 3 == a);
+                const double p = kQuietRates[stream] +
+                    0.3 * ((e / 997) % 3 == a);
                 const auto tr = m.observe(a, e, rng.bernoulli(p));
                 fold(tr.burnFast);
                 fold(tr.burnSlow);
@@ -173,7 +174,7 @@ TEST(SloMonitor, BurnRateBitsArePinned)
               static_cast<double>(s.activeAtEnd)})
             fold(v);
     }
-    EXPECT_EQ(h, 0xd67bf0725ba3e6c2ULL)
+    EXPECT_EQ(h, 0x8749f3d938f7780dULL)
         << "SLO digest is now 0x" << std::hex << h;
 }
 
@@ -213,7 +214,6 @@ sloConfig(std::uint64_t seed)
     c.warmupEpochs = 10;
     c.seed = seed;
     c.slo = true;
-    c.sloTraits = tightTraits();
     return c;
 }
 
@@ -234,7 +234,7 @@ TEST(SloIntegration, OverloadedRunRaisesAndCountsAlerts)
 
     EXPECT_GE(res.slo.raises, 1);
     EXPECT_GT(res.slo.alertEpochs, 0);
-    EXPECT_GE(res.slo.worstBurn, cfg.sloTraits.burnThreshold);
+    EXPECT_GE(res.slo.worstBurn, kBurnThreshold);
     EXPECT_DOUBLE_EQ(metrics.counter("slo.alert_raised"),
                      static_cast<double>(res.slo.raises));
     EXPECT_DOUBLE_EQ(metrics.counter("slo.alert_cleared"),
@@ -262,18 +262,17 @@ TEST(SloIntegration, AlertEventsBypassTraceSampling)
 
     std::istringstream in(sink.str());
     std::size_t epochs = 0, raises = 0, clears = 0;
-    for (const auto &ev : obs::readTrace(in)) {
+    obs::forEachTrace(in, [&](const obs::TraceEvent &ev, int) {
         if (ev.type() == "epoch")
             ++epochs;
         if (ev.type() == "alert_raise") {
             ++raises;
             EXPECT_FALSE(ev.str("app").empty());
-            EXPECT_GE(ev.num("burn_fast"),
-                      cfg.sloTraits.burnThreshold);
+            EXPECT_GE(ev.num("burn_fast"), kBurnThreshold);
         }
         if (ev.type() == "alert_clear")
             ++clears;
-    }
+    });
     EXPECT_EQ(epochs, 0u);
     EXPECT_EQ(raises, static_cast<std::size_t>(res.slo.raises));
     EXPECT_EQ(clears, static_cast<std::size_t>(res.slo.clears));

@@ -42,7 +42,6 @@ signalAt(int e)
 void
 expectSameState(const TimeSeries &a, const TimeSeries &b)
 {
-    ASSERT_EQ(a.capacity(), b.capacity());
     EXPECT_EQ(a.stride(), b.stride());
     EXPECT_EQ(a.maxEpoch(), b.maxEpoch());
     EXPECT_EQ(a.points(), b.points());
@@ -59,7 +58,7 @@ expectSameState(const TimeSeries &a, const TimeSeries &b)
 
 TEST(TimeSeries, RecordsIntoStrideOneBuckets)
 {
-    TimeSeries ts(4);
+    TimeSeries ts;
     ts.record(0, 1.0);
     ts.record(1, 2.0);
     ts.record(1, 4.0);
@@ -90,15 +89,15 @@ TEST(TimeSeries, RecordsIntoStrideOneBuckets)
 
 TEST(TimeSeries, FoldsOnOverflowDoublingStride)
 {
-    TimeSeries ts(4);
-    for (int e = 0; e < 8; ++e)
+    TimeSeries ts;
+    for (int e = 0; e < 256; ++e)
         ts.record(e, static_cast<double>(e));
 
-    // 8 epochs into 4 buckets: one fold, two epochs per bucket.
+    // 256 epochs into 128 buckets: one fold, two epochs per bucket.
     EXPECT_EQ(ts.stride(), 2);
-    EXPECT_EQ(ts.bucketsInUse(), 4);
-    EXPECT_EQ(ts.points(), 8u);
-    for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(ts.bucketsInUse(), 128);
+    EXPECT_EQ(ts.points(), 256u);
+    for (int i = 0; i < 128; ++i) {
         EXPECT_EQ(ts.bucket(i).count, 2u) << i;
         EXPECT_EQ(ts.bucket(i).min, 2.0 * i) << i;
         EXPECT_EQ(ts.bucket(i).max, 2.0 * i + 1.0) << i;
@@ -106,13 +105,15 @@ TEST(TimeSeries, FoldsOnOverflowDoublingStride)
     }
 
     // A distant epoch folds repeatedly in one record() call.
-    ts.record(63, 9.0);
+    ts.record(2047, 9.0);
     EXPECT_EQ(ts.stride(), 16);
-    EXPECT_EQ(ts.maxEpoch(), 63);
-    EXPECT_EQ(ts.bucketsInUse(), 4);
-    EXPECT_EQ(ts.bucket(0).count, 8u); // epochs 0..7
-    EXPECT_EQ(ts.bucket(3).count, 1u); // epoch 63
-    EXPECT_EQ(ts.bucket(3).min, 9.0);
+    EXPECT_EQ(ts.maxEpoch(), 2047);
+    EXPECT_EQ(ts.bucketsInUse(), 128);
+    EXPECT_EQ(ts.bucket(0).count, 16u);  // epochs 0..15
+    EXPECT_EQ(ts.bucket(15).count, 16u); // epochs 240..255
+    EXPECT_EQ(ts.bucket(16).count, 0u);
+    EXPECT_EQ(ts.bucket(127).count, 1u); // epoch 2047
+    EXPECT_EQ(ts.bucket(127).min, 9.0);
 }
 
 TEST(TimeSeries, FinalStateIndependentOfRecordingOrder)
@@ -120,8 +121,8 @@ TEST(TimeSeries, FinalStateIndependentOfRecordingOrder)
     // The fold cascade runs at different moments depending on
     // arrival order; the final state must not care (every bucket
     // aggregate commutes).
-    TimeSeries forward(8), reverse(8), interleaved(8);
-    const int kEpochs = 64;
+    TimeSeries forward, reverse, interleaved;
+    const int kEpochs = 1024;
     for (int e = 0; e < kEpochs; ++e)
         forward.record(e, signalAt(e));
     for (int e = kEpochs - 1; e >= 0; --e)
@@ -144,16 +145,16 @@ TEST(TimeSeries, MergeIsCommutativeAndMatchesDirectRecording)
         for (int e = lo; e < hi; ++e)
             ts.record(e, signalAt(e));
     };
-    TimeSeries a(16), b(16), ab(16), ba(16), direct(16);
-    fill(a, 0, 20);
-    fill(b, 20, 100);
-    fill(ab, 0, 20);
-    fill(ba, 20, 100);
-    fill(direct, 0, 100);
+    TimeSeries a, b, ab, ba, direct;
+    fill(a, 0, 100);
+    fill(b, 100, 800);
+    fill(ab, 0, 100);
+    fill(ba, 100, 800);
+    fill(direct, 0, 800);
 
-    TimeSeries b_copy(16), a_copy(16);
-    fill(b_copy, 20, 100);
-    fill(a_copy, 0, 20);
+    TimeSeries b_copy, a_copy;
+    fill(b_copy, 100, 800);
+    fill(a_copy, 0, 100);
     ab.merge(b_copy); // a ∪ b
     ba.merge(a_copy); // b ∪ a
 
@@ -163,12 +164,12 @@ TEST(TimeSeries, MergeIsCommutativeAndMatchesDirectRecording)
 
 TEST(TimeSeriesRegistry, FlushEmitsSortedSchemaV1Events)
 {
-    TimeSeriesRegistry reg(4);
+    TimeSeriesRegistry reg;
     // Inserted out of sorted order on purpose.
     reg.record("zeta", "e_s", 0, 0.5);
     reg.record("alpha", "e_s", 0, 0.25);
     reg.record("alpha", "e_s", 1, 0.75);
-    reg.record("alpha", "a_series", 5, 1.5);
+    reg.record("alpha", "a_series", 130, 1.5);
 
     obs::BufferTraceSink sink;
     obs::MetricsRegistry metrics;
@@ -194,7 +195,7 @@ TEST(TimeSeriesRegistry, FlushEmitsSortedSchemaV1Events)
     // buckets in use.
     EXPECT_EQ(second.num("stride"), 1.0);
     EXPECT_EQ(second.num("epochs"), 2.0);
-    EXPECT_EQ(second.num("capacity"), 4.0);
+    EXPECT_EQ(second.num("capacity"), 128.0);
     EXPECT_EQ(second.num("points"), 2.0);
     EXPECT_EQ(second.nums("n"), (std::vector<double>{1, 1}));
     EXPECT_EQ(second.nums("min"),
@@ -204,13 +205,14 @@ TEST(TimeSeriesRegistry, FlushEmitsSortedSchemaV1Events)
     EXPECT_EQ(second.nums("sum"),
               (std::vector<double>{0.25, 0.75}));
 
-    // alpha/a_series: epoch 5 past capacity 4 folded to stride 2;
-    // empty buckets render as zeros, disambiguated by n.
+    // alpha/a_series: epoch 130 past capacity 128 folded to stride
+    // 2; empty buckets render as zeros, disambiguated by n.
     EXPECT_EQ(first.num("stride"), 2.0);
-    EXPECT_EQ(first.nums("n"),
-              (std::vector<double>{0, 0, 1}));
-    EXPECT_EQ(first.nums("sum"),
-              (std::vector<double>{0, 0, 1.5}));
+    std::vector<double> n(66, 0.0), sum(66, 0.0);
+    n.back() = 1;
+    sum.back() = 1.5;
+    EXPECT_EQ(first.nums("n"), n);
+    EXPECT_EQ(first.nums("sum"), sum);
 
     EXPECT_EQ(metrics.counter("ts.series"), 3.0);
     EXPECT_EQ(metrics.counter("ts.points"), 4.0);
@@ -232,7 +234,7 @@ TEST(TimeSeriesRegistry, MergeFlushesByteIdenticalEitherWay)
                         signalAt(e + 7));
         }
     };
-    TimeSeriesRegistry e1(16), o1(16), e2(16), o2(16);
+    TimeSeriesRegistry e1, o1, e2, o2;
     build(e1, o1);
     build(e2, o2);
     e1.merge(o1); // even ∪ odd
@@ -343,7 +345,7 @@ TEST(EpochTraceSampling, SimulatorTraceIsDeterministicSubset)
 
 TEST(Arena, BumpAllocationWithExtendAndRelease)
 {
-    obs::Arena arena(64);
+    obs::Arena arena;
     char *a = arena.alloc(8);
     std::memcpy(a, "12345678", 8);
     // The bump tip can grow in place.
@@ -355,23 +357,21 @@ TEST(Arena, BumpAllocationWithExtendAndRelease)
     EXPECT_TRUE(arena.extend(b, 4, 4));
     EXPECT_EQ(std::string(a, 16), "12345678abcdefgh");
 
-    // Mark/release reuses the space without freeing blocks.
-    const auto cap = arena.capacity();
+    // Mark/release reuses the space without freeing blocks: a
+    // request past the 4096-byte first block gets a fresh block,
+    // and the same request after the release lands on it again.
     const auto mark = arena.mark();
-    (void)arena.alloc(1000); // forces more blocks
-    EXPECT_GT(arena.capacity(), cap);
+    const char *big = arena.alloc(10000);
     arena.release(mark);
-    const auto cap2 = arena.capacity();
-    (void)arena.alloc(1000); // replays into the same blocks
-    EXPECT_EQ(arena.capacity(), cap2);
+    EXPECT_EQ(arena.alloc(10000), big);
 }
 
 TEST(ArenaString, GrowsAcrossBlocksKeepingContent)
 {
-    obs::Arena arena(32);
+    obs::Arena arena;
     obs::ArenaString s(arena, 8);
     std::string expect;
-    for (int i = 0; i < 200; ++i) {
+    for (int i = 0; i < 20000; ++i) {
         s.push_back(static_cast<char>('a' + i % 26));
         expect.push_back(static_cast<char>('a' + i % 26));
     }

@@ -110,7 +110,10 @@ TEST(TraceDeterminism, BatchTraceIsOrderedByJobAndParses)
 
     // Every line parses and carries the schema version.
     std::istringstream in(sink.str());
-    const auto events = obs::readTrace(in);
+    std::vector<obs::TraceEvent> events;
+    obs::forEachTrace(in, [&](const obs::TraceEvent &ev, int) {
+        events.push_back(ev);
+    });
     ASSERT_FALSE(events.empty());
     for (const auto &ev : events)
         EXPECT_EQ(ev.num("v"), obs::kSchemaVersion);
@@ -153,7 +156,10 @@ TEST(TraceDeterminism, FixedSeedSimulationTraceIsReproducible)
     // per epoch plus one ARQ decision per epoch after the first
     // (the scheduler reacts to the previous epoch), run_end.
     std::istringstream in(a);
-    const auto events = obs::readTrace(in);
+    std::vector<obs::TraceEvent> events;
+    obs::forEachTrace(in, [&](const obs::TraceEvent &ev, int) {
+        events.push_back(ev);
+    });
     ASSERT_GE(events.size(), 3u);
     EXPECT_EQ(events.front().type(), "run_start");
     EXPECT_EQ(events.back().type(), "run_end");

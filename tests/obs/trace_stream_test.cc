@@ -129,19 +129,4 @@ TEST(TraceStream, FileVariantPrefixesThePath)
         std::runtime_error);
 }
 
-TEST(TraceStream, CollectingReadersMatchTheStreamingOnes)
-{
-    const std::string text = syntheticTrace(100);
-    std::istringstream a(text), b(text);
-    const auto collected = ahq::obs::readTrace(a);
-    std::size_t streamed = 0;
-    forEachTrace(b, [&](const TraceEvent &ev, int) {
-        ASSERT_LT(streamed, collected.size());
-        EXPECT_EQ(ev.num("epoch"),
-                  collected[streamed].num("epoch"));
-        ++streamed;
-    });
-    EXPECT_EQ(streamed, collected.size());
-}
-
 } // namespace

@@ -46,10 +46,10 @@ TEST(Bandwidth, DilationCappedBeyondRhoCap)
 
 TEST(Bandwidth, DilationRespectsMax)
 {
-    BandwidthTraits t;
-    t.maxDilation = 3.0;
-    BandwidthModel m(t);
-    EXPECT_LE(m.dilation(0.999), 3.0);
+    // Uncapped, the curve reads 1 + 0.8 * 0.97^2 / 0.03 = 26 at the
+    // utilisation clamp.
+    BandwidthModel m;
+    EXPECT_EQ(m.dilation(0.999), ahq::perf::kMaxDilation);
 }
 
 TEST(Bandwidth, ZeroKDisablesDilation)

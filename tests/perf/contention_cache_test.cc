@@ -19,7 +19,7 @@ using ahq::perf::EvaluationMemo;
 
 TEST(EvaluationMemo, HitReturnsStoredOutcomesExactly)
 {
-    EvaluationMemo<double> memo(8);
+    EvaluationMemo<double> memo;
     const std::vector<double> key{1.0, 2.5, -0.0, 3e18};
     const std::vector<double> out{0.25, 0.75, 1.0};
 
@@ -30,7 +30,6 @@ TEST(EvaluationMemo, HitReturnsStoredOutcomesExactly)
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(*hit, out);
     EXPECT_EQ(memo.hits(), 1u);
-    EXPECT_EQ(memo.misses(), 1u);
 }
 
 // Any single-element perturbation of the key — including ones that
@@ -38,7 +37,7 @@ TEST(EvaluationMemo, HitReturnsStoredOutcomesExactly)
 // the memo may only ever short-circuit exact re-evaluations.
 TEST(EvaluationMemo, PerturbedKeysMiss)
 {
-    EvaluationMemo<double> memo(8);
+    EvaluationMemo<double> memo;
     const std::vector<double> key{4.0, 8.0, 15.0, 16.0};
     std::uint64_t h = 0;
     ASSERT_EQ(memo.find(key, h), nullptr);
@@ -61,7 +60,7 @@ TEST(EvaluationMemo, PerturbedKeysMiss)
 // and hits again.
 TEST(EvaluationMemo, StoresEachKeyUnderItsOwnHash)
 {
-    EvaluationMemo<int> memo(8);
+    EvaluationMemo<int> memo;
     const std::vector<double> a{1.0}, b{2.0}, c{3.0};
     std::uint64_t ha = 0, hb = 0, hc = 0;
     ASSERT_EQ(memo.find(a, ha), nullptr);
@@ -82,22 +81,23 @@ TEST(EvaluationMemo, StoresEachKeyUnderItsOwnHash)
 
 TEST(EvaluationMemo, ClearsWhenFullInsteadOfGrowing)
 {
-    EvaluationMemo<int> memo(2);
+    EvaluationMemo<int> memo;
     std::uint64_t h = 0;
-    ASSERT_EQ(memo.find({1.0}, h), nullptr);
-    memo.store(h, {1.0}, {1});
-    ASSERT_EQ(memo.find({2.0}, h), nullptr);
-    memo.store(h, {2.0}, {2});
-    ASSERT_NE(memo.find({1.0}, h), nullptr);
-    ASSERT_NE(memo.find({2.0}, h), nullptr);
+    const auto full = static_cast<int>(ahq::perf::kMemoCapacity);
+    for (int k = 0; k < full; ++k) {
+        ASSERT_EQ(memo.find({double(k)}, h), nullptr);
+        memo.store(h, {double(k)}, {k});
+    }
+    for (int k = 0; k < full; ++k)
+        ASSERT_NE(memo.find({double(k)}, h), nullptr) << k;
 
-    // The third store clears the full table first: the old keys are
+    // The next store clears the full table first: the old keys are
     // gone, the new one is present.
-    ASSERT_EQ(memo.find({3.0}, h), nullptr);
-    memo.store(h, {3.0}, {3});
-    EXPECT_EQ(memo.find({1.0}, h), nullptr);
-    EXPECT_EQ(memo.find({2.0}, h), nullptr);
-    EXPECT_NE(memo.find({3.0}, h), nullptr);
+    ASSERT_EQ(memo.find({double(full)}, h), nullptr);
+    memo.store(h, {double(full)}, {full});
+    EXPECT_EQ(memo.find({0.0}, h), nullptr);
+    EXPECT_EQ(memo.find({double(full - 1)}, h), nullptr);
+    EXPECT_NE(memo.find({double(full)}, h), nullptr);
 }
 
 } // namespace

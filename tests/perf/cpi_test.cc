@@ -21,8 +21,15 @@ model(double mlp = 2.0)
     t.cpiBase = 0.6;
     t.missPenaltyCycles = 180.0;
     t.mlp = mlp;
-    t.coreFreqGhz = 2.2;
     return CpiModel(MissRateCurve(20.0, 2.0, 5.0), t);
+}
+
+/** GiB/s one core of @p m demands at the given ways and dilation. */
+double
+demandGibps(const CpiModel &m, double ways, double dilation)
+{
+    return m.bwDemandPerCoreAtCpi(m.cpi(ways, dilation),
+                                  m.mrc().mpki(ways));
 }
 
 TEST(CpiModel, CpiDecomposition)
@@ -79,14 +86,14 @@ TEST(CpiModel, HighMlpShieldsCpiButNotBandwidth)
     EXPECT_LT(high.cpi(5.0, 1.0), low.cpi(5.0, 1.0));
     // ...and therefore produces MORE bandwidth demand per core
     // (faster execution, same misses per instruction).
-    EXPECT_GT(high.bwDemandPerCore(5.0, 1.0),
-              low.bwDemandPerCore(5.0, 1.0));
+    EXPECT_GT(demandGibps(high, 5.0, 1.0),
+              demandGibps(low, 5.0, 1.0));
 }
 
 TEST(CpiModel, BandwidthDemandPositiveAndSane)
 {
     const CpiModel m = model();
-    const double bw = m.bwDemandPerCore(5.0, 1.0);
+    const double bw = demandGibps(m, 5.0, 1.0);
     // 2.2 GHz core with ~11 MPKI: O(1) GiB/s, definitely < 100.
     EXPECT_GT(bw, 0.1);
     EXPECT_LT(bw, 100.0);
@@ -97,7 +104,7 @@ TEST(CpiModel, BandwidthDemandFallsWithDilation)
     // A dilated memory system slows the core, which lowers its
     // bandwidth demand (negative feedback for the fixed point).
     const CpiModel m = model();
-    EXPECT_LT(m.bwDemandPerCore(5.0, 3.0), m.bwDemandPerCore(5.0, 1.0));
+    EXPECT_LT(demandGibps(m, 5.0, 3.0), demandGibps(m, 5.0, 1.0));
 }
 
 } // namespace

@@ -56,20 +56,21 @@ TEST(MissRateCurve, FlatCurveHasTinyIntensity)
     // A streaming workload with no reuse competes for almost no ways.
     MissRateCurve stream(60.0, 56.0, 2.0);
     MissRateCurve hungry(30.0, 5.0, 8.0);
-    EXPECT_LT(stream.accessIntensity(10.0),
-              hungry.accessIntensity(10.0));
+    EXPECT_LT(stream.intensityWithMpki(stream.mpki(10.0)),
+              hungry.intensityWithMpki(hungry.mpki(10.0)));
 }
 
 TEST(MissRateCurve, IntensityDecreasesWithAllocation)
 {
     MissRateCurve mrc(30.0, 5.0, 8.0);
-    EXPECT_GT(mrc.accessIntensity(2.0), mrc.accessIntensity(10.0));
+    EXPECT_GT(mrc.intensityWithMpki(mrc.mpki(2.0)),
+              mrc.intensityWithMpki(mrc.mpki(10.0)));
 }
 
 TEST(MissRateCurve, IntensityHasFloor)
 {
     MissRateCurve mrc(5.0, 5.0, 2.0); // fully flat
-    EXPECT_GE(mrc.accessIntensity(100.0), 0.05);
+    EXPECT_GE(mrc.intensityWithMpki(mrc.mpki(100.0)), 0.05);
 }
 
 TEST(MissRateCurve, AccessorsRoundTrip)

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "machine/config.hh"
+#include "obs/scope.hh"
+#include "obs/trace_reader.hh"
+#include "obs/trace_sink.hh"
 #include "sched/arq.hh"
 
 namespace
@@ -15,6 +18,13 @@ using namespace ahq::sched;
 using ahq::machine::kNoRegion;
 using ahq::machine::MachineConfig;
 using ahq::machine::RegionId;
+
+/** Units of every kind in a region's resources. */
+int
+units(const ahq::machine::ResourceVector &r)
+{
+    return r.cores + r.llcWays + r.memBw;
+}
 
 /** Two LC apps + one BE app; ideal latencies set for easy ReT math. */
 std::vector<AppObservation>
@@ -34,15 +44,6 @@ arqApps()
     return obs;
 }
 
-/** An ARQ controller with settling disabled for stepwise tests. */
-ArqConfig
-eagerConfig()
-{
-    ArqConfig c;
-    c.settleEpochs = 0;
-    return c;
-}
-
 TEST(Arq, InitialLayoutIsSharedPlusEmptyIsoRegions)
 {
     Arq s;
@@ -59,7 +60,7 @@ TEST(Arq, InitialLayoutIsSharedPlusEmptyIsoRegions)
 
 TEST(Arq, EquilibriumWhenEveryoneComfortable)
 {
-    Arq s(eagerConfig());
+    Arq s;
     const auto cfg = MachineConfig::xeonE52630v4();
     auto layout = s.initialLayout(cfg, arqApps());
     const auto obs = arqApps();
@@ -74,20 +75,20 @@ TEST(Arq, EquilibriumWhenEveryoneComfortable)
 
 TEST(Arq, ViolatedAppGrowsIsolatedRegion)
 {
-    Arq s(eagerConfig());
+    Arq s;
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = arqApps();
     auto layout = s.initialLayout(cfg, obs);
     obs[0].p95Ms = 25.0; // ReT = 0, Q > 0: beneficiary
     const RegionId iso = layout.isolatedRegionOf(0);
     s.adjust(layout, obs, 0.0);
-    EXPECT_EQ(layout.region(iso).res.totalUnits(), 1);
+    EXPECT_EQ(units(layout.region(iso).res), 1);
     EXPECT_TRUE(layout.valid());
 }
 
 TEST(Arq, TieBreakPrefersLargerViolation)
 {
-    Arq s(eagerConfig());
+    Arq s;
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = arqApps();
     auto layout = s.initialLayout(cfg, obs);
@@ -95,22 +96,23 @@ TEST(Arq, TieBreakPrefersLargerViolation)
     obs[1].p95Ms = 50.0; // badly violated: must win the tie
     const RegionId iso1 = layout.isolatedRegionOf(1);
     s.adjust(layout, obs, 0.0);
-    EXPECT_EQ(layout.region(iso1).res.totalUnits(), 1);
+    EXPECT_EQ(units(layout.region(iso1).res), 1);
 }
 
 TEST(Arq, RichAppDonatesIsolatedResourcesBack)
 {
-    Arq s(eagerConfig());
+    Arq s;
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = arqApps();
     auto layout = s.initialLayout(cfg, obs);
 
-    // Grow app 0's isolated region while it is violated.
+    // Grow app 0's isolated region while it is violated (one move
+    // every other interval: each move is followed by a settle).
     obs[0].p95Ms = 25.0;
     for (int e = 0; e < 6; ++e)
         s.adjust(layout, obs, 0.5 * e);
     const RegionId iso = layout.isolatedRegionOf(0);
-    const int grown = layout.region(iso).res.totalUnits();
+    const int grown = units(layout.region(iso).res);
     ASSERT_GT(grown, 0);
 
     // Now app 0 is comfortable (ReT > 0.1): it becomes the victim
@@ -118,13 +120,12 @@ TEST(Arq, RichAppDonatesIsolatedResourcesBack)
     obs[0].p95Ms = 3.0;
     for (int e = 6; e < 12; ++e)
         s.adjust(layout, obs, 0.5 * e);
-    EXPECT_LT(layout.region(iso).res.totalUnits(), grown);
+    EXPECT_LT(units(layout.region(iso).res), grown);
 }
 
 TEST(Arq, RollbackCancelsEntropyIncreasingMove)
 {
-    ArqConfig cfg_arq = eagerConfig();
-    Arq s(cfg_arq);
+    Arq s;
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = arqApps();
     auto layout = s.initialLayout(cfg, obs);
@@ -133,17 +134,20 @@ TEST(Arq, RollbackCancelsEntropyIncreasingMove)
     obs[0].p95Ms = 25.0;
     s.adjust(layout, obs, 0.0);
     const RegionId iso = layout.isolatedRegionOf(0);
-    ASSERT_EQ(layout.region(iso).res.totalUnits(), 1);
+    ASSERT_EQ(units(layout.region(iso).res), 1);
 
-    // Epoch 1: entropy got WORSE (BE collapsed): rollback required.
+    // Entropy got WORSE (BE collapsed). Epoch 1 settles, so the
+    // move is not judged yet; epoch 2 rolls it back.
     obs[2].ipc = 0.01;
     s.adjust(layout, obs, 0.5);
-    EXPECT_EQ(layout.region(iso).res.totalUnits(), 0);
+    ASSERT_EQ(units(layout.region(iso).res), 1);
+    s.adjust(layout, obs, 1.0);
+    EXPECT_EQ(units(layout.region(iso).res), 0);
 }
 
 TEST(Arq, BanPreventsImmediateRepetition)
 {
-    Arq s(eagerConfig());
+    Arq s;
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = arqApps();
     auto layout = s.initialLayout(cfg, obs);
@@ -151,23 +155,26 @@ TEST(Arq, BanPreventsImmediateRepetition)
     obs[0].p95Ms = 25.0;
     s.adjust(layout, obs, 0.0); // move shared -> iso0
     obs[2].ipc = 0.01;          // entropy worsened
-    s.adjust(layout, obs, 0.5); // rollback + ban shared region
+    s.adjust(layout, obs, 0.5); // settle
+    s.adjust(layout, obs, 1.0); // rollback + ban shared region
     obs[2].ipc = 1.8;
 
     // While the shared region is banned, no further move happens
     // even though app 0 is still violated.
     const RegionId iso = layout.isolatedRegionOf(0);
-    s.adjust(layout, obs, 1.0);
-    EXPECT_EQ(layout.region(iso).res.totalUnits(), 0);
+    s.adjust(layout, obs, 1.5);
+    EXPECT_EQ(units(layout.region(iso).res), 0);
+    s.adjust(layout, obs, 60.5);
+    EXPECT_EQ(units(layout.region(iso).res), 0);
 
     // After the 60 s ban expires, ARQ tries again.
-    s.adjust(layout, obs, 61.0);
-    EXPECT_EQ(layout.region(iso).res.totalUnits(), 1);
+    s.adjust(layout, obs, 62.0);
+    EXPECT_EQ(units(layout.region(iso).res), 1);
 }
 
 TEST(Arq, RollbackDisabledAblation)
 {
-    ArqConfig cfg_arq = eagerConfig();
+    ArqConfig cfg_arq;
     cfg_arq.rollbackEnabled = false;
     Arq s(cfg_arq);
     const auto cfg = MachineConfig::xeonE52630v4();
@@ -178,14 +185,15 @@ TEST(Arq, RollbackDisabledAblation)
     s.adjust(layout, obs, 0.0);
     const RegionId iso = layout.isolatedRegionOf(0);
     obs[2].ipc = 0.01;
-    s.adjust(layout, obs, 0.5);
+    s.adjust(layout, obs, 0.5); // settle
+    s.adjust(layout, obs, 1.0); // where a rollback would happen
     // Without rollback the move stays and another may follow.
-    EXPECT_GE(layout.region(iso).res.totalUnits(), 1);
+    EXPECT_GE(units(layout.region(iso).res), 1);
 }
 
 TEST(Arq, SharedRegionDisabledAblation)
 {
-    ArqConfig cfg_arq = eagerConfig();
+    ArqConfig cfg_arq;
     cfg_arq.sharedRegionEnabled = false;
     Arq s(cfg_arq);
     const auto cfg = MachineConfig::xeonE52630v4();
@@ -196,17 +204,13 @@ TEST(Arq, SharedRegionDisabledAblation)
     EXPECT_FALSE(layout.region(shared).hasMember(0));
     EXPECT_TRUE(layout.region(shared).hasMember(2));
     // LC iso regions start with real resources.
-    EXPECT_GT(layout.region(layout.isolatedRegionOf(0)).res
-                  .totalUnits(),
-              0);
+    EXPECT_GT(units(layout.region(layout.isolatedRegionOf(0)).res), 0);
     EXPECT_TRUE(layout.valid());
 }
 
 TEST(Arq, SettleEpochsSkipDecisions)
 {
-    ArqConfig cfg_arq;
-    cfg_arq.settleEpochs = 1;
-    Arq s(cfg_arq);
+    Arq s;
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = arqApps();
     auto layout = s.initialLayout(cfg, obs);
@@ -214,26 +218,34 @@ TEST(Arq, SettleEpochsSkipDecisions)
     const RegionId iso = layout.isolatedRegionOf(0);
     s.adjust(layout, obs, 0.0); // move 1
     s.adjust(layout, obs, 0.5); // settling: no move
-    EXPECT_EQ(layout.region(iso).res.totalUnits(), 1);
+    EXPECT_EQ(units(layout.region(iso).res), 1);
     s.adjust(layout, obs, 1.0); // move 2
-    EXPECT_EQ(layout.region(iso).res.totalUnits(), 2);
+    EXPECT_EQ(units(layout.region(iso).res), 2);
 }
 
-TEST(Arq, LastReportExposed)
+TEST(Arq, DecisionEventCarriesTheEntropyReport)
 {
-    Arq s(eagerConfig());
+    Arq s;
+    ahq::obs::BufferTraceSink sink;
+    ahq::obs::Scope scope;
+    scope.sink = &sink;
+    s.setObsScope(scope);
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = arqApps();
     auto layout = s.initialLayout(cfg, obs);
     s.adjust(layout, obs, 0.0);
-    EXPECT_EQ(s.lastReport().eLc, 0.0);
-    EXPECT_GT(s.lastReport().eBe, 0.0);
+    const auto lines = sink.lines();
+    ASSERT_EQ(lines.size(), 1u);
+    const auto ev = ahq::obs::parseTraceLine(lines[0]);
+    EXPECT_EQ(ev.type(), "arq_decision");
+    EXPECT_EQ(ev.num("e_lc"), 0.0);
+    EXPECT_GT(ev.num("e_be"), 0.0);
     EXPECT_EQ(s.name(), "ARQ");
 }
 
 TEST(Arq, ResetClearsState)
 {
-    Arq s(eagerConfig());
+    Arq s;
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = arqApps();
     auto layout = s.initialLayout(cfg, obs);

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "machine/config.hh"
+#include "obs/scope.hh"
+#include "obs/trace_reader.hh"
+#include "obs/trace_sink.hh"
 #include "sched/clite.hh"
 
 namespace
@@ -33,6 +36,25 @@ twoLcOneBe(double p95_a = 3.0, double p95_b = 3.0, double ipc = 1.5)
     return obs;
 }
 
+/** The `samples` field of every `clite_decision` event in @p sink. */
+std::vector<double>
+decisionSamples(const ahq::obs::BufferTraceSink &sink)
+{
+    std::vector<double> out;
+    for (const auto &line : sink.lines()) {
+        const auto ev = ahq::obs::parseTraceLine(line);
+        if (ev.type() == "clite_decision")
+            out.push_back(ev.num("samples"));
+    }
+    return out;
+}
+
+/**
+ * Epochs until CLITE pins: 24 samples, each scored on the interval
+ * after its two settling intervals.
+ */
+constexpr int kPinnedAfter = 3 * 24;
+
 TEST(Clite, InitialLayoutEvenPartitions)
 {
     Clite s;
@@ -40,7 +62,7 @@ TEST(Clite, InitialLayoutEvenPartitions)
     auto layout = s.initialLayout(cfg, twoLcOneBe());
     EXPECT_EQ(layout.numRegions(), 3);
     EXPECT_TRUE(layout.valid());
-    EXPECT_TRUE(layout.unallocated().empty());
+    EXPECT_EQ(layout.allocated(), cfg.availableResources());
     // Even split: 4, 3, 3 cores.
     EXPECT_EQ(layout.region(0).res.cores, 4);
     EXPECT_EQ(layout.region(2).res.cores, 3);
@@ -64,8 +86,7 @@ TEST(Clite, ExplorationChangesConfiguration)
 
 TEST(Clite, EveryExploredConfigKeepsMinimumViability)
 {
-    CliteConfig cc;
-    Clite s(cc);
+    Clite s;
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = twoLcOneBe();
     auto layout = s.initialLayout(cfg, obs);
@@ -84,18 +105,15 @@ TEST(Clite, EveryExploredConfigKeepsMinimumViability)
 
 TEST(Clite, PinsAfterBudgetWhenFeasible)
 {
-    CliteConfig cc;
-    cc.totalBudget = 8;
-    cc.settleEpochs = 0;
-    Clite s(cc);
+    Clite s;
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = twoLcOneBe(); // always comfortably feasible
     auto layout = s.initialLayout(cfg, obs);
-    for (int e = 0; e < 12; ++e)
+    for (int e = 0; e < kPinnedAfter; ++e)
         s.adjust(layout, obs, 0.5 * e);
     // Past the budget the configuration must stop moving.
     const auto pinned = layout.region(0).res;
-    for (int e = 12; e < 24; ++e) {
+    for (int e = kPinnedAfter; e < kPinnedAfter + 24; ++e) {
         s.adjust(layout, obs, 0.5 * e);
         EXPECT_EQ(layout.region(0).res, pinned);
     }
@@ -103,14 +121,11 @@ TEST(Clite, PinsAfterBudgetWhenFeasible)
 
 TEST(Clite, LoadShiftTriggersReExploration)
 {
-    CliteConfig cc;
-    cc.totalBudget = 6;
-    cc.settleEpochs = 0;
-    Clite s(cc);
+    Clite s;
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = twoLcOneBe();
     auto layout = s.initialLayout(cfg, obs);
-    for (int e = 0; e < 10; ++e)
+    for (int e = 0; e < kPinnedAfter; ++e)
         s.adjust(layout, obs, 0.5 * e);
     const auto pinned = layout.region(0).res;
 
@@ -120,51 +135,48 @@ TEST(Clite, LoadShiftTriggersReExploration)
             o.loadFraction = 0.8;
     }
     bool moved = false;
-    for (int e = 10; e < 20 && !moved; ++e) {
+    for (int e = kPinnedAfter; e < kPinnedAfter + 10 && !moved; ++e) {
         s.adjust(layout, obs, 0.5 * e);
         moved = !(layout.region(0).res == pinned);
     }
     EXPECT_TRUE(moved);
 }
 
-TEST(Clite, SamplesCollectedGrows)
-{
-    CliteConfig cc;
-    cc.settleEpochs = 0;
-    Clite s(cc);
-    const auto cfg = MachineConfig::xeonE52630v4();
-    auto obs = twoLcOneBe();
-    auto layout = s.initialLayout(cfg, obs);
-    EXPECT_EQ(s.samplesCollected(), 0);
-    for (int e = 0; e < 5; ++e)
-        s.adjust(layout, obs, 0.5 * e);
-    EXPECT_EQ(s.samplesCollected(), 5);
-}
-
 TEST(Clite, SettleEpochsSkipMeasurements)
 {
-    CliteConfig cc;
-    cc.settleEpochs = 2;
-    Clite s(cc);
+    Clite s;
+    ahq::obs::BufferTraceSink sink;
+    ahq::obs::Scope scope;
+    scope.sink = &sink;
+    s.setObsScope(scope);
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = twoLcOneBe();
     auto layout = s.initialLayout(cfg, obs);
     for (int e = 0; e < 9; ++e)
         s.adjust(layout, obs, 0.5 * e);
-    // Every third interval is scored: 9 / 3 = 3 samples.
-    EXPECT_EQ(s.samplesCollected(), 3);
+    // Every third interval is scored, the sample count growing by
+    // one each time: 9 / 3 = 3 samples.
+    EXPECT_EQ(decisionSamples(sink), (std::vector<double>{1, 2, 3}));
 }
 
 TEST(Clite, ResetRestoresFreshState)
 {
     Clite s;
+    ahq::obs::BufferTraceSink sink;
+    ahq::obs::Scope scope;
+    scope.sink = &sink;
+    s.setObsScope(scope);
     const auto cfg = MachineConfig::xeonE52630v4();
     auto obs = twoLcOneBe();
     auto layout = s.initialLayout(cfg, obs);
     for (int e = 0; e < 10; ++e)
         s.adjust(layout, obs, 0.5 * e);
+    ASSERT_EQ(decisionSamples(sink).back(), 4.0);
     s.reset();
-    EXPECT_EQ(s.samplesCollected(), 0);
+    layout = s.initialLayout(cfg, obs);
+    s.adjust(layout, obs, 0.0);
+    // The first decision after the reset scores sample 1 again.
+    EXPECT_EQ(decisionSamples(sink).back(), 1.0);
     EXPECT_EQ(s.name(), "CLITE");
 }
 

@@ -14,6 +14,13 @@ namespace
 using namespace ahq::sched;
 using ahq::machine::MachineConfig;
 
+/** Units of every kind in a region's resources. */
+int
+units(const ahq::machine::ResourceVector &r)
+{
+    return r.cores + r.llcWays + r.memBw;
+}
+
 std::vector<AppObservation>
 mixed(double lc_slowdown = 1.0, double be_slowdown = 1.0)
 {
@@ -50,7 +57,7 @@ TEST(CoPart, EveryAppGetsOwnPartition)
     for (int i = 0; i < 3; ++i)
         EXPECT_EQ(layout.isolatedRegionOf(i), i);
     EXPECT_TRUE(layout.valid());
-    EXPECT_TRUE(layout.unallocated().empty());
+    EXPECT_EQ(layout.allocated(), layout.available());
 }
 
 TEST(CoPart, TransfersFromLeastToMostSlowed)
@@ -58,11 +65,11 @@ TEST(CoPart, TransfersFromLeastToMostSlowed)
     CoPart s;
     auto layout = s.initialLayout(MachineConfig::xeonE52630v4(),
                                   mixed());
-    const int worst_before = layout.region(0).res.totalUnits();
-    const int best_before = layout.region(1).res.totalUnits();
+    const int worst_before = units(layout.region(0).res);
+    const int best_before = units(layout.region(1).res);
     s.adjust(layout, mixed(3.0, 1.5), 0.5); // app 0 most slowed
-    EXPECT_EQ(layout.region(0).res.totalUnits(), worst_before + 1);
-    EXPECT_EQ(layout.region(1).res.totalUnits(), best_before - 1);
+    EXPECT_EQ(units(layout.region(0).res), worst_before + 1);
+    EXPECT_EQ(units(layout.region(1).res), best_before - 1);
 }
 
 TEST(CoPart, HysteresisPreventsChurn)
@@ -87,8 +94,8 @@ TEST(CoPart, ConvergesTowardEqualSlowdowns)
         ASSERT_TRUE(layout.valid());
     }
     // App 0 accumulated most of app 1's donatable resources.
-    EXPECT_GT(layout.region(0).res.totalUnits(),
-              layout.region(1).res.totalUnits());
+    EXPECT_GT(units(layout.region(0).res),
+              units(layout.region(1).res));
     EXPECT_GE(layout.region(1).res.cores, 1);
     EXPECT_GE(layout.region(1).res.llcWays, 1);
 }

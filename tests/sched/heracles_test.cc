@@ -15,6 +15,13 @@ using namespace ahq::sched;
 using ahq::machine::MachineConfig;
 using ahq::machine::ResourceKind;
 
+/** Units of every kind in a region's resources. */
+int
+units(const ahq::machine::ResourceVector &r)
+{
+    return r.cores + r.llcWays + r.memBw;
+}
+
 std::vector<AppObservation>
 apps(double slack0 = 0.5, double load0 = 0.3)
 {
@@ -55,9 +62,9 @@ TEST(Heracles, GrowsBeWhenSlackAmple)
     Heracles s;
     auto layout = s.initialLayout(MachineConfig::xeonE52630v4(),
                                   apps());
-    const int be_before = layout.region(1).res.totalUnits();
+    const int be_before = units(layout.region(1).res);
     s.adjust(layout, apps(0.5, 0.3), 0.5); // slack 0.5 > 0.25
-    EXPECT_GT(layout.region(1).res.totalUnits(), be_before);
+    EXPECT_GT(units(layout.region(1).res), be_before);
 }
 
 TEST(Heracles, ShrinksBeOnLowSlack)
@@ -68,9 +75,9 @@ TEST(Heracles, ShrinksBeOnLowSlack)
     // Grow a few units first.
     for (int e = 0; e < 4; ++e)
         s.adjust(layout, apps(0.5, 0.3), 0.5 * e);
-    const int be_grown = layout.region(1).res.totalUnits();
+    const int be_grown = units(layout.region(1).res);
     s.adjust(layout, apps(0.05, 0.3), 10.0); // slack below 0.10
-    EXPECT_LT(layout.region(1).res.totalUnits(), be_grown);
+    EXPECT_LT(units(layout.region(1).res), be_grown);
 }
 
 TEST(Heracles, HoldsInDeadBand)
@@ -78,9 +85,9 @@ TEST(Heracles, HoldsInDeadBand)
     Heracles s;
     auto layout = s.initialLayout(MachineConfig::xeonE52630v4(),
                                   apps());
-    const int be_before = layout.region(1).res.totalUnits();
+    const int be_before = units(layout.region(1).res);
     s.adjust(layout, apps(0.18, 0.3), 0.5); // between thresholds
-    EXPECT_EQ(layout.region(1).res.totalUnits(), be_before);
+    EXPECT_EQ(units(layout.region(1).res), be_before);
 }
 
 TEST(Heracles, FreezesGrowthNearPeakLoad)
@@ -88,9 +95,9 @@ TEST(Heracles, FreezesGrowthNearPeakLoad)
     Heracles s;
     auto layout = s.initialLayout(MachineConfig::xeonE52630v4(),
                                   apps());
-    const int be_before = layout.region(1).res.totalUnits();
+    const int be_before = units(layout.region(1).res);
     s.adjust(layout, apps(0.6, 0.9), 0.5); // slack fine, load high
-    EXPECT_EQ(layout.region(1).res.totalUnits(), be_before);
+    EXPECT_EQ(units(layout.region(1).res), be_before);
 }
 
 TEST(Heracles, LayoutStaysValidUnderPressure)

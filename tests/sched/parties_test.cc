@@ -16,6 +16,13 @@ using ahq::machine::MachineConfig;
 using ahq::machine::RegionId;
 using ahq::machine::ResourceKind;
 
+/** Units of every kind in a region's resources. */
+int
+units(const ahq::machine::ResourceVector &r)
+{
+    return r.cores + r.llcWays + r.memBw;
+}
+
 std::vector<AppObservation>
 threeLcOneBe()
 {
@@ -49,7 +56,7 @@ TEST(Parties, InitialLayoutStrictlyPartitioned)
     EXPECT_EQ(layout.region(0).res.cores, 3);
     EXPECT_EQ(layout.region(3).res.cores, 2);
     EXPECT_TRUE(layout.valid());
-    EXPECT_TRUE(layout.unallocated().empty());
+    EXPECT_EQ(layout.allocated(), layout.available());
 }
 
 TEST(Parties, NoBePoolWhenNoBeApps)
@@ -90,11 +97,11 @@ TEST(Parties, MultipleViolationsAllUpsized)
     auto layout = s.initialLayout(cfg, obs);
     obs[0].p95Ms = 20.0;
     obs[1].p95Ms = 30.0;
-    const int a0 = layout.region(0).res.totalUnits();
-    const int a1 = layout.region(1).res.totalUnits();
+    const int a0 = units(layout.region(0).res);
+    const int a1 = units(layout.region(1).res);
     s.adjust(layout, obs, 0.5);
-    EXPECT_GT(layout.region(0).res.totalUnits(), a0);
-    EXPECT_GT(layout.region(1).res.totalUnits(), a1);
+    EXPECT_GT(units(layout.region(0).res), a0);
+    EXPECT_GT(units(layout.region(1).res), a1);
 }
 
 TEST(Parties, ComfortStreakRequiredBeforeDownsize)
@@ -105,18 +112,18 @@ TEST(Parties, ComfortStreakRequiredBeforeDownsize)
     auto layout = s.initialLayout(cfg, obs);
     const int pool = layout.sharedRegion();
     const int pool_units_before =
-        layout.region(pool).res.totalUnits();
+        units(layout.region(pool).res);
 
     // A single comfortable interval must not trigger a downsize.
     s.adjust(layout, obs, 0.5);
-    EXPECT_EQ(layout.region(pool).res.totalUnits(),
+    EXPECT_EQ(units(layout.region(pool).res),
               pool_units_before);
 
     // After enough comfortable intervals a trial downsize fires and
     // the BE pool grows by one unit.
     for (int i = 0; i < 10; ++i)
         s.adjust(layout, obs, 0.5 * (i + 2));
-    EXPECT_GT(layout.region(pool).res.totalUnits(),
+    EXPECT_GT(units(layout.region(pool).res),
               pool_units_before);
 }
 
@@ -135,8 +142,8 @@ TEST(Parties, TrialRevertedOnViolation)
         const auto before = layout;
         s.adjust(layout, obs, 0.5 * e);
         for (int a = 0; a < 3; ++a) {
-            if (layout.region(a).res.totalUnits() <
-                before.region(a).res.totalUnits()) {
+            if (units(layout.region(a).res) <
+                units(before.region(a).res)) {
                 downsized_app = a;
                 trial_epoch = e;
             }
@@ -147,13 +154,13 @@ TEST(Parties, TrialRevertedOnViolation)
     ASSERT_GE(downsized_app, 0) << "no trial downsize happened";
     (void)trial_epoch;
     const int units_after_downsize =
-        layout.region(downsized_app).res.totalUnits();
+        units(layout.region(downsized_app).res);
 
     // The downsized app violates: PARTIES must revert (and may
     // additionally upsize it, since it is violated).
     obs[static_cast<std::size_t>(downsized_app)].p95Ms = 50.0;
     s.adjust(layout, obs, 100.0);
-    EXPECT_GE(layout.region(downsized_app).res.totalUnits(),
+    EXPECT_GE(units(layout.region(downsized_app).res),
               units_after_downsize + 1);
     EXPECT_GE(layout.region(pool).res.cores, 1);
 }
@@ -174,10 +181,10 @@ TEST(Parties, StarvedAppStealsFromRichDonor)
 
     // App 0 still violated, app 1 has huge slack: donor kicks in.
     obs[1].p95Ms = 1.0;
-    const int donor_before = layout.region(1).res.totalUnits();
+    const int donor_before = units(layout.region(1).res);
     for (int e = 12; e < 18; ++e)
         s.adjust(layout, obs, 0.5 * e);
-    EXPECT_LT(layout.region(1).res.totalUnits(), donor_before);
+    EXPECT_LT(units(layout.region(1).res), donor_before);
     EXPECT_TRUE(layout.valid());
 }
 

@@ -30,7 +30,7 @@ TEST(Bootstrap, DegenerateSampleHasZeroWidth)
     const auto ci = bootstrapMeanCi(s, rng);
     EXPECT_NEAR(ci.lo, 7.0, 1e-12);
     EXPECT_NEAR(ci.hi, 7.0, 1e-12);
-    EXPECT_EQ(ci.halfWidth(), 0.0);
+    EXPECT_EQ(ci.hi - ci.lo, 0.0);
 }
 
 TEST(Bootstrap, CoverageOnGaussianData)
@@ -61,7 +61,7 @@ TEST(Bootstrap, WiderConfidenceWiderInterval)
         s.push_back(data.exponential(1.0));
     const auto ci90 = bootstrapMeanCi(s, r1, 0.90);
     const auto ci99 = bootstrapMeanCi(s, r2, 0.99);
-    EXPECT_GT(ci99.halfWidth(), ci90.halfWidth());
+    EXPECT_GT(ci99.hi - ci99.lo, ci90.hi - ci90.lo);
 }
 
 TEST(Bootstrap, CustomStatistic)

@@ -125,34 +125,6 @@ TEST(Rng, LognormalNoiseZeroSigmaIsIdentity)
     EXPECT_EQ(rng.lognormalNoise(-1.0), 1.0);
 }
 
-TEST(Rng, PoissonMeanMatchesSmall)
-{
-    Rng rng(55);
-    const double mean = 3.5;
-    const int n = 100000;
-    double sum = 0.0;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.poisson(mean));
-    EXPECT_NEAR(sum / n, mean, 0.05);
-}
-
-TEST(Rng, PoissonMeanMatchesLarge)
-{
-    Rng rng(56);
-    const double mean = 500.0;
-    const int n = 20000;
-    double sum = 0.0;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.poisson(mean));
-    EXPECT_NEAR(sum / n, mean, 2.0);
-}
-
-TEST(Rng, PoissonZeroMeanIsZero)
-{
-    Rng rng(57);
-    EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
 TEST(Rng, BernoulliFrequencyMatchesP)
 {
     Rng rng(66);

@@ -159,6 +159,30 @@ TEST(CliSimulate, BadFlagsFailBeforeRunning)
     }
 }
 
+TEST(CliSimulate, BadAhqJobsFailsBeforeRunning)
+{
+    // Without --jobs, AHQ_JOBS sets the thread count: anything but a
+    // whole number >= 1 is a usage error naming the variable, with
+    // nothing run. A given --jobs still wins over it.
+    for (const char *bad : {"abc", "4abc", "0", "-2"}) {
+        ::setenv("AHQ_JOBS", bad, 1);
+        std::ostringstream out, err, out_jobs, err_jobs;
+        const int rc = dispatch({"simulate", "--duration", "2",
+                                 "--warmup", "0", "xapian=0.5"},
+                                out, err);
+        const int rc_jobs =
+            dispatch({"simulate", "--jobs", "1", "--duration", "2",
+                      "--warmup", "0", "xapian=0.5"},
+                     out_jobs, err_jobs);
+        ::unsetenv("AHQ_JOBS");
+        EXPECT_EQ(rc, 2) << bad;
+        EXPECT_NE(err.str().find("AHQ_JOBS"), std::string::npos)
+            << bad << ": " << err.str();
+        EXPECT_EQ(out.str().find("E_S"), std::string::npos) << bad;
+        EXPECT_EQ(rc_jobs, 0) << bad << ": " << err_jobs.str();
+    }
+}
+
 TEST(CliSimulate, RiFlagChangesWeighting)
 {
     // Same colocation, RI 1.0 vs 0.0: E_S equals E_LC / E_BE
@@ -340,7 +364,11 @@ TEST(CliSimulate, TraceAndMetricsEndToEnd)
               std::string::npos)
         << out.str();
 
-    const auto events = ahq::obs::readTraceFile(trace);
+    std::vector<ahq::obs::TraceEvent> events;
+    ahq::obs::forEachTraceFile(
+        trace, [&](const ahq::obs::TraceEvent &ev, int) {
+            events.push_back(ev);
+        });
     ASSERT_FALSE(events.empty());
     EXPECT_EQ(events.front().type(), "run_start");
     EXPECT_EQ(events.front().str("scenario"), "ARQ");
@@ -398,12 +426,13 @@ TEST(CliTrace, SummarisesASimulateTrace)
 
     // The decision totals agree with the raw event stream.
     int moves = 0, rollbacks = 0;
-    for (const auto &ev : ahq::obs::readTraceFile(trace)) {
-        if (ev.type() != "arq_decision")
-            continue;
-        moves += ev.str("action") == "move";
-        rollbacks += ev.str("action") == "rollback";
-    }
+    ahq::obs::forEachTraceFile(
+        trace, [&](const ahq::obs::TraceEvent &ev, int) {
+            if (ev.type() != "arq_decision")
+                return;
+            moves += ev.str("action") == "move";
+            rollbacks += ev.str("action") == "rollback";
+        });
     EXPECT_NE(out.str().find(std::to_string(moves)),
               std::string::npos);
     EXPECT_NE(out.str().find(std::to_string(rollbacks)),

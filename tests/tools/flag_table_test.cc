@@ -27,6 +27,7 @@
 #include "cli.hh"
 #include "cli_test_util.hh"
 #include "exec/jobs.hh"
+#include "exec/thread_pool.hh"
 
 namespace
 {
@@ -282,7 +283,7 @@ expectHonoured(const Verb &verb, const Probe &p)
     const Outcome on = run(flagged);
     ASSERT_EQ(on.code, 0) << cell << ": " << on.err;
     if (p.flag == "--jobs") {
-        EXPECT_EQ(ahq::exec::defaultJobs(), 3) << cell;
+        EXPECT_EQ(ahq::exec::globalPool().threads(), 3) << cell;
     } else if (p.flag == "--trace") {
         EXPECT_FALSE(on.trace.empty()) << cell;
     } else if (p.flag == "--csv") {

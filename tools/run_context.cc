@@ -307,6 +307,10 @@ parseRunFlags(Flags &flags, SimulateOptions &opt,
             flags.reject(flag);
 
     auto positional = flags.parse(args);
+    // Without --jobs, AHQ_JOBS sets the thread count: read it now so
+    // a malformed value is a usage error before anything runs.
+    if (opt.jobs == 0)
+        (void)exec::envJobs();
     if (opt.tracePath.empty())
         opt.tracePath = envStandIn(*verb, "--trace", "AHQ_TRACE");
     if (opt.faultsPath.empty())
