@@ -39,24 +39,12 @@ outputDir()
     return dir;
 }
 
-exec::ThreadPool &
-pool()
-{
-    return exec::globalPool();
-}
-
 std::unique_ptr<report::CsvWriter>
 openCsv(const std::string &filename,
         const std::vector<std::string> &header)
 {
     return std::make_unique<report::CsvWriter>(
         outputDir() + "/" + filename, header);
-}
-
-std::unique_ptr<sched::Scheduler>
-makeScheduler(const std::string &name)
-{
-    return sched::makeScheduler(name);
 }
 
 obs::Scope
@@ -87,14 +75,6 @@ allStrategies()
 {
     static const std::vector<std::string> v{
         "Unmanaged", "LC-first", "PARTIES", "CLITE", "ARQ"};
-    return v;
-}
-
-const std::vector<std::string> &
-managedStrategies()
-{
-    static const std::vector<std::string> v{"PARTIES", "CLITE",
-                                            "ARQ"};
     return v;
 }
 
@@ -133,7 +113,7 @@ cluster::SimulationResult
 runScenario(const std::string &strategy, const cluster::Node &node,
             const cluster::SimulationConfig &cfg)
 {
-    const auto sched = makeScheduler(strategy);
+    const auto sched = sched::makeScheduler(strategy);
     cluster::EpochSimulator sim(node, cfg);
     return sim.run(*sched);
 }
@@ -141,7 +121,7 @@ runScenario(const std::string &strategy, const cluster::Node &node,
 std::vector<cluster::SimulationResult>
 runScenarios(const std::vector<exec::ScenarioJob> &jobs)
 {
-    exec::ScenarioRunner runner(&pool());
+    exec::ScenarioRunner runner(&exec::globalPool());
     runner.setObsScope(benchScope());
     return runner.run(jobs);
 }

@@ -39,12 +39,6 @@ namespace ahq::bench
  */
 std::string outputDir();
 
-/**
- * The bench-wide thread pool: AHQ_JOBS threads, defaulting to the
- * hardware concurrency. All batch helpers below fan out on it.
- */
-exec::ThreadPool &pool();
-
 /** Open a CSV in the output directory ("fig08.csv" etc.). */
 std::unique_ptr<report::CsvWriter>
 openCsv(const std::string &filename,
@@ -59,15 +53,8 @@ openCsv(const std::string &filename,
  */
 obs::Scope benchScope();
 
-/** Factory for a named strategy: one fresh instance per run. */
-std::unique_ptr<sched::Scheduler>
-makeScheduler(const std::string &name);
-
 /** The strategy names in the paper's presentation order. */
 const std::vector<std::string> &allStrategies();
-
-/** The managed strategies (PARTIES, CLITE, ARQ). */
-const std::vector<std::string> &managedStrategies();
 
 /**
  * The standard simulation configuration used by the Section VI
@@ -87,9 +74,10 @@ runScenario(const std::string &strategy, const cluster::Node &node,
             const cluster::SimulationConfig &cfg);
 
 /**
- * Batch counterpart of runScenario(): fan the jobs across pool()
- * and return results in job order, bitwise identical to running
- * each job serially (each job carries its own seed).
+ * Batch counterpart of runScenario(): fan the jobs across
+ * exec::globalPool() (AHQ_JOBS threads, defaulting to the hardware
+ * concurrency) and return results in job order, bitwise identical
+ * to running each job serially (each job carries its own seed).
  */
 std::vector<cluster::SimulationResult>
 runScenarios(const std::vector<exec::ScenarioJob> &jobs);

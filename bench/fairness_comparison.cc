@@ -43,7 +43,7 @@ fairnessOf(const cluster::Node &node,
         if (p.latencyCritical) {
             // Ideal at the app's (constant) load.
             const double ideal =
-                p.soloTailP95Ms(node.loadAt(i, 0.0));
+                p.soloTailPercentileMs(node.loadAt(i, 0.0), 0.95);
             slowdown = std::max(1.0, res.meanP95Ms[ui] / ideal);
         } else {
             slowdown = std::max(

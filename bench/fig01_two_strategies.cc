@@ -64,7 +64,7 @@ evaluate(const machine::RegionLayout &layout,
                              out[i].perServerRate,
                              p.svcP95Mult * out[i].serviceStretch);
             so.tail.push_back(t95);
-            lc.push_back({p.soloTailP95Ms(loads[i]), t95,
+            lc.push_back({p.soloTailPercentileMs(loads[i], 0.95), t95,
                           p.tailThresholdMs});
         } else {
             so.ipc = out[i].ipc;

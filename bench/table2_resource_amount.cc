@@ -40,7 +40,7 @@ main()
         // Recompute the per-app breakdown from steady-state means.
         std::vector<core::LcObservation> lc;
         for (int i = 0; i < 3; ++i) {
-            lc.push_back({node.profile(i).soloTailP95Ms(0.2),
+            lc.push_back({node.profile(i).soloTailPercentileMs(0.2, 0.95),
                           res.meanP95Ms[static_cast<std::size_t>(i)],
                           node.profile(i).tailThresholdMs});
         }

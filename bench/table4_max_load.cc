@@ -27,7 +27,7 @@ derivedMaxLoadQps(const apps::AppProfile &p)
     double lo = 0.0, hi = 2.0; // load fraction
     for (int it = 0; it < 60; ++it) {
         const double mid = 0.5 * (lo + hi);
-        const double t = p.soloTailP95Ms(mid);
+        const double t = p.soloTailPercentileMs(mid, 0.95);
         if (std::isfinite(t) && t <= p.tailThresholdMs)
             lo = mid;
         else

@@ -41,7 +41,6 @@ main()
     // ---- 2. build the profile from operational numbers -----------
     const auto my_service =
         apps::AppBuilder("checkout-api")
-            .latencyCritical()
             .maxLoadQps(1200.0)   // measured knee
             .tailThresholdMs(15.0) // SLO
             .idealTailAt20Ms(5.0)  // quiet-hours p95

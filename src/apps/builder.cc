@@ -16,21 +16,6 @@ AppBuilder::AppBuilder(std::string name)
 }
 
 AppBuilder &
-AppBuilder::latencyCritical()
-{
-    lc_ = true;
-    return *this;
-}
-
-AppBuilder &
-AppBuilder::bestEffort(double ipc_solo)
-{
-    lc_ = false;
-    ipcSolo_ = ipc_solo;
-    return *this;
-}
-
-AppBuilder &
 AppBuilder::maxLoadQps(double qps)
 {
     maxLoad_ = qps;
@@ -52,13 +37,6 @@ AppBuilder::idealTailAt20Ms(double ms)
 }
 
 AppBuilder &
-AppBuilder::threads(int n)
-{
-    threads_ = n;
-    return *this;
-}
-
-AppBuilder &
 AppBuilder::cache(double mpki_max, double mpki_min, double ways_half)
 {
     mpkiMax_ = mpki_max;
@@ -67,55 +45,15 @@ AppBuilder::cache(double mpki_max, double mpki_min, double ways_half)
     return *this;
 }
 
-AppBuilder &
-AppBuilder::cpiBase(double cpi)
-{
-    cpiBase_ = cpi;
-    return *this;
-}
-
-AppBuilder &
-AppBuilder::mlp(double mlp)
-{
-    mlp_ = mlp;
-    return *this;
-}
-
 AppProfile
 AppBuilder::build() const
 {
     if (name_.empty())
         throw std::invalid_argument("profile needs a name");
-    if (!lc_.has_value()) {
-        throw std::invalid_argument(
-            name_ + ": choose latencyCritical() or bestEffort()");
-    }
-    if (threads_ < 1)
-        throw std::invalid_argument(name_ + ": threads must be >= 1");
     if (mpkiMax_ < mpkiMin_ || mpkiMin_ < 0.0 || waysHalf_ <= 0.0) {
         throw std::invalid_argument(name_ +
                                     ": inconsistent cache traits");
     }
-
-    AppProfile p;
-    p.name = name_;
-    p.threads = threads_;
-    perf::CpiTraits traits;
-    traits.cpiBase = cpiBase_;
-    traits.mlp = mlp_;
-    p.cpi = perf::CpiModel(
-        perf::MissRateCurve(mpkiMax_, mpkiMin_, waysHalf_), traits);
-
-    if (!*lc_) {
-        if (ipcSolo_ <= 0.0) {
-            throw std::invalid_argument(name_ +
-                                        ": solo IPC must be > 0");
-        }
-        p.latencyCritical = false;
-        p.ipcSolo = ipcSolo_;
-        return p;
-    }
-
     if (!maxLoad_ || !threshold_ || !idealTail_) {
         throw std::invalid_argument(
             name_ + ": LC profiles need maxLoadQps, "
@@ -127,7 +65,12 @@ AppBuilder::build() const
         throw std::invalid_argument(
             name_ + ": need 0 < ideal tail < threshold");
     }
-    p.latencyCritical = true;
+
+    AppProfile p;
+    p.name = name_;
+    p.cpi = perf::CpiModel(
+        perf::MissRateCurve(mpkiMax_, mpkiMin_, waysHalf_),
+        perf::CpiTraits{});
     calibrateLcProfile(p, {*maxLoad_, *threshold_, *idealTail_});
     return p;
 }

@@ -1,26 +1,18 @@
 /**
  * @file
- * Fluent builder for custom application profiles, so downstream
- * users can model their own workloads without touching the raw
- * AppProfile fields or the calibration solver directly.
- *
- * LC example — everything from published-style numbers:
+ * Fluent builder for custom latency-critical application profiles,
+ * so downstream users can model their own services without touching
+ * the raw AppProfile fields or the calibration solver directly.
+ * Everything comes from published-style numbers:
  *
  *   auto app = apps::AppBuilder("my-api")
- *                  .latencyCritical()
  *                  .maxLoadQps(2500)
  *                  .tailThresholdMs(8.0)
  *                  .idealTailAt20Ms(3.0)
  *                  .cache(18.0, 3.0, 5.0)   // mpki max/min, half ways
  *                  .build();
  *
- * BE example:
- *
- *   auto batch = apps::AppBuilder("encoder")
- *                    .bestEffort(1.8)       // solo IPC
- *                    .threads(8)
- *                    .cache(25.0, 6.0, 8.0)
- *                    .build();
+ * The profile runs 4 threads with the default CPI traits.
  */
 
 #ifndef AHQ_APPS_BUILDER_HH
@@ -35,7 +27,7 @@ namespace ahq::apps
 {
 
 /**
- * Step-by-step construction of an AppProfile with validation at
+ * Step-by-step construction of an LC AppProfile with validation at
  * build() time.
  */
 class AppBuilder
@@ -43,12 +35,6 @@ class AppBuilder
   public:
     /** @param name Catalogue-style name for reports. */
     explicit AppBuilder(std::string name);
-
-    /** Mark as latency-critical (needs the three LC anchors). */
-    AppBuilder &latencyCritical();
-
-    /** Mark as best-effort with the given solo IPC. */
-    AppBuilder &bestEffort(double ipc_solo);
 
     /** LC anchor: maximum sustainable load (knee), requests/s. */
     AppBuilder &maxLoadQps(double qps);
@@ -59,40 +45,26 @@ class AppBuilder
     /** LC anchor: ideal p95 at 20% load, ms. */
     AppBuilder &idealTailAt20Ms(double ms);
 
-    /** Software thread count (default 4). */
-    AppBuilder &threads(int n);
-
     /** Cache behaviour: MPKI at 0/unbounded ways, half-sat ways. */
     AppBuilder &cache(double mpki_max, double mpki_min,
                       double ways_half);
 
-    /** Core-bound CPI component (default 0.6). */
-    AppBuilder &cpiBase(double cpi);
-
-    /** Memory-level parallelism (default 2.0). */
-    AppBuilder &mlp(double mlp);
-
     /**
-     * Finalise. LC profiles run the calibration solver against the
-     * three anchors; BE profiles take the IPC directly.
+     * Finalise: run the calibration solver against the three
+     * anchors.
      *
      * @throws std::invalid_argument when required anchors are
-     *         missing or inconsistent (e.g. ideal tail >= threshold,
-     *         or a knee that 4 threads cannot sustain).
+     *         missing or inconsistent (e.g. ideal tail >= threshold),
+     *         or the cache traits are.
      */
     AppProfile build() const;
 
   private:
     std::string name_;
-    std::optional<bool> lc_;
     std::optional<double> maxLoad_;
     std::optional<double> threshold_;
     std::optional<double> idealTail_;
-    double ipcSolo_ = 1.0;
-    int threads_ = 4;
     double mpkiMax_ = 10.0, mpkiMin_ = 2.0, waysHalf_ = 4.0;
-    double cpiBase_ = 0.6;
-    double mlp_ = 2.0;
 };
 
 } // namespace ahq::apps

@@ -44,18 +44,6 @@ AppProfile::arrivalRate(double load_fraction) const
 }
 
 double
-AppProfile::soloTailP95Ms(double load_fraction) const
-{
-    const double lambda = arrivalRate(load_fraction);
-    const double mu = 1000.0 / serviceTimeMs;
-    const double t95 = perf::sojournPercentileApprox(
-        static_cast<double>(threads), lambda, mu, svcP95Mult);
-    if (t95 == std::numeric_limits<double>::infinity())
-        return t95;
-    return baseLatencyMs + 1000.0 * t95;
-}
-
-double
 AppProfile::svcMultAt(double p) const
 {
     assert(p > 0.0 && p < 1.0);

@@ -65,17 +65,13 @@ struct AppProfile
     double arrivalRate(double load_fraction) const;
 
     /**
-     * Solo p95 tail latency at the given load fraction: the app on
-     * the full machine at speed 1 (this is TL_i0 at that load, which
-     * the paper obtains by temporarily isolating ample resources).
-     */
-    double soloTailP95Ms(double load_fraction) const;
-
-    /**
-     * Solo tail latency at an arbitrary percentile. The paper uses
-     * the 95th "without losing generality" (§V); this generalises
-     * the calibrated service tail by scaling its exceedance with
-     * log(1-p), exact for exponential-tailed services.
+     * Solo tail latency at percentile p and the given load fraction:
+     * the app on the full machine at speed 1 (this is TL_i0 at that
+     * load, which the paper obtains by temporarily isolating ample
+     * resources). The paper uses the 95th "without losing
+     * generality" (§V); other percentiles scale the calibrated
+     * service tail's exceedance with log(1-p), exact for
+     * exponential-tailed services.
      *
      * @param load_fraction Load as a fraction of max load.
      * @param p Percentile in (0, 1), e.g. 0.99.

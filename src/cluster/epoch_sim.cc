@@ -402,6 +402,7 @@ EpochSimulator::runImpl(sched::Scheduler *const *arms,
 
     SimulationResult result;
     result.warmupEpochs = std::min(cfg.warmupEpochs, epochs);
+    result.tailPercentile = cfg.tailPercentile;
     Run run(node_, cfg, arms, schedule, result);
     const bool tracing = cfg.obs.tracing();
     if (tracing) {

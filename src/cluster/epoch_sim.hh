@@ -215,6 +215,9 @@ struct SimulationResult
     /** (LC app, epoch) pairs violating the elastic QoS target. */
     int violations = 0;
 
+    /** Percentile the p95 fields hold (the config's tailPercentile). */
+    double tailPercentile = 0.95;
+
     /** Steady-state mean p95 per app (0 for BE), ms. */
     std::vector<double> meanP95Ms;
 

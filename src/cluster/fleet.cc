@@ -44,12 +44,14 @@ FleetAccumulator::add(const Node &node, const SimulationResult &res)
         const auto &p = node.profile(i);
         const auto ui = static_cast<std::size_t>(i);
         if (p.latencyCritical) {
-            // Pool against the app's *steady-state* mean load:
-            // meanP95Ms is a post-warmup aggregate, so its solo
-            // reference must be too (a trace still ramping during
-            // warmup would otherwise drag the reference below the
-            // regime the steady tail was measured in).
-            lc.push_back({p.soloTailP95Ms(res.steadyMeanLoad[ui]),
+            // Pool against the app's solo tail at the run's
+            // percentile and *steady-state* mean load: meanP95Ms is
+            // a post-warmup aggregate at res.tailPercentile, so its
+            // solo reference must be too (a trace still ramping
+            // during warmup would otherwise drag the reference below
+            // the regime the steady tail was measured in).
+            lc.push_back({p.soloTailPercentileMs(res.steadyMeanLoad[ui],
+                                                 res.tailPercentile),
                           res.meanP95Ms[ui], p.tailThresholdMs});
         } else {
             be.push_back({p.ipcSolo, res.meanIpc[ui]});

@@ -5,8 +5,6 @@
 
 #include "machine/mask.hh"
 
-#include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdio>
 
@@ -24,38 +22,11 @@ CoreMask::firstN(int n, int offset)
     return CoreMask(run << offset);
 }
 
-int
-CoreMask::count() const
-{
-    return std::popcount(bits_);
-}
-
 bool
 CoreMask::contains(int core) const
 {
     assert(core >= 0 && core < 64);
     return (bits_ >> core) & 1ull;
-}
-
-void
-CoreMask::add(int core)
-{
-    assert(core >= 0 && core < 64);
-    bits_ |= (1ull << core);
-}
-
-int
-CoreMask::lowest() const
-{
-    if (bits_ == 0)
-        return -1;
-    return std::countr_zero(bits_);
-}
-
-CoreMask
-CoreMask::operator&(const CoreMask &o) const
-{
-    return CoreMask(bits_ & o.bits_);
 }
 
 CoreMask
@@ -78,12 +49,6 @@ WayMask::WayMask(int first_way, int num_ways)
 {
     assert(first_way >= 0 && num_ways >= 0);
     assert(first_way + num_ways <= 64);
-}
-
-bool
-WayMask::contains(int way) const
-{
-    return way >= firstWay && way < firstWay + numWays;
 }
 
 std::uint64_t

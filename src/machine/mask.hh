@@ -33,23 +33,11 @@ class CoreMask
     /** Mask of the first n cores starting at the given offset. */
     static CoreMask firstN(int n, int offset = 0);
 
-    /** Number of cores in the mask. */
-    int count() const;
-
     /** Whether the given core is in the mask. */
     bool contains(int core) const;
 
-    /** Add one core. */
-    void add(int core);
-
-    /** Lowest set core, or -1 when empty. */
-    int lowest() const;
-
     /** True when no core is set. */
     bool empty() const { return bits_ == 0; }
-
-    /** Set intersection. */
-    CoreMask operator&(const CoreMask &o) const;
 
     /** Set union. */
     CoreMask operator|(const CoreMask &o) const;
@@ -95,9 +83,6 @@ class WayMask
 
     /** Whether the mask is empty. */
     bool empty() const { return numWays == 0; }
-
-    /** Whether the given way is covered. */
-    bool contains(int way) const;
 
     /** Raw CBM bits as the hardware would see them. */
     std::uint64_t bits() const;

@@ -5,7 +5,6 @@
 
 #include "machine/pqos.hh"
 
-#include <cassert>
 #include <cstdio>
 
 namespace ahq::machine
@@ -101,57 +100,6 @@ PqosProgrammer::program(const RegionLayout &layout) const
         std::snprintf(buf, sizeof(buf), "taskset -cp %s $PID_APP%d",
                       cores.c_str(), app);
         cmds.push_back({HwCommand::Kind::Affinity, buf});
-    }
-    return cmds;
-}
-
-std::vector<HwCommand>
-PqosProgrammer::delta(const RegionLayout &before,
-                      const RegionLayout &after) const
-{
-    assert(before.numRegions() == after.numRegions());
-    const auto full = program(after);
-    const ConcreteMasks masks_before = before.concreteMasks();
-    const ConcreteMasks masks_after = after.concreteMasks();
-
-    // Which regions changed any resource?
-    std::vector<bool> region_changed(
-        static_cast<std::size_t>(after.numRegions()), false);
-    for (RegionId r = 0; r < after.numRegions(); ++r) {
-        region_changed[static_cast<std::size_t>(r)] =
-            !(before.region(r).res == after.region(r).res);
-    }
-
-    // Which apps' reachable cores moved?
-    std::vector<AppId> apps = after.allApps();
-    std::vector<bool> app_changed;
-    for (AppId app : apps) {
-        CoreMask b, a;
-        for (RegionId r : before.regionsOf(app))
-            b = b | masks_before.coreMasks[
-                static_cast<std::size_t>(r)];
-        for (RegionId r : after.regionsOf(app))
-            a = a | masks_after.coreMasks[
-                static_cast<std::size_t>(r)];
-        app_changed.push_back(!(b == a));
-    }
-
-    std::vector<HwCommand> cmds;
-    std::size_t app_cursor = 0;
-    for (const auto &cmd : full) {
-        if (cmd.kind == HwCommand::Kind::Affinity) {
-            if (app_changed[app_cursor])
-                cmds.push_back(cmd);
-            ++app_cursor;
-        } else {
-            // Region-scoped commands embed their class of service
-            // as "llc:<cos>=" / "mba:<cos>=", and cos = region + 1.
-            const auto colon = cmd.text.find(':');
-            const int cos = std::stoi(cmd.text.substr(colon + 1));
-            const auto r = static_cast<std::size_t>(cos - 1);
-            if (r < region_changed.size() && region_changed[r])
-                cmds.push_back(cmd);
-        }
     }
     return cmds;
 }

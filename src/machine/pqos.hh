@@ -64,17 +64,6 @@ class PqosProgrammer
      */
     std::vector<HwCommand> program(const RegionLayout &layout) const;
 
-    /**
-     * Minimal delta sequence between two layouts with the same
-     * region structure: only regions whose resources changed are
-     * reprogrammed, and only apps whose reachable core set changed
-     * are re-pinned — what an online controller issues per epoch.
-     *
-     * @pre before and after have the same number of regions.
-     */
-    std::vector<HwCommand> delta(const RegionLayout &before,
-                                 const RegionLayout &after) const;
-
     /** Render only the shell text lines of a sequence. */
     static std::vector<std::string>
     toShell(const std::vector<HwCommand> &commands);

@@ -61,29 +61,12 @@ ResourceVector::set(ResourceKind kind, int value)
     ref(kind) = value;
 }
 
-ResourceVector
-ResourceVector::operator+(const ResourceVector &o) const
-{
-    return {cores + o.cores, llcWays + o.llcWays, memBw + o.memBw};
-}
-
-ResourceVector
-ResourceVector::operator-(const ResourceVector &o) const
-{
-    return {cores - o.cores, llcWays - o.llcWays, memBw - o.memBw};
-}
-
 ResourceVector &
 ResourceVector::operator+=(const ResourceVector &o)
 {
-    *this = *this + o;
-    return *this;
-}
-
-ResourceVector &
-ResourceVector::operator-=(const ResourceVector &o)
-{
-    *this = *this - o;
+    cores += o.cores;
+    llcWays += o.llcWays;
+    memBw += o.memBw;
     return *this;
 }
 

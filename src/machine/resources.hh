@@ -55,13 +55,7 @@ struct ResourceVector
     void set(ResourceKind kind, int value);
 
     /** Component-wise sum. */
-    ResourceVector operator+(const ResourceVector &o) const;
-
-    /** Component-wise difference (may go negative; caller checks). */
-    ResourceVector operator-(const ResourceVector &o) const;
-
     ResourceVector &operator+=(const ResourceVector &o);
-    ResourceVector &operator-=(const ResourceVector &o);
 
     bool operator==(const ResourceVector &o) const = default;
 

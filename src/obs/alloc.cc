@@ -49,16 +49,6 @@ allocCountingEnabled() noexcept
     return AHQ_ALLOC_COUNTING != 0;
 }
 
-Arena &
-traceArena()
-{
-    // One arena per thread: event assembly is single-threaded by
-    // construction (each worker builds and writes its own events),
-    // and thread-locality is what lets mark/release skip locking.
-    static thread_local Arena arena;
-    return arena;
-}
-
 } // namespace ahq::obs
 
 #if AHQ_ALLOC_COUNTING

@@ -9,11 +9,9 @@
  * relies on). Non-finite doubles render as null, which keeps every
  * emitted line valid JSON.
  *
- * The helpers are templated over the output buffer so the hot
- * trace-assembly path can write into an arena-backed obs::ArenaString
- * while offline tools keep using std::string; both expose the same
- * push_back / operator+= / append(first, last) slice of the string
- * interface.
+ * Every caller appends into a std::string: obs::Event's reused
+ * per-depth strings, the analysis verbs' cells and the bench JSON
+ * writer.
  */
 
 #ifndef AHQ_OBS_JSON_HH
@@ -29,9 +27,8 @@ namespace ahq::obs::json
 {
 
 /** Append s as a quoted, escaped JSON string. */
-template <class Out>
-void
-appendString(Out &out, std::string_view s)
+inline void
+appendString(std::string &out, std::string_view s)
 {
     out.push_back('"');
     for (const char c : s) {
@@ -67,9 +64,8 @@ appendString(Out &out, std::string_view s)
 }
 
 /** Append a double (shortest round-trip; null when non-finite). */
-template <class Out>
-void
-appendNumber(Out &out, double v)
+inline void
+appendNumber(std::string &out, double v)
 {
     if (!std::isfinite(v)) {
         out += "null";
@@ -82,17 +78,13 @@ appendNumber(Out &out, double v)
 }
 
 /** Append an integer. */
-template <class Out>
-void
-appendNumber(Out &out, long long v)
+inline void
+appendNumber(std::string &out, long long v)
 {
     char buf[24];
     const auto res = std::to_chars(buf, buf + sizeof(buf), v);
     out.append(buf, res.ptr);
 }
-
-/** Quoted, escaped JSON string (convenience). */
-std::string quoted(std::string_view s);
 
 } // namespace ahq::obs::json
 

@@ -6,22 +6,27 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <iomanip>
+#include <array>
 
 namespace ahq::obs
 {
 
-const std::vector<double> &
-MetricsRegistry::defaultBounds()
-{
-    static const std::vector<double> bounds{
-        0.1, 0.25, 0.5, 1.0,  2.5,   5.0,   10.0,
-        25.0, 50.0, 100.0, 250.0, 500.0, 1000.0};
-    return bounds;
-}
-
 namespace
 {
+
+/** Upper bounds of every histogram's finite buckets, ascending. */
+constexpr std::array<double, 13> kBounds{
+    0.1, 0.25, 0.5, 1.0,  2.5,   5.0,   10.0,
+    25.0, 50.0, 100.0, 250.0, 500.0, 1000.0};
+
+/** The bucket of v: the first with v <= bound, else overflow. */
+std::size_t
+bucketOf(double v)
+{
+    return static_cast<std::size_t>(
+        std::lower_bound(kBounds.begin(), kBounds.end(), v) -
+        kBounds.begin());
+}
 
 /** The entry for `name`, value-initialised on first use. */
 template <typename Map>
@@ -45,29 +50,20 @@ MetricsRegistry::add(std::string_view name, double delta)
 }
 
 MetricsRegistry::Histogram &
-MetricsRegistry::histogramFor(std::string_view name,
-                              const std::vector<double> &bounds)
+MetricsRegistry::histogramFor(std::string_view name)
 {
     Histogram &h = entry(hists_, name);
-    if (h.counts.empty()) {
-        // First use: the bucket layout is fixed from here on.
-        h.bounds = bounds;
-        std::sort(h.bounds.begin(), h.bounds.end());
-        h.counts.assign(h.bounds.size() + 1, 0);
-    }
+    if (h.counts.empty())
+        h.counts.assign(kBounds.size() + 1, 0);
     return h;
 }
 
 void
-MetricsRegistry::observe(std::string_view name, double value,
-                         const std::vector<double> &bounds)
+MetricsRegistry::observe(std::string_view name, double value)
 {
     std::lock_guard<std::mutex> lk(m);
-    Histogram &h = histogramFor(name, bounds);
-    const auto bucket = static_cast<std::size_t>(
-        std::lower_bound(h.bounds.begin(), h.bounds.end(), value) -
-        h.bounds.begin());
-    ++h.counts[bucket];
+    Histogram &h = histogramFor(name);
+    ++h.counts[bucketOf(value)];
     ++h.total;
     h.sum += value;
 }
@@ -77,16 +73,12 @@ MetricsRegistry::observeBucketed(
     const std::string &name,
     const std::vector<std::pair<double, std::uint64_t>>
         &valueCounts,
-    double sum, const std::vector<double> &bounds)
+    double sum)
 {
     std::lock_guard<std::mutex> lk(m);
-    Histogram &h = histogramFor(name, bounds);
+    Histogram &h = histogramFor(name);
     for (const auto &[value, n] : valueCounts) {
-        const auto bucket = static_cast<std::size_t>(
-            std::lower_bound(h.bounds.begin(), h.bounds.end(),
-                             value) -
-            h.bounds.begin());
-        h.counts[bucket] += n;
+        h.counts[bucketOf(value)] += n;
         h.total += n;
     }
     h.sum += sum;
@@ -107,57 +99,8 @@ MetricsRegistry::histogram(const std::string &name) const
     const auto it = hists_.find(name);
     if (it == hists_.end())
         return {};
-    return {it->second.bounds, it->second.counts, it->second.total,
-            it->second.sum};
-}
-
-void
-MetricsRegistry::merge(const MetricsRegistry &other)
-{
-    // Copy out first so self-merge and lock ordering are non-issues.
-    std::map<std::string, double, std::less<>> counters;
-    std::map<std::string, Histogram, std::less<>> hists;
-    {
-        std::lock_guard<std::mutex> lk(other.m);
-        counters = other.counters_;
-        hists = other.hists_;
-    }
-    std::lock_guard<std::mutex> lk(m);
-    for (const auto &[name, v] : counters)
-        counters_[name] += v;
-    for (const auto &[name, h] : hists) {
-        auto it = hists_.find(name);
-        if (it == hists_.end()) {
-            hists_.emplace(name, h);
-            continue;
-        }
-        Histogram &mine = it->second;
-        if (mine.bounds != h.bounds) {
-            // Incompatible layouts: keep ours, fold totals only.
-            mine.total += h.total;
-            mine.sum += h.sum;
-            continue;
-        }
-        for (std::size_t i = 0; i < mine.counts.size(); ++i)
-            mine.counts[i] += h.counts[i];
-        mine.total += h.total;
-        mine.sum += h.sum;
-    }
-}
-
-void
-MetricsRegistry::clear()
-{
-    std::lock_guard<std::mutex> lk(m);
-    counters_.clear();
-    hists_.clear();
-}
-
-bool
-MetricsRegistry::empty() const
-{
-    std::lock_guard<std::mutex> lk(m);
-    return counters_.empty() && hists_.empty();
+    return {{kBounds.begin(), kBounds.end()}, it->second.counts,
+            it->second.total, it->second.sum};
 }
 
 void
@@ -173,10 +116,10 @@ MetricsRegistry::print(std::ostream &os) const
             if (h.counts[i] == 0)
                 continue;
             os << "  ";
-            if (i < h.bounds.size())
-                os << "<= " << h.bounds[i];
+            if (i < kBounds.size())
+                os << "<= " << kBounds[i];
             else
-                os << "> " << h.bounds.back();
+                os << "> " << kBounds.back();
             os << ": " << h.counts[i] << "\n";
         }
     }

@@ -7,11 +7,10 @@
  *  - cheap enough for the epoch hot path: one mutex-protected map
  *    update per recording, and instrumentation sites only call in
  *    when a registry is attached to their obs::Scope;
- *  - mergeable: worker threads may record into one shared registry
- *    (counter and histogram updates commute, so totals are
- *    deterministic at any thread count) or into private registries
- *    merged in job order afterwards — both preserve the exec
- *    layer's serial==parallel contract;
+ *  - shared: every node of a fan-out records into one registry,
+ *    and its updates commute (counters and histogram buckets add),
+ *    so totals are the same at any thread count — the exec layer's
+ *    serial==parallel contract;
  *  - self-contained: no dependency on any other ahq module.
  */
 
@@ -49,23 +48,17 @@ struct HistogramSnapshot
 
 /**
  * A registry of named metrics. All operations are thread-safe.
+ * Every histogram shares one bucket layout (latency-flavoured, ms
+ * scale; the snapshot lists it).
  */
 class MetricsRegistry
 {
   public:
-    /** Default histogram bounds (latency-flavoured, ms scale). */
-    static const std::vector<double> &defaultBounds();
-
     /** Add delta to a counter (created at 0 on first use). */
     void add(std::string_view name, double delta = 1.0);
 
-    /**
-     * Record a value into a histogram. The bucket layout is fixed
-     * by the first observation for the name; later calls reuse it
-     * regardless of the bounds they pass.
-     */
-    void observe(std::string_view name, double value,
-                 const std::vector<double> &bounds = defaultBounds());
+    /** Record a value into a histogram. */
+    void observe(std::string_view name, double value);
 
     /**
      * Fold pre-aggregated observations into a histogram: for each
@@ -79,8 +72,7 @@ class MetricsRegistry
         const std::string &name,
         const std::vector<std::pair<double, std::uint64_t>>
             &valueCounts,
-        double sum,
-        const std::vector<double> &bounds = defaultBounds());
+        double sum);
 
     /** Counter value (0 when absent). */
     double counter(const std::string &name) const;
@@ -88,34 +80,19 @@ class MetricsRegistry
     /** Histogram snapshot (empty when absent). */
     HistogramSnapshot histogram(const std::string &name) const;
 
-    /**
-     * Fold another registry into this one: counters and histogram
-     * buckets add. Merging per-worker registries in job order yields
-     * the same totals as a serial run.
-     */
-    void merge(const MetricsRegistry &other);
-
-    /** Drop every metric. */
-    void clear();
-
-    /** True when nothing has been recorded. */
-    bool empty() const;
-
     /** Human-readable dump, one metric per line, sorted by name. */
     void print(std::ostream &os) const;
 
   private:
     struct Histogram
     {
-        std::vector<double> bounds;
         std::vector<std::uint64_t> counts;
         std::uint64_t total = 0;
         double sum = 0.0;
     };
 
     /** The histogram for `name` (caller holds `m`). */
-    Histogram &histogramFor(std::string_view name,
-                            const std::vector<double> &bounds);
+    Histogram &histogramFor(std::string_view name);
 
     // Transparent comparators: lookups take a string_view, and a
     // name is copied only when it is first inserted.

@@ -1,37 +1,57 @@
 /**
  * @file
- * Event rendering (arena-backed; see the Event doc in scope.hh for
- * the stack discipline).
+ * Event rendering into the thread's reused strings (see the Event
+ * doc in scope.hh for the nesting rule).
  */
 
 #include "obs/scope.hh"
 
-#include <cstring>
+#include <deque>
 
 #include "obs/json.hh"
 
 namespace ahq::obs
 {
 
+/** The strings one nesting depth of Events builds in. */
+struct EventStrings
+{
+    std::string payload;
+    std::string line;
+};
+
 namespace
 {
 
-std::string_view
-copyToArena(Arena &arena, std::string_view s)
+/**
+ * One entry per depth of open Events on this thread. A deque never
+ * moves its elements when it grows, so opening a deeper Event
+ * leaves the strings an outer one holds where they are.
+ */
+thread_local std::deque<EventStrings> t_strings;
+thread_local std::size_t t_depth = 0;
+
+EventStrings &
+openDepth()
 {
-    if (s.empty())
-        return {};
-    char *p = arena.alloc(s.size());
-    std::memcpy(p, s.data(), s.size());
-    return {p, s.size()};
+    if (t_depth == t_strings.size())
+        t_strings.emplace_back();
+    return t_strings[t_depth++];
 }
 
 } // namespace
 
-Event::Event(std::string_view type)
-    : arena_(traceArena()), mark_(arena_.mark()),
-      type_(copyToArena(arena_, type)), payload_(arena_)
+Event::Event(std::string_view type) : Event(type, openDepth()) {}
+
+Event::Event(std::string_view type, EventStrings &strings)
+    : type_(type), payload_(strings.payload), line_(strings.line)
 {
+    payload_.clear();
+}
+
+Event::~Event()
+{
+    --t_depth;
 }
 
 void
@@ -112,23 +132,23 @@ Event::strs(std::string_view k, const std::vector<std::string> &v)
 std::string_view
 Event::render(std::string_view scenario, int epoch) const
 {
-    ArenaString line(arena_, payload_.size() + 96);
-    line += "{\"v\":";
-    json::appendNumber(line,
+    line_.clear();
+    line_ += "{\"v\":";
+    json::appendNumber(line_,
                        static_cast<long long>(kSchemaVersion));
-    line += ",\"type\":";
-    json::appendString(line, type_);
+    line_ += ",\"type\":";
+    json::appendString(line_, type_);
     if (!scenario.empty()) {
-        line += ",\"scenario\":";
-        json::appendString(line, scenario);
+        line_ += ",\"scenario\":";
+        json::appendString(line_, scenario);
     }
     if (epoch >= 0) {
-        line += ",\"epoch\":";
-        json::appendNumber(line, static_cast<long long>(epoch));
+        line_ += ",\"epoch\":";
+        json::appendNumber(line_, static_cast<long long>(epoch));
     }
-    line += payload_.view();
-    line.push_back('}');
-    return line.view();
+    line_ += payload_;
+    line_.push_back('}');
+    return line_;
 }
 
 } // namespace ahq::obs

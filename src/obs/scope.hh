@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/alloc.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
 
@@ -29,6 +28,7 @@ namespace ahq::obs
 
 class SpanProfiler;
 class TimeSeriesRegistry;
+struct EventStrings;
 
 /** Version stamped into every trace event as `"v"`. */
 inline constexpr int kSchemaVersion = 1;
@@ -38,19 +38,22 @@ inline constexpr int kSchemaVersion = 1;
  * after the standard header (v, type, scenario, epoch), so a given
  * emission site always produces the same byte layout.
  *
- * All scratch space — the type tag, the payload, and the rendered
- * line — lives in the calling thread's trace arena and is rewound
- * when the Event is destroyed, so a warm steady state assembles
- * events without heap allocations. Consequence: Events follow stack
- * discipline (build, render, write, destroy — in that order, most
- * recent first), and the view render() returns is valid only while
- * the Event is alive.
+ * The payload and the rendered line are the calling thread's
+ * strings for this Event's nesting depth: the constructor clears
+ * the payload, render() clears and rewrites the line, and both keep
+ * their capacity, so a warm steady state assembles events without
+ * heap allocations. An Event opened while this one is alive takes
+ * the next depth's strings, so Events on a thread are scope-bound:
+ * the most recent is destroyed first. The view render() returns is
+ * valid until this Event is destroyed or rendered again. `type` is
+ * not copied: the caller keeps it alive (every emission site passes
+ * a string literal).
  */
 class Event
 {
   public:
     explicit Event(std::string_view type);
-    ~Event() { arena_.release(mark_); }
+    ~Event();
 
     Event(const Event &) = delete;
     Event &operator=(const Event &) = delete;
@@ -63,18 +66,18 @@ class Event
     Event &strs(std::string_view key,
                 const std::vector<std::string> &v);
 
-    /** The full JSONL line (no trailing newline); arena-backed,
-        valid until this Event is destroyed. */
+    /** The full JSONL line (no trailing newline). */
     std::string_view render(std::string_view scenario,
                             int epoch) const;
 
   private:
+    Event(std::string_view type, EventStrings &strings);
+
     void key(std::string_view k);
 
-    Arena &arena_;
-    Arena::Mark mark_;
     std::string_view type_;
-    ArenaString payload_;
+    std::string &payload_;
+    std::string &line_;
 };
 
 /**

@@ -124,12 +124,6 @@ SloMonitor::observe(int app, int epoch, bool violated)
     return tr;
 }
 
-bool
-SloMonitor::active(int app) const
-{
-    return apps_[static_cast<std::size_t>(app)].active;
-}
-
 SloSummary
 SloMonitor::summary() const
 {

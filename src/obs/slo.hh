@@ -94,9 +94,6 @@ class SloMonitor
      */
     SloAlertTransition observe(int app, int epoch, bool violated);
 
-    /** Whether the app's alert is currently raised. */
-    bool active(int app) const;
-
     /** Aggregated accounting over all apps so far. */
     SloSummary summary() const;
 

@@ -117,20 +117,6 @@ SpanProfiler::snapshot() const
     return spans_;
 }
 
-bool
-SpanProfiler::empty() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return spans_.empty();
-}
-
-void
-SpanProfiler::clear()
-{
-    std::lock_guard<std::mutex> lock(m_);
-    spans_.clear();
-}
-
 void
 SpanProfiler::flush(const Scope &scope) const
 {

@@ -11,12 +11,15 @@
  * and a log2-bucket histogram from which approximate quantiles are
  * read deterministically.
  *
- * Determinism contract (DESIGN.md §11): everything a profiler
- * stores is merge-order independent, per-job profilers are flushed
- * in job order by their owners, and the wall-time fields of the
- * emitted `span` events ride on Scope::wallClock — with it off
- * (the default) span-bearing traces stay byte-identical at any
- * thread count because only paths and counts are serialised.
+ * Determinism contract (DESIGN.md §11): a profiler is private to
+ * one node. exec::NodeFanOut gives each node its own, flushes it
+ * into that node's trace buffer and merges it into the parent's;
+ * every field is integral, so merges commute and the parent's
+ * totals do not depend on which node finishes first. The
+ * wall-time fields of the emitted `span` events ride on
+ * Scope::wallClock — with it off (the default) span-bearing traces
+ * stay byte-identical at any thread count because only paths and
+ * counts are serialised.
  *
  * Cost contract: a Span whose profiler pointer is null is one
  * branch — no clock read, no allocation — so the profiler-off
@@ -87,12 +90,6 @@ class SpanProfiler
 
     /** Copy of the per-path aggregates, sorted by path. */
     std::map<std::string, Stats, std::less<>> snapshot() const;
-
-    /** True when nothing has been recorded. */
-    bool empty() const;
-
-    /** Drop every recorded span. */
-    void clear();
 
     /**
      * Emit one schema-v1 `span` event per path (sorted by path —

@@ -1,11 +1,9 @@
 /**
  * @file
- * TimeSeries fold/merge and registry flush.
+ * TimeSeries fold and registry flush.
  */
 
 #include "obs/timeseries.hh"
-
-#include <algorithm>
 
 #include "obs/scope.hh"
 
@@ -39,33 +37,6 @@ TimeSeries::foldOnce()
     foldLimit_ = static_cast<long long>(stride_) * kCapacity;
 }
 
-void
-TimeSeries::merge(const TimeSeries &other)
-{
-    if (other.points_ == 0)
-        return;
-    // Copy the source so both sides can fold to the common stride
-    // that covers the union of epoch ranges; the common stride is a
-    // symmetric function of the two inputs, which is what makes
-    // A.merge(B) and B.merge(A) land on identical buckets.
-    TimeSeries src = other;
-    const int mx = std::max(maxEpoch_, other.maxEpoch_);
-    while (static_cast<long long>(stride_) * kCapacity <= mx)
-        foldOnce();
-    while (static_cast<long long>(src.stride_) * kCapacity <= mx)
-        src.foldOnce();
-    while (stride_ < src.stride_)
-        foldOnce();
-    while (src.stride_ < stride_)
-        src.foldOnce();
-    for (int i = 0; i < kCapacity; ++i)
-        buckets_[static_cast<std::size_t>(i)].combine(
-            src.buckets_[static_cast<std::size_t>(i)]);
-    if (mx > maxEpoch_)
-        maxEpoch_ = mx;
-    points_ += other.points_;
-}
-
 TimeSeries &
 TimeSeriesRegistry::handle(std::string_view scenario,
                            std::string_view name)
@@ -79,35 +50,6 @@ TimeSeriesRegistry::handle(std::string_view scenario,
                  .emplace(std::move(key), TimeSeries())
                  .first;
     return it->second;
-}
-
-void
-TimeSeriesRegistry::merge(const TimeSeriesRegistry &other)
-{
-    if (&other == this)
-        return;
-    const std::scoped_lock lock(mutex_, other.mutex_);
-    for (const auto &[key, ts] : other.series_) {
-        auto it = series_.find(key);
-        if (it == series_.end())
-            it = series_.emplace(key, TimeSeries())
-                     .first;
-        it->second.merge(ts);
-    }
-}
-
-bool
-TimeSeriesRegistry::empty() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return series_.empty();
-}
-
-std::size_t
-TimeSeriesRegistry::size() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return series_.size();
 }
 
 void

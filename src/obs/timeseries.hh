@@ -12,13 +12,13 @@
  * bucket pairs merge and the stride doubles (power-of-two
  * downsample), keeping memory constant for any run length.
  *
- * Determinism contract, mirroring MetricsRegistry and SpanProfiler:
- * a folded bucket is a pure function of the multiset of recorded
- * (epoch, value) points — min/max/sum/count all commute — so the
- * final state is independent of recording order, and merging two
- * registries is commutative and associative. That is what lets
- * per-job registries merge into byte-identical `series` events at
- * any `--jobs`.
+ * Determinism contract: the registry is shared, with one key per
+ * node (its scenario tag), so each series has one writer whatever
+ * `--jobs` is; and a folded bucket is a pure function of the
+ * multiset of recorded (epoch, value) points — min/max/sum/count
+ * all commute — so when the fold cascade runs never changes the
+ * final state. Together they keep `series` events byte-identical
+ * at any `--jobs`.
  */
 
 #ifndef AHQ_OBS_TIMESERIES_HH
@@ -106,14 +106,6 @@ class TimeSeries
         ++points_;
     }
 
-    /**
-     * Fold another series into this one.
-     * Both are first folded to the common stride that covers the
-     * union of their epoch ranges, then combined bucket-wise;
-     * commutative and associative because every aggregate is.
-     */
-    void merge(const TimeSeries &other);
-
     /** Epochs per bucket (power of two, grows on fold). */
     int stride() const { return stride_; }
 
@@ -126,7 +118,7 @@ class TimeSeries
         return maxEpoch_ < 0 ? 0 : maxEpoch_ / stride_ + 1;
     }
 
-    /** Total points recorded (including merged-in ones). */
+    /** Total points recorded. */
     std::uint64_t points() const { return points_; }
 
     const Bucket &bucket(int i) const { return buckets_[i]; }
@@ -149,7 +141,7 @@ class TimeSeries
  * `handle()` returns a stable reference (std::map nodes do not
  * move), so hot loops resolve their series once per run and then
  * record lock-free and alloc-free; the registry mutex only guards
- * key creation and cross-registry merge.
+ * key creation and flush.
  */
 class TimeSeriesRegistry
 {
@@ -166,12 +158,7 @@ class TimeSeriesRegistry
         handle(scenario, name).record(epoch, value);
     }
 
-    /** Merge every series of `other` into this registry
-        (commutative: A.merge(B) and B.merge(A) print the same). */
-    void merge(const TimeSeriesRegistry &other);
-
-    bool empty() const;
-    std::size_t size() const;
+    /** Drop every series. */
     void clear();
 
     /**

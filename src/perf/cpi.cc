@@ -25,10 +25,4 @@ CpiModel::cpiIdeal(double full_ways) const
     return cpi(full_ways, 1.0);
 }
 
-double
-CpiModel::speed(double ways, double dilation, double full_ways) const
-{
-    return cpiIdeal(full_ways) / cpi(ways, dilation);
-}
-
 } // namespace ahq::perf

@@ -97,15 +97,6 @@ class CpiModel
     double cpiIdeal(double full_ways) const;
 
     /**
-     * Speed factor relative to ideal conditions, in (0, 1].
-     *
-     * @param ways Effective LLC ways available to the app.
-     * @param dilation Memory latency dilation (>= 1).
-     * @param full_ways The way count that defines "ideal".
-     */
-    double speed(double ways, double dilation, double full_ways) const;
-
-    /**
      * Memory bandwidth demand in GiB/s of one core running this app
      * flat out at the given CPI and miss rate.
      */

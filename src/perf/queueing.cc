@@ -106,13 +106,6 @@ erlangC(double c, double lambda, double mu)
 }
 
 double
-utilization(double c, double lambda, double mu)
-{
-    assert(c > 0.0 && mu > 0.0);
-    return lambda / (c * mu);
-}
-
-double
 mmcMeanWait(double c, double lambda, double mu)
 {
     if (saturated(c, lambda, mu))

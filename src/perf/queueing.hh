@@ -32,9 +32,6 @@ double erlangB(int c, double a);
  */
 double erlangC(double c, double lambda, double mu);
 
-/** Server utilisation lambda / (c * mu); may exceed 1 when unstable. */
-double utilization(double c, double lambda, double mu);
-
 /** Mean waiting time in queue of the M/M/c (infinite when unstable). */
 double mmcMeanWait(double c, double lambda, double mu);
 

@@ -17,7 +17,6 @@ using namespace ahq::apps;
 TEST(AppBuilder, BuildsCalibratedLcProfile)
 {
     const auto p = AppBuilder("my-api")
-                       .latencyCritical()
                        .maxLoadQps(2500.0)
                        .tailThresholdMs(8.0)
                        .idealTailAt20Ms(3.0)
@@ -27,36 +26,14 @@ TEST(AppBuilder, BuildsCalibratedLcProfile)
     EXPECT_TRUE(p.latencyCritical);
     EXPECT_EQ(p.threads, 4);
     // Anchors reproduced by the calibration.
-    EXPECT_NEAR(p.soloTailP95Ms(0.2), 3.0, 0.03);
-    EXPECT_NEAR(p.soloTailP95Ms(1.0), 8.0, 0.08);
+    EXPECT_NEAR(p.soloTailPercentileMs(0.2, 0.95), 3.0, 0.03);
+    EXPECT_NEAR(p.soloTailPercentileMs(1.0, 0.95), 8.0, 0.08);
     EXPECT_NEAR(p.cpi.mrc().mpkiMax(), 18.0, 1e-12);
-}
-
-TEST(AppBuilder, BuildsBeProfile)
-{
-    const auto p = AppBuilder("encoder")
-                       .bestEffort(1.8)
-                       .threads(8)
-                       .cache(25.0, 6.0, 8.0)
-                       .cpiBase(0.7)
-                       .mlp(3.0)
-                       .build();
-    EXPECT_FALSE(p.latencyCritical);
-    EXPECT_EQ(p.threads, 8);
-    EXPECT_NEAR(p.ipcSolo, 1.8, 1e-12);
-    EXPECT_NEAR(p.cpi.traits().mlp, 3.0, 1e-12);
-}
-
-TEST(AppBuilder, RejectsMissingKind)
-{
-    EXPECT_THROW((void)AppBuilder("x").build(),
-                 std::invalid_argument);
 }
 
 TEST(AppBuilder, RejectsMissingLcAnchors)
 {
     EXPECT_THROW((void)AppBuilder("x")
-                     .latencyCritical()
                      .maxLoadQps(1000.0)
                      .build(),
                  std::invalid_argument);
@@ -66,7 +43,6 @@ TEST(AppBuilder, RejectsInconsistentAnchors)
 {
     // Ideal tail above the threshold.
     EXPECT_THROW((void)AppBuilder("x")
-                     .latencyCritical()
                      .maxLoadQps(1000.0)
                      .tailThresholdMs(2.0)
                      .idealTailAt20Ms(3.0)
@@ -77,15 +53,10 @@ TEST(AppBuilder, RejectsInconsistentAnchors)
 TEST(AppBuilder, RejectsBadTraits)
 {
     EXPECT_THROW((void)AppBuilder("x")
-                     .bestEffort(2.0)
+                     .maxLoadQps(1000.0)
+                     .tailThresholdMs(8.0)
+                     .idealTailAt20Ms(3.0)
                      .cache(1.0, 5.0, 4.0) // max < min
-                     .build(),
-                 std::invalid_argument);
-    EXPECT_THROW((void)AppBuilder("x").bestEffort(-1.0).build(),
-                 std::invalid_argument);
-    EXPECT_THROW((void)AppBuilder("x")
-                     .bestEffort(1.0)
-                     .threads(0)
                      .build(),
                  std::invalid_argument);
 }
@@ -93,7 +64,6 @@ TEST(AppBuilder, RejectsBadTraits)
 TEST(AppBuilder, BuiltProfileRunsInSimulator)
 {
     const auto p = AppBuilder("svc")
-                       .latencyCritical()
                        .maxLoadQps(900.0)
                        .tailThresholdMs(12.0)
                        .idealTailAt20Ms(4.0)

@@ -49,9 +49,9 @@ TEST(Catalog, TableIvMaxLoads)
 TEST(Catalog, TableIiIdealTails)
 {
     // Table II's TL_i0 column at 20% load.
-    EXPECT_NEAR(xapian().soloTailP95Ms(0.2), 2.77, 0.02);
-    EXPECT_NEAR(moses().soloTailP95Ms(0.2), 2.80, 0.02);
-    EXPECT_NEAR(imgDnn().soloTailP95Ms(0.2), 1.41, 0.02);
+    EXPECT_NEAR(xapian().soloTailPercentileMs(0.2, 0.95), 2.77, 0.02);
+    EXPECT_NEAR(moses().soloTailPercentileMs(0.2, 0.95), 2.80, 0.02);
+    EXPECT_NEAR(imgDnn().soloTailPercentileMs(0.2, 0.95), 1.41, 0.02);
 }
 
 TEST(Catalog, LcAppsHaveFourThreads)

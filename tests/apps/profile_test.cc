@@ -9,6 +9,7 @@
 
 #include "apps/catalog.hh"
 #include "apps/profile.hh"
+#include "perf/queueing.hh"
 
 namespace
 {
@@ -23,8 +24,8 @@ TEST(Calibration, ReproducesPublishedConstants)
     CalibrationTargets t{2000.0, 8.0, 3.0};
     calibrateLcProfile(p, t);
 
-    EXPECT_NEAR(p.soloTailP95Ms(0.2), 3.0, 0.02);
-    EXPECT_NEAR(p.soloTailP95Ms(1.0), 8.0, 0.05);
+    EXPECT_NEAR(p.soloTailPercentileMs(0.2, 0.95), 3.0, 0.02);
+    EXPECT_NEAR(p.soloTailPercentileMs(1.0, 0.95), 8.0, 0.05);
     EXPECT_EQ(p.maxLoadQps, 2000.0);
     EXPECT_EQ(p.tailThresholdMs, 8.0);
 }
@@ -52,7 +53,7 @@ TEST(Profile, SoloTailMonotoneInLoad)
     const AppProfile p = moses();
     double prev = 0.0;
     for (double load = 0.1; load <= 0.95; load += 0.05) {
-        const double t = p.soloTailP95Ms(load);
+        const double t = p.soloTailPercentileMs(load, 0.95);
         EXPECT_GE(t, prev);
         prev = t;
     }
@@ -63,7 +64,7 @@ TEST(Profile, SoloTailInfiniteBeyondSaturation)
     const AppProfile p = xapian();
     // Max load is at the knee (p95 = M), not saturation; far beyond
     // the queue is genuinely unstable.
-    EXPECT_TRUE(std::isinf(p.soloTailP95Ms(5.0)));
+    EXPECT_TRUE(std::isinf(p.soloTailPercentileMs(5.0, 0.95)));
 }
 
 TEST(Profile, ToDemandCopiesFields)
@@ -90,8 +91,13 @@ TEST(Profile, BeToDemandHasNoArrivals)
 TEST(Percentile, P95MethodsAgree)
 {
     const AppProfile p = xapian();
-    EXPECT_NEAR(p.soloTailPercentileMs(0.4, 0.95),
-                p.soloTailP95Ms(0.4), 1e-9);
+    // The percentile path at 0.95 is the calibrated p95 model: the
+    // latency floor plus the sojourn p95 with the p95 service tail.
+    const double p95 = p.baseLatencyMs +
+        1000.0 * ahq::perf::sojournPercentileApprox(
+                     static_cast<double>(p.threads), p.arrivalRate(0.4),
+                     1000.0 / p.serviceTimeMs, p.svcP95Mult);
+    EXPECT_NEAR(p.soloTailPercentileMs(0.4, 0.95), p95, 1e-9);
     EXPECT_NEAR(p.svcMultAt(0.95), p.svcP95Mult, 1e-12);
 }
 
@@ -124,11 +130,12 @@ TEST_P(LcCalibrationSweep, AnchorsReproduced)
     const AppProfile p = byName(GetParam());
     ASSERT_TRUE(p.latencyCritical);
     // Anchor 1: p95 at max load equals the threshold (Table IV).
-    EXPECT_NEAR(p.soloTailP95Ms(1.0) / p.tailThresholdMs, 1.0, 0.01)
+    EXPECT_NEAR(p.soloTailPercentileMs(1.0, 0.95) / p.tailThresholdMs,
+                1.0, 0.01)
         << p.name;
     // Anchor 2: the ideal tail at 20% load sits strictly below the
     // threshold with room to breathe (A_i > 0).
-    const double tl0 = p.soloTailP95Ms(0.2);
+    const double tl0 = p.soloTailPercentileMs(0.2, 0.95);
     EXPECT_LT(tl0, p.tailThresholdMs) << p.name;
     EXPECT_GT(tl0, 0.0) << p.name;
 }
@@ -138,9 +145,9 @@ TEST_P(LcCalibrationSweep, KneeShape)
     // Fig. 7: flat-then-exponential. The p95 growth from 20% to 60%
     // load must be much smaller than from 60% to 100%.
     const AppProfile p = byName(GetParam());
-    const double lo = p.soloTailP95Ms(0.2);
-    const double mid = p.soloTailP95Ms(0.6);
-    const double hi = p.soloTailP95Ms(1.0);
+    const double lo = p.soloTailPercentileMs(0.2, 0.95);
+    const double mid = p.soloTailPercentileMs(0.6, 0.95);
+    const double hi = p.soloTailPercentileMs(1.0, 0.95);
     EXPECT_LT(mid - lo, hi - mid) << p.name;
 }
 

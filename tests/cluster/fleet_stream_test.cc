@@ -64,7 +64,7 @@ TEST(FleetStream, WarmupExcludedFromPooledLoad)
     acc.add(node, res);
     const auto rep = acc.entropy();
     const auto manual = core::computeEntropy(
-        {{node.profile(0).soloTailP95Ms(0.3), res.meanP95Ms[0],
+        {{node.profile(0).soloTailPercentileMs(0.3, 0.95), res.meanP95Ms[0],
           node.profile(0).tailThresholdMs}},
         {{node.profile(1).ipcSolo, res.meanIpc[1]}});
     EXPECT_NEAR(rep.eS, manual.eS, 1e-9);
@@ -76,7 +76,7 @@ TEST(FleetStream, WarmupExcludedFromPooledLoad)
     // wrong: the tolerance/interference breakdown anchors on the
     // solo tail, and solo(0.6) != solo(0.3).
     const auto polluted = core::computeEntropy(
-        {{node.profile(0).soloTailP95Ms(0.6), res.meanP95Ms[0],
+        {{node.profile(0).soloTailPercentileMs(0.6, 0.95), res.meanP95Ms[0],
           node.profile(0).tailThresholdMs}},
         {{node.profile(1).ipcSolo, res.meanIpc[1]}});
     EXPECT_GT(std::abs(rep.meanTolerance - polluted.meanTolerance),

@@ -65,15 +65,47 @@ TEST(Fleet, PooledEntropyMatchesManualComputation)
     EXPECT_EQ(rep.lcDetail.size(), 2u);
 
     std::vector<core::LcObservation> lc{
-        {n1.profile(0).soloTailP95Ms(0.2), r1.meanP95Ms[0],
+        {n1.profile(0).soloTailPercentileMs(0.2, 0.95), r1.meanP95Ms[0],
          n1.profile(0).tailThresholdMs},
-        {n2.profile(0).soloTailP95Ms(0.3), r2.meanP95Ms[0],
+        {n2.profile(0).soloTailPercentileMs(0.3, 0.95), r2.meanP95Ms[0],
          n2.profile(0).tailThresholdMs}};
     std::vector<core::BeObservation> be_obs{
         {n1.profile(1).ipcSolo, r1.meanIpc[1]},
         {n2.profile(1).ipcSolo, r2.meanIpc[1]}};
     const auto manual = core::computeEntropy(lc, be_obs);
     EXPECT_NEAR(rep.eS, manual.eS, 1e-9);
+}
+
+TEST(Fleet, PoolsAgainstTheSoloTailAtTheRunsPercentile)
+{
+    // A run at p99 holds p99 tails in its p95 fields, so the pooled
+    // E_LC must compare them with each app's solo p99 at its steady
+    // load, not with its solo p95.
+    const Node node(machine::MachineConfig::xeonE52630v4(),
+                    {lcAt(apps::xapian(), 0.6), lcAt(apps::moses(), 0.4),
+                     be(apps::stream())});
+    SimulationConfig cfg = quick();
+    cfg.tailPercentile = 0.99;
+    sched::Arq arq;
+    const auto res = EpochSimulator(node, cfg).run(arq);
+
+    FleetAccumulator acc;
+    acc.add(node, res);
+    const auto rep = acc.entropy();
+    ASSERT_EQ(rep.lcDetail.size(), 2u);
+    for (int i = 0; i < 2; ++i) {
+        const auto ui = static_cast<std::size_t>(i);
+        const auto &p = node.profile(i);
+        const auto want = core::lcBreakdown(
+            {p.soloTailPercentileMs(res.steadyMeanLoad[ui], 0.99),
+             res.meanP95Ms[ui], p.tailThresholdMs});
+        const auto &got = rep.lcDetail[ui];
+        EXPECT_EQ(got.tolerance, want.tolerance) << p.name;
+        EXPECT_EQ(got.interference, want.interference) << p.name;
+        EXPECT_EQ(got.remainingTolerance, want.remainingTolerance)
+            << p.name;
+        EXPECT_EQ(got.intolerable, want.intolerable) << p.name;
+    }
 }
 
 TEST(Fleet, BetterSchedulersLowerFleetEntropy)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "machine/layout.hh"
 
 namespace
@@ -150,7 +152,9 @@ TEST(RegionLayout, UnallocatedTracksLeftover)
     r.members = {0};
     r.res = {2, 4, 2};
     l.addRegion(std::move(r));
-    EXPECT_EQ(l.available() - l.allocated(), (ResourceVector{2, 4, 2}));
+    // Leftover = available - allocated = {2, 4, 2}.
+    EXPECT_EQ(l.available(), (ResourceVector{4, 8, 4}));
+    EXPECT_EQ(l.allocated(), (ResourceVector{2, 4, 2}));
     EXPECT_TRUE(l.valid());
 }
 
@@ -161,13 +165,15 @@ TEST(RegionLayout, ConcreteMasksAreDisjointAndSized)
     ASSERT_EQ(masks.coreMasks.size(), 3u);
     ASSERT_EQ(masks.wayMasks.size(), 3u);
     for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(masks.coreMasks[i].count(), l.region(i).res.cores);
+        EXPECT_EQ(std::popcount(masks.coreMasks[i].bits()),
+                  l.region(i).res.cores);
         EXPECT_EQ(masks.wayMasks[i].count(), l.region(i).res.llcWays);
     }
     // CAT masks must not overlap between isolated regions.
     EXPECT_EQ(masks.wayMasks[0].bits() & masks.wayMasks[1].bits(), 0u);
     EXPECT_EQ(masks.wayMasks[1].bits() & masks.wayMasks[2].bits(), 0u);
-    EXPECT_EQ((masks.coreMasks[0] & masks.coreMasks[1]).count(), 0);
+    EXPECT_EQ(masks.coreMasks[0].bits() & masks.coreMasks[1].bits(),
+              0u);
 }
 
 TEST(RegionLayout, ToStringMentionsRegions)

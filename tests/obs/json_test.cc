@@ -23,14 +23,23 @@ using ahq::obs::forEachTrace;
 using ahq::obs::TraceEvent;
 using ahq::obs::TraceValue;
 
+/** s as appendString writes it into an empty std::string. */
+std::string
+escaped(std::string_view s)
+{
+    std::string out;
+    json::appendString(out, s);
+    return out;
+}
+
 TEST(Json, EscapesControlAndQuoteCharacters)
 {
-    EXPECT_EQ(json::quoted("plain"), "\"plain\"");
-    EXPECT_EQ(json::quoted("a\"b"), "\"a\\\"b\"");
-    EXPECT_EQ(json::quoted("back\\slash"), "\"back\\\\slash\"");
-    EXPECT_EQ(json::quoted("tab\there"), "\"tab\\there\"");
-    EXPECT_EQ(json::quoted("line\nbreak"), "\"line\\nbreak\"");
-    EXPECT_EQ(json::quoted(std::string(1, '\x01')), "\"\\u0001\"");
+    EXPECT_EQ(escaped("plain"), "\"plain\"");
+    EXPECT_EQ(escaped("a\"b"), "\"a\\\"b\"");
+    EXPECT_EQ(escaped("back\\slash"), "\"back\\\\slash\"");
+    EXPECT_EQ(escaped("tab\there"), "\"tab\\there\"");
+    EXPECT_EQ(escaped("line\nbreak"), "\"line\\nbreak\"");
+    EXPECT_EQ(escaped(std::string(1, '\x01')), "\"\\u0001\"");
 }
 
 TEST(Json, EscapingRoundTripsThroughTheReader)

@@ -1,8 +1,9 @@
 /**
  * @file
  * MetricsRegistry: counter semantics, histogram bucketing
- * (inclusive upper bounds, overflow bucket), and the merge rules
- * that make per-worker registries equivalent to a serial run.
+ * (inclusive upper bounds, overflow bucket), and the shared-registry
+ * rule: updates commute, so totals and print() bytes do not depend
+ * on the order (or the threads) they arrive in.
  */
 
 #include <gtest/gtest.h>
@@ -18,54 +19,51 @@ namespace
 using ahq::obs::HistogramSnapshot;
 using ahq::obs::MetricsRegistry;
 
+std::string
+printed(const MetricsRegistry &m)
+{
+    std::ostringstream os;
+    m.print(os);
+    return os.str();
+}
+
 TEST(Metrics, CountersAccumulateAndDefaultToZero)
 {
     MetricsRegistry m;
     EXPECT_DOUBLE_EQ(m.counter("missing"), 0.0);
-    EXPECT_TRUE(m.empty());
+    EXPECT_EQ(printed(m), "");
 
     m.add("arq.move");
     m.add("arq.move");
     m.add("arq.move", 2.5);
     EXPECT_DOUBLE_EQ(m.counter("arq.move"), 4.5);
-    EXPECT_FALSE(m.empty());
+    EXPECT_EQ(printed(m), "counter arq.move = 4.5\n");
 }
 
 TEST(Metrics, HistogramBucketingUsesInclusiveUpperBounds)
 {
     MetricsRegistry m;
-    const std::vector<double> bounds{1.0, 5.0, 10.0};
 
     // A value equal to a bound lands in that bound's bucket.
-    m.observe("lat", 1.0, bounds);  // bucket 0 (v <= 1)
-    m.observe("lat", 0.2, bounds);  // bucket 0
-    m.observe("lat", 5.0, bounds);  // bucket 1 (v <= 5)
-    m.observe("lat", 9.9, bounds);  // bucket 2
-    m.observe("lat", 10.1, bounds); // overflow
-    m.observe("lat", 1e9, bounds);  // overflow
+    m.observe("lat", 1.0);  // bucket 3 (v <= 1)
+    m.observe("lat", 0.9);  // bucket 3
+    m.observe("lat", 5.0);  // bucket 5 (v <= 5)
+    m.observe("lat", 9.9);  // bucket 6 (v <= 10)
+    m.observe("lat", 1000.1); // overflow
+    m.observe("lat", 1e9);  // overflow
 
     const HistogramSnapshot h = m.histogram("lat");
-    ASSERT_EQ(h.bounds.size(), 3u);
-    ASSERT_EQ(h.counts.size(), 4u); // bounds + overflow
-    EXPECT_EQ(h.counts[0], 2u);
-    EXPECT_EQ(h.counts[1], 1u);
-    EXPECT_EQ(h.counts[2], 1u);
+    ASSERT_EQ(h.bounds,
+              (std::vector<double>{0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
+                                   10.0, 25.0, 50.0, 100.0, 250.0,
+                                   500.0, 1000.0}));
+    ASSERT_EQ(h.counts.size(), 14u); // bounds + overflow
     EXPECT_EQ(h.counts[3], 2u);
+    EXPECT_EQ(h.counts[5], 1u);
+    EXPECT_EQ(h.counts[6], 1u);
+    EXPECT_EQ(h.counts[13], 2u);
     EXPECT_EQ(h.total, 6u);
-    EXPECT_DOUBLE_EQ(h.sum, 1.0 + 0.2 + 5.0 + 9.9 + 10.1 + 1e9);
-}
-
-TEST(Metrics, HistogramLayoutFixedByFirstObservation)
-{
-    MetricsRegistry m;
-    m.observe("x", 2.0, {1.0, 10.0});
-    // Later bounds are ignored; the value is bucketed in the
-    // original layout.
-    m.observe("x", 2.0, {100.0});
-    const auto h = m.histogram("x");
-    ASSERT_EQ(h.bounds.size(), 2u);
-    EXPECT_EQ(h.counts[1], 2u);
-    EXPECT_EQ(h.total, 2u);
+    EXPECT_DOUBLE_EQ(h.sum, 1.0 + 0.9 + 5.0 + 9.9 + 1000.1 + 1e9);
 }
 
 TEST(Metrics, MissingHistogramSnapshotIsEmpty)
@@ -77,103 +75,44 @@ TEST(Metrics, MissingHistogramSnapshotIsEmpty)
     EXPECT_EQ(h.total, 0u);
 }
 
-TEST(Metrics, MergeAddsCountersAndHistograms)
-{
-    MetricsRegistry a;
-    MetricsRegistry b;
-    a.add("c", 2.0);
-    b.add("c", 3.0);
-    b.add("only_b", 1.0);
-    a.observe("h", 0.5, {1.0, 2.0});
-    b.observe("h", 1.5, {1.0, 2.0});
-    b.observe("h", 99.0, {1.0, 2.0});
-
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.counter("c"), 5.0);
-    EXPECT_DOUBLE_EQ(a.counter("only_b"), 1.0);
-
-    const auto h = a.histogram("h");
-    EXPECT_EQ(h.total, 3u);
-    EXPECT_EQ(h.counts[0], 1u);
-    EXPECT_EQ(h.counts[1], 1u);
-    EXPECT_EQ(h.counts[2], 1u);
-    EXPECT_DOUBLE_EQ(h.sum, 0.5 + 1.5 + 99.0);
-}
-
-TEST(Metrics, MergeOrderOfWorkersMatchesSerialTotals)
-{
-    // The property the exec layer relies on: counters and histogram
-    // buckets commute, so per-worker registries merged in any order
-    // equal one registry that saw every event.
-    MetricsRegistry serial;
-    MetricsRegistry w1;
-    MetricsRegistry w2;
-    for (int i = 0; i < 10; ++i) {
-        serial.add("n");
-        serial.observe("v", i, {3.0, 6.0});
-        (i % 2 == 0 ? w1 : w2).add("n");
-        (i % 2 == 0 ? w1 : w2).observe("v", i, {3.0, 6.0});
-    }
-    MetricsRegistry merged;
-    merged.merge(w2);
-    merged.merge(w1);
-    EXPECT_DOUBLE_EQ(merged.counter("n"), serial.counter("n"));
-    const auto hs = serial.histogram("v");
-    const auto hm = merged.histogram("v");
-    ASSERT_EQ(hm.counts.size(), hs.counts.size());
-    for (std::size_t i = 0; i < hs.counts.size(); ++i)
-        EXPECT_EQ(hm.counts[i], hs.counts[i]);
-    EXPECT_EQ(hm.total, hs.total);
-    EXPECT_DOUBLE_EQ(hm.sum, hs.sum);
-}
-
 TEST(Metrics, ObserveBucketedFoldsPrecountedValues)
 {
     // The SpanProfiler flush path: whole buckets at a time, with
     // the sum supplied once.
     MetricsRegistry m;
-    m.observeBucketed("h", {{0.5, 3}, {1.5, 2}, {99.0, 1}}, 12.5,
-                      {1.0, 2.0});
+    m.observeBucketed("h", {{0.5, 3}, {1.5, 2}, {2000.0, 1}}, 12.5);
     const auto h = m.histogram("h");
-    ASSERT_EQ(h.counts.size(), 3u);
-    EXPECT_EQ(h.counts[0], 3u);
-    EXPECT_EQ(h.counts[1], 2u);
-    EXPECT_EQ(h.counts[2], 1u); // overflow
+    ASSERT_EQ(h.counts.size(), 14u);
+    EXPECT_EQ(h.counts[2], 3u);  // v <= 0.5
+    EXPECT_EQ(h.counts[4], 2u);  // v <= 2.5
+    EXPECT_EQ(h.counts[13], 1u); // overflow
     EXPECT_EQ(h.total, 6u);
     EXPECT_DOUBLE_EQ(h.sum, 12.5);
 }
 
-TEST(Metrics, HistogramMergeOrderNeverChangesSerialisedOutput)
+TEST(Metrics, RecordingOrderNeverChangesSerialisedOutput)
 {
-    // Three registries with interleaved observations, merged in
-    // two different orders: bucket counts AND the print() bytes
-    // must match — the property that makes `ahq sweep --jobs N`
-    // metrics independent of worker interleaving.
-    auto fill = [](MetricsRegistry &r, int offset) {
+    // Every node of a fan-out records into one registry, in
+    // whatever order the workers interleave: three nodes' updates
+    // fed in two different orders must give the same bucket counts
+    // AND the same print() bytes — the property that makes
+    // `ahq sweep --jobs N` metrics independent of interleaving.
+    auto node = [](MetricsRegistry &r, int offset) {
         for (int i = 0; i < 9; ++i) {
             const double v = (i * 7 + offset) % 11;
-            r.observe("lat", v, {2.0, 5.0, 8.0});
+            r.observe("lat", v);
             r.add("events");
         }
-        r.observeBucketed("pre", {{1.0, 2}, {6.0, 1}}, 8.0,
-                          {2.0, 5.0, 8.0});
+        r.observeBucketed("pre", {{1.0, 2}, {6.0, 1}}, 8.0);
     };
-    MetricsRegistry a1, b1, c1, a2, b2, c2;
-    fill(a1, 0);
-    fill(b1, 1);
-    fill(c1, 2);
-    fill(a2, 0);
-    fill(b2, 1);
-    fill(c2, 2);
-
     MetricsRegistry left;  // a, then b, then c
-    left.merge(a1);
-    left.merge(b1);
-    left.merge(c1);
+    node(left, 0);
+    node(left, 1);
+    node(left, 2);
     MetricsRegistry right; // c, then a, then b
-    right.merge(c2);
-    right.merge(a2);
-    right.merge(b2);
+    node(right, 2);
+    node(right, 0);
+    node(right, 1);
 
     const auto hl = left.histogram("lat");
     const auto hr = right.histogram("lat");
@@ -181,11 +120,7 @@ TEST(Metrics, HistogramMergeOrderNeverChangesSerialisedOutput)
     for (std::size_t i = 0; i < hl.counts.size(); ++i)
         EXPECT_EQ(hl.counts[i], hr.counts[i]);
     EXPECT_EQ(hl.total, hr.total);
-
-    std::ostringstream sl, sr;
-    left.print(sl);
-    right.print(sr);
-    EXPECT_EQ(sl.str(), sr.str());
+    EXPECT_EQ(printed(left), printed(right));
 }
 
 TEST(Metrics, ConcurrentAddsIntoSharedRegistryAreExact)
@@ -198,7 +133,7 @@ TEST(Metrics, ConcurrentAddsIntoSharedRegistryAreExact)
         ts.emplace_back([&m] {
             for (int i = 0; i < kPer; ++i) {
                 m.add("shared");
-                m.observe("obs", 1.0, {2.0});
+                m.observe("obs", 1.0);
             }
         });
     }
@@ -210,37 +145,11 @@ TEST(Metrics, ConcurrentAddsIntoSharedRegistryAreExact)
               std::uint64_t(kThreads) * kPer);
 }
 
-TEST(Metrics, ClearDropsEverything)
-{
-    MetricsRegistry m;
-    m.add("c");
-    m.observe("h", 1.0);
-    m.clear();
-    EXPECT_TRUE(m.empty());
-    EXPECT_DOUBLE_EQ(m.counter("c"), 0.0);
-}
-
-TEST(Metrics, MergeWithMismatchedBoundsFoldsTotalsOnly)
-{
-    MetricsRegistry a;
-    MetricsRegistry b;
-    a.observe("h", 0.5, {1.0, 2.0});
-    b.observe("h", 0.5, {10.0});
-
-    a.merge(b);
-    const auto h = a.histogram("h");
-    ASSERT_EQ(h.bounds.size(), 2u); // our layout wins
-    EXPECT_EQ(h.total, 2u);
-    EXPECT_DOUBLE_EQ(h.sum, 1.0);
-    // Bucket counts cannot be reconciled, so only ours remain.
-    EXPECT_EQ(h.counts[0], 1u);
-}
-
 TEST(Metrics, PrintNamesEveryMetricWithKind)
 {
     MetricsRegistry m;
     m.add("zeta.count", 2.0);
-    m.observe("mid.hist", 0.5, {1.0});
+    m.observe("mid.hist", 0.5);
     std::ostringstream os;
     m.print(os);
     const std::string out = os.str();

@@ -1,16 +1,21 @@
 /**
  * @file
  * obs::Scope and sinks: disabled scopes are no-ops, event lines
- * have a stable header + call-order payload, derived scopes copy
- * context, and FileTraceSink handles paths the way outputDir()
- * does — create parents, fail loudly on unwritable locations.
+ * have a stable header + call-order payload, nested events keep
+ * their own bytes, warm event assembly allocates nothing, derived
+ * scopes copy context, and FileTraceSink handles paths the way
+ * outputDir() does — create parents, fail loudly on unwritable
+ * locations.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
+#include "obs/alloc.hh"
 #include "obs/scope.hh"
 #include "obs/trace_reader.hh"
 
@@ -38,8 +43,8 @@ TEST(Scope, DisabledScopeIsANoOp)
 
 TEST(Scope, EventHeaderThenFieldsInCallOrder)
 {
-    // render() returns a view into the event's arena: copy it
-    // out (direct-init — std::string's string_view ctor is
+    // render() returns a view of the event's line string: copy
+    // it out (direct-init — std::string's string_view ctor is
     // explicit) before the Event is destroyed.
     const std::string line(Event("arq_decision")
                                .str("action", "move")
@@ -177,6 +182,82 @@ TEST(Scope, BufferTraceSinkAccumulatesAndClears)
     sink.clear();
     EXPECT_TRUE(sink.str().empty());
     EXPECT_TRUE(sink.lines().empty());
+}
+
+TEST(Event, AssemblySteadyStateIsAllocFree)
+{
+    if (!ahq::obs::allocCountingEnabled())
+        GTEST_SKIP() << "sanitizer build: counting compiled out";
+
+    // The array payloads are built once up front: the production
+    // epoch path passes pre-sized vectors, and a brace temporary
+    // would charge a heap allocation to the assembly under test.
+    const std::vector<double> ret{0.1, 0.2, 0.3};
+    const std::vector<std::string> apps{"a", "b"};
+    auto assemble = [&] {
+        Event ev("epoch");
+        ev.num("e_s", 0.5)
+            .integer("victim", 3)
+            .nums("ret", ret)
+            .strs("apps", apps);
+        return std::string(ev.render("scenario_tag", 12)).size();
+    };
+    // Warm-up grows this depth's strings to this shape's size.
+    for (int i = 0; i < 4; ++i)
+        ASSERT_GT(assemble(), 0u);
+
+    const auto before = ahq::obs::threadAllocCount();
+    Event ev("epoch");
+    ev.num("e_s", 0.5)
+        .integer("victim", 3)
+        .nums("ret", ret)
+        .strs("apps", apps);
+    const auto line = ev.render("scenario_tag", 12);
+    EXPECT_FALSE(line.empty());
+    EXPECT_EQ(ahq::obs::threadAllocCount(), before)
+        << "event assembly allocated when warm";
+}
+
+TEST(Event, NestedEventsKeepTheirOwnBytes)
+{
+    const std::vector<double> ret{0.1, 0.2, 0.3};
+    auto outerAlone = [&] {
+        Event ev("epoch");
+        ev.num("e_s", 0.5).nums("ret", ret);
+        return std::string(ev.render("outer", 7));
+    }();
+    auto innerAlone = [&] {
+        Event ev("series");
+        ev.str("series", "e_s").integer("stride", 2);
+        return std::string(ev.render("inner", -1));
+    }();
+
+    // The outer Event builds half its payload, an inner one is
+    // built, rendered and destroyed, then the outer one finishes
+    // and renders: neither may see the other's bytes.
+    auto nestedPair = [&] {
+        Event outer("epoch");
+        outer.num("e_s", 0.5);
+        bool innerSame = false;
+        {
+            Event inner("series");
+            inner.str("series", "e_s").integer("stride", 2);
+            innerSame = inner.render("inner", -1) == innerAlone;
+        }
+        outer.nums("ret", ret);
+        return innerSame && outer.render("outer", 7) == outerAlone;
+    };
+    EXPECT_TRUE(nestedPair());
+    EXPECT_TRUE(nestedPair()); // the depths' strings are reused
+
+    // The byte checks above run in every build, sanitizers included.
+    if (!ahq::obs::allocCountingEnabled())
+        GTEST_SKIP() << "sanitizer build: counting compiled out";
+    const auto before = ahq::obs::threadAllocCount();
+    const bool same = nestedPair();
+    EXPECT_EQ(ahq::obs::threadAllocCount(), before)
+        << "a warm nested pair of events allocated";
+    EXPECT_TRUE(same);
 }
 
 } // namespace

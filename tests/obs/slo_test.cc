@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "apps/catalog.hh"
 #include "cluster/epoch_sim.hh"
@@ -35,16 +36,52 @@ constexpr double kBurnThreshold = 2.0;
 // budget 1 - 0.99 rounds above 0.01.
 constexpr double kFullBurn = 1.0 / (1.0 - 0.99);
 
+/**
+ * An SloMonitor that keeps each app's alert state as observe()'s
+ * transitions report it: a Raise sets it (and must find it clear),
+ * a Clear resets it (and must find it set).
+ */
+struct WatchedMonitor
+{
+    explicit WatchedMonitor(int apps) : mon(apps), alerts(apps, false)
+    {
+    }
+
+    obs::SloAlertTransition observe(int app, int epoch, bool violated)
+    {
+        const auto tr = mon.observe(app, epoch, violated);
+        const auto a = static_cast<std::size_t>(app);
+        if (tr.kind == obs::SloAlertTransition::Kind::Raise) {
+            EXPECT_FALSE(alerts[a]) << "raise while raised";
+            alerts[a] = true;
+        } else if (tr.kind == obs::SloAlertTransition::Kind::Clear) {
+            EXPECT_TRUE(alerts[a]) << "clear while clear";
+            alerts[a] = false;
+        }
+        return tr;
+    }
+
+    bool raised(int app) const
+    {
+        return alerts[static_cast<std::size_t>(app)];
+    }
+
+    obs::SloSummary summary() const { return mon.summary(); }
+
+    obs::SloMonitor mon;
+    std::vector<bool> alerts;
+};
+
 TEST(SloMonitor, RaisesAfterFullFastWindowAndClearsWithHysteresis)
 {
-    obs::SloMonitor mon(1);
+    WatchedMonitor mon(1);
 
     // Eleven violating epochs: burning hard, but the fast window is
     // not full yet — no raise on partial evidence.
     for (int e = 0; e < 11; ++e) {
         const auto tr = mon.observe(0, e, true);
         EXPECT_EQ(tr.kind, obs::SloAlertTransition::Kind::None);
-        EXPECT_FALSE(mon.active(0));
+        EXPECT_FALSE(mon.raised(0));
     }
 
     // The twelfth violation fills the fast window: burn = (12/12) /
@@ -54,7 +91,7 @@ TEST(SloMonitor, RaisesAfterFullFastWindowAndClearsWithHysteresis)
     EXPECT_EQ(raise.kind, obs::SloAlertTransition::Kind::Raise);
     EXPECT_EQ(raise.burnFast, kFullBurn);
     EXPECT_EQ(raise.burnSlow, kFullBurn);
-    EXPECT_TRUE(mon.active(0));
+    EXPECT_TRUE(mon.raised(0));
 
     // Healthy epochs drain the windows. The fast window empties at
     // epoch 23, but the slow window still holds violations until
@@ -65,7 +102,7 @@ TEST(SloMonitor, RaisesAfterFullFastWindowAndClearsWithHysteresis)
         const auto tr = mon.observe(0, e, false);
         EXPECT_EQ(tr.kind, obs::SloAlertTransition::Kind::None)
             << "epoch " << e;
-        EXPECT_TRUE(mon.active(0)) << "epoch " << e;
+        EXPECT_TRUE(mon.raised(0)) << "epoch " << e;
     }
 
     // Epoch 107: the last violation retires from the slow window,
@@ -75,7 +112,7 @@ TEST(SloMonitor, RaisesAfterFullFastWindowAndClearsWithHysteresis)
     EXPECT_DOUBLE_EQ(clear.burnFast, 0.0);
     EXPECT_DOUBLE_EQ(clear.burnSlow, 0.0);
     EXPECT_EQ(clear.durationEpochs, 96);
-    EXPECT_FALSE(mon.active(0));
+    EXPECT_FALSE(mon.raised(0));
 
     const auto s = mon.summary();
     EXPECT_EQ(s.raises, 1);
@@ -107,7 +144,7 @@ TEST(SloMonitor, BoundaryEpochDoesNotFlap)
     // Alternate violating/healthy epochs: once raised, the alert
     // must not clear at the first dip of the fast window (that is
     // what the clear ratio below 1 buys).
-    obs::SloMonitor mon(1);
+    WatchedMonitor mon(1);
     int transitions = 0;
     for (int e = 0; e < 400; ++e) {
         const auto tr = mon.observe(0, e, e % 2 == 0);
@@ -117,19 +154,19 @@ TEST(SloMonitor, BoundaryEpochDoesNotFlap)
     // Burn oscillates around 50 — far above the clear level of 1.0
     // — so the one raise never clears.
     EXPECT_EQ(transitions, 1);
-    EXPECT_TRUE(mon.active(0));
+    EXPECT_TRUE(mon.raised(0));
     EXPECT_EQ(mon.summary().activeAtEnd, 1);
 }
 
 TEST(SloMonitor, PerAppStateIsIndependent)
 {
-    obs::SloMonitor mon(2);
+    WatchedMonitor mon(2);
     for (int e = 0; e < 12; ++e) {
         mon.observe(0, e, true);  // app 0 burns
         mon.observe(1, e, false); // app 1 healthy
     }
-    EXPECT_TRUE(mon.active(0));
-    EXPECT_FALSE(mon.active(1));
+    EXPECT_TRUE(mon.raised(0));
+    EXPECT_FALSE(mon.raised(1));
     EXPECT_EQ(mon.summary().raises, 1);
 }
 

@@ -280,7 +280,7 @@ TEST(SpanProfiler, ProfilingNeverPerturbsResults)
     EXPECT_DOUBLE_EQ(plain.meanES, profiled.meanES);
     EXPECT_DOUBLE_EQ(plain.yieldValue, profiled.yieldValue);
     EXPECT_EQ(plain.violations, profiled.violations);
-    EXPECT_FALSE(prof.empty());
+    EXPECT_FALSE(prof.snapshot().empty());
 }
 
 TEST(SpanProfiler, RunnerTracesAreByteIdenticalAcrossPoolSizes)
@@ -312,7 +312,7 @@ TEST(SpanProfiler, RunnerTracesAreByteIdenticalAcrossPoolSizes)
         scope.prof = &prof; // wallClock stays false
         runner.setObsScope(scope);
         runner.run(jobs);
-        EXPECT_FALSE(prof.empty());
+        EXPECT_FALSE(prof.snapshot().empty());
         return sink.str();
     };
     const auto serial = traced(1);

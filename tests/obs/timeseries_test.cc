@@ -1,17 +1,15 @@
 /**
  * @file
- * Tests for the deterministic time-series engine (obs/timeseries),
- * the arena-backed trace-event assembly (obs/alloc), and the seeded
- * head-based trace sampling (cluster/epoch_sim): bucket fold
- * correctness, order-independence, merge commutativity down to the
- * flushed bytes, sampler purity, and the zero-alloc steady state on
+ * Tests for the deterministic time-series engine (obs/timeseries)
+ * and the seeded head-based trace sampling (cluster/epoch_sim):
+ * bucket fold correctness, order-independence, the flushed bytes,
+ * sampler purity, and the zero-alloc steady state on
  * sampling-rejected epochs — counted, not reviewed.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -136,32 +134,6 @@ TEST(TimeSeries, FinalStateIndependentOfRecordingOrder)
     expectSameState(forward, interleaved);
 }
 
-TEST(TimeSeries, MergeIsCommutativeAndMatchesDirectRecording)
-{
-    // a covers few epochs (stride 1), b many (folded): merge must
-    // align strides and produce exactly the state direct recording
-    // of the union would.
-    auto fill = [](TimeSeries &ts, int lo, int hi) {
-        for (int e = lo; e < hi; ++e)
-            ts.record(e, signalAt(e));
-    };
-    TimeSeries a, b, ab, ba, direct;
-    fill(a, 0, 100);
-    fill(b, 100, 800);
-    fill(ab, 0, 100);
-    fill(ba, 100, 800);
-    fill(direct, 0, 800);
-
-    TimeSeries b_copy, a_copy;
-    fill(b_copy, 100, 800);
-    fill(a_copy, 0, 100);
-    ab.merge(b_copy); // a ∪ b
-    ba.merge(a_copy); // b ∪ a
-
-    expectSameState(ab, ba);
-    expectSameState(ab, direct);
-}
-
 TEST(TimeSeriesRegistry, FlushEmitsSortedSchemaV1Events)
 {
     TimeSeriesRegistry reg;
@@ -216,40 +188,6 @@ TEST(TimeSeriesRegistry, FlushEmitsSortedSchemaV1Events)
 
     EXPECT_EQ(metrics.counter("ts.series"), 3.0);
     EXPECT_EQ(metrics.counter("ts.points"), 4.0);
-}
-
-TEST(TimeSeriesRegistry, MergeFlushesByteIdenticalEitherWay)
-{
-    // Split one run's points across two registries (the per-job
-    // shape), merge in both orders, and require byte-identical
-    // flushes — the property the serial==parallel contract rests
-    // on.
-    auto build = [](TimeSeriesRegistry &even,
-                    TimeSeriesRegistry &odd) {
-        for (int e = 0; e < 200; ++e) {
-            (e % 2 == 0 ? even : odd)
-                .record("ARQ", "e_s", e, signalAt(e));
-            (e % 2 == 0 ? even : odd)
-                .record("CLITE", "queue.0.x", e,
-                        signalAt(e + 7));
-        }
-    };
-    TimeSeriesRegistry e1, o1, e2, o2;
-    build(e1, o1);
-    build(e2, o2);
-    e1.merge(o1); // even ∪ odd
-    o2.merge(e2); // odd ∪ even
-
-    auto flushed = [](const TimeSeriesRegistry &reg) {
-        obs::BufferTraceSink sink;
-        obs::Scope scope;
-        scope.sink = &sink;
-        reg.flush(scope);
-        return sink.str();
-    };
-    const std::string ab = flushed(e1);
-    ASSERT_FALSE(ab.empty());
-    EXPECT_EQ(ab, flushed(o2));
 }
 
 TEST(EpochTraceSampling, PureSeededDecision)
@@ -341,78 +279,6 @@ TEST(EpochTraceSampling, SimulatorTraceIsDeterministicSubset)
     EXPECT_NE(sampled.find("\"trace_sample\":0.4"),
               std::string::npos);
     EXPECT_EQ(full.find("trace_sample"), std::string::npos);
-}
-
-TEST(Arena, BumpAllocationWithExtendAndRelease)
-{
-    obs::Arena arena;
-    char *a = arena.alloc(8);
-    std::memcpy(a, "12345678", 8);
-    // The bump tip can grow in place.
-    EXPECT_TRUE(arena.extend(a, 8, 8));
-    std::memcpy(a + 8, "abcdefgh", 8);
-    // A non-tip pointer cannot.
-    char *b = arena.alloc(4);
-    EXPECT_FALSE(arena.extend(a, 16, 4));
-    EXPECT_TRUE(arena.extend(b, 4, 4));
-    EXPECT_EQ(std::string(a, 16), "12345678abcdefgh");
-
-    // Mark/release reuses the space without freeing blocks: a
-    // request past the 4096-byte first block gets a fresh block,
-    // and the same request after the release lands on it again.
-    const auto mark = arena.mark();
-    const char *big = arena.alloc(10000);
-    arena.release(mark);
-    EXPECT_EQ(arena.alloc(10000), big);
-}
-
-TEST(ArenaString, GrowsAcrossBlocksKeepingContent)
-{
-    obs::Arena arena;
-    obs::ArenaString s(arena, 8);
-    std::string expect;
-    for (int i = 0; i < 20000; ++i) {
-        s.push_back(static_cast<char>('a' + i % 26));
-        expect.push_back(static_cast<char>('a' + i % 26));
-    }
-    s += "tail";
-    expect += "tail";
-    EXPECT_EQ(s.view(), expect);
-    EXPECT_EQ(s.size(), expect.size());
-}
-
-TEST(Arena, EventAssemblySteadyStateIsAllocFree)
-{
-    if (!obs::allocCountingEnabled())
-        GTEST_SKIP() << "sanitizer build: counting compiled out";
-
-    // The array payloads are built once up front: the production
-    // epoch path passes pre-sized vectors, and a brace temporary
-    // would charge a heap allocation to the assembly under test.
-    const std::vector<double> ret{0.1, 0.2, 0.3};
-    const std::vector<std::string> apps{"a", "b"};
-    auto assemble = [&] {
-        obs::Event ev("epoch");
-        ev.num("e_s", 0.5)
-            .integer("victim", 3)
-            .nums("ret", ret)
-            .strs("apps", apps);
-        return std::string(ev.render("scenario_tag", 12)).size();
-    };
-    // Warm-up grows the thread-local arena to this shape's size.
-    for (int i = 0; i < 4; ++i)
-        ASSERT_GT(assemble(), 0u);
-
-    const auto before = obs::threadAllocCount();
-    obs::Event ev("epoch");
-    ev.num("e_s", 0.5)
-        .integer("victim", 3)
-        .nums("ret", ret)
-        .strs("apps", apps);
-    const auto line = ev.render("scenario_tag", 12);
-    EXPECT_FALSE(line.empty());
-    EXPECT_EQ(obs::threadAllocCount(), before)
-        << "arena-backed event assembly allocated when warm";
 }
 
 TEST(EpochTraceSampling, RejectedEpochsAddNoAllocations)

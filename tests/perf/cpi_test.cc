@@ -53,31 +53,6 @@ TEST(CpiModel, DilationRaisesCpi)
     EXPECT_GT(m.cpi(10.0, 2.0), m.cpi(10.0, 1.0));
 }
 
-TEST(CpiModel, SpeedIsOneAtIdeal)
-{
-    const CpiModel m = model();
-    EXPECT_NEAR(m.speed(20.0, 1.0, 20.0), 1.0, 1e-12);
-}
-
-TEST(CpiModel, SpeedBelowOneUnderPressure)
-{
-    const CpiModel m = model();
-    const double s = m.speed(4.0, 1.5, 20.0);
-    EXPECT_GT(s, 0.0);
-    EXPECT_LT(s, 1.0);
-}
-
-TEST(CpiModel, SpeedMonotoneInWays)
-{
-    const CpiModel m = model();
-    double prev = 0.0;
-    for (double w = 1.0; w <= 20.0; w += 1.0) {
-        const double s = m.speed(w, 1.0, 20.0);
-        EXPECT_GT(s, prev);
-        prev = s;
-    }
-}
-
 TEST(CpiModel, HighMlpShieldsCpiButNotBandwidth)
 {
     const CpiModel low = model(1.0);

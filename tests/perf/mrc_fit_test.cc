@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 #include "perf/cpi.hh"
@@ -80,8 +81,12 @@ TEST(MrcFit, FittedCurveUsableInCpiModel)
     const auto fit =
         fitMissRateCurve(sampleCurve(truth, 0.0, nullptr));
     CpiModel model(fit.curve, CpiTraits{});
-    EXPECT_GT(model.speed(2.0, 1.0, 20.0), 0.0);
-    EXPECT_LT(model.speed(2.0, 1.0, 20.0), 1.0);
+    // Two ways run slower than the full 20-way cache, at a finite
+    // positive CPI.
+    const double ideal = model.cpiIdeal(20.0);
+    EXPECT_GT(ideal, 0.0);
+    EXPECT_GT(model.cpi(2.0, 1.0), ideal);
+    EXPECT_TRUE(std::isfinite(model.cpi(2.0, 1.0)));
 }
 
 } // namespace

@@ -63,12 +63,6 @@ TEST(ErlangC, FractionalServersInterpolate)
     EXPECT_LT(c35, c3);
 }
 
-TEST(Utilization, Basic)
-{
-    EXPECT_NEAR(utilization(4.0, 2.0, 1.0), 0.5, 1e-12);
-    EXPECT_GT(utilization(1.0, 2.0, 1.0), 1.0);
-}
-
 TEST(MeanWait, MM1ClosedForm)
 {
     // M/M/1: Wq = rho / (mu - lambda).
