@@ -10,8 +10,8 @@
  * the O(n²) incremental Cholesky keep CLITE's decision cost flat),
  * a small Fleet run, and the online hot paths a controller runs
  * inside one epoch (entropy, M/M/c percentiles, the contention
- * model on a memo hit and on a miss, attribution's counterfactuals,
- * GP fit + EI).
+ * model on a memo hit, on a miss and on a lock-step group of four
+ * nodes' misses, attribution's counterfactuals, GP fit + EI).
  * Every row is timed in one interleaved sampleInterleaved() run.
  * With --json it writes BENCH_epoch_throughput.json — the file the
  * repo commits as the baseline `ahq bench-diff` compares future
@@ -300,6 +300,53 @@ main(int argc, char **argv)
                             miss_out);
                         next_input = (next_input + 1) % diurnal.size();
                         keep(miss_out[0].serviceRate);
+                    }});
+
+    // The same regime as a lock-step group of four fleet nodes: nodes
+    // 0-3, each with its own model and its own ARQ initial layout, one
+    // batched call per group epoch, counted as four evaluations.
+    constexpr std::size_t kGroup = 4;
+    std::vector<perf::ContentionModel> group_models;
+    std::vector<machine::RegionLayout> group_layouts;
+    std::vector<std::vector<std::vector<perf::AppDemand>>> group_inputs(
+        kGroup, std::vector<std::vector<perf::AppDemand>>(480));
+    std::vector<std::vector<perf::PerfOutcome>> group_out(kGroup);
+    const trace::FleetLoadGenerator group_gen{trace::FleetLoadConfig{}};
+    for (std::size_t g = 0; g < kGroup; ++g) {
+        const cluster::Node node(
+            mc, cluster::fleetNodeApps(group_gen, static_cast<int>(g)));
+        std::vector<machine::AppId> lc, be;
+        for (int i = 0; i < node.numApps(); ++i) {
+            (node.apps()[static_cast<std::size_t>(i)].profile.latencyCritical
+                 ? lc
+                 : be)
+                .push_back(i);
+        }
+        group_models.emplace_back(mc);
+        group_layouts.push_back(machine::RegionLayout::arqInitial(
+            mc.availableResources(), lc, be));
+        for (std::size_t k = 0; k < group_inputs[g].size(); ++k)
+            node.demandsAt(0.5 * static_cast<double>(k), group_inputs[g][k]);
+    }
+    std::vector<perf::ContentionLane> group_lanes(kGroup);
+    std::size_t next_group_input = 0;
+    rows.push_back({"contention_eval_miss@4nodes", double(kGroup),
+                    "evals/s",
+                    "fleet nodes 0-3, own models and ARQ layouts, 480 "
+                    "diurnal inputs cycled, one lock-step call per epoch",
+                    [&] {
+                        for (std::size_t g = 0; g < kGroup; ++g) {
+                            group_lanes[g] = {
+                                &group_models[g], &group_layouts[g],
+                                &group_inputs[g][next_group_input],
+                                perf::CoreSharePolicy::LcPriority,
+                                &group_out[g]};
+                        }
+                        perf::ContentionModel::evaluateBatchInto(
+                            group_lanes);
+                        next_group_input =
+                            (next_group_input + 1) % group_inputs[0].size();
+                        keep(group_out[0][0].serviceRate);
                     }});
 
     // Attribution on the same inputs: every victim suffers, so each

@@ -8,6 +8,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "apps/catalog.hh"
@@ -139,21 +140,35 @@ ClusterScheduler::run(const SimulationConfig &base,
                 return "round" + std::to_string(r) + "/node" +
                     std::to_string(n);
             },
-            [&](std::size_t n, const obs::Scope &node_scope) {
-                SimulationConfig per_node = base;
-                per_node.durationSeconds =
-                    cfg.roundEpochs * base.epochSeconds;
-                per_node.warmupEpochs = cfg.roundWarmupEpochs;
-                per_node.keepEpochs = false;
-                per_node.seed = exec::nodeSeed(
-                    base.seed, n,
-                    kRoundSeedSalt * static_cast<std::uint64_t>(r + 1));
-                per_node.obs = node_scope;
-                Node node(configs_[n], apps_[n]);
-                EpochSimulator sim(node, per_node);
-                const auto sched = sched::makeScheduler(strategy_);
-                results[n] = sim.run(*sched);
-                accums[n].add(node, results[n]);
+            [&](std::size_t first, std::span<const obs::Scope> scopes) {
+                const std::size_t count = scopes.size();
+                std::vector<EpochSimulator> sims;
+                std::vector<std::unique_ptr<sched::Scheduler>> scheds;
+                std::vector<sched::Scheduler *> arms;
+                std::vector<GroupRun> group;
+                sims.reserve(count);
+                arms.reserve(count);
+                for (std::size_t k = 0; k < count; ++k) {
+                    const std::size_t n = first + k;
+                    SimulationConfig per_node = base;
+                    per_node.durationSeconds =
+                        cfg.roundEpochs * base.epochSeconds;
+                    per_node.warmupEpochs = cfg.roundWarmupEpochs;
+                    per_node.keepEpochs = false;
+                    per_node.seed = exec::nodeSeed(
+                        base.seed, n,
+                        kRoundSeedSalt * static_cast<std::uint64_t>(r + 1));
+                    per_node.obs = scopes[k];
+                    sims.emplace_back(Node(configs_[n], apps_[n]),
+                                      per_node);
+                    scheds.push_back(sched::makeScheduler(strategy_));
+                    arms.push_back(scheds.back().get());
+                    group.push_back(
+                        {&sims[k], {&arms[k], 1}, nullptr, &results[n]});
+                }
+                EpochSimulator::runGroup(group);
+                for (std::size_t k = 0; k < count; ++k)
+                    accums[first + k].add(sims[k].node(), results[first + k]);
             });
         fan.flushAll();
         // Cold windows are consumed by the round that just ran

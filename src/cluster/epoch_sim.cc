@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
 #include <optional>
 
 #include "cluster/epoch_observers.hh"
@@ -31,21 +32,29 @@ constexpr double kSpikeLoadCap = 0.95;
 /**
  * One run and its core step (decide → contention model → queues →
  * entropy → steady-state sums) over buffers sized once per run, so
- * with no observers an epoch allocates nothing.
+ * with no observers an epoch allocates nothing. The step splits at
+ * the model call: prepare() returns the epoch's contention lane and
+ * complete() consumes its outcomes, so a group's lanes evaluate in
+ * one batched call between the two.
  */
 class Run : public detail::EpochState
 {
   public:
     Run(const Node &node, const SimulationConfig &cfg,
-        sched::Scheduler *const *arms, const PolicySchedule *schedule,
-        SimulationResult &res)
-        : node_(node), cfg_(cfg), arms_(arms), schedule_(schedule),
-          res_(res), rng_(cfg.seed),
-          model_(node.config(), cfg.contention),
+        std::span<sched::Scheduler *const> arms,
+        const PolicySchedule *schedule, SimulationResult &res)
+        : runSpan_(cfg.obs, "run"), node_(node), cfg_(cfg), arms_(arms),
+          schedule_(schedule), res_(res),
+          epochs_(static_cast<int>(
+              std::round(cfg.durationSeconds / cfg.epochSeconds))),
+          rng_(cfg.seed), model_(node.config(), cfg.contention),
           sampling_(cfg.obs.tracing() && cfg.traceSampleRate < 1.0),
           mutedScope_(cfg.obs.withSink(nullptr)),
           staticObs_(node.staticObservations())
     {
+        res = SimulationResult{};
+        res.warmupEpochs = std::min(cfg.warmupEpochs, epochs_);
+        res.tailPercentile = cfg.tailPercentile;
         arm = schedule != nullptr ? schedule->armAt(0) : 0;
         cur_ = arms[static_cast<std::size_t>(arm)];
         cur_->reset();
@@ -62,12 +71,28 @@ class Run : public detail::EpochState
             v->assign(n, 0.0);
     }
 
-    const sched::Scheduler &scheduler() const { return *cur_; }
+    int epochs() const { return epochs_; }
+    const obs::Scope &scope() const { return cfg_.obs; }
 
-    /** Build the initial layout and attach the observers. */
-    void begin(detail::ObserverList observers)
+    /**
+     * Emit `run_start`, build the initial layout and attach the
+     * observers.
+     */
+    void begin()
     {
-        observers_ = std::move(observers);
+        if (cfg_.obs.tracing()) {
+            obs::Event ev("run_start");
+            ev.str("scheduler", cur_->name())
+                .str("node", node_.describe())
+                .integer("epochs", epochs_)
+                .num("epoch_seconds", cfg_.epochSeconds)
+                .integer("seed", static_cast<long long>(cfg_.seed))
+                .integer("warmup", res_.warmupEpochs);
+            if (cfg_.traceSampleRate < 1.0)
+                ev.num("trace_sample", cfg_.traceSampleRate);
+            cfg_.obs.emit(ev);
+        }
+        observers_ = detail::makeObservers(cfg_, node_, epochs_, res_);
         layout = cur_->initialLayout(node_.config(), staticObs_);
         assert(layout.valid());
         for (auto &o : observers_)
@@ -78,12 +103,17 @@ class Run : public detail::EpochState
             injector_.emplace(*cfg_.faults, cfg_.seed, cfg_.obs);
     }
 
-    void step(int e)
+    /**
+     * Epoch e up to the model call: the policy swap, the decision
+     * and its actuation, then the demands and the policy. Returns
+     * the lane complete() expects evaluated.
+     */
+    perf::ContentionLane prepare(int e)
     {
         epoch = e;
         time = e * cfg_.epochSeconds;
         steady = e >= res_.warmupEpochs;
-        obs::Span epoch_span(cfg_.obs, "epoch");
+        epochSpan_.emplace(cfg_.obs, "epoch");
         const bool tracing = cfg_.obs.tracing();
         traced = tracing &&
             (!sampling_ ||
@@ -105,32 +135,50 @@ class Run : public detail::EpochState
         // same contract as epoch 0 of a plain run).
         if (e > 0 && !swapped)
             decide();
+        measureSpan_.emplace(cfg_.obs, "measure");
+        node_.demandsAt(time, demands);
+        policy = cur_->corePolicy();
+        return {&model_, &layout, &demands, policy, &outcomes};
+    }
+
+    /**
+     * The rest of the epoch, once the lane's outcomes are in: queues
+     * and measurements, entropy, the observers and the steady-state
+     * sums.
+     */
+    void complete()
+    {
         measure();
+        measureSpan_.reset();
         for (auto &o : observers_)
             o->observe(*this);
         cfg_.obs.count("sim.epochs");
-        if (!steady)
-            return;
-        // Steady-state sums in epoch order (see keepEpochs).
-        res_.meanELc += entropy.eLc;
-        res_.meanEBe += entropy.eBe;
-        res_.meanES += entropy.eS;
-        for (std::size_t i = 0; i < obs().size(); ++i) {
-            const auto &o = obs()[i];
-            if (o.latencyCritical) {
-                res_.meanP95Ms[i] += o.p95Ms;
-                res_.steadyMeanLoad[i] += o.loadFraction;
-                res_.violations +=
-                    core::violatesQos(o.p95Ms, o.thresholdMs);
-            } else {
-                res_.meanIpc[i] += o.ipc;
+        if (steady) {
+            // Steady-state sums in epoch order (see keepEpochs).
+            res_.meanELc += entropy.eLc;
+            res_.meanEBe += entropy.eBe;
+            res_.meanES += entropy.eS;
+            for (std::size_t i = 0; i < obs().size(); ++i) {
+                const auto &o = obs()[i];
+                if (o.latencyCritical) {
+                    res_.meanP95Ms[i] += o.p95Ms;
+                    res_.steadyMeanLoad[i] += o.loadFraction;
+                    res_.violations +=
+                        core::violatesQos(o.p95Ms, o.thresholdMs);
+                } else {
+                    res_.meanIpc[i] += o.ipc;
+                }
             }
+            ++steady_;
         }
-        ++steady_;
+        epochSpan_.reset();
     }
 
-    /** Steady-state means and yield, then the observers' totals. */
-    void finish()
+    /**
+     * Steady-state means and yield, the observers' totals, then
+     * `run_end` and the run's metrics.
+     */
+    void end()
     {
         if (steady_ > 0) {
             res_.meanELc /= steady_;
@@ -148,6 +196,19 @@ class Run : public detail::EpochState
         res_.yieldValue = core::yield(lcObs_);
         for (auto &o : observers_)
             o->finish();
+        if (cfg_.obs.tracing()) {
+            obs::Event ev("run_end");
+            ev.str("scheduler", cur_->name())
+                .num("mean_e_lc", res_.meanELc)
+                .num("mean_e_be", res_.meanEBe)
+                .num("mean_e_s", res_.meanES)
+                .num("yield", res_.yieldValue)
+                .integer("violations", res_.violations);
+            cfg_.obs.emit(ev);
+        }
+        cfg_.obs.count("sim.runs");
+        cfg_.obs.count("sim.violations", res_.violations);
+        cfg_.obs.observe("sim.mean_e_s", res_.meanES);
     }
 
   private:
@@ -204,18 +265,11 @@ class Run : public detail::EpochState
         assert(layout.valid());
     }
 
-    /** Contention model, then per app queues and measurements. */
+    /** Per app queues and measurements over the epoch's outcomes. */
     void measure()
     {
-        obs::Span measure_span(cfg_.obs, "measure");
         const int e = epoch;
         const double t = time;
-        node_.demandsAt(t, demands);
-        policy = cur_->corePolicy();
-        {
-            obs::Span span(cfg_.obs, "model");
-            model_.evaluateInto(layout, demands, policy, outcomes);
-        }
         lcObs_.clear();
         beObs_.clear();
         dropped = 0;
@@ -316,11 +370,17 @@ class Run : public detail::EpochState
         core::computeEntropyInto(lcObs_, beObs_, cfg_.ri, entropy);
     }
 
+    // Opened first and closed last: the run's profiling root, under
+    // which every phase span of the run nests.
+    obs::Span runSpan_;
+    std::optional<obs::Span> epochSpan_, measureSpan_;
+
     const Node &node_;
     const SimulationConfig &cfg_;
-    sched::Scheduler *const *arms_;
+    std::span<sched::Scheduler *const> arms_;
     const PolicySchedule *schedule_;
     SimulationResult &res_;
+    const int epochs_;
     stats::Rng rng_;
     perf::ContentionModel model_;
     detail::ObserverList observers_;
@@ -372,8 +432,11 @@ EpochSimulator::EpochSimulator(Node node, SimulationConfig config)
 SimulationResult
 EpochSimulator::run(sched::Scheduler &scheduler) const
 {
-    sched::Scheduler *arm = &scheduler;
-    return runImpl(&arm, nullptr);
+    SimulationResult result;
+    sched::Scheduler *const arm = &scheduler;
+    const GroupRun one{this, {&arm, 1}, nullptr, &result};
+    runGroup({&one, 1});
+    return result;
 }
 
 SimulationResult
@@ -381,61 +444,64 @@ EpochSimulator::runSwitched(
     const std::vector<sched::Scheduler *> &arms,
     const PolicySchedule &schedule) const
 {
-    assert(!arms.empty() &&
-           std::find(arms.begin(), arms.end(), nullptr) == arms.end());
-    assert(std::all_of(schedule.blockArm.begin(),
-                       schedule.blockArm.end(), [&](int a) {
-                           return a >= 0 && std::size_t(a) < arms.size();
-                       }));
-    return runImpl(arms.data(), &schedule);
+    SimulationResult result;
+    const GroupRun one{this, arms, &schedule, &result};
+    runGroup({&one, 1});
+    return result;
 }
 
-SimulationResult
-EpochSimulator::runImpl(sched::Scheduler *const *arms,
-                        const PolicySchedule *schedule) const
+void
+EpochSimulator::runGroup(std::span<const GroupRun> group)
 {
-    const int epochs = static_cast<int>(
-        std::round(cfg.durationSeconds / cfg.epochSeconds));
-    // Profiling root for the whole run; every phase span nests under
-    // it. One branch when no profiler is attached.
-    obs::Span run_span(cfg.obs, "run");
-
-    SimulationResult result;
-    result.warmupEpochs = std::min(cfg.warmupEpochs, epochs);
-    result.tailPercentile = cfg.tailPercentile;
-    Run run(node_, cfg, arms, schedule, result);
-    const bool tracing = cfg.obs.tracing();
-    if (tracing) {
-        obs::Event ev("run_start");
-        ev.str("scheduler", run.scheduler().name())
-            .str("node", node_.describe())
-            .integer("epochs", epochs)
-            .num("epoch_seconds", cfg.epochSeconds)
-            .integer("seed", static_cast<long long>(cfg.seed))
-            .integer("warmup", result.warmupEpochs);
-        if (cfg.traceSampleRate < 1.0)
-            ev.num("trace_sample", cfg.traceSampleRate);
-        cfg.obs.emit(ev);
+    // One Run per member, each opening its `run` span as it is built.
+    std::vector<std::unique_ptr<Run>> runs;
+    runs.reserve(group.size());
+    int epochs = 0;
+    for (const GroupRun &g : group) {
+        assert(group.size() == 1 || !g.sim->cfg.obs.profiling());
+        assert(!g.arms.empty() &&
+               std::find(g.arms.begin(), g.arms.end(), nullptr) ==
+                   g.arms.end());
+        assert(g.schedule == nullptr ||
+               std::all_of(g.schedule->blockArm.begin(),
+                           g.schedule->blockArm.end(), [&](int a) {
+                               return a >= 0 &&
+                                   std::size_t(a) < g.arms.size();
+                           }));
+        runs.push_back(std::make_unique<Run>(g.sim->node_, g.sim->cfg,
+                                             g.arms, g.schedule,
+                                             *g.result));
+        runs.back()->begin();
+        epochs = std::max(epochs, runs.back()->epochs());
     }
-    run.begin(detail::makeObservers(cfg, node_, epochs, result));
-    for (int e = 0; e < epochs; ++e)
-        run.step(e);
-    run.finish();
-
-    if (tracing) {
-        obs::Event ev("run_end");
-        ev.str("scheduler", run.scheduler().name())
-            .num("mean_e_lc", result.meanELc)
-            .num("mean_e_be", result.meanEBe)
-            .num("mean_e_s", result.meanES)
-            .num("yield", result.yieldValue)
-            .integer("violations", result.violations);
-        cfg.obs.emit(ev);
+    std::vector<perf::ContentionLane> lanes;
+    lanes.reserve(runs.size());
+    for (int e = 0; e < epochs; ++e) {
+        lanes.clear();
+        const obs::Scope *first = nullptr;
+        for (const auto &run : runs) {
+            if (!run)
+                continue;
+            lanes.push_back(run->prepare(e));
+            if (first == nullptr)
+                first = &run->scope();
+        }
+        {
+            // Profiled runs run alone, so this nests under the run's
+            // own `measure` span.
+            obs::Span span(*first, "model");
+            perf::ContentionModel::evaluateBatchInto(lanes);
+        }
+        for (auto &run : runs) {
+            if (!run)
+                continue;
+            run->complete();
+            if (e + 1 == run->epochs()) {
+                run->end();
+                run.reset();
+            }
+        }
     }
-    cfg.obs.count("sim.runs");
-    cfg.obs.count("sim.violations", result.violations);
-    cfg.obs.observe("sim.mean_e_s", result.meanES);
-    return result;
 }
 
 } // namespace ahq::cluster

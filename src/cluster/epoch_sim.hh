@@ -7,13 +7,16 @@
  * epoch's measurements, (2) evaluates the contention model, (3)
  * advances each LC app's queue backlog (overload spills into the next
  * epoch), (4) measures p95 / IPC with repartition overhead and noise,
- * and (5) computes the interval's entropy report.
+ * and (5) computes the interval's entropy report. A group of runs
+ * steps in lock-step, so step (2) of every run of the group is one
+ * batched evaluation (EpochSimulator::runGroup).
  */
 
 #ifndef AHQ_CLUSTER_EPOCH_SIM_HH
 #define AHQ_CLUSTER_EPOCH_SIM_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "check/check.hh"
@@ -256,6 +259,21 @@ inline constexpr std::uint64_t kTraceSampleStream = 0x7e1e5;
  */
 bool epochTraceSampled(std::uint64_t seed, int epoch, double rate);
 
+class EpochSimulator;
+
+/**
+ * One run of a lock-step group: the simulator, the arms (one for a
+ * plain run), the policy schedule (null for a plain run) and the slot
+ * the result goes to. The arms and the schedule outlive the run.
+ */
+struct GroupRun
+{
+    const EpochSimulator *sim;
+    std::span<sched::Scheduler *const> arms;
+    const PolicySchedule *schedule;
+    SimulationResult *result;
+};
+
 /** Runs a scheduling strategy on a node for a configured duration. */
 class EpochSimulator
 {
@@ -264,6 +282,20 @@ class EpochSimulator
 
     /** One full run (reset() first, so schedulers can be reused). */
     SimulationResult run(sched::Scheduler &scheduler) const;
+
+    /**
+     * The one run path: step every run of the group epoch by epoch.
+     * Each epoch, every run decides and builds its demands, the
+     * group's contention-model lanes are evaluated in one batched
+     * call, and every run finishes its epoch; a run with fewer epochs
+     * leaves the group when it ends. Each run keeps its own RNG,
+     * schedulers, memo, observers, fault injector and scope, so each
+     * result, trace and series is bit for bit what the run gives
+     * alone. Runs that share a trace sink interleave their events;
+     * a run with a profiler attached must run in a group of one
+     * (span paths nest on a per-thread stack).
+     */
+    static void runGroup(std::span<const GroupRun> group);
 
     /**
      * Policy-swap run under schedule.armAt(e)'s scheduler. Where the
@@ -287,10 +319,6 @@ class EpochSimulator
   private:
     Node node_;
     SimulationConfig cfg;
-
-    SimulationResult
-    runImpl(sched::Scheduler *const *arms,
-            const PolicySchedule *schedule) const;
 };
 
 } // namespace ahq::cluster

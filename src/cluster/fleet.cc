@@ -117,19 +117,33 @@ Fleet::runEntries(std::vector<Entry> &entries,
         return ids != nullptr ? static_cast<std::size_t>((*ids)[n]) : n;
     };
     // Each node touches only its own entry (its scheduler instance
-    // included), result and accumulator slot.
+    // included), result and accumulator slot; a group's nodes step
+    // in lock-step.
     fan.run(
         p, entries.size(),
         [&](std::size_t n) {
             return "node" + std::to_string(id(n)) + tag_suffix;
         },
-        [&](std::size_t n, const obs::Scope &scope) {
-            SimulationConfig per_node = config;
-            per_node.seed = exec::nodeSeed(config.seed, id(n), seed_salt);
-            per_node.obs = scope;
-            EpochSimulator sim(entries[n].node, per_node);
-            out[n] = sim.run(*entries[n].scheduler);
-            accums[n].add(entries[n].node, out[n]);
+        [&](std::size_t first, std::span<const obs::Scope> scopes) {
+            const std::size_t count = scopes.size();
+            std::vector<EpochSimulator> sims;
+            std::vector<sched::Scheduler *> arms;
+            std::vector<GroupRun> group;
+            sims.reserve(count);
+            arms.reserve(count);
+            for (std::size_t k = 0; k < count; ++k) {
+                const std::size_t n = first + k;
+                SimulationConfig per_node = config;
+                per_node.seed =
+                    exec::nodeSeed(config.seed, id(n), seed_salt);
+                per_node.obs = scopes[k];
+                sims.emplace_back(entries[n].node, per_node);
+                arms.push_back(entries[n].scheduler.get());
+                group.push_back({&sims[k], {&arms[k], 1}, nullptr, &out[n]});
+            }
+            EpochSimulator::runGroup(group);
+            for (std::size_t n = first; n < first + count; ++n)
+                accums[n].add(entries[n].node, out[n]);
         });
 }
 

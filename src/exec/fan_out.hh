@@ -4,10 +4,16 @@
  * independent node simulations across the pool.
  *
  * Fleet::run (both crash phases), ClusterScheduler rounds, the
- * experiment harness and ScenarioRunner all hand their per-node
- * body to NodeFanOut, which owns the decisions that keep such a
- * batch deterministic at any thread count:
+ * experiment harness and ScenarioRunner all hand their body to
+ * NodeFanOut, which calls it with groups of consecutive nodes (the
+ * simulators step a group's nodes in lock-step, so their contention
+ * model misses solve as lanes of one pass) and owns the decisions
+ * that keep such a batch deterministic at any thread count:
  *
+ *  - groups: min(4, ceil(n / threads draining)) nodes each, so every
+ *    draining thread has work on a small batch; one node each when
+ *    profiling, because spans nest on a per-thread stack and
+ *    interleaved nodes would nest under each other's paths;
  *  - seeds: nodeSeed() is the one per-node salting rule;
  *  - tags: node i records under "<parent scenario>/<label(i)>"
  *    (just "<label(i)>" when the parent scenario is empty);
@@ -30,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,8 +66,15 @@ class NodeFanOut
     /** Tag of node i under the parent scenario. */
     using Label = std::function<std::string(std::size_t)>;
 
-    /** Node i's run, recording into the scope it is handed. */
-    using Body = std::function<void(std::size_t, const obs::Scope &)>;
+    /**
+     * The runs of nodes [first, first + scopes.size()), node
+     * first + k recording into scopes[k].
+     */
+    using Body = std::function<void(std::size_t first,
+                                    std::span<const obs::Scope> scopes)>;
+
+    /** Most nodes a group holds. */
+    static constexpr std::size_t kMaxGroup = 4;
 
     /**
      * @param parent The batch's telemetry; what it points to must
@@ -71,10 +85,10 @@ class NodeFanOut
     }
 
     /**
-     * Run body(i, scope_i) for every i in [0, n) across the pool and
-     * return when all are done. The first exception a body throws is
-     * rethrown here. Each call starts fresh node buffers, so flush
-     * the previous batch first.
+     * Run body over groups of consecutive nodes covering [0, n),
+     * across the pool, and return when all are done. The first
+     * exception a body throws is rethrown here. Each call starts
+     * fresh node buffers, so flush the previous batch first.
      */
     void run(ThreadPool &pool, std::size_t n, const Label &label,
              const Body &body);

@@ -29,6 +29,18 @@ namespace ahq::exec
 {
 
 /**
+ * Threads that drain a parallelFor()'s indices: the workers and the
+ * caller, or the caller alone where the loop runs inline.
+ */
+inline std::size_t
+drainingThreads(const ThreadPool &pool)
+{
+    return pool.threads() <= 1 || ThreadPool::onPoolThread()
+        ? 1
+        : static_cast<std::size_t>(pool.threads()) + 1;
+}
+
+/**
  * Run fn(i) for i in [0, n) across the pool, returning when every
  * call has finished. The caller drains indices alongside the
  * workers, and nested calls from inside a pool task run entirely
@@ -42,8 +54,7 @@ parallelFor(ThreadPool &pool, std::size_t n,
 {
     if (n == 0)
         return;
-    if (n == 1 || pool.threads() <= 1 ||
-        ThreadPool::onPoolThread()) {
+    if (n == 1 || drainingThreads(pool) == 1) {
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;

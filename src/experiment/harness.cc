@@ -6,6 +6,7 @@
 #include "experiment/harness.hh"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <memory>
 #include <string>
@@ -124,29 +125,47 @@ runExperiment(const ExperimentRunConfig &config,
     fan.run(
         pool ? *pool : exec::globalPool(), nn,
         [](std::size_t n) { return "node" + std::to_string(n); },
-        [&](std::size_t n, const obs::Scope &node_scope) {
-            cluster::SimulationConfig per_node = config.base;
-            per_node.seed = exec::nodeSeed(config.base.seed, n);
-            per_node.durationSeconds =
-                static_cast<double>(design.epochsPerNode()) *
-                per_node.epochSeconds;
-            per_node.warmupEpochs = 0;
-            per_node.keepEpochs = true;
-            per_node.obs = node_scope;
+        [&](std::size_t first, std::span<const obs::Scope> scopes) {
+            const std::size_t count = scopes.size();
+            std::vector<cluster::EpochSimulator> sims;
+            std::vector<std::unique_ptr<sched::Scheduler>> scheds;
+            std::vector<std::array<sched::Scheduler *, 2>> arms(count);
+            std::vector<cluster::PolicySchedule> schedules;
+            std::vector<cluster::SimulationResult> res(count);
+            std::vector<cluster::GroupRun> group;
+            sims.reserve(count);
+            for (std::size_t k = 0; k < count; ++k) {
+                const std::size_t n = first + k;
+                cluster::SimulationConfig per_node = config.base;
+                per_node.seed = exec::nodeSeed(config.base.seed, n);
+                per_node.durationSeconds =
+                    static_cast<double>(design.epochsPerNode()) *
+                    per_node.epochSeconds;
+                per_node.warmupEpochs = 0;
+                per_node.keepEpochs = true;
+                per_node.obs = scopes[k];
 
-            const auto a = sched::makeScheduler(design.armA);
-            const auto b = sched::makeScheduler(design.armB);
-            cluster::Node node(config.machine,
-                               cluster::fleetNodeApps(
-                                   gen, static_cast<int>(n)));
-            cluster::EpochSimulator sim(std::move(node), per_node);
-            const auto res = sim.runSwitched(
-                {a.get(), b.get()},
-                nodeSchedule(design, static_cast<int>(n)));
-            node_blocks[n] =
-                extractBlocks(res, design, static_cast<int>(n));
-            node_blame[n] = res.attribution;
-            node_slo[n] = res.slo;
+                scheds.push_back(sched::makeScheduler(design.armA));
+                scheds.push_back(sched::makeScheduler(design.armB));
+                arms[k] = {scheds[2 * k].get(), scheds[2 * k + 1].get()};
+                sims.emplace_back(
+                    cluster::Node(config.machine,
+                                  cluster::fleetNodeApps(
+                                      gen, static_cast<int>(n))),
+                    per_node);
+                schedules.push_back(
+                    nodeSchedule(design, static_cast<int>(n)));
+            }
+            for (std::size_t k = 0; k < count; ++k)
+                group.push_back({&sims[k], arms[k], &schedules[k], &res[k]});
+            cluster::EpochSimulator::runGroup(group);
+            for (std::size_t k = 0; k < count; ++k) {
+                const std::size_t n = first + k;
+                node_blocks[n] =
+                    extractBlocks(res[k], design, static_cast<int>(n));
+                node_blame[n] = res[k].attribution;
+                node_slo[n] = res[k].slo;
+            }
         });
     fan.flushAll();
 

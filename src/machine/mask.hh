@@ -75,12 +75,6 @@ class WayMask
      */
     WayMask(int first_way, int num_ways);
 
-    /** Number of ways in the mask. */
-    int count() const { return numWays; }
-
-    /** Index of the lowest way (undefined when empty). */
-    int first() const { return firstWay; }
-
     /** Whether the mask is empty. */
     bool empty() const { return numWays == 0; }
 

@@ -84,10 +84,11 @@ struct AttributionShare
  * Decomposes per-victim interference into per-(culprit, resource)
  * shares by counterfactual contention-model evaluation.
  *
- * Owns its own ContentionModel (the model keeps mutable scratch, so
+ * Owns its own ContentionModel (a model's memo is mutable, so
  * sharing the simulator's instance would be a data race waiting to
- * happen); construct one attributor per run, like the auditor and
- * the fault injector. An epoch's n counterfactuals share the layout
+ * happen, and its counterfactual keys would crowd the factual ones
+ * out); construct one attributor per run, like the auditor and the
+ * fault injector. An epoch's n counterfactuals share the layout
  * and the policy, so attribute() solves them in one lock-step
  * evaluateBatchInto() call, each bit for bit the sequential result.
  * It reuses internal buffers, so a warm epoch allocates nothing.

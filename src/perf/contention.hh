@@ -29,8 +29,9 @@
  * (the quantities are smooth and contractive in practice; tests check
  * convergence). A memo miss compiles its inputs into flat arrays
  * once and iterates over them; evaluateBatchInto() solves several
- * demand sets over one layout in lock-step. The reuse rules that
- * keep both bitwise identical are in contention.cc.
+ * lanes in lock-step, each lane a demand set with its own model,
+ * layout and policy. The reuse rules that keep both bitwise
+ * identical are in contention.cc.
  */
 
 #ifndef AHQ_PERF_CONTENTION_HH
@@ -148,13 +149,31 @@ struct ContentionTraits
     double sharedServicePenalty = 1.15;
 };
 
+class ContentionModel;
+
+/**
+ * One demand set of a lock-step evaluation: the model whose memo and
+ * constants it uses, the layout and policy it runs under, its
+ * demands (indexed by AppId) and the buffer its outcomes go to.
+ */
+struct ContentionLane
+{
+    const ContentionModel *model;
+    const machine::RegionLayout *layout;
+    const std::vector<AppDemand> *demands;
+    CoreSharePolicy policy;
+    std::vector<PerfOutcome> *out;
+};
+
 /**
  * Evaluates per-epoch application performance under a layout.
  *
- * evaluate() is logically const but reuses an internal scratch
- * workspace across calls, so a single instance must not be used from
- * multiple threads concurrently. Construct one model per thread (the
- * simulators and the oracle already do).
+ * A model keeps its evaluation memo and the constants the kernel
+ * reads; the fixed point's scratch is one workspace per thread,
+ * shared by every model that thread evaluates. evaluate() is
+ * logically const but updates the memo, so a single instance must
+ * not be used from multiple threads concurrently. Construct one
+ * model per thread (the simulators and the oracle already do).
  */
 class ContentionModel
 {
@@ -185,89 +204,60 @@ class ContentionModel
                       std::vector<PerfOutcome> &out) const;
 
     /**
-     * Evaluate demand sets that share the layout, the policy, the
-     * app count and each app's kind: outs[b] gets, bit for bit, what
-     * evaluateInto() of batch[b] would. The memo misses among them
-     * are solved together in lock-step, then stored.
+     * Evaluate demand sets over one layout and policy on this model:
+     * the lanes (this, layout, batch[b], policy, outs[b]).
      */
     void evaluateBatchInto(const machine::RegionLayout &layout,
                            std::span<const std::vector<AppDemand>> batch,
                            CoreSharePolicy policy,
                            std::span<std::vector<PerfOutcome>> outs) const;
 
+    /**
+     * Evaluate every lane: *lane.out gets, bit for bit, what
+     * lane.model->evaluateInto() of the lane would. Each lane looks
+     * up its own model's memo, every lookup before any store, and the
+     * misses are stored in lane order, so each model sees the hits
+     * and misses that one call per lane would give it. Misses that
+     * share the policy, the app count and kinds, the kernel
+     * constants and the compiled member structure solve together in
+     * lock-step passes of at most four lanes.
+     */
+    static void evaluateBatchInto(std::span<const ContentionLane> lanes);
+
     /** Evaluation-memo hits (telemetry and tests). */
     std::size_t memoHits() const { return memo_.hits(); }
 
   private:
-    /**
-     * Flat scratch reused across calls. A call with misses compiles
-     * the layout into columns every lane shares (indexed by AppId or
-     * member position); each pass of L lanes compiles its demands
-     * into lane columns, one value per (app or member, lane) with
-     * lanes innermost, so every phase issues L independent copies of
-     * the same operations. Once warm, a miss allocates nothing.
-     */
-    struct Workspace
+    /** What the kernel reads of the machine and the traits. */
+    struct Constants
     {
-        /** A shared region: LC members [begin, mid), BE [mid, end). */
-        struct CoreRegion
-        {
-            double cores;
-            std::size_t begin, mid, end;
-        };
+        double idealWays;    // the machine's full physical cache
+        double machineBwCap; // available bandwidth, GiB/s
+        double bwPerUnit;    // GiB/s per MBA unit
+        double contentionK;  // bandwidth dilation curvature
+        double sharedServicePenalty;
 
-        /** A region with members and ways, in region order. */
-        struct WayRegion
-        {
-            bool shared;
-            double ways;
-            double share; // non-shared: each member's ways
-            std::size_t begin, end;
-        };
-
-        // Layout columns: kind, iso grants, MBA cap, initial ways.
-        std::vector<char> lc;
-        std::vector<double> isoLc, isoBe, capGibps, ways0;
-        std::vector<CoreRegion> coreRegions;
-        std::vector<std::size_t> coreMembers;
-        std::vector<WayRegion> wayRegions;
-        std::vector<std::size_t> wayMembers;
-
-        // Per app and lane, fixed for the pass: lambda is the LC
-        // offered load in core-seconds per second, penalty the
-        // overlapped miss penalty.
-        std::vector<double> threads, lambda, cpiIdeal, penalty, burstCap;
-        // Per app and lane, the fixed point's state; load is lambda / speed.
-        std::vector<double> speed, ways, dilation, mbaScale, stretch;
-        std::vector<double> prevStretch, sharedGrant, beCores, busy;
-        std::vector<double> bwDemand, load, mpki, missTerm, newWays;
-
-        // Per shared-region member and lane; own is an LC member's
-        // occupancy (LcPriority) or runnable threads (FairShare).
-        std::vector<double> memberThreads, own, caps, grants;
-        std::vector<char> frozen;
-        std::vector<double> intensity; // per way-region member and lane
-
-        // Per set of the batch: its memo key and hash; the misses.
-        std::vector<std::vector<double>> memoKeys;
-        std::vector<std::uint64_t> hashes;
-        std::vector<std::size_t> misses;
+        bool operator==(const Constants &) const = default;
     };
 
-    /** Compile the layout columns every lane of a call shares. */
-    void compileLayout(const machine::RegionLayout &layout,
-                       const std::vector<AppDemand> &demands) const;
+    /** Scratch of the fixed point (contention.cc). */
+    struct Workspace;
 
-    /** Solve batch[lanes[0..L)] in lock-step; lanes never mix. */
+    /** The calling thread's workspace. */
+    static Workspace &workspace();
+
+    /** Compile the lane's layout into the workspace's next slot. */
+    static void compileLayout(Workspace &ws,
+                              const ContentionLane &lane);
+
+    /** Solve lanes[pass[0..L)] in lock-step; lanes never mix. */
     template <std::size_t L>
-    void solveLanes(std::span<const std::vector<AppDemand>> batch,
-                    const std::size_t *lanes, CoreSharePolicy policy,
-                    std::span<std::vector<PerfOutcome>> outs) const;
+    static void solveLanes(Workspace &ws,
+                           std::span<const ContentionLane> lanes,
+                           const std::size_t *pass);
 
-    machine::MachineConfig config_;
-    ContentionTraits traits_;
+    Constants k_;
     BandwidthModel bwModel;
-    mutable Workspace ws_;
     mutable EvaluationMemo<PerfOutcome> memo_;
 };
 

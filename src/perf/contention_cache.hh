@@ -43,11 +43,46 @@ namespace ahq::perf
  */
 constexpr std::size_t kMemoCapacity = 64;
 
-/** Bounded exact-key memo of per-app outcome vectors. */
+/**
+ * Emptied memos' slot storage a thread keeps for its next memos: a
+ * lock-step group of four runs, each with the simulator's and the
+ * attributor's model.
+ */
+constexpr std::size_t kPooledMemos = 8;
+
+/**
+ * Bounded exact-key memo of per-app outcome vectors. A memo takes
+ * its slots from the constructing thread's pool and gives them back
+ * when destroyed, so runs that follow one another on a thread reuse
+ * one set of slot buffers instead of reallocating them; a memo only
+ * ever reads its first size_ slots, so a pooled memo hits and misses
+ * exactly like a fresh one.
+ */
 template <typename Outcome>
 class EvaluationMemo
 {
   public:
+    EvaluationMemo()
+    {
+        std::vector<std::vector<Entry>> &pool = slotPool();
+        if (!pool.empty()) {
+            entries_ = std::move(pool.back());
+            pool.pop_back();
+        }
+    }
+
+    ~EvaluationMemo()
+    {
+        std::vector<std::vector<Entry>> &pool = slotPool();
+        if (entries_.capacity() != 0 && pool.size() < kPooledMemos)
+            pool.push_back(std::move(entries_));
+    }
+
+    EvaluationMemo(const EvaluationMemo &) = default;
+    EvaluationMemo(EvaluationMemo &&) noexcept = default;
+    EvaluationMemo &operator=(const EvaluationMemo &) = default;
+    EvaluationMemo &operator=(EvaluationMemo &&) noexcept = default;
+
     /**
      * Look up the outcomes for @p key, writing its hash into @p hash
      * for a later store() of the same key. Several lookups may
@@ -119,6 +154,14 @@ class EvaluationMemo
         std::vector<double> key;
         std::vector<Outcome> outcomes;
     };
+
+    /** The calling thread's pool of emptied slot buffers. */
+    static std::vector<std::vector<Entry>> &
+    slotPool()
+    {
+        thread_local std::vector<std::vector<Entry>> pool;
+        return pool;
+    }
 
     /** Slots; the first size_ hold live entries. */
     std::vector<Entry> entries_;

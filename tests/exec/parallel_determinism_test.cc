@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <span>
 
 #include "apps/catalog.hh"
 #include "cluster/fleet.hh"
@@ -96,12 +99,58 @@ TEST(NodeFanOut, BuildsNoTelemetryTheScopeDoesNotAskFor)
             ++labels;
             return std::string("node");
         },
-        [](std::size_t, const obs::Scope &scope) {
-            EXPECT_EQ(scope.sink, nullptr);
-            EXPECT_EQ(scope.prof, nullptr);
-            EXPECT_TRUE(scope.scenario.empty());
+        [](std::size_t, std::span<const obs::Scope> scopes) {
+            for (const obs::Scope &scope : scopes) {
+                EXPECT_EQ(scope.sink, nullptr);
+                EXPECT_EQ(scope.prof, nullptr);
+                EXPECT_TRUE(scope.scenario.empty());
+            }
         });
     EXPECT_EQ(labels.load(), 0);
+}
+
+/**
+ * The body gets groups of consecutive nodes covering the batch once:
+ * min(4, ceil(n / threads draining)) nodes each (the last group takes
+ * the rest), so every draining thread has work on a small batch, and
+ * one node each while profiling.
+ */
+TEST(NodeFanOut, GroupsConsecutiveNodesByTheDrainingThreads)
+{
+    struct Case
+    {
+        int threads;
+        std::size_t n;
+        bool profiling;
+        std::size_t size;
+    };
+    obs::SpanProfiler prof;
+    // A 4-worker pool drains with the caller too: 5 threads.
+    for (const Case &c : {Case{4, 16, false, 4}, Case{4, 8, false, 2},
+                          Case{4, 3, false, 1}, Case{1, 6, false, 4},
+                          Case{1, 6, true, 1}, Case{4, 40, true, 1}}) {
+        exec::ThreadPool pool(c.threads);
+        obs::Scope scope;
+        if (c.profiling)
+            scope.prof = &prof;
+        exec::NodeFanOut fan(scope);
+        std::mutex m;
+        std::vector<std::pair<std::size_t, std::size_t>> groups;
+        fan.run(
+            pool, c.n, [](std::size_t) { return std::string("node"); },
+            [&](std::size_t first, std::span<const obs::Scope> scopes) {
+                std::lock_guard<std::mutex> lock(m);
+                groups.emplace_back(first, scopes.size());
+            });
+        std::sort(groups.begin(), groups.end());
+        std::size_t next = 0;
+        for (const auto &[first, size] : groups) {
+            EXPECT_EQ(first, next);
+            EXPECT_EQ(size, std::min(c.size, c.n - first));
+            next = first + size;
+        }
+        EXPECT_EQ(next, c.n) << c.threads << " threads, " << c.n << " nodes";
+    }
 }
 
 TEST(NodeFanOut, TracesAndProfilesPerNodeInNodeOrderAtAnyPoolSize)
@@ -121,11 +170,13 @@ TEST(NodeFanOut, TracesAndProfilesPerNodeInNodeOrderAtAnyPoolSize)
         fan.run(
             pool, 6,
             [](std::size_t i) { return "node" + std::to_string(i); },
-            [](std::size_t i, const obs::Scope &node) {
-                obs::Span span(node, "work");
-                obs::Event ev("step");
-                ev.integer("i", static_cast<long long>(i));
-                node.emit(ev);
+            [](std::size_t first, std::span<const obs::Scope> nodes) {
+                for (std::size_t k = 0; k < nodes.size(); ++k) {
+                    obs::Span span(nodes[k], "work");
+                    obs::Event ev("step");
+                    ev.integer("i", static_cast<long long>(first + k));
+                    nodes[k].emit(ev);
+                }
             });
         EXPECT_TRUE(sink.str().empty()); // nothing before the flush
         fan.flushAll();

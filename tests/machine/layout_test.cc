@@ -167,7 +167,8 @@ TEST(RegionLayout, ConcreteMasksAreDisjointAndSized)
     for (int i = 0; i < 3; ++i) {
         EXPECT_EQ(std::popcount(masks.coreMasks[i].bits()),
                   l.region(i).res.cores);
-        EXPECT_EQ(masks.wayMasks[i].count(), l.region(i).res.llcWays);
+        EXPECT_EQ(std::popcount(masks.wayMasks[i].bits()),
+                  l.region(i).res.llcWays);
     }
     // CAT masks must not overlap between isolated regions.
     EXPECT_EQ(masks.wayMasks[0].bits() & masks.wayMasks[1].bits(), 0u);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "machine/mask.hh"
 
 namespace
@@ -54,8 +56,8 @@ TEST(WayMask, ContiguousBits)
 {
     WayMask w(4, 3);
     EXPECT_EQ(w.bits(), 0x70ull);
-    EXPECT_EQ(w.count(), 3);
-    EXPECT_EQ(w.first(), 4);
+    EXPECT_EQ(std::popcount(w.bits()), 3);
+    EXPECT_EQ(std::countr_zero(w.bits()), 4);
 }
 
 TEST(WayMask, EmptyMask)
@@ -63,7 +65,7 @@ TEST(WayMask, EmptyMask)
     WayMask w;
     EXPECT_TRUE(w.empty());
     EXPECT_EQ(w.bits(), 0ull);
-    EXPECT_EQ(w.count(), 0);
+    EXPECT_EQ(std::popcount(w.bits()), 0);
 }
 
 TEST(WayMask, ToStringHex)

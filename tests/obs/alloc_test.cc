@@ -181,9 +181,60 @@ TEST(AllocCount, EpochLoopIsAllocFreeWithoutObservers)
             EXPECT_TRUE(res.epochs.empty());
             return count;
         };
+        // The first run on a thread also grows the thread's contention
+        // workspace to this node's layouts.
+        allocs(800);
         EXPECT_EQ(allocs(400), allocs(800))
             << c.strategy << " on " << c.node->describe();
     }
+}
+
+/**
+ * A lock-step group of four fleet-shaped ARQ nodes under diurnal load
+ * (every epoch misses each node's memo, and the four misses solve as
+ * lanes of one pass) allocates only while its runs set up and warm
+ * their buffers: 800 epochs cost exactly as many allocations as 400.
+ */
+TEST(AllocCount, LockstepGroupIsAllocFree)
+{
+    if (!allocCountingEnabled())
+        GTEST_SKIP() << "sanitizer build: counting compiled out";
+    using namespace ahq::cluster;
+
+    const auto mc = ahq::machine::MachineConfig::xeonE52630v4();
+    ahq::trace::FleetLoadConfig load;
+    load.numNodes = 4;
+    const ahq::trace::FleetLoadGenerator gen(load);
+    std::vector<Node> nodes;
+    for (int n = 0; n < 4; ++n)
+        nodes.emplace_back(mc, fleetNodeApps(gen, n));
+    auto allocs = [&](int epochs) {
+        std::vector<EpochSimulator> sims;
+        std::vector<std::unique_ptr<ahq::sched::Scheduler>> scheds;
+        std::vector<ahq::sched::Scheduler *> arms;
+        std::vector<SimulationResult> results(nodes.size());
+        std::vector<GroupRun> group;
+        sims.reserve(nodes.size());
+        arms.reserve(nodes.size());
+        for (std::size_t n = 0; n < nodes.size(); ++n) {
+            SimulationConfig cfg;
+            cfg.durationSeconds = epochs * cfg.epochSeconds;
+            cfg.keepEpochs = false;
+            cfg.checkMode = ahq::check::Mode::Off;
+            cfg.seed = 42 + n;
+            sims.emplace_back(nodes[n], cfg);
+            scheds.push_back(ahq::sched::makeScheduler("ARQ"));
+            arms.push_back(scheds.back().get());
+            group.push_back({&sims[n], {&arms[n], 1}, nullptr, &results[n]});
+        }
+        const auto before = threadAllocCount();
+        EpochSimulator::runGroup(group);
+        return threadAllocCount() - before;
+    };
+    // The first group on a thread also grows the thread's contention
+    // workspace to these nodes' layouts.
+    allocs(800);
+    EXPECT_EQ(allocs(400), allocs(800));
 }
 
 /**

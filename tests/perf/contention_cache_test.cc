@@ -100,4 +100,36 @@ TEST(EvaluationMemo, ClearsWhenFullInsteadOfGrowing)
     EXPECT_NE(memo.find({double(full)}, h), nullptr);
 }
 
+// A memo built after others on its thread were destroyed takes their
+// slot buffers from the thread's pool, and still starts empty: none
+// of the earlier memos' keys hit, and it fills and clears like a
+// fresh one.
+TEST(EvaluationMemo, PooledSlotsStartEmpty)
+{
+    std::uint64_t h = 0;
+    const auto full = static_cast<int>(ahq::perf::kMemoCapacity);
+    {
+        std::vector<EvaluationMemo<int>> earlier(ahq::perf::kPooledMemos + 2);
+        for (EvaluationMemo<int> &memo : earlier) {
+            for (int k = 0; k < full; ++k) {
+                ASSERT_EQ(memo.find({double(k)}, h), nullptr);
+                memo.store(h, {double(k)}, {k});
+            }
+        }
+    }
+    for (int round = 0; round < 2; ++round) {
+        EvaluationMemo<int> memo;
+        for (int k = 0; k < full; ++k)
+            EXPECT_EQ(memo.find({double(k)}, h), nullptr) << k;
+        EXPECT_EQ(memo.hits(), 0u);
+        ASSERT_EQ(memo.find({1.0}, h), nullptr);
+        memo.store(h, {1.0}, {-1});
+        const std::vector<int> *hit = memo.find({1.0}, h);
+        ASSERT_NE(hit, nullptr);
+        EXPECT_EQ(*hit, std::vector<int>{-1});
+        EXPECT_EQ(memo.find({0.0}, h), nullptr);
+        EXPECT_EQ(memo.hits(), 1u);
+    }
+}
+
 } // namespace

@@ -634,4 +634,175 @@ TEST(Contention, BatchMatchesOneCallPerSet)
     }
 }
 
+/**
+ * @p layout with every region's cores, ways and bandwidth dealt out
+ * afresh, keeping which regions hold ways: the member structure
+ * (shared regions' members, way regions' members) stays, the
+ * numbers change. Falls back to the layout itself after a few
+ * invalid draws.
+ */
+RegionLayout
+renumbered(ahq::stats::Rng &rng, const RegionLayout &layout,
+           ResourceVector avail)
+{
+    for (int attempt = 0; attempt < 20; ++attempt) {
+        RegionLayout out = layout;
+        ResourceVector left = avail;
+        bool dealt = true;
+        for (ahq::machine::RegionId r = 0; r < out.numRegions(); ++r) {
+            Region &reg = out.region(r);
+            for (const ResourceKind k :
+                 {ResourceKind::Cores, ResourceKind::LlcWays,
+                  ResourceKind::MemBw}) {
+                // A region that holds ways keeps at least one.
+                const int least = k == ResourceKind::LlcWays &&
+                        layout.region(r).res.llcWays != 0
+                    ? 1
+                    : 0;
+                if (k == ResourceKind::LlcWays && least == 0) {
+                    reg.res.set(k, 0);
+                    continue;
+                }
+                dealt = dealt && left.get(k) >= least;
+                if (!dealt)
+                    break;
+                const int units = least +
+                    static_cast<int>(rng.uniformInt(static_cast<std::uint64_t>(
+                        left.get(k) - least + 1)));
+                reg.res.set(k, units);
+                left.ref(k) -= units;
+            }
+        }
+        if (dealt && out.valid())
+            return out;
+    }
+    return layout;
+}
+
+/**
+ * Lanes of different models and layouts are each the sequential
+ * result, bit for bit: batches of K = 1..9 lanes, each lane a
+ * random-corpus case on its own fresh model. Lane 0 is a random
+ * case; each further lane either keeps its member structure (same
+ * machine, policy and kinds; the layout's numbers and every demand
+ * redrawn), so the lanes share passes, or is an independent case
+ * (its own machine, app count, layout and policy), so it solves
+ * apart. Every outcome equals one evaluateInto() per lane on a fresh
+ * model of the lane's machine, and each model's memo hits equal the
+ * sequential model's: none on the first batch, one each when the
+ * batch repeats, and one for the lanes evaluated beforehand.
+ */
+TEST(Contention, CrossModelBatchMatchesOneCallPerSet)
+{
+    const MachineConfig machines[] = {
+        MachineConfig::xeonE52630v4(),
+        MachineConfig::xeonE52630v4().withAvailable(6, 12, 6),
+        MachineConfig::xeonGold6248()};
+    struct Case
+    {
+        std::size_t machine;
+        RegionLayout layout{ResourceVector{}};
+        std::vector<AppDemand> demands;
+        CoreSharePolicy policy;
+    };
+    ahq::stats::Rng rng(20261020);
+    auto random_case = [&](CoreSharePolicy policy) {
+        Case c;
+        c.machine = rng.uniformInt(std::size(machines));
+        const std::size_t n = 1 + rng.uniformInt(8);
+        for (std::size_t i = 0; i < n; ++i)
+            c.demands.push_back(randomDemand(rng, rng.bernoulli(0.5)));
+        c.layout = randomLayout(rng, machines[c.machine].availableResources(),
+                                static_cast<int>(n));
+        c.policy = policy;
+        return c;
+    };
+    std::vector<PerfOutcome> one;
+    int shared_lanes = 0, apart_lanes = 0;
+    for (int t = 0; t < 360; ++t) {
+        const std::size_t k_lanes = 1 + static_cast<std::size_t>(t % 9);
+        std::vector<Case> cases;
+        cases.push_back(random_case(t % 2 == 0
+                                        ? CoreSharePolicy::FairShare
+                                        : CoreSharePolicy::LcPriority));
+        for (std::size_t k = 1; k < k_lanes; ++k) {
+            if (rng.bernoulli(0.7)) {
+                Case c = cases[0];
+                c.layout = renumbered(
+                    rng, cases[0].layout,
+                    machines[c.machine].availableResources());
+                for (AppDemand &d : c.demands)
+                    d = randomDemand(rng, d.latencyCritical);
+                cases.push_back(std::move(c));
+                ++shared_lanes;
+            } else {
+                cases.push_back(random_case(
+                    rng.bernoulli(0.5) ? CoreSharePolicy::FairShare
+                                       : CoreSharePolicy::LcPriority));
+                ++apart_lanes;
+            }
+        }
+
+        std::vector<ContentionModel> sequential, batched;
+        std::vector<std::vector<std::uint64_t>> want;
+        for (const Case &c : cases) {
+            sequential.emplace_back(machines[c.machine]);
+            batched.emplace_back(machines[c.machine]);
+            sequential.back().evaluateInto(c.layout, c.demands, c.policy,
+                                           one);
+            want.push_back(outcomeBits(one));
+        }
+        std::vector<std::vector<PerfOutcome>> outs(k_lanes);
+        std::vector<ContentionLane> lanes;
+        for (std::size_t k = 0; k < k_lanes; ++k) {
+            lanes.push_back({&batched[k], &cases[k].layout,
+                             &cases[k].demands, cases[k].policy,
+                             &outs[k]});
+        }
+        auto expect_sequential = [&](const char *what) {
+            for (std::size_t k = 0; k < k_lanes; ++k) {
+                EXPECT_EQ(outcomeBits(outs[k]), want[k])
+                    << what << ": case " << t << " lane " << k;
+                EXPECT_EQ(batched[k].memoHits(), sequential[k].memoHits())
+                    << what << ": case " << t << " lane " << k;
+            }
+        };
+        ContentionModel::evaluateBatchInto(lanes);
+        expect_sequential("first batch");
+
+        // Each lane was filed in its own model: all hit again.
+        for (std::size_t k = 0; k < k_lanes; ++k) {
+            sequential[k].evaluateInto(cases[k].layout, cases[k].demands,
+                                       cases[k].policy, one);
+            outs[k].clear();
+        }
+        ContentionModel::evaluateBatchInto(lanes);
+        expect_sequential("repeated batch");
+
+        // Fresh models with the odd lanes evaluated beforehand: those
+        // hit, the rest are solved.
+        sequential.clear();
+        batched.clear();
+        for (std::size_t k = 0; k < k_lanes; ++k) {
+            const Case &c = cases[k];
+            sequential.emplace_back(machines[c.machine]);
+            batched.emplace_back(machines[c.machine]);
+            if (k % 2 == 1) {
+                sequential.back().evaluateInto(c.layout, c.demands,
+                                               c.policy, one);
+                batched.back().evaluateInto(c.layout, c.demands, c.policy,
+                                            one);
+            }
+            sequential.back().evaluateInto(c.layout, c.demands, c.policy,
+                                           one);
+            lanes[k].model = &batched[k];
+            outs[k].clear();
+        }
+        ContentionModel::evaluateBatchInto(lanes);
+        expect_sequential("mixed hits and misses");
+    }
+    EXPECT_GE(shared_lanes, 500);
+    EXPECT_GE(apart_lanes, 200);
+}
+
 } // namespace
